@@ -252,14 +252,20 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		gather := netsim.FlowSpec{Src: src, Dst: agg.Node, Bytes: bytes,
 			Label: fmt.Sprintf("n%d->agg%d", node, agg.Node)}
 		if net.HasFailures() && src != agg.Node {
-			// Prefer a fault-avoiding gather route; fall back to the
-			// default and let the engine's fail-stop check flag the gap.
-			if r, rerr := routing.RouteAvoiding(a.job.Torus(), src, agg.Node, net.FailedFunc()); rerr == nil {
-				gather.Links = r.Links
+			// Route the gather leg around failed links. With no minimal
+			// route left the plan fails: the engine's fail-stop check
+			// would reject the default route at Submit.
+			r, rerr := routing.RouteAvoiding(a.job.Torus(), src, agg.Node, net.FailedFunc())
+			if rerr != nil {
+				return plan, fmt.Errorf("core: gather leg of node %d: %w", node, rerr)
 			}
+			gather.Links = r.Links
 		}
 		l1 := e.Submit(gather)
 		fabric, conts := sink.WriteFlows(agg.Node, agg.Pset, agg.Bridge, offset[node], bytes)
+		if net.HasFailures() && anyFailed(net.FailedFunc(), fabric.Links) {
+			return plan, fmt.Errorf("core: write leg of aggregator %d to its I/O node is cut by failures", agg.Node)
+		}
 		fabric.DependsOn = []netsim.FlowID{l1}
 		fabric.Label = fmt.Sprintf("agg%d->ion%d", agg.Node, agg.Pset)
 		fid := e.Submit(fabric)

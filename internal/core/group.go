@@ -121,8 +121,9 @@ func overlaps(nodes []torus.NodeID, set map[torus.NodeID]struct{}) bool {
 // GroupPlanner plans data-coupling transfers between two congruent groups
 // of compute nodes (the multiphysics scenario of the paper's Figs. 6-7).
 type GroupPlanner struct {
-	tor *torus.Torus
-	cfg ProxyConfig
+	tor    *torus.Torus
+	cfg    ProxyConfig
+	faults func(int) bool
 
 	// ForceGroups, when positive, uses exactly that many proxy groups
 	// (best effort routing, interference allowed) instead of the
@@ -136,6 +137,26 @@ func NewGroupPlanner(tor *torus.Torus, cfg ProxyConfig) (*GroupPlanner, error) {
 		return nil, err
 	}
 	return &GroupPlanner{tor: tor, cfg: cfg}, nil
+}
+
+// SetFaults gives the planner a failed-link predicate, as
+// PairPlanner.SetFaults does: direct pairs and proxy legs avoid those
+// links, and Plan fails when a pair has no minimal route left. Pass the
+// network's FailedFunc after injecting failures.
+func (g *GroupPlanner) SetFaults(failed func(int) bool) { g.faults = failed }
+
+// directFlow submits one pair's direct transfer, routed around failed
+// links when the planner has a fault predicate.
+func (g *GroupPlanner) directFlow(e *netsim.Engine, i int, src, dst torus.NodeID, bytes int64) (netsim.FlowID, error) {
+	spec := netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytes, Label: fmt.Sprintf("pair%d/direct", i)}
+	if g.faults != nil && src != dst {
+		r, err := routing.RouteAvoiding(g.tor, src, dst, g.faults)
+		if err != nil {
+			return 0, fmt.Errorf("core: pair %d direct path cut by failures: %w", i, err)
+		}
+		spec.Links = r.Links
+	}
+	return e.Submit(spec), nil
 }
 
 // Plan pairs the i-th node of sBox with the i-th node of tBox (box-local
@@ -157,8 +178,10 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 		plan.Mode = Direct
 		plan.DirectPairs = plan.PairCount
 		for i := range sNodes {
-			id := e.Submit(netsim.FlowSpec{Src: sNodes[i], Dst: tNodes[i], Bytes: bytesPerPair,
-				Label: fmt.Sprintf("pair%d/direct", i)})
+			id, err := g.directFlow(e, i, sNodes[i], tNodes[i], bytesPerPair)
+			if err != nil {
+				return GroupPlan{}, err
+			}
 			plan.Final = append(plan.Final, id)
 		}
 		return plan, nil
@@ -224,31 +247,33 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 		var legs []legPair
 		for _, cd := range cands {
 			proxy := cd.proxy
-			leg1 := routing.DeterministicRoute(g.tor, src, proxy)
-			leg2, ok := disjointRoute(g.tor, proxy, dst, busy, nil, leg1.Links)
+			// The default route, or with faults the first minimal one
+			// around them.
+			leg1, err := routing.RouteAvoiding(g.tor, src, proxy, g.faults)
+			if err != nil {
+				continue
+			}
+			leg2, ok := disjointRoute(g.tor, proxy, dst, busy, g.faults, leg1.Links)
 			if !ok {
 				if !forced {
 					continue
 				}
-				// Forced mode: take the default route and let the
-				// interference show up in the simulation.
-				leg2 = routing.DeterministicRoute(g.tor, proxy, dst)
+				// Forced mode: take the default route (around failures)
+				// and let the interference show up in the simulation.
+				if leg2, err = routing.RouteAvoiding(g.tor, proxy, dst, g.faults); err != nil {
+					continue
+				}
 			}
 			markBusy(busy, leg1.Links)
 			markBusy(busy, leg2.Links)
 			legs = append(legs, legPair{proxy, leg1, leg2})
 		}
-		if !forced && len(legs) < g.cfg.MinProxies {
+		if len(legs) == 0 || !forced && len(legs) < g.cfg.MinProxies {
 			plan.DirectPairs++
-			id := e.Submit(netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytesPerPair,
-				Label: fmt.Sprintf("pair%d/direct", i)})
-			plan.Final = append(plan.Final, id)
-			continue
-		}
-		if len(legs) == 0 {
-			plan.DirectPairs++
-			id := e.Submit(netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytesPerPair,
-				Label: fmt.Sprintf("pair%d/direct", i)})
+			id, err := g.directFlow(e, i, src, dst, bytesPerPair)
+			if err != nil {
+				return GroupPlan{}, err
+			}
 			plan.Final = append(plan.Final, id)
 			continue
 		}

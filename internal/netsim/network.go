@@ -2,6 +2,7 @@ package netsim
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"bgqflow/internal/routing"
@@ -29,7 +30,9 @@ type Network struct {
 	tp         topo.Topology
 	capacity   []float64
 	failed     []bool
+	numFailed  int // links marked in failed; HasFailures is O(1)
 	nodeFailed []bool
+	reads      *FaultReads            // nil unless a computation records its fault reads
 	names      map[int]string         // extra-link names for diagnostics
 	extraFrom  map[torus.NodeID][]int // node -> extra links it owns (AddLinkFrom)
 	routes     *routing.Cache         // torus-backed networks only
@@ -155,14 +158,28 @@ func (n *Network) FailLink(id int) {
 	if n.failed == nil {
 		n.failed = make([]bool, len(n.capacity))
 	}
-	n.failed[id] = true
+	n.markFailed(id)
 	if n.routes != nil {
 		n.routes.Invalidate()
 	}
 }
 
-// LinkFailed reports whether a link is marked failed.
+// markFailed sets one link's failed flag, counting it only the first
+// time so a link failed twice (or by FailNode after FailLink) is one
+// failure.
+func (n *Network) markFailed(id int) {
+	if !n.failed[id] {
+		n.failed[id] = true
+		n.numFailed++
+	}
+}
+
+// LinkFailed reports whether a link is marked failed. The read is
+// recorded when a FaultReads is attached (RecordFaultReads).
 func (n *Network) LinkFailed(id int) bool {
+	if n.reads != nil {
+		n.reads.addLink(id)
+	}
 	return n.failed != nil && id < len(n.failed) && n.failed[id]
 }
 
@@ -201,7 +218,7 @@ func (n *Network) FailNode(id torus.NodeID) {
 		n.failed = make([]bool, len(n.capacity))
 	}
 	for _, l := range n.NodeLinks(id) {
-		n.failed[l] = true
+		n.markFailed(l)
 	}
 	if n.routes != nil {
 		n.routes.Invalidate()
@@ -213,14 +230,60 @@ func (n *Network) NodeFailed(id torus.NodeID) bool {
 	return n.nodeFailed != nil && n.nodeFailed[id]
 }
 
-// HasFailures reports whether any link is failed.
+// HasFailures reports whether any link is failed. The read is recorded
+// when a FaultReads is attached (RecordFaultReads).
 func (n *Network) HasFailures() bool {
-	for _, f := range n.failed {
-		if f {
-			return true
+	if n.reads != nil {
+		n.reads.askedAny = true
+	}
+	return n.numFailed > 0
+}
+
+// RecordFaultReads attaches r to the network: from now on every
+// LinkFailed call marks its link in r and every HasFailures call marks
+// the emptiness read, so a caller can tell which parts of the fault
+// state a computation depended on. Nil detaches. Recording is not safe
+// for concurrent use: a recording network belongs to one goroutine.
+func (n *Network) RecordFaultReads(r *FaultReads) { n.reads = r }
+
+// FaultReads is the part of a network's fault state a computation read:
+// the links whose failed flag it queried (LinkFailed, which FailedFunc
+// and the engine's fail-stop check call) and whether it asked
+// HasFailures. NodeFailed is not recorded; only FailNode changes it.
+// The zero value is empty and ready to use.
+type FaultReads struct {
+	bits     []uint64 // bit l set: LinkFailed(l) was called
+	askedAny bool
+}
+
+func (r *FaultReads) addLink(id int) {
+	w := id >> 6
+	if w >= len(r.bits) {
+		r.bits = append(r.bits, make([]uint64, w+1-len(r.bits))...)
+	}
+	r.bits[w] |= 1 << (uint(id) & 63)
+}
+
+// AskedHasFailures reports whether the computation asked HasFailures.
+func (r *FaultReads) AskedHasFailures() bool { return r.askedAny }
+
+// NumLinks reports how many distinct links were read.
+func (r *FaultReads) NumLinks() int {
+	n := 0
+	for _, w := range r.bits {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// ForEachLink calls fn with every link read, in ascending ID order.
+func (r *FaultReads) ForEachLink(fn func(id int)) {
+	for i, w := range r.bits {
+		for w != 0 {
+			fn(i<<6 | bits.TrailingZeros64(w))
+			w &= w - 1
 		}
 	}
-	return false
 }
 
 // FailedFunc returns a predicate suitable for routing.RouteAvoiding.

@@ -80,3 +80,38 @@ func TestTimelineCleanWindowsUncounted(t *testing.T) {
 		t.Fatalf("clean windows counted: dropped=%d clamped=%d", tl.DroppedWindows(), tl.ClampedWindows())
 	}
 }
+
+// The histogram's memory is bounded: past histogramCap it keeps a
+// uniform sample, while N, Min, Max and Dropped stay exact and the
+// percentiles of a known distribution stay close.
+func TestHistogramBoundedSample(t *testing.T) {
+	var h Histogram
+	const n = 10 * histogramCap
+	// A scrambled permutation of 1..n, so neither end of the range
+	// arrives first.
+	for i := 0; i < n; i++ {
+		h.Observe(float64((i*7919)%n + 1))
+	}
+	h.Observe(math.NaN())
+	if got := len(h.samples); got != histogramCap {
+		t.Fatalf("retained %d samples, want %d", got, histogramCap)
+	}
+	s := h.Summary()
+	if s.N != n || s.Min != 1 || s.Max != n || s.Dropped != 1 {
+		t.Fatalf("N=%d Min=%g Max=%g Dropped=%d, want %d, 1, %d, 1", s.N, s.Min, s.Max, s.Dropped, n, n)
+	}
+	for _, c := range []struct {
+		name      string
+		got, want float64
+		tol       float64 // fraction of the range
+	}{
+		{"p50", s.P50, 0.50 * n, 0.03},
+		{"p90", s.P90, 0.90 * n, 0.02},
+		{"p99", s.P99, 0.99 * n, 0.01},
+		{"mean", s.Mean, 0.50 * n, 0.03},
+	} {
+		if math.Abs(c.got-c.want) > c.tol*n {
+			t.Errorf("%s = %g, want %g within %.0f%% of the range", c.name, c.got, c.want, 100*c.tol)
+		}
+	}
+}

@@ -40,26 +40,69 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 // Value reports the last value set (zero before the first Set).
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
 
+// histogramCap bounds the samples a Histogram retains. A daemon
+// observes once per served request, so an unbounded sample would grow
+// with uptime.
+const histogramCap = 4096
+
 // Histogram collects a sample distribution; snapshots summarize it with
 // the percentile math from internal/stats. Non-finite observations are
 // dropped and counted — one stray NaN from an instrumentation site must
 // not poison the percentile summaries of a whole -metrics snapshot. It
 // is safe for concurrent use.
+//
+// Memory is bounded: the first histogramCap finite observations are all
+// kept, and past that the histogram keeps a uniform random sample of
+// every observation so far (reservoir sampling, Vitter's Algorithm R).
+// N, Min, Max and Dropped stay exact; Mean, Stddev and the percentiles
+// are then computed over the sample. Up to the cap, summaries are
+// exactly those of the full sample.
 type Histogram struct {
-	mu      sync.Mutex
-	samples []float64
-	dropped int
+	mu       sync.Mutex
+	samples  []float64
+	n        int // finite observations, retained or not
+	min, max float64
+	rng      uint64 // splitmix64 state choosing reservoir slots
+	dropped  int
 }
 
 // Observe records one sample; NaN and ±Inf are dropped and counted.
 func (h *Histogram) Observe(x float64) {
 	h.mu.Lock()
-	if math.IsNaN(x) || math.IsInf(x, 0) {
+	switch {
+	case math.IsNaN(x) || math.IsInf(x, 0):
 		h.dropped++
-	} else {
+	case len(h.samples) < histogramCap:
 		h.samples = append(h.samples, x)
+		h.note(x)
+	default:
+		h.note(x)
+		// Keep x with probability cap/n, replacing a uniform slot.
+		if j := h.next() % uint64(h.n); j < histogramCap {
+			h.samples[j] = x
+		}
 	}
 	h.mu.Unlock()
+}
+
+// note updates the exact count and extremes. Caller holds h.mu.
+func (h *Histogram) note(x float64) {
+	if h.n == 0 || x < h.min {
+		h.min = x
+	}
+	if h.n == 0 || x > h.max {
+		h.max = x
+	}
+	h.n++
+}
+
+// next steps the splitmix64 generator. Caller holds h.mu.
+func (h *Histogram) next() uint64 {
+	h.rng += 0x9e3779b97f4a7c15
+	z := h.rng
+	z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+	z = (z ^ z>>27) * 0x94d049bb133111eb
+	return z ^ z>>31
 }
 
 // Dropped reports how many non-finite observations were discarded.
@@ -90,11 +133,15 @@ type HistSummary struct {
 func (h *Histogram) Summary() HistSummary {
 	h.mu.Lock()
 	xs := append([]float64(nil), h.samples...)
+	n, lo, hi := h.n, h.min, h.max
 	dropped := h.dropped
 	h.mu.Unlock()
 	s := stats.Summarize(xs)
 	out := HistSummary{N: s.N, Min: s.Min, Max: s.Max, Mean: s.Mean, Stddev: s.Stddev,
 		Dropped: dropped + s.Dropped}
+	if n > s.N {
+		out.N, out.Min, out.Max = n, lo, hi
+	}
 	if s.N > 0 {
 		out.P50 = stats.Percentile(xs, 50)
 		out.P90 = stats.Percentile(xs, 90)

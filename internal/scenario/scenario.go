@@ -512,6 +512,10 @@ func runTransfer(tor *torus.Torus, params netsim.Params, c Config) (Result, erro
 		if t.Proxies > 0 {
 			gp.ForceGroups = t.Proxies
 		}
+		if net.HasFailures() {
+			gp.SetFaults(net.FailedFunc())
+			res.Notes = append(res.Notes, fmt.Sprintf("%d links failed; planning around them", len(c.FailLinks)))
+		}
 		plan, err := gp.Plan(e, sBox, dBox, t.Bytes)
 		if err != nil {
 			return res, err

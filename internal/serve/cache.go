@@ -4,29 +4,37 @@ import (
 	"hash/fnv"
 	"sync"
 	"sync/atomic"
+
+	"bgqflow/internal/cluster"
+	"bgqflow/internal/scenario"
 )
 
-// planCache is a sharded, epoch-invalidated plan cache with
-// singleflight-style request coalescing.
+// planCache is a sharded plan cache with link-scoped invalidation and
+// singleflight-style request coalescing. It also holds the published
+// fault state, so a lookup can judge an entry against it.
 //
-// Concurrency discipline (the same stamp-and-check epoch rule as
-// routing.Cache.Invalidate, see DESIGN.md §8/§12):
+// Concurrency discipline (DESIGN.md §12):
 //
-//   - A computing request reads the epoch FIRST, then snapshots the
-//     fault set, then computes; the entry is stamped with that pre-read
-//     epoch.
-//   - A fault event mutates the fault set FIRST, then bumps the epoch.
-//   - A lookup only accepts an entry whose stamp equals the CURRENT
-//     epoch.
+//   - A request loads ONE faultSnapshot and plans against it; its entry
+//     is stamped with that snapshot's epoch and keeps the read set the
+//     computation recorded (the links whose failed state it read, and
+//     whether it asked if the fault set is empty).
+//   - A fault event publishes the next snapshot in one atomic store:
+//     epoch+1, the new fault set and vector, and the changed links
+//     stamped with epoch+1 (publish; callers serialize on Server.mu).
+//   - A lookup under snapshot r serves an entry stamped s when s == r,
+//     or when the entry is complete and none of the links it read
+//     changed after min(s, r) and its emptiness read gives the same
+//     answer under r. Entries without a read set are served only when
+//     s == r, so every event invalidates them.
 //
-// Together these guarantee no lost invalidation: any plan computed from
-// a pre-event fault snapshot carries a pre-event stamp, and the bump
-// makes every such entry invisible to post-event lookups. A request that
-// raced the event may still receive the pre-event plan it asked for —
-// that is the serializable outcome "request before fault" — but nothing
-// computed against stale faults can be served after the bump.
+// A plan's computation reads the fault state only through the reads it
+// records, so replaying it under r would read the same values, take the
+// same path and produce the same bytes: a served plan is always the plan
+// of the requesting snapshot. The stamps consulted come from the latest
+// snapshot, which is at least as new as both s and r.
 type planCache struct {
-	epoch    atomic.Uint64
+	state    atomic.Pointer[faultSnapshot]
 	maxShard int
 	shards   []cacheShard
 }
@@ -37,13 +45,14 @@ type cacheShard struct {
 }
 
 // cacheEntry is one cached (or in-flight) plan computation. ready is
-// closed once val/err are final; waiters that find an unready entry are
-// coalesced onto it instead of recomputing.
+// closed once val/err/reads are final; waiters that find an unready
+// entry of their own epoch are coalesced onto it instead of recomputing.
 type cacheEntry struct {
-	epoch uint64
+	epoch uint64 // guarded by the shard mutex: a revalidated entry is restamped
 	ready chan struct{}
 	val   []byte
 	err   error
+	reads *readSet // nil: no read set recorded
 }
 
 // cacheOutcome says how a Do call was satisfied.
@@ -52,7 +61,8 @@ type cacheOutcome int
 const (
 	// outcomeComputed: this caller ran the computation.
 	outcomeComputed cacheOutcome = iota
-	// outcomeHit: a completed, epoch-valid entry was served.
+	// outcomeHit: a completed entry valid for the caller's snapshot was
+	// served.
 	outcomeHit
 	// outcomeCoalesced: the caller attached to an in-flight computation.
 	outcomeCoalesced
@@ -69,18 +79,28 @@ func newPlanCache(shards, entriesPerShard int) *planCache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
+	c.state.Store(&faultSnapshot{lowNode: lowestFaulted(nil)})
 	return c
 }
 
-// Epoch returns the current invalidation epoch.
-func (c *planCache) Epoch() uint64 { return c.epoch.Load() }
+// current returns the latest published fault snapshot.
+func (c *planCache) current() *faultSnapshot { return c.state.Load() }
 
-// Invalidate bumps the epoch, atomically making every cached and
-// in-flight entry invisible to subsequent lookups, and returns the new
-// epoch. Entries are evicted lazily (on collision or shard overflow)
-// rather than swept, so Invalidate is O(1) — the property that lets a
-// fault event fire on the request path.
-func (c *planCache) Invalidate() uint64 { return c.epoch.Add(1) }
+// Epoch returns the current invalidation epoch.
+func (c *planCache) Epoch() uint64 { return c.current().epoch }
+
+// publish is the one fault-publish step: it installs the snapshot that
+// follows the current one with fault set faults and vector vec,
+// stamping the links whose failed state changed, and returns it.
+// Entries are judged lazily at lookup rather than swept, so publish
+// costs O(changed links + stamped links), whatever the cache holds.
+// Callers serialize publishes (Server.mu); faults and vec must not be
+// mutated afterwards.
+func (c *planCache) publish(faults []scenario.FailLink, vec cluster.Vector) *faultSnapshot {
+	next := nextSnapshot(c.current(), faults, vec)
+	c.state.Store(next)
+	return next
+}
 
 func (c *planCache) shardFor(key string) *cacheShard {
 	h := fnv.New32a()
@@ -88,52 +108,56 @@ func (c *planCache) shardFor(key string) *cacheShard {
 	return &c.shards[int(h.Sum32())%len(c.shards)]
 }
 
-// Do returns the plan for key, computing it at most once per epoch
-// across concurrent callers. epoch must be the caller's pre-snapshot
-// epoch read (see the type comment). Failed computations are not cached.
-func (c *planCache) Do(key string, epoch uint64, compute func() ([]byte, error)) ([]byte, error, cacheOutcome) {
+// Do returns the plan for key as the snapshot snap sees it, computing
+// it at most once per snapshot across concurrent callers. compute plans
+// against snap and returns the plan with its read set (nil for none).
+// Failed computations are not cached.
+func (c *planCache) Do(key string, snap *faultSnapshot, compute func() ([]byte, *readSet, error)) ([]byte, error, cacheOutcome) {
 	sh := c.shardFor(key)
 	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok && e.epoch == c.epoch.Load() {
+	old := sh.m[key]
+	if old != nil && old.epoch == snap.epoch {
 		sh.mu.Unlock()
 		select {
-		case <-e.ready:
-			return e.val, e.err, outcomeHit
+		case <-old.ready:
+			return old.val, old.err, outcomeHit
 		default:
 		}
-		<-e.ready
-		return e.val, e.err, outcomeCoalesced
+		<-old.ready
+		return old.val, old.err, outcomeCoalesced
 	}
-	e := &cacheEntry{epoch: epoch, ready: make(chan struct{})}
-	if len(sh.m) >= c.maxShard {
-		// Shard full: drop one entry, stale-epoch entries first. Eviction
-		// never blocks waiters — they hold the entry pointer, not the map
-		// slot.
-		evicted := false
-		cur := c.epoch.Load()
-		for k, old := range sh.m {
-			if old.epoch != cur {
-				delete(sh.m, k)
-				evicted = true
-				break
-			}
+	if old != nil && c.servable(old, snap) {
+		if old.epoch < snap.epoch {
+			// The plan is the plan of snap too: restamp it so later
+			// lookups under snap take the same-epoch path.
+			old.epoch = snap.epoch
 		}
-		if !evicted {
+		sh.mu.Unlock()
+		return old.val, nil, outcomeHit
+	}
+	e := &cacheEntry{epoch: snap.epoch, ready: make(chan struct{})}
+	// A request that raced behind a newer entry computes privately
+	// rather than displace it.
+	install := old == nil || old.epoch < snap.epoch
+	if install {
+		if old == nil && len(sh.m) >= c.maxShard {
+			// Shard full: drop an arbitrary entry. Eviction never blocks
+			// waiters — they hold the entry pointer, not the map slot.
 			for k := range sh.m {
 				delete(sh.m, k)
 				break
 			}
 		}
+		sh.m[key] = e
 	}
-	sh.m[key] = e
 	sh.mu.Unlock()
 
-	e.val, e.err = compute()
+	e.val, e.reads, e.err = compute()
 	close(e.ready)
-	if e.err != nil {
+	if e.err != nil && install {
 		// Do not cache failures (including load-shed computations): the
 		// next request must be free to retry. Only remove the slot if it
-		// is still ours — a newer epoch's entry may have replaced it.
+		// is still ours — a newer snapshot's entry may have replaced it.
 		sh.mu.Lock()
 		if sh.m[key] == e {
 			delete(sh.m, key)
@@ -143,8 +167,26 @@ func (c *planCache) Do(key string, epoch uint64, compute func() ([]byte, error))
 	return e.val, e.err, outcomeComputed
 }
 
-// Len reports the number of resident entries across all shards (stale
-// entries included until lazily evicted).
+// servable reports whether entry e, stamped with another epoch than
+// snap, holds the plan snap would compute. Caller holds the shard lock.
+func (c *planCache) servable(e *cacheEntry, snap *faultSnapshot) bool {
+	select {
+	case <-e.ready:
+	default:
+		return false // still computing: its read set is not known yet
+	}
+	rs := e.reads
+	if e.err != nil || rs == nil {
+		return false
+	}
+	if c.current().changedSince(rs.links, min(e.epoch, snap.epoch)) {
+		return false
+	}
+	return !rs.askedAny || snap.anyApplicable(rs.size, rs.dims) == rs.anyFailed
+}
+
+// Len reports the number of resident entries across all shards
+// (entries no longer servable included until evicted or replaced).
 func (c *planCache) Len() int {
 	n := 0
 	for i := range c.shards {

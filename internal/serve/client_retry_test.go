@@ -39,7 +39,7 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer pinned.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin", func([]scenario.FailLink, *planReads) (any, error) {
 			close(started)
 			<-release
 			return PairPlan{Mode: "direct"}, nil
@@ -49,7 +49,7 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer pinned.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink, *planReads) (any, error) {
 			return PairPlan{Mode: "direct"}, nil
 		})
 	}()
@@ -123,7 +123,7 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer repin.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin-2", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-pin-2", func([]scenario.FailLink, *planReads) (any, error) {
 			close(started2)
 			<-release2
 			return PairPlan{Mode: "direct"}, nil
@@ -134,7 +134,7 @@ func TestClientRetryAfterShed(t *testing.T) {
 	go func() {
 		defer repin.Done()
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill-2", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill-2", func([]scenario.FailLink, *planReads) (any, error) {
 			return PairPlan{Mode: "direct"}, nil
 		})
 	}()

@@ -15,10 +15,10 @@ import (
 // Cluster plane (DESIGN.md §17): when Config.ReplicaID is set, the
 // daemon is one replica of a bgqd cluster. Fault events stop mutating a
 // private fault set and instead enter a gossiped, versioned epoch log
-// (cluster.Log); the serve layer's fault set and epoch become a pure
-// function of the applied event set, so every replica that has applied
-// the same events plans against the same faults — the PR 5
-// stamp-and-check discipline, now distributed. POST /v1/gossip is the
+// (cluster.Log); the serve layer's fault set becomes a pure function of
+// the applied event set, so every replica that has applied the same
+// events plans against the same faults, published through the same
+// planCache.publish step a standalone daemon uses. POST /v1/gossip is the
 // peer wire, GET /v1/cluster the observability endpoint, and the
 // X-Bgq-Min-Vector check in servePlan the staleness gate.
 
@@ -29,7 +29,7 @@ type clusterPlane struct {
 	stop chan struct{}
 	done chan struct{}
 	// pubVer is the highest log version published to the serve layer;
-	// guarded by s.mu alongside s.faults and s.vec.
+	// guarded by s.mu, which serializes publishes.
 	pubVer uint64
 }
 
@@ -51,23 +51,23 @@ func newClusterPlane(s *Server) *clusterPlane {
 }
 
 // onApply runs after events are newly applied to the log (local
-// originations and gossip deliveries alike). It republishes the serve
-// layer's fault set and vector — together, under s.mu, guarded by the
-// log version so a slow hook can never roll state backwards — and THEN
-// bumps the cache epoch: the single-process no-lost-invalidation proof
-// (see planCache) carries over unchanged.
+// originations and gossip deliveries alike). It publishes the log's
+// fault set and vector as the next snapshot through planCache.publish —
+// the same step as a standalone fault — under s.mu, guarded by the log
+// version so a slow hook can never roll state backwards: the
+// single-process proof (see planCache) carries over unchanged.
 func (cp *clusterPlane) onApply(evs []cluster.Event) {
 	s := cp.s
 	ver, vec, faults := cp.node.Log().Snapshot()
 	s.mu.Lock()
 	stale := cp.pubVer >= ver
+	snap := s.cache.current()
 	if !stale {
-		s.faults = faults
-		s.vec = vec
+		snap = s.cache.publish(faults, vec)
 		cp.pubVer = ver
 	}
 	s.mu.Unlock()
-	epoch := s.cache.Invalidate()
+	epoch := snap.epoch
 	s.reg.Counter("serve/fault_events").Add(int64(len(evs)))
 	if !stale {
 		s.reg.Gauge("serve/fault_links").Set(float64(len(faults)))
@@ -105,11 +105,10 @@ func (cp *clusterPlane) stopLoop() {
 }
 
 // checkMinVector enforces a request's X-Bgq-Min-Vector demand against
-// the vector snapshot the caller already holds. It writes the response
-// and returns false when the request must not proceed: 400 on a
-// malformed header, 503 when this replica has not yet applied the
-// demanded events.
-func (s *Server) checkMinVector(w http.ResponseWriter, r *http.Request, epoch uint64, vec cluster.Vector) bool {
+// the snapshot the caller already holds. It writes the response and
+// returns false when the request must not proceed: 400 on a malformed
+// header, 503 when this replica has not yet applied the demanded events.
+func (s *Server) checkMinVector(w http.ResponseWriter, r *http.Request, snap *faultSnapshot) bool {
 	min := r.Header.Get(HeaderMinVector)
 	if min == "" {
 		return true
@@ -117,15 +116,15 @@ func (s *Server) checkMinVector(w http.ResponseWriter, r *http.Request, epoch ui
 	want, err := cluster.ParseVector(min)
 	if err != nil {
 		s.reg.Counter("serve/errors").Inc()
-		writeJSON(w, http.StatusBadRequest, planEnvelope{Epoch: epoch, Error: err.Error(), Vector: vec.String()})
+		writeJSON(w, http.StatusBadRequest, planEnvelope{Epoch: snap.epoch, Error: err.Error(), Vector: snap.vecStr})
 		return false
 	}
-	if !vec.Dominates(want) {
+	if !snap.vec.Dominates(want) {
 		s.reg.Counter("serve/stale_rejects").Inc()
 		writeJSON(w, http.StatusServiceUnavailable, planEnvelope{
-			Epoch:  epoch,
-			Error:  fmt.Sprintf("serve: replica %s at vector %q behind requested %q", s.cfg.ReplicaID, vec.String(), min),
-			Vector: vec.String(),
+			Epoch:  snap.epoch,
+			Error:  fmt.Sprintf("serve: replica %s at vector %q behind requested %q", s.cfg.ReplicaID, snap.vecStr, min),
+			Vector: snap.vecStr,
 		})
 		return false
 	}
@@ -133,27 +132,25 @@ func (s *Server) checkMinVector(w http.ResponseWriter, r *http.Request, epoch ui
 }
 
 // handleFaultClustered is the clustered POST /v1/fault path: originate
-// the event into the log (which applies it locally via onApply — fault
-// set first, then epoch bump) and eagerly push it to every peer before
+// the event into the log (which applies it locally via onApply, which
+// publishes the next snapshot) and eagerly push it to every peer before
 // answering, so the acknowledged vector is usually already applied
 // everywhere. The response carries the new vector; a client that
 // stamps it as X-Bgq-Min-Vector on its next request gets
 // read-your-writes across the whole cluster.
 func (cp *clusterPlane) handleFaultClustered(w http.ResponseWriter, r *http.Request, ev FaultEvent) {
 	s := cp.s
-	_, _, vec := s.snapshotCluster()
 	w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
 	// Honoring min-vector here too gives sequential fault posts a
 	// well-defined cluster-wide order: each originator has applied every
 	// event the client saw acknowledged, so Lamport stamps increase.
-	if !s.checkMinVector(w, r, s.cache.Epoch(), vec) {
+	if !s.checkMinVector(w, r, s.cache.current()) {
 		return
 	}
 	cp.node.OriginateFault(r.Context(), ev.Links, ev.Clear)
-	epoch, _, vecNow := s.snapshotCluster()
-	vs := vecNow.String()
-	w.Header().Set(HeaderVector, vs)
-	writeJSON(w, http.StatusOK, planEnvelope{Epoch: epoch, Vector: vs})
+	now := s.cache.current()
+	w.Header().Set(HeaderVector, now.vecStr)
+	writeJSON(w, http.StatusOK, planEnvelope{Epoch: now.epoch, Vector: now.vecStr})
 }
 
 // handleGossip is the peer wire: POST /v1/gossip carries one push-pull
@@ -193,14 +190,14 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusNotFound, planEnvelope{Error: "serve: not clustered (start bgqd with -replica-id)"})
 		return
 	}
-	epoch, faults, vec := s.snapshotCluster()
+	snap := s.cache.current()
 	writeJSON(w, http.StatusOK, ClusterStatus{
 		Replica:    s.cfg.ReplicaID,
 		Peers:      s.clst.node.Peers(),
-		Vector:     vec.String(),
+		Vector:     snap.vecStr,
 		Events:     s.clst.node.Log().EventsApplied(),
-		FaultLinks: len(faults),
-		Epoch:      epoch,
+		FaultLinks: len(snap.faults),
+		Epoch:      snap.epoch,
 	})
 }
 

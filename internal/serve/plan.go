@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"sync"
 
 	"bgqflow/internal/core"
 	"bgqflow/internal/ionet"
@@ -288,11 +289,16 @@ func pairConfig(proxies int) core.ProxyConfig {
 
 // ComputePair plans one point-to-point transfer and simulates it.
 func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) {
+	return computePair(req, faults, nil)
+}
+
+// computePair is ComputePair recording its fault reads in reads.
+func computePair(req PairRequest, faults []scenario.FailLink, reads *planReads) (PairPlan, error) {
 	if err := req.Validate(); err != nil {
 		return PairPlan{}, err
 	}
 	if req.Topology != "" {
-		return computePairTopo(req)
+		return computePairTopo(req, reads)
 	}
 	shape, err := torus.ParseShape(req.Shape)
 	if err != nil {
@@ -304,8 +310,8 @@ func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) 
 	}
 	params := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	faults = applicableFaults(tor, faults)
-	failNetworkLinks(tor, net, faults)
+	failNetworkLinks(tor, net, applicableFaults(tor, faults))
+	reads.watch(tor, net)
 	e, err := netsim.NewEngine(net, params)
 	if err != nil {
 		return PairPlan{}, err
@@ -314,9 +320,10 @@ func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) 
 	if err != nil {
 		return PairPlan{}, err
 	}
-	if net.HasFailures() {
-		pl.SetFaults(net.FailedFunc())
-	}
+	// Installed even on a fault-free network, where it changes no route
+	// (RouteAvoiding tries the default route first): the plan then reads
+	// only the links it routes over, not whether the fault set is empty.
+	pl.SetFaults(net.FailedFunc())
 	plan, err := pl.PlanPair(e, torus.NodeID(req.Src), torus.NodeID(req.Dst), req.Bytes)
 	if err != nil {
 		return PairPlan{}, err
@@ -332,7 +339,7 @@ func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) 
 // daemon's fault events are torus link coordinates and do not apply; the
 // proxy ladder is torus-specific, so the plan is always direct (a
 // request forcing proxies is rejected rather than silently downgraded).
-func computePairTopo(req PairRequest) (PairPlan, error) {
+func computePairTopo(req PairRequest, reads *planReads) (PairPlan, error) {
 	if req.Proxies > 0 {
 		return PairPlan{}, fmt.Errorf("serve: proxy planning is torus-only; topology %q serves direct plans", req.Topology)
 	}
@@ -342,6 +349,7 @@ func computePairTopo(req PairRequest) (PairPlan, error) {
 	}
 	params := netsim.DefaultParams()
 	net := netsim.NewNetworkTopo(tp, params.LinkBandwidth)
+	reads.watch(nil, net)
 	e, err := netsim.NewEngine(net, params)
 	if err != nil {
 		return PairPlan{}, err
@@ -389,6 +397,11 @@ func PairWireFromPlan(e *netsim.Engine, plan core.PairPlan, makespanSec float64)
 
 // ComputeGroup plans one group-to-group transfer and simulates it.
 func ComputeGroup(req GroupRequest, faults []scenario.FailLink) (GroupPlan, error) {
+	return computeGroup(req, faults, nil)
+}
+
+// computeGroup is ComputeGroup recording its fault reads in reads.
+func computeGroup(req GroupRequest, faults []scenario.FailLink, reads *planReads) (GroupPlan, error) {
 	if err := req.Validate(); err != nil {
 		return GroupPlan{}, err
 	}
@@ -411,6 +424,7 @@ func ComputeGroup(req GroupRequest, faults []scenario.FailLink) (GroupPlan, erro
 	params := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, params.LinkBandwidth)
 	failNetworkLinks(tor, net, applicableFaults(tor, faults))
+	reads.watch(tor, net)
 	e, err := netsim.NewEngine(net, params)
 	if err != nil {
 		return GroupPlan{}, err
@@ -423,6 +437,8 @@ func ComputeGroup(req GroupRequest, faults []scenario.FailLink) (GroupPlan, erro
 	if err != nil {
 		return GroupPlan{}, err
 	}
+	// Always installed, as in computePair: fault-free routes are unchanged.
+	gp.SetFaults(net.FailedFunc())
 	if req.Proxies > 0 {
 		gp.ForceGroups = req.Proxies
 	}
@@ -458,6 +474,11 @@ func GroupWireFromPlan(e *netsim.Engine, plan core.GroupPlan, bytesPerPair int64
 // ComputeAgg plans one seeded write burst under Algorithm 2 and
 // simulates it.
 func ComputeAgg(req AggRequest, faults []scenario.FailLink) (AggPlan, error) {
+	return computeAgg(req, faults, nil)
+}
+
+// computeAgg is ComputeAgg recording its fault reads in reads.
+func computeAgg(req AggRequest, faults []scenario.FailLink, reads *planReads) (AggPlan, error) {
 	if err := req.Validate(); err != nil {
 		return AggPlan{}, err
 	}
@@ -476,6 +497,7 @@ func ComputeAgg(req AggRequest, faults []scenario.FailLink) (AggPlan, error) {
 		return AggPlan{}, err
 	}
 	failNetworkLinks(tor, net, applicableFaults(tor, faults))
+	reads.watch(tor, net)
 	job, err := mpisim.NewJobWithMapping(tor, req.RanksPerNode, mpisim.MapOrder(req.Mapping))
 	if err != nil {
 		return AggPlan{}, err
@@ -574,13 +596,13 @@ func ComputeSim(cfg scenario.Config, faults []scenario.FailLink) (SimResult, err
 
 // paramsSignature folds the machine constants into the cache key so a
 // future multi-params daemon can never serve a plan computed under
-// different hardware assumptions.
-func paramsSignature() uint64 {
-	p := netsim.DefaultParams()
+// different hardware assumptions. DefaultParams is constant, so the hash
+// is computed once.
+var paramsSignature = sync.OnceValue(func() uint64 {
 	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", p)
+	fmt.Fprintf(h, "%v", netsim.DefaultParams())
 	return h.Sum64()
-}
+})
 
 // bytesBucket buckets a message size by power of two — the cache-key
 // granularity axis from the issue: requests in the same bucket share a

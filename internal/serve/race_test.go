@@ -1,8 +1,9 @@
 package serve_test
 
 // The concurrency hammer: one daemon, 64 goroutines of mixed identical
-// and distinct requests, with a fault event landing mid-storm. Run under
-// -race (tier-1: go test -race ./internal/serve). Asserts:
+// and distinct requests, with fault events from two concurrent posters
+// landing mid-storm. Run under -race (tier-1: go test -race
+// ./internal/serve). Asserts:
 //
 //   - every request is answered 200 (queue sized to avoid shedding);
 //   - coalescing/caching worked: plans computed < requests served, and
@@ -11,7 +12,9 @@ package serve_test
 //     epoch avoids the failed link (responses that raced the event may
 //     carry the old epoch and the old route — that is the serializable
 //     "request before fault" outcome — but a post-epoch response built
-//     from stale faults would be a correctness bug).
+//     from stale faults would be a correctness bug);
+//   - every answer is byte-identical to a direct ComputePair under the
+//     fault set of the epoch it was served at.
 
 import (
 	"bytes"
@@ -53,16 +56,22 @@ func TestConcurrentHammerCoalescingAndInvalidation(t *testing.T) {
 	const perG = 8
 	type answer struct {
 		epoch uint64
+		req   serve.PairRequest
 		plan  []byte
 	}
 	var (
 		mu      sync.Mutex
 		hotAns  []answer
+		allAns  []answer
 		wg      sync.WaitGroup
 		barrier = make(chan struct{})
+		// eventLinks maps each acknowledged event's epoch to its links;
+		// no event clears, so the fault set at epoch e is the union of
+		// the events at or below e.
+		eventLinks = map[uint64][]scenario.FailLink{}
 	)
 	var postEpoch uint64
-	wg.Add(goroutines + 1)
+	wg.Add(goroutines + 2)
 	// The fault event races the request storm.
 	go func() {
 		defer wg.Done()
@@ -74,27 +83,45 @@ func TestConcurrentHammerCoalescingAndInvalidation(t *testing.T) {
 		}
 		mu.Lock()
 		postEpoch = ep
+		eventLinks[ep] = []scenario.FailLink{fl}
 		mu.Unlock()
+	}()
+	// A second poster races both: +direction failures in the extent-2
+	// dimensions (A and E), where every minimal route keeps a same-length
+	// detour, so no request fails for want of a route.
+	go func() {
+		defer wg.Done()
+		<-barrier
+		for k := 0; k < 6; k++ {
+			links := []scenario.FailLink{{Node: (11 + 37*k) % 128, Dim: []int{0, 4}[k%2], Dir: 1}}
+			ep, ferr := client.Fault(ctx, serve.FaultEvent{Links: links})
+			if ferr != nil {
+				t.Errorf("fault %d: %v", k, ferr)
+				return
+			}
+			mu.Lock()
+			eventLinks[ep] = links
+			mu.Unlock()
+		}
 	}()
 	for g := 0; g < goroutines; g++ {
 		go func(g int) {
 			defer wg.Done()
 			<-barrier
 			for i := 0; i < perG; i++ {
-				var res serve.PlanResult
-				var rerr error
-				if i%2 == 0 {
-					// Identical hot request — the coalescing/caching target.
-					res, rerr = client.PlanPair(ctx, hot)
-				} else {
+				req := hot
+				if i%2 == 1 {
 					// Distinct per (goroutine, iteration): genuine plan work.
-					res, rerr = client.PlanPair(ctx, serve.PairRequest{
+					req = serve.PairRequest{
 						Shape: testShape,
 						Src:   g % 128,
 						Dst:   (g*perG + i*37 + 5) % 128,
 						Bytes: int64(1+i) << 20,
-					})
+					}
 				}
+				// Even iterations repeat the identical hot request — the
+				// coalescing/caching target.
+				res, rerr := client.PlanPair(ctx, req)
 				if rerr != nil {
 					t.Errorf("g%d/%d: %v", g, i, rerr)
 					continue
@@ -108,11 +135,13 @@ func TestConcurrentHammerCoalescingAndInvalidation(t *testing.T) {
 					t.Errorf("g%d/%d: status %d: %s", g, i, res.Status, res.Err)
 					continue
 				}
+				mu.Lock()
+				a := answer{res.Epoch, req, res.Plan}
+				allAns = append(allAns, a)
 				if i%2 == 0 {
-					mu.Lock()
-					hotAns = append(hotAns, answer{res.Epoch, res.Plan})
-					mu.Unlock()
+					hotAns = append(hotAns, a)
 				}
+				mu.Unlock()
 			}
 		}(g)
 	}
@@ -163,8 +192,8 @@ func TestConcurrentHammerCoalescingAndInvalidation(t *testing.T) {
 	if err != nil || !res.OK() {
 		t.Fatalf("final plan: %v status %d", err, res.Status)
 	}
-	if res.Epoch != postEpoch {
-		t.Fatalf("final epoch %d, want %d", res.Epoch, postEpoch)
+	if res.Epoch != srv.Epoch() || res.Epoch < postEpoch {
+		t.Fatalf("final epoch %d, want the server's %d (target failed at %d)", res.Epoch, srv.Epoch(), postEpoch)
 	}
 	var p serve.PairPlan
 	if err := json.Unmarshal(res.Plan, &p); err != nil {
@@ -175,6 +204,25 @@ func TestConcurrentHammerCoalescingAndInvalidation(t *testing.T) {
 			if l == target {
 				t.Fatal("final post-fault plan still uses the failed link")
 			}
+		}
+	}
+
+	// Differential: every answer is the plan of the fault set at the
+	// epoch it was served at.
+	if len(eventLinks) != 7 {
+		t.Fatalf("%d fault events acknowledged, want 7", len(eventLinks))
+	}
+	for _, a := range allAns {
+		var faults []scenario.FailLink
+		for ep := uint64(1); ep <= a.epoch; ep++ {
+			faults = append(faults, eventLinks[ep]...)
+		}
+		want, err := serve.ComputePair(a.req, faults)
+		if err != nil {
+			t.Fatalf("direct plan of %+v at epoch %d: %v", a.req, a.epoch, err)
+		}
+		if wb, _ := json.Marshal(want); !bytes.Equal(a.plan, wb) {
+			t.Fatalf("epoch-%d answer for %+v differs from a direct call under that epoch's faults", a.epoch, a.req)
 		}
 	}
 	t.Logf("hammer: %d requests, %d computed, %d saved, %d post-epoch hot answers",

@@ -15,10 +15,10 @@
 //     coalescing: N concurrent identical requests compute once. Sparse
 //     request streams — a few hot (src, dst) couples dominating, the
 //     Pattern-2 shape — hit the cache almost always.
-//   - Epoch invalidation wired to fault events: a POST /v1/fault
-//     mutates the fault set then bumps the epoch, making every cached
-//     and in-flight plan invisible to later lookups (the routing.Cache
-//     epoch discipline lifted to the service layer).
+//   - Link-scoped invalidation wired to fault events: a POST /v1/fault
+//     publishes the next fault snapshot, stamping only the links whose
+//     failed state changed, and a cached plan stays servable unless it
+//     read one of them (see planCache).
 //
 // Every request is instrumented through internal/obs; GET /metrics
 // returns the registry snapshot as flat JSON.
@@ -34,7 +34,6 @@ import (
 	"sync"
 	"time"
 
-	"bgqflow/internal/cluster"
 	"bgqflow/internal/obs"
 	"bgqflow/internal/scenario"
 )
@@ -140,8 +139,9 @@ func (c Config) withDefaults() Config {
 }
 
 // FaultEvent is the body of POST /v1/fault: link failures to add to the
-// daemon's fault set, or Clear to reset it (a repair). Either way the
-// plan-cache epoch is bumped.
+// daemon's fault set, or Clear to reset it (a repair) before adding
+// Links. Either way the daemon publishes a new fault snapshot under the
+// next epoch.
 type FaultEvent struct {
 	Links []scenario.FailLink `json:"links,omitempty"`
 	Clear bool                `json:"clear,omitempty"`
@@ -174,13 +174,11 @@ type Server struct {
 	// clst is the cluster plane (cluster.go); nil on standalone daemons.
 	clst *clusterPlane
 
-	// mu guards faults and vec together: vec is the fault-epoch vector
-	// the serve layer vouches for, and it must never run ahead of the
-	// fault set published alongside it (the cross-replica staleness
-	// check compares vec, then plans against faults).
-	mu     sync.Mutex
-	faults []scenario.FailLink
-	vec    cluster.Vector
+	// mu serializes fault publishes (planCache.publish). The published
+	// snapshot itself is read without it: epoch, fault set and vector
+	// live in one immutable faultSnapshot, so a request can never pair
+	// a plan with another snapshot's vector.
+	mu sync.Mutex
 }
 
 // New builds a Server with the given configuration.
@@ -244,24 +242,11 @@ func (s *Server) Close() {
 	s.disp.close()
 }
 
-// snapshot reads the epoch, then the fault set — in that order; see the
-// planCache type comment for why the order matters.
+// snapshot returns the current epoch and fault set, taken from one
+// published snapshot. The fault set is shared and must not be mutated.
 func (s *Server) snapshot() (uint64, []scenario.FailLink) {
-	epoch, faults, _ := s.snapshotCluster()
-	return epoch, faults
-}
-
-// snapshotCluster additionally returns the fault-epoch vector, read in
-// the same critical section as the fault set: if the vector dominates a
-// client's minimum, the faults alongside it include every event that
-// minimum names.
-func (s *Server) snapshotCluster() (uint64, []scenario.FailLink, cluster.Vector) {
-	epoch := s.cache.Epoch()
-	s.mu.Lock()
-	faults := append([]scenario.FailLink(nil), s.faults...)
-	vec := s.vec.Clone()
-	s.mu.Unlock()
-	return epoch, faults, vec
+	snap := s.cache.current()
+	return snap.epoch, snap.faults
 }
 
 // Handler returns the service's HTTP mux.
@@ -312,18 +297,23 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // tags the wall spans; queue and compute phase times go back to the
 // client as X-Bgq-Queue-Ms / X-Bgq-Compute-Ms headers (0 unless this
 // request computed the plan).
+//
+// The request plans against one fault snapshot: its fault set, epoch and
+// vector all come from the same publish. compute records what it reads
+// of the fault set in reads (see planReads.watch).
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key string,
-	compute func(faults []scenario.FailLink) (any, error)) {
+	compute func(faults []scenario.FailLink, reads *planReads) (any, error)) {
 	t0 := time.Now()
 	trace := s.traceID(r)
 	span := s.wall.SpanBegin(trace, "bgqd/plan", endpoint)
 	s.reg.Counter("serve/requests").Inc()
 	s.reg.Counter("serve/requests/" + endpoint).Inc()
 	s.wRequests.Inc()
-	epoch, faults, vec := s.snapshotCluster()
+	snap := s.cache.current()
+	epoch := snap.epoch
 	var vecStr string
 	if s.clst != nil {
-		vecStr = vec.String()
+		vecStr = snap.vecStr
 		w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
 		w.Header().Set(HeaderVector, vecStr)
 		// Cross-replica staleness check: a client that saw a fault event
@@ -332,7 +322,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 		// pre-fault plan — reject instead; no Retry-After, so the client
 		// returns on its own short backoff, by which time the eager
 		// broadcast or the next anti-entropy round has caught us up.
-		if !s.checkMinVector(w, r, epoch, vec) {
+		if !s.checkMinVector(w, r, snap) {
 			s.wall.SpanAbort(span)
 			return
 		}
@@ -341,29 +331,31 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	// receive inside the singleflight closure orders them before our
 	// reads. They stay zero on hit/coalesced/shed outcomes.
 	var tQueueDone, tComputeDone time.Time
-	val, err, outcome := s.cache.Do(key, epoch, func() ([]byte, error) {
+	val, err, outcome := s.cache.Do(key, snap, func() ([]byte, *readSet, error) {
 		type result struct {
-			b []byte
-			e error
+			b  []byte
+			rs *readSet
+			e  error
 		}
 		ch := make(chan result, 1)
 		admitted := s.disp.trySubmit(func() {
 			tQueueDone = time.Now()
-			plan, cerr := compute(faults)
+			var reads planReads
+			plan, cerr := compute(snap.faults, &reads)
 			tComputeDone = time.Now()
 			if cerr != nil {
-				ch <- result{nil, cerr}
+				ch <- result{e: cerr}
 				return
 			}
 			b, merr := json.Marshal(plan)
-			ch <- result{b, merr}
+			ch <- result{b, reads.readSet(snap), merr}
 		})
 		s.reg.Gauge("serve/queue_depth").Set(float64(s.disp.queued()))
 		if !admitted {
-			return nil, ErrOverloaded
+			return nil, nil, ErrOverloaded
 		}
 		r := <-ch
-		return r.b, r.e
+		return r.b, r.rs, r.e
 	})
 	var queueMS, computeMS float64
 	if outcome == outcomeComputed && !tQueueDone.IsZero() {
@@ -439,8 +431,8 @@ func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "pair", req.cacheKey(), func(faults []scenario.FailLink) (any, error) {
-		return ComputePair(req, faults)
+	s.servePlan(w, r, "pair", req.cacheKey(), func(faults []scenario.FailLink, reads *planReads) (any, error) {
+		return computePair(req, faults, reads)
 	})
 }
 
@@ -454,8 +446,8 @@ func (s *Server) handleGroup(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "group", req.cacheKey(), func(faults []scenario.FailLink) (any, error) {
-		return ComputeGroup(req, faults)
+	s.servePlan(w, r, "group", req.cacheKey(), func(faults []scenario.FailLink, reads *planReads) (any, error) {
+		return computeGroup(req, faults, reads)
 	})
 }
 
@@ -469,8 +461,8 @@ func (s *Server) handleAgg(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "agg", req.cacheKey(), func(faults []scenario.FailLink) (any, error) {
-		return ComputeAgg(req, faults)
+	s.servePlan(w, r, "agg", req.cacheKey(), func(faults []scenario.FailLink, reads *planReads) (any, error) {
+		return computeAgg(req, faults, reads)
 	})
 }
 
@@ -492,13 +484,15 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	s.servePlan(w, r, "sim", simCacheKey(cfg, canon), func(faults []scenario.FailLink) (any, error) {
+	// A simulation records no read set: every fault event invalidates it.
+	s.servePlan(w, r, "sim", simCacheKey(cfg, canon), func(faults []scenario.FailLink, _ *planReads) (any, error) {
 		return ComputeSim(cfg, faults)
 	})
 }
 
-// handleFault ingests a fault event: mutate the fault set FIRST, then
-// bump the epoch (see planCache). Responds with the new epoch.
+// handleFault ingests a fault event and publishes the resulting fault
+// set as the next snapshot (see planCache.publish). Responds with the
+// new epoch.
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var ev FaultEvent
 	if !decodeBody(w, r, s.reg, &ev) {
@@ -521,15 +515,15 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.mu.Lock()
-	if ev.Clear {
-		s.faults = nil
+	var faults []scenario.FailLink
+	if !ev.Clear {
+		faults = append(faults, s.cache.current().faults...)
 	}
-	s.faults = append(s.faults, ev.Links...)
-	n := len(s.faults)
+	snap := s.cache.publish(append(faults, ev.Links...), nil)
 	s.mu.Unlock()
-	epoch := s.cache.Invalidate()
+	epoch := snap.epoch
 	s.reg.Counter("serve/fault_events").Inc()
-	s.reg.Gauge("serve/fault_links").Set(float64(n))
+	s.reg.Gauge("serve/fault_links").Set(float64(len(snap.faults)))
 	// Forward the event into running transfer sessions: each applies the
 	// failure at its next safe point and streams a pushed-fault frame
 	// (repairs — Clear — do not propagate; a session's engine cannot

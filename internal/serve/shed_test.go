@@ -23,7 +23,7 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	done := make(chan *httptest.ResponseRecorder, 2)
 	go func() {
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-blocking", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-blocking", func([]scenario.FailLink, *planReads) (any, error) {
 			close(started)
 			<-release
 			return PairPlan{Mode: "direct"}, nil
@@ -33,7 +33,7 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	<-started // the worker is pinned
 	go func() {
 		rec := httptest.NewRecorder()
-		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink) (any, error) {
+		s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-fill", func([]scenario.FailLink, *planReads) (any, error) {
 			return PairPlan{Mode: "direct"}, nil
 		})
 		done <- rec
@@ -44,7 +44,7 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	}
 
 	rec := httptest.NewRecorder()
-	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink) (any, error) {
+	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink, *planReads) (any, error) {
 		t.Error("shed request must not compute")
 		return nil, nil
 	})
@@ -71,7 +71,7 @@ func TestServePlanShedsUnderLoad(t *testing.T) {
 	// A retry of the shed key with a free worker must now succeed: failed
 	// (shed) computations are not cached.
 	rec = httptest.NewRecorder()
-	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink) (any, error) {
+	s.servePlan(rec, httptest.NewRequest("POST", "/v1/plan/pair", nil), "pair", "key-shed", func([]scenario.FailLink, *planReads) (any, error) {
 		return PairPlan{Mode: "direct"}, nil
 	})
 	if rec.Code != http.StatusOK {
