@@ -45,14 +45,15 @@ verify: build lint check check-topo
 # divergence corpus, and the mutation tests that prove each invariant
 # still fires), invariant auditors over every experiment runner, a
 # short randomized-fuzz smoke over the differential oracle, and 10-second
-# fuzz smokes over the fault wire: the X-Bgq-Min-Vector decoder and
-# POST /v1/fault bodies against an in-process daemon.
+# fuzz smokes over the fault wire: the X-Bgq-Min-Vector decoder, and
+# POST /v1/fault and POST /v1/gossip bodies against an in-process daemon.
 check:
 	$(GO) test ./internal/check
 	$(GO) run ./cmd/bgqbench -check -quick -run all
 	$(GO) test -fuzz='FuzzDifferential$$' -fuzztime=30s -run '^$$' ./internal/check
 	$(GO) test -fuzz='FuzzParseVector$$' -fuzztime=10s -run '^$$' ./internal/cluster
 	$(GO) test -fuzz='FuzzFaultEvent$$' -fuzztime=10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz='FuzzGossipMessage$$' -fuzztime=10s -run '^$$' ./internal/serve
 
 # Topology-plane oracle: the 200-seed dragonfly/fat-tree differential
 # suite plus invariant audits and the topology round-trip/identity

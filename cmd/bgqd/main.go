@@ -10,7 +10,7 @@
 //	     [-batch-window dur] [-drain-timeout dur]
 //	     [-trace-events N] [-stats-window dur]
 //	     [-slo-plan-p99 dur] [-slo-shed-ratio f] [-slo-resume-success f]
-//	     [-replica-id ID -peers addr,addr [-gossip-interval dur] [-gossip-seed N]]
+//	     [-replica-id ID [-peers addr,addr] [-gossip-interval dur] [-gossip-seed N]]
 //
 // The daemon runs a fixed worker pool behind a bounded admission queue:
 // when the queue is full new requests are shed with 429 + Retry-After
@@ -37,10 +37,11 @@
 // (negative ratio = objective off). Soak drivers gate on the
 // cumulative breach counters.
 //
-// Cluster mode: -replica-id names this daemon as one replica of a bgqd
-// cluster and -peers lists the other replicas' addresses (TCP or unix
-// socket forms, comma-separated). Fault events then enter a gossiped,
-// versioned epoch log instead of a private fault set: every replica
+// Every daemon is one replica of a bgqd cluster; without -peers it is a
+// cluster of one. -replica-id names it (default bgqd) and must be
+// unique per replica, so -peers, which lists the other replicas'
+// addresses (TCP or unix socket forms, comma-separated), needs it.
+// Fault events enter a gossiped, versioned epoch log: every replica
 // that has applied the same events plans against the same faults, POST
 // /v1/gossip is the peer wire, GET /v1/cluster the observability view,
 // and plans stamped with an X-Bgq-Min-Vector the replica has not caught
@@ -90,7 +91,7 @@ func main() {
 	sloPlanP99 := flag.Duration("slo-plan-p99", 0, "SLO: windowed plan p99 must stay under this; 0 disables")
 	sloShedRatio := flag.Float64("slo-shed-ratio", -1, "SLO: windowed shed/requests must stay under this ratio; negative disables")
 	sloResume := flag.Float64("slo-resume-success", -1, "SLO: windowed resume_hits/resumes must stay at or above this ratio; negative disables")
-	replicaID := flag.String("replica-id", "", "cluster replica ID; enables the gossiped fault-epoch plane (needs -peers)")
+	replicaID := flag.String("replica-id", "", "cluster replica ID, unique per replica (default bgqd; required with -peers)")
 	peers := flag.String("peers", "", "comma-separated peer replica addresses (host:port or unix:///path)")
 	gossipInterval := flag.Duration("gossip-interval", 0, "anti-entropy gossip round interval; 0 = 200ms")
 	gossipSeed := flag.Int64("gossip-seed", 0, "gossip peer-selection seed (for reproducible soaks)")
@@ -256,9 +257,9 @@ func validate(listen, socket string, workers, queue, shards int, retryAfter time
 }
 
 // validateCluster checks the cluster flags and splits the peer list.
-// A replica without peers is a cluster of one (legal — the soak
-// scripts start replicas before their peers are up); peers without a
-// replica ID is a misconfiguration.
+// A replica without peers is a cluster of one; peers without a replica
+// ID is a misconfiguration, since two replicas that both default to
+// bgqd would share an origin.
 func validateCluster(replicaID, peers string, gossipInterval time.Duration) ([]string, error) {
 	if gossipInterval < 0 {
 		return nil, fmt.Errorf("-gossip-interval must be >= 0, got %v", gossipInterval)

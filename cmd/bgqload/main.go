@@ -31,7 +31,8 @@
 // rate above -max-shed-rate, p99 above the -baseline report's p99 times
 // -p99-ratio, and — with -require-coalesce — a server that reports no
 // cache hits or coalesced requests at all. -json archives the full
-// report (client stats plus the daemon's /metrics snapshot).
+// report (client stats plus the daemon's /metrics snapshot). A single
+// daemon is a cluster of one, so its report's by_replica has one entry.
 //
 // Ring mode: -addrs lists a bgqd cluster's replicas ("id=addr" pairs,
 // or bare addresses that get IDs r0, r1, ...; the IDs must match the

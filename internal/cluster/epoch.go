@@ -127,6 +127,8 @@ type Log struct {
 	applied Vector
 	pending map[string]map[uint64]Event
 	events  []Event
+	// last is the greatest applied event in canonical order.
+	last    Event
 	lt      uint64
 	version uint64
 	faults  []scenario.FailLink
@@ -189,30 +191,43 @@ func (l *Log) Apply(evs ...Event) []Event {
 	return append([]Event(nil), l.events[before:]...)
 }
 
-// applyLocked appends one gapless event and recomputes the fault set.
+// applyLocked appends one gapless event and updates the fault set. An
+// event that sorts after every applied event — always the case for a
+// single origin — extends the fault set in place; only an event that
+// arrives out of canonical order replays the history.
 func (l *Log) applyLocked(ev Event) {
 	l.applied[ev.Origin] = ev.Seq
+	inOrder := len(l.events) == 0 || before(l.last, ev)
 	l.events = append(l.events, ev)
 	l.version++
-	l.replayLocked()
+	if !inOrder {
+		l.replayLocked()
+		return
+	}
+	l.last = ev
+	if ev.Clear {
+		l.faults = l.faults[:0]
+	}
+	l.faults = append(l.faults, ev.Links...)
+}
+
+// before reports whether a precedes b in canonical (LT, Origin, Seq)
+// order.
+func before(a, b Event) bool {
+	if a.LT != b.LT {
+		return a.LT < b.LT
+	}
+	if a.Origin != b.Origin {
+		return a.Origin < b.Origin
+	}
+	return a.Seq < b.Seq
 }
 
 // replayLocked rebuilds the effective fault set by replaying every
-// applied event in canonical order. Faults are rare and logs are short,
-// so an O(events log events) rebuild per apply is far cheaper than the
-// plan computations it gates.
+// applied event in canonical order, at O(events log events).
 func (l *Log) replayLocked() {
 	ordered := append([]Event(nil), l.events...)
-	sort.Slice(ordered, func(i, j int) bool {
-		a, b := ordered[i], ordered[j]
-		if a.LT != b.LT {
-			return a.LT < b.LT
-		}
-		if a.Origin != b.Origin {
-			return a.Origin < b.Origin
-		}
-		return a.Seq < b.Seq
-	})
+	sort.Slice(ordered, func(i, j int) bool { return before(ordered[i], ordered[j]) })
 	var faults []scenario.FailLink
 	for _, ev := range ordered {
 		if ev.Clear {

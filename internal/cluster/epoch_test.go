@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"bgqflow/internal/scenario"
@@ -164,6 +166,58 @@ func TestLogConvergenceUnderPermutedDelivery(t *testing.T) {
 		}
 		if got := l.FaultSet(); !reflect.DeepEqual(got, want) {
 			t.Fatalf("trial %d (perm %v): fault set %v != %v", trial, perm, got, want)
+		}
+	}
+}
+
+// TestLogInPlaceApplyMatchesReplay checks the in-place apply rule
+// against its definition: after every Apply, the fault set equals a
+// fresh replay of every applied event in (LT, Origin, Seq) order.
+// Delivery is nearly in order, so most events extend the fault set in
+// place and the late ones force a replay; a tenth of the events clear.
+func TestLogInPlaceApplyMatchesReplay(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	origins := []string{"a", "b", "c"}
+	logs := map[string]*Log{}
+	for _, o := range origins {
+		logs[o] = NewLog()
+	}
+	var all []Event
+	for i := 0; i < 200; i++ {
+		o := origins[rng.Intn(len(origins))]
+		if rng.Intn(3) > 0 {
+			logs[o].Apply(all...) // otherwise originate concurrently
+		}
+		all = append(all, logs[o].Originate(o, []scenario.FailLink{fl(i)}, rng.Intn(10) == 0))
+	}
+	for i := 1; i < len(all); i++ {
+		if rng.Intn(4) == 0 {
+			all[i-1], all[i] = all[i], all[i-1]
+		}
+	}
+	l := NewLog()
+	for i, ev := range all {
+		l.Apply(ev)
+		ordered := l.Delta(Vector{})
+		sort.Slice(ordered, func(i, j int) bool {
+			a, b := ordered[i], ordered[j]
+			if a.LT != b.LT {
+				return a.LT < b.LT
+			}
+			if a.Origin != b.Origin {
+				return a.Origin < b.Origin
+			}
+			return a.Seq < b.Seq
+		})
+		var want []scenario.FailLink
+		for _, ev := range ordered {
+			if ev.Clear {
+				want = want[:0]
+			}
+			want = append(want, ev.Links...)
+		}
+		if got := l.FaultSet(); !slices.Equal(got, want) {
+			t.Fatalf("after delivery %d: fault set %v, replay gives %v", i, got, want)
 		}
 	}
 }

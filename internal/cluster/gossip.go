@@ -4,8 +4,6 @@ import (
 	"context"
 	"math/rand"
 	"sync"
-
-	"bgqflow/internal/scenario"
 )
 
 // Message is one gossip exchange payload: the sender's applied vector
@@ -38,15 +36,17 @@ type NodeConfig struct {
 	Transport Transport
 	// Seed fixes peer selection, making test rounds deterministic.
 	Seed int64
-	// OnApply, when set, runs after events are newly applied (outside the
-	// log lock), in apply order — the serve layer's hook for fault-set
-	// rebuild, cache-epoch bump, and session fault push.
+	// OnApply, when set, runs after events from a peer are newly applied
+	// (outside the log lock), in apply order — the serve layer's hook for
+	// publishing the fault set and pushing faults into sessions. Events
+	// originated with Log().Originate do not fire it; the originator
+	// publishes them itself.
 	OnApply func(evs []Event)
 }
 
 // Node ties a Log to a Transport: it answers inbound exchanges
 // (HandleMessage), runs periodic anti-entropy rounds (Round), and
-// eagerly pushes newly originated events (Originate). Safe for
+// eagerly pushes newly originated events (Broadcast). Safe for
 // concurrent use.
 type Node struct {
 	cfg NodeConfig
@@ -99,21 +99,6 @@ func (n *Node) HandleMessage(msg Message) Message {
 	}
 }
 
-// OriginateFault stamps and applies a new local fault event, fires
-// OnApply for it, then eagerly pushes it to every peer (best effort —
-// gossip rounds repair losses). The push is synchronous so a client
-// that POSTs a fault and then plans against another replica usually
-// finds the event already there; the vector staleness check covers the
-// window where it is not.
-func (n *Node) OriginateFault(ctx context.Context, links []scenario.FailLink, clear bool) Event {
-	ev := n.log.Originate(n.cfg.ID, links, clear)
-	if n.cfg.OnApply != nil {
-		n.cfg.OnApply([]Event{ev})
-	}
-	n.Broadcast(ctx, []Event{ev})
-	return ev
-}
-
 // exchange runs one push-pull with a peer and applies whatever comes
 // back. Errors are dropped — a dead peer is simply not gossiped with
 // this round.
@@ -133,7 +118,8 @@ func (n *Node) exchange(ctx context.Context, peer string, events []Event) {
 	}
 }
 
-// Broadcast pushes events to every peer (used right after Originate).
+// Broadcast pushes events to every peer (used right after
+// Log().Originate), best effort: gossip rounds repair losses.
 func (n *Node) Broadcast(ctx context.Context, events []Event) {
 	for _, peer := range n.cfg.Peers {
 		n.exchange(ctx, peer, events)

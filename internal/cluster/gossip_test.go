@@ -38,6 +38,12 @@ func buildMesh(t testing.TB, n int, seed int64, loss float64) ([]*Node, *MemTran
 	return nodes, tr
 }
 
+// originate is the serve layer's fault path on a bare node: stamp and
+// apply the event locally, then push it to every peer.
+func originate(ctx context.Context, n *Node, links []scenario.FailLink, clear bool) {
+	n.Broadcast(ctx, []Event{n.Log().Originate(n.ID(), links, clear)})
+}
+
 func converged(nodes []*Node) bool {
 	ref := nodes[0].Log().Digest()
 	refFaults := nodes[0].Log().FaultSet()
@@ -69,10 +75,10 @@ func TestGossipConvergenceLossy(t *testing.T) {
 			// Originate at three different replicas, including a clear in the
 			// middle; the eager broadcast itself is lossy, so anti-entropy
 			// rounds must repair.
-			nodes[0].OriginateFault(ctx, []scenario.FailLink{fl(1)}, false)
-			nodes[2].OriginateFault(ctx, []scenario.FailLink{fl(2), fl(3)}, false)
-			nodes[4].OriginateFault(ctx, nil, true)
-			nodes[1].OriginateFault(ctx, []scenario.FailLink{fl(4)}, false)
+			originate(ctx, nodes[0], []scenario.FailLink{fl(1)}, false)
+			originate(ctx, nodes[2], []scenario.FailLink{fl(2), fl(3)}, false)
+			originate(ctx, nodes[4], nil, true)
+			originate(ctx, nodes[1], []scenario.FailLink{fl(4)}, false)
 
 			rounds := 0
 			for ; rounds < maxRounds && !converged(nodes); rounds++ {
@@ -97,10 +103,10 @@ func TestGossipConvergenceLossy(t *testing.T) {
 }
 
 // TestGossipBroadcastReliable: with a lossless transport, one
-// OriginateFault reaches every peer synchronously — no rounds needed.
+// originated event reaches every peer synchronously — no rounds needed.
 func TestGossipBroadcastReliable(t *testing.T) {
 	nodes, _ := buildMesh(t, 5, 99, 0)
-	nodes[2].OriginateFault(context.Background(), []scenario.FailLink{fl(5)}, false)
+	originate(context.Background(), nodes[2], []scenario.FailLink{fl(5)}, false)
 	if !converged(nodes) {
 		t.Fatal("lossless broadcast did not reach all peers synchronously")
 	}
@@ -115,8 +121,8 @@ func TestGossipPullRepairsLateJoiner(t *testing.T) {
 	ctx := context.Background()
 	// Cut node 2 off during origination.
 	tr.LossRate = 1.0
-	nodes[0].OriginateFault(ctx, []scenario.FailLink{fl(1)}, false)
-	nodes[1].OriginateFault(ctx, []scenario.FailLink{fl(2)}, false)
+	originate(ctx, nodes[0], []scenario.FailLink{fl(1)}, false)
+	originate(ctx, nodes[1], []scenario.FailLink{fl(2)}, false)
 	if nodes[2].Log().EventsApplied() != 0 {
 		t.Fatal("test setup: node 2 should have missed everything")
 	}
@@ -133,9 +139,10 @@ func TestGossipPullRepairsLateJoiner(t *testing.T) {
 	}
 }
 
-// TestGossipOnApplyOrderAndCount: OnApply fires exactly once per newly
-// applied event, outside the log lock, in apply order — the serve layer
-// relies on this for its faults-then-epoch-bump discipline.
+// TestGossipOnApplyOrderAndCount: OnApply fires exactly once per event
+// newly applied from a peer — pushed or pulled — outside the log lock,
+// in apply order. Local originations do not fire it: the serve layer
+// publishes those itself.
 func TestGossipOnApplyOrderAndCount(t *testing.T) {
 	tr := NewMemTransport(1)
 	var mu sync.Mutex
@@ -155,19 +162,21 @@ func TestGossipOnApplyOrderAndCount(t *testing.T) {
 		return n
 	}
 	a := mk("a", "mem://b")
-	_ = mk("b", "mem://a")
+	b := mk("b", "mem://a")
 
 	ctx := context.Background()
-	a.OriginateFault(ctx, []scenario.FailLink{fl(1)}, false)
-	a.OriginateFault(ctx, []scenario.FailLink{fl(2)}, false)
+	originate(ctx, a, []scenario.FailLink{fl(1)}, false)
+	originate(ctx, a, []scenario.FailLink{fl(2)}, false)
+	// Not broadcast: a's next round pulls it.
+	b.Log().Originate("b", []scenario.FailLink{fl(3)}, false)
 	a.Round(ctx)
 	a.Round(ctx)
 
 	mu.Lock()
 	defer mu.Unlock()
-	want := []string{"a:a:1", "b:a:1", "a:a:2", "b:a:2"}
+	want := []string{"b:a:1", "b:a:2", "a:b:1"}
 	if !reflect.DeepEqual(seen, want) {
-		t.Fatalf("OnApply calls = %v, want %v (once per node per event, in order)", seen, want)
+		t.Fatalf("OnApply calls = %v, want %v (once per peer-applied event, in order)", seen, want)
 	}
 }
 
@@ -190,7 +199,7 @@ func TestGossipConcurrentOriginateRace(t *testing.T) {
 		go func(i int, n *Node) {
 			defer wg.Done()
 			for p := 0; p < posts; p++ {
-				n.OriginateFault(ctx, []scenario.FailLink{fl(i*1000 + p)}, false)
+				originate(ctx, n, []scenario.FailLink{fl(i*1000 + p)}, false)
 				if p%5 == 4 {
 					n.Round(ctx)
 				}

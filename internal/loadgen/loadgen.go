@@ -256,8 +256,7 @@ type Report struct {
 
 	// ByReplica breaks the client-side view down by serving replica
 	// (from the X-Bgq-Replica response header) — the hot-shard detector
-	// for cluster soaks. Empty against a standalone daemon, which sends
-	// no replica header.
+	// for cluster soaks. A single daemon is a cluster of one: one entry.
 	ByReplica map[string]*ReplicaStats `json:"by_replica,omitempty"`
 
 	// StaleServed counts ring responses whose fault-epoch vector did
@@ -311,14 +310,11 @@ func Run(ctx context.Context, client Planner, o Options) (Report, error) {
 	}
 	// Shed accounting must be exact: every 429 the daemon sends is one
 	// shed in the report, so the client must not quietly retry them.
-	// Against a ring, 503s still retry in place — a clustered 503 means
-	// "replica behind the demanded fault vector", which resolves by
-	// waiting out the gossip window, not a shed.
-	pol := serve.NoRetryPolicy()
-	if _, isRing := client.(*serve.RingClient); isRing {
-		pol = serve.DefaultRetryPolicy()
-		pol.NoShedRetry = true
-	}
+	// 503s still retry in place: one means "replica behind the demanded
+	// fault vector", which resolves by waiting out the gossip window, not
+	// a shed. A plain Client demands no vector, so it never sees one.
+	pol := serve.DefaultRetryPolicy()
+	pol.NoShedRetry = true
 	client.SetRetryPolicy(pol)
 	rep := Report{
 		Mode:        o.Mode,

@@ -13,11 +13,9 @@ import (
 	"net/http/httptrace"
 	"strconv"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"bgqflow/internal/cluster"
 	"bgqflow/internal/obs"
 	"bgqflow/internal/scenario"
 )
@@ -32,17 +30,11 @@ type Client struct {
 	retry   RetryPolicy
 	tracer  *obs.WallRecorder
 	metrics *obs.Registry
-
-	// Min-vector state for clustered daemons: the fault-epoch vector
-	// this client demands every plan reflect (read-your-writes across
-	// replicas). Fault responses merge into it; requests stamp it as
-	// X-Bgq-Min-Vector. vecSrc/vecSink, when set (by RingClient),
-	// redirect both to a shared store so all per-replica clients demand
-	// the same vector.
-	vecMu   sync.Mutex
-	minVec  cluster.Vector
-	vecSrc  func() string
-	vecSink func(string)
+	// demand is the RingClient's min vector, shared by every client of
+	// the ring: fault acks raise it and requests stamp it as
+	// X-Bgq-Min-Vector. nil on a plain Client, which demands nothing —
+	// one daemon has applied every event it acknowledged.
+	demand *minVector
 }
 
 // RetryPolicy governs how the client reacts to shed (429) and
@@ -191,50 +183,6 @@ func (c *Client) SetMetrics(r *obs.Registry) { c.metrics = r }
 // BaseURL reports the daemon base URL the client talks to.
 func (c *Client) BaseURL() string { return c.base }
 
-// MinVector returns the fault-epoch vector this client currently
-// demands of every plan ("" until a Fault response establishes one).
-func (c *Client) MinVector() string {
-	if c.vecSrc != nil {
-		return c.vecSrc()
-	}
-	c.vecMu.Lock()
-	defer c.vecMu.Unlock()
-	return c.minVec.String()
-}
-
-// MergeMinVector raises the client's demanded vector pointwise by v
-// (canonical "origin:seq,..." form). Malformed input is ignored — the
-// demand only ever grows from server-provided vectors.
-func (c *Client) MergeMinVector(v string) {
-	if v == "" {
-		return
-	}
-	if c.vecSink != nil {
-		c.vecSink(v)
-		return
-	}
-	parsed, err := cluster.ParseVector(v)
-	if err != nil {
-		if c.metrics != nil {
-			c.metrics.Counter("serve/client/bad_vector").Inc()
-		}
-		return
-	}
-	c.vecMu.Lock()
-	if c.minVec == nil {
-		c.minVec = cluster.Vector{}
-	}
-	c.minVec.Merge(parsed)
-	c.vecMu.Unlock()
-}
-
-// SetVectorHooks redirects the client's min-vector reads and merges to
-// an external store (RingClient shares one across its per-replica
-// clients). Configure before use.
-func (c *Client) SetVectorHooks(src func() string, sink func(string)) {
-	c.vecSrc, c.vecSink = src, sink
-}
-
 // PlanResult is one plan response as the client saw it.
 type PlanResult struct {
 	// Status is the HTTP status code (200 = plan served, 429 = shed).
@@ -256,11 +204,9 @@ type PlanResult struct {
 	// Trace is the request's trace ID (client-stamped when a tracer is
 	// set, else the server's echo when tracing is enabled there).
 	Trace string
-	// Replica is the serving replica's ID (X-Bgq-Replica; "" from a
-	// standalone daemon).
+	// Replica is the serving replica's ID (X-Bgq-Replica).
 	Replica string
-	// Vector is the fault-epoch vector the response was served under
-	// ("" from a standalone daemon).
+	// Vector is the fault-epoch vector the response was served under.
 	Vector string
 	// Per-phase latency breakdown in milliseconds. ConnectMS is the TCP
 	// dial time (0 on a pooled connection); QueueMS and ComputeMS are
@@ -390,7 +336,7 @@ func (c *Client) postOnce(ctx context.Context, path string, body any, trace stri
 		req.Header.Set(HeaderTraceID, trace)
 		req.Header.Set(HeaderSpanID, obs.NewTraceID())
 	}
-	if mv := c.MinVector(); mv != "" {
+	if mv := c.demand.String(); mv != "" {
 		req.Header.Set(HeaderMinVector, mv)
 	}
 	t0 := time.Now()
@@ -449,10 +395,10 @@ func (c *Client) Simulate(ctx context.Context, cfg scenario.Config) (PlanResult,
 	return c.post(ctx, "/v1/simulate", cfg)
 }
 
-// Fault posts a fault event and returns the new epoch. Against a
-// clustered daemon the acknowledged fault-epoch vector is merged into
-// the client's min vector, so every subsequent request — to ANY replica
-// — demands a fault set that includes this event (read-your-writes).
+// Fault posts a fault event and returns the new epoch. A ring's client
+// merges the acknowledged fault-epoch vector into the ring's min
+// vector, so every subsequent request — to ANY replica — demands a
+// fault set that includes this event (read-your-writes).
 func (c *Client) Fault(ctx context.Context, ev FaultEvent) (uint64, error) {
 	res, err := c.post(ctx, "/v1/fault", ev)
 	if err != nil {
@@ -461,7 +407,7 @@ func (c *Client) Fault(ctx context.Context, ev FaultEvent) (uint64, error) {
 	if res.Status != http.StatusOK {
 		return 0, fmt.Errorf("serve: fault event rejected (status %d): %s", res.Status, res.Err)
 	}
-	c.MergeMinVector(res.Vector)
+	c.demand.merge(res.Vector)
 	return res.Epoch, nil
 }
 

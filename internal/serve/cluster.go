@@ -12,96 +12,58 @@ import (
 	"bgqflow/internal/cluster"
 )
 
-// Cluster plane (DESIGN.md §17): when Config.ReplicaID is set, the
-// daemon is one replica of a bgqd cluster. Fault events stop mutating a
-// private fault set and instead enter a gossiped, versioned epoch log
-// (cluster.Log); the serve layer's fault set becomes a pure function of
-// the applied event set, so every replica that has applied the same
-// events plans against the same faults, published through the same
-// planCache.publish step a standalone daemon uses. POST /v1/gossip is the
-// peer wire, GET /v1/cluster the observability endpoint, and the
-// X-Bgq-Min-Vector check in servePlan the staleness gate.
+// Cluster plane (DESIGN.md §17): every daemon is one replica of a bgqd
+// cluster, and a daemon without peers is a cluster of one. Fault events
+// enter a gossiped, versioned epoch log (cluster.Log); the serve layer's
+// fault set is a pure function of the applied event set, so every
+// replica that has applied the same events plans against the same
+// faults. POST /v1/gossip is the peer wire, GET /v1/cluster the
+// observability endpoint, and the X-Bgq-Min-Vector check in servePlan
+// the staleness gate.
 
-// clusterPlane glues a cluster.Node into a Server.
-type clusterPlane struct {
-	s    *Server
-	node *cluster.Node
-	stop chan struct{}
-	done chan struct{}
-	// pubVer is the highest log version published to the serve layer;
-	// guarded by s.mu, which serializes publishes.
-	pubVer uint64
-}
-
-func newClusterPlane(s *Server) *clusterPlane {
-	cp := &clusterPlane{
-		s:    s,
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
+// publishLocked is the one fault-publish step: it publishes the log's
+// fault set and vector as the next snapshot through planCache.publish
+// and returns the current snapshot. The log version guards it, so a
+// slow gossip delivery can never roll state backwards. Caller holds
+// s.mu.
+func (s *Server) publishLocked() *faultSnapshot {
+	ver, vec, faults := s.node.Log().Snapshot()
+	if ver <= s.pubVer {
+		return s.cache.current()
 	}
-	cp.node = cluster.NewNode(cluster.NodeConfig{
-		ID:        s.cfg.ReplicaID,
-		Peers:     s.cfg.Peers,
-		Transport: newHTTPGossipTransport(),
-		Seed:      s.cfg.GossipSeed,
-		OnApply:   cp.onApply,
-	}, cluster.NewLog())
-	go cp.loop(s.cfg.GossipInterval)
-	return cp
+	s.pubVer = ver
+	s.reg.Gauge("serve/fault_links").Set(float64(len(faults)))
+	return s.cache.publish(faults, vec)
 }
 
-// onApply runs after events are newly applied to the log (local
-// originations and gossip deliveries alike). It publishes the log's
-// fault set and vector as the next snapshot through planCache.publish —
-// the same step as a standalone fault — under s.mu, guarded by the log
-// version so a slow hook can never roll state backwards: the
-// single-process proof (see planCache) carries over unchanged.
-func (cp *clusterPlane) onApply(evs []cluster.Event) {
-	s := cp.s
-	ver, vec, faults := cp.node.Log().Snapshot()
+// onApply runs after gossip delivers events this replica had not
+// applied: it publishes them and forwards their link failures into
+// running transfer sessions.
+func (s *Server) onApply(evs []cluster.Event) {
 	s.mu.Lock()
-	stale := cp.pubVer >= ver
-	snap := s.cache.current()
-	if !stale {
-		snap = s.cache.publish(faults, vec)
-		cp.pubVer = ver
-	}
+	snap := s.publishLocked()
 	s.mu.Unlock()
-	epoch := snap.epoch
 	s.reg.Counter("serve/fault_events").Add(int64(len(evs)))
-	if !stale {
-		s.reg.Gauge("serve/fault_links").Set(float64(len(faults)))
-	}
-	// Forward link failures into running transfer sessions (repairs —
-	// Clear — do not propagate; a session's engine cannot un-fail a link
-	// mid-run).
 	for _, ev := range evs {
-		if len(ev.Links) > 0 {
-			s.sessions.pushFaults(ev.Links, epoch)
-		}
+		s.sessions.pushFaults(ev.Links, snap.epoch)
 	}
 }
 
-// loop runs anti-entropy rounds until stopLoop.
-func (cp *clusterPlane) loop(interval time.Duration) {
-	defer close(cp.done)
+// gossipLoop runs anti-entropy rounds until Close.
+func (s *Server) gossipLoop(interval time.Duration) {
+	defer close(s.gossipDone)
 	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
-		case <-cp.stop:
+		case <-s.gossipStop:
 			return
 		case <-t.C:
 			ctx, cancel := context.WithTimeout(context.Background(), 4*interval)
-			cp.node.Round(ctx)
+			s.node.Round(ctx)
 			cancel()
 		}
 	}
-}
-
-func (cp *clusterPlane) stopLoop() {
-	close(cp.stop)
-	<-cp.done
 }
 
 // checkMinVector enforces a request's X-Bgq-Min-Vector demand against
@@ -131,35 +93,11 @@ func (s *Server) checkMinVector(w http.ResponseWriter, r *http.Request, snap *fa
 	return true
 }
 
-// handleFaultClustered is the clustered POST /v1/fault path: originate
-// the event into the log (which applies it locally via onApply, which
-// publishes the next snapshot) and eagerly push it to every peer before
-// answering, so the acknowledged vector is usually already applied
-// everywhere. The response carries the new vector; a client that
-// stamps it as X-Bgq-Min-Vector on its next request gets
-// read-your-writes across the whole cluster.
-func (cp *clusterPlane) handleFaultClustered(w http.ResponseWriter, r *http.Request, ev FaultEvent) {
-	s := cp.s
-	w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
-	// Honoring min-vector here too gives sequential fault posts a
-	// well-defined cluster-wide order: each originator has applied every
-	// event the client saw acknowledged, so Lamport stamps increase.
-	if !s.checkMinVector(w, r, s.cache.current()) {
-		return
-	}
-	cp.node.OriginateFault(r.Context(), ev.Links, ev.Clear)
-	now := s.cache.current()
-	w.Header().Set(HeaderVector, now.vecStr)
-	writeJSON(w, http.StatusOK, planEnvelope{Epoch: now.epoch, Vector: now.vecStr})
-}
-
 // handleGossip is the peer wire: POST /v1/gossip carries one push-pull
-// exchange (cluster.Message in, cluster.Message out).
+// exchange (cluster.Message in, cluster.Message out). A message carrying
+// any link POST /v1/fault would reject is refused whole, before
+// anything is applied.
 func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
-	if s.clst == nil {
-		writeJSON(w, http.StatusNotFound, planEnvelope{Error: "serve: not clustered (start bgqd with -replica-id)"})
-		return
-	}
 	var msg cluster.Message
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
 	if err := dec.Decode(&msg); err != nil {
@@ -167,7 +105,14 @@ func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: fmt.Sprintf("serve: bad gossip body: %v", err)})
 		return
 	}
-	writeJSON(w, http.StatusOK, s.clst.node.HandleMessage(msg))
+	for _, ev := range msg.Events {
+		if err := validateLinks(ev.Links); err != nil {
+			s.reg.Counter("serve/errors").Inc()
+			writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
+			return
+		}
+	}
+	writeJSON(w, http.StatusOK, s.node.HandleMessage(msg))
 }
 
 // ClusterStatus is the GET /v1/cluster body: where this replica stands
@@ -186,16 +131,12 @@ type ClusterStatus struct {
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
-	if s.clst == nil {
-		writeJSON(w, http.StatusNotFound, planEnvelope{Error: "serve: not clustered (start bgqd with -replica-id)"})
-		return
-	}
 	snap := s.cache.current()
 	writeJSON(w, http.StatusOK, ClusterStatus{
 		Replica:    s.cfg.ReplicaID,
-		Peers:      s.clst.node.Peers(),
+		Peers:      s.node.Peers(),
 		Vector:     snap.vecStr,
-		Events:     s.clst.node.Log().EventsApplied(),
+		Events:     s.node.Log().EventsApplied(),
 		FaultLinks: len(snap.faults),
 		Epoch:      snap.epoch,
 	})

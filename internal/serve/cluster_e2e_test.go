@@ -244,9 +244,29 @@ func TestClusterGossipConvergence(t *testing.T) {
 	}
 }
 
+// postDemanding POSTs a pair plan request to base carrying the raw
+// X-Bgq-Min-Vector header minVec and returns the status code.
+func postDemanding(t *testing.T, base, minVec string) int {
+	t.Helper()
+	hreq, err := http.NewRequest(http.MethodPost, base+"/v1/plan/pair",
+		bytes.NewReader([]byte(`{"shape":"2x2x4x4x2","src":0,"dst":97,"bytes":4194304}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hreq.Header.Set("Content-Type", "application/json")
+	hreq.Header.Set("X-Bgq-Min-Vector", minVec)
+	hres, err := http.DefaultClient.Do(hreq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hres.Body.Close()
+	return hres.StatusCode
+}
+
 // TestClusterStaleReject pins the staleness gate: a replica that has
-// not applied a demanded vector refuses to serve (503), and a client
-// with retries rides out the window when gossip is connected.
+// not applied a demanded vector refuses to serve (503), a malformed
+// demand is refused with 400, and a peerless default daemon — a cluster
+// of one — enforces the same gate.
 func TestClusterStaleReject(t *testing.T) {
 	// Two isolated "clusters of one": r0 and r1 know no peers, so a
 	// fault on r0 NEVER reaches r1.
@@ -264,42 +284,48 @@ func TestClusterStaleReject(t *testing.T) {
 
 	// A direct request to r1 demanding r0:1 must be refused, not served
 	// stale.
-	c1, err := serve.NewClient(tc.https[1].URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c1.SetRetryPolicy(serve.NoRetryPolicy())
-	c1.MergeMinVector("r0:1")
-	req := serve.PairRequest{Shape: testShape, Src: 0, Dst: 97, Bytes: 4 << 20}
-	res, err := c1.PlanPair(ctx, req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Status != http.StatusServiceUnavailable {
-		t.Fatalf("stale replica answered status %d, want 503", res.Status)
+	if code := postDemanding(t, tc.https[1].URL, "r0:1"); code != http.StatusServiceUnavailable {
+		t.Fatalf("stale replica answered status %d, want 503", code)
 	}
 	if got := tc.servers[1].Registry().Counter("serve/stale_rejects").Value(); got == 0 {
 		t.Fatal("serve/stale_rejects not counted")
 	}
 	// r0 itself HAS applied r0:1 and must serve.
-	res, err = c0.PlanPair(ctx, req) // c0 demands r0:1 via its own merged vector
+	req := serve.PairRequest{Shape: testShape, Src: 0, Dst: 97, Bytes: 4 << 20}
+	res, err := c0.PlanPair(ctx, req) // c0 demands r0:1 through the ring's shared vector
 	if err != nil || !res.OK() {
 		t.Fatalf("originating replica refused its own vector: %v status %d", err, res.Status)
 	}
 
 	// A malformed demand is a client bug: 400, not 503.
-	c1.MergeMinVector("") // no-op; build raw request for the malformed case
-	hreq, _ := http.NewRequestWithContext(ctx, http.MethodPost, tc.https[1].URL+"/v1/plan/pair",
-		bytes.NewReader([]byte(`{"shape":"2x2x4x4x2","src":0,"dst":1,"bytes":1024}`)))
-	hreq.Header.Set("Content-Type", "application/json")
-	hreq.Header.Set("X-Bgq-Min-Vector", "not-a-vector")
-	hres, err := http.DefaultClient.Do(hreq)
+	if code := postDemanding(t, tc.https[1].URL, "not-a-vector"); code != http.StatusBadRequest {
+		t.Fatalf("malformed min-vector: status %d, want 400", code)
+	}
+
+	// A default daemon without peers is a cluster of one under the same
+	// gate: it serves what it has applied and refuses the rest.
+	srv := serve.New(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	defer func() { hs.Close(); srv.Close() }()
+	plain, err := serve.NewClient(hs.URL)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hres.Body.Close()
-	if hres.StatusCode != http.StatusBadRequest {
-		t.Fatalf("malformed min-vector: status %d, want 400", hres.StatusCode)
+	if _, err := plain.Fault(ctx, serve.FaultEvent{Links: []scenario.FailLink{fl}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		minVec string
+		want   int
+	}{
+		{"bgqd:1", http.StatusOK},
+		{"bgqd:2", http.StatusServiceUnavailable},
+		{"r0:1", http.StatusServiceUnavailable},
+		{"not-a-vector", http.StatusBadRequest},
+	} {
+		if code := postDemanding(t, hs.URL, c.minVec); code != c.want {
+			t.Errorf("peerless daemon demanded %q: status %d, want %d", c.minVec, code, c.want)
+		}
 	}
 }
 
@@ -498,8 +524,9 @@ func TestClusterConcurrentFaultPosts(t *testing.T) {
 	}
 }
 
-// TestClusterStatusEndpoint sanity-checks GET /v1/cluster and the
-// standalone daemon's 404 on it.
+// TestClusterStatusEndpoint sanity-checks GET /v1/cluster on a
+// two-replica cluster and on a peerless default daemon, which reports
+// itself as replica bgqd with no peers.
 func TestClusterStatusEndpoint(t *testing.T) {
 	tc := newTestCluster(t, 2, nil)
 	ctx := context.Background()
@@ -518,18 +545,19 @@ func TestClusterStatusEndpoint(t *testing.T) {
 		t.Fatalf("peers = %v, want 1 entry", st.Peers)
 	}
 
-	// Standalone daemons 404 the cluster endpoints.
 	srv := serve.New(serve.Config{})
 	hs := httptest.NewServer(srv.Handler())
 	defer func() { hs.Close(); srv.Close() }()
-	for _, path := range []string{"/v1/cluster"} {
-		resp, err := http.Get(hs.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
-		if resp.StatusCode != http.StatusNotFound {
-			t.Errorf("standalone %s: status %d, want 404", path, resp.StatusCode)
-		}
+	plain, err := serve.NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := plain.Fault(ctx, serve.FaultEvent{Links: []scenario.FailLink{{Node: 3, Dim: 1, Dir: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	one := clusterStatus(t, hs.URL)
+	if one.Replica != "bgqd" || len(one.Peers) != 0 || one.Vector != "bgqd:1" ||
+		one.Events != 1 || one.FaultLinks != 1 || one.Epoch != 1 {
+		t.Fatalf("peerless daemon status %+v, want replica bgqd, no peers, vector bgqd:1", one)
 	}
 }

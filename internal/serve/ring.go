@@ -32,9 +32,9 @@ type RingClient struct {
 	retry   RetryPolicy
 	tracer  *obs.WallRecorder
 	clients map[string]*Client // by member ID
+	demand  *minVector         // shared with every per-replica client
 
 	mu       sync.Mutex
-	minVec   cluster.Vector
 	down     map[string]time.Time // member ID -> cooldown expiry
 	faultRR  int
 	cooldown time.Duration
@@ -47,12 +47,13 @@ func NewRingClient(members []cluster.Member) (*RingClient, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("serve: ring client needs at least one member")
 	}
+	reg := obs.NewRegistry()
 	rc := &RingClient{
 		ring:     cluster.NewRing(0, members...),
-		reg:      obs.NewRegistry(),
+		reg:      reg,
 		retry:    DefaultRetryPolicy(),
 		clients:  make(map[string]*Client, len(members)),
-		minVec:   cluster.Vector{},
+		demand:   &minVector{vec: cluster.Vector{}, reg: reg},
 		down:     make(map[string]time.Time),
 		cooldown: 2 * time.Second,
 	}
@@ -61,7 +62,7 @@ func NewRingClient(members []cluster.Member) (*RingClient, error) {
 		if err != nil {
 			return nil, fmt.Errorf("serve: ring member %s: %w", m.ID, err)
 		}
-		c.SetVectorHooks(rc.minVector, rc.mergeMinVector)
+		c.demand = rc.demand
 		c.SetMetrics(rc.reg)
 		rc.clients[m.ID] = c
 	}
@@ -104,8 +105,8 @@ func (rc *RingClient) Members() []cluster.Member { return rc.ring.Members() }
 func (rc *RingClient) Client(id string) *Client { return rc.clients[id] }
 
 // MinVector returns the fault-epoch vector the ring client currently
-// demands of every plan.
-func (rc *RingClient) MinVector() string { return rc.minVector() }
+// demands of every plan ("" until a fault ack establishes one).
+func (rc *RingClient) MinVector() string { return rc.demand.String() }
 
 // StaleServed reports how many responses arrived with a vector that did
 // NOT dominate the demanded min vector — the chaos-soak gate; the
@@ -115,21 +116,37 @@ func (rc *RingClient) StaleServed() int64 {
 	return rc.reg.Counter("serve/ring/stale_served").Value()
 }
 
-func (rc *RingClient) minVector() string {
-	rc.mu.Lock()
-	defer rc.mu.Unlock()
-	return rc.minVec.String()
+// minVector is the fault-epoch vector a RingClient demands of every
+// plan (read-your-writes across replicas). Its methods are nil-safe: a
+// plain Client holds none and demands nothing.
+type minVector struct {
+	mu  sync.Mutex
+	vec cluster.Vector
+	reg *obs.Registry // counts malformed acknowledged vectors
 }
 
-func (rc *RingClient) mergeMinVector(v string) {
-	parsed, err := cluster.ParseVector(v)
-	if err != nil {
-		rc.reg.Counter("serve/client/bad_vector").Inc()
+func (m *minVector) String() string {
+	if m == nil {
+		return ""
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.vec.String()
+}
+
+// merge raises the demand pointwise by an acknowledged vector v.
+func (m *minVector) merge(v string) {
+	if m == nil {
 		return
 	}
-	rc.mu.Lock()
-	rc.minVec.Merge(parsed)
-	rc.mu.Unlock()
+	parsed, err := cluster.ParseVector(v)
+	if err != nil {
+		m.reg.Counter("serve/client/bad_vector").Inc()
+		return
+	}
+	m.mu.Lock()
+	m.vec.Merge(parsed)
+	m.mu.Unlock()
 }
 
 // markDown starts a cooldown for a member that failed at the transport
@@ -177,7 +194,7 @@ func (rc *RingClient) ladder(key string) []cluster.Member {
 // vector is checked against the min vector demanded at send time — a
 // violation counts on serve/ring/stale_served.
 func (rc *RingClient) do(ctx context.Context, key string, call func(*Client) (PlanResult, error)) (PlanResult, error) {
-	demanded := rc.minVector()
+	demanded := rc.demand.String()
 	var lastErr error
 	for i, m := range rc.ladder(key) {
 		if err := ctx.Err(); err != nil {

@@ -34,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"bgqflow/internal/cluster"
 	"bgqflow/internal/obs"
 	"bgqflow/internal/scenario"
 )
@@ -83,13 +84,13 @@ type Config struct {
 	// flag parse, so this only fires on programmer error).
 	SLOs []obs.SLOSpec
 
-	// ReplicaID, when non-empty, runs the daemon as one replica of a
-	// bgqd cluster (DESIGN.md §17): fault events are stamped into a
-	// gossiped epoch log instead of a private fault set, responses carry
-	// X-Bgq-Replica / X-Bgq-Vector, and requests stamped with
-	// X-Bgq-Min-Vector are rejected with 503 until this replica has
-	// applied at least that vector. Empty means standalone (the legacy
-	// single-daemon behavior, bit for bit).
+	// ReplicaID names this daemon as a replica of a bgqd cluster
+	// (DESIGN.md §17); a daemon without peers is a cluster of one. Fault
+	// events are stamped into a gossiped epoch log under this origin,
+	// responses carry X-Bgq-Replica / X-Bgq-Vector, and requests stamped
+	// with X-Bgq-Min-Vector are rejected with 503 until this replica has
+	// applied at least that vector. The ID must be unique per replica.
+	// Empty means "bgqd".
 	ReplicaID string
 	// Peers are the other replicas' base addresses (same forms NewClient
 	// accepts: "host:port", "http://...", "unix:///path").
@@ -135,6 +136,9 @@ func (c Config) withDefaults() Config {
 	if c.GossipInterval <= 0 {
 		c.GossipInterval = 200 * time.Millisecond
 	}
+	if c.ReplicaID == "" {
+		c.ReplicaID = "bgqd"
+	}
 	return c
 }
 
@@ -171,14 +175,19 @@ type Server struct {
 	wResumeTotal *obs.WindowCounter
 	wLatency     *obs.WindowHistogram
 
-	// clst is the cluster plane (cluster.go); nil on standalone daemons.
-	clst *clusterPlane
+	// Cluster plane (cluster.go): the gossip node over this replica's
+	// fault-event log, and the anti-entropy loop's stop/done channels.
+	node       *cluster.Node
+	gossipStop chan struct{}
+	gossipDone chan struct{}
 
-	// mu serializes fault publishes (planCache.publish). The published
+	// mu serializes fault publishes (publishLocked). The published
 	// snapshot itself is read without it: epoch, fault set and vector
 	// live in one immutable faultSnapshot, so a request can never pair
 	// a plan with another snapshot's vector.
 	mu sync.Mutex
+	// pubVer is the highest log version published; guarded by mu.
+	pubVer uint64
 }
 
 // New builds a Server with the given configuration.
@@ -190,6 +199,9 @@ func New(cfg Config) *Server {
 		cache: newPlanCache(cfg.CacheShards, cfg.CacheEntriesPerShard),
 		disp:  newDispatcher(cfg.Workers, cfg.QueueDepth),
 		start: time.Now(),
+
+		gossipStop: make(chan struct{}),
+		gossipDone: make(chan struct{}),
 	}
 	s.wRequests = s.reg.WindowCounter("serve/window/requests", cfg.StatsWindow)
 	s.wShed = s.reg.WindowCounter("serve/window/shed", cfg.StatsWindow)
@@ -214,9 +226,14 @@ func New(cfg Config) *Server {
 		go s.sloLoop(interval)
 	}
 	s.sessions = newSessionMgr(s)
-	if cfg.ReplicaID != "" {
-		s.clst = newClusterPlane(s)
-	}
+	s.node = cluster.NewNode(cluster.NodeConfig{
+		ID:        cfg.ReplicaID,
+		Peers:     cfg.Peers,
+		Transport: newHTTPGossipTransport(),
+		Seed:      cfg.GossipSeed,
+		OnApply:   s.onApply,
+	}, cluster.NewLog())
+	go s.gossipLoop(cfg.GossipInterval)
 	return s
 }
 
@@ -231,9 +248,8 @@ func (s *Server) Epoch() uint64 { return s.cache.Epoch() }
 // and drains the worker pool. In-flight HTTP requests must have
 // completed (http.Server.Shutdown before Close).
 func (s *Server) Close() {
-	if s.clst != nil {
-		s.clst.stopLoop()
-	}
+	close(s.gossipStop)
+	<-s.gossipDone
 	if s.sloStop != nil {
 		close(s.sloStop)
 		<-s.sloDone
@@ -282,7 +298,7 @@ type planEnvelope struct {
 	Coalesced bool            `json:"coalesced,omitempty"`
 	Error     string          `json:"error,omitempty"`
 	// Vector is the fault-epoch vector the response was served under
-	// (clustered daemons only; see cluster.Vector.String for the form).
+	// (see cluster.Vector.String for the form).
 	Vector string `json:"vector,omitempty"`
 }
 
@@ -310,22 +326,18 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	s.reg.Counter("serve/requests/" + endpoint).Inc()
 	s.wRequests.Inc()
 	snap := s.cache.current()
-	epoch := snap.epoch
-	var vecStr string
-	if s.clst != nil {
-		vecStr = snap.vecStr
-		w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
-		w.Header().Set(HeaderVector, vecStr)
-		// Cross-replica staleness check: a client that saw a fault event
-		// acknowledged at vector V demands we have applied V. If gossip
-		// has not delivered those events yet, serving would hand out a
-		// pre-fault plan — reject instead; no Retry-After, so the client
-		// returns on its own short backoff, by which time the eager
-		// broadcast or the next anti-entropy round has caught us up.
-		if !s.checkMinVector(w, r, snap) {
-			s.wall.SpanAbort(span)
-			return
-		}
+	epoch, vecStr := snap.epoch, snap.vecStr
+	w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
+	w.Header().Set(HeaderVector, vecStr)
+	// Cross-replica staleness check: a client that saw a fault event
+	// acknowledged at vector V demands we have applied V. If gossip has
+	// not delivered those events yet, serving would hand out a pre-fault
+	// plan — reject instead; no Retry-After, so the client returns on its
+	// own short backoff, by which time the eager broadcast or the next
+	// anti-entropy round has caught us up.
+	if !s.checkMinVector(w, r, snap) {
+		s.wall.SpanAbort(span)
+		return
 	}
 	// Phase timestamps, written by the worker goroutine; the channel
 	// receive inside the singleflight closure orders them before our
@@ -490,46 +502,60 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// handleFault ingests a fault event and publishes the resulting fault
-// set as the next snapshot (see planCache.publish). Responds with the
-// new epoch.
+// handleFault ingests a fault event: it originates the event into the
+// log and publishes the log's fault set as the next snapshot, then
+// pushes the event to every peer and acknowledges with that snapshot's
+// epoch and vector. A client that stamps the vector as X-Bgq-Min-Vector
+// on its next request gets read-your-writes across the whole cluster.
 func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	var ev FaultEvent
 	if !decodeBody(w, r, s.reg, &ev) {
 		return
 	}
-	for _, fl := range ev.Links {
-		if fl.Dir != 1 && fl.Dir != -1 {
-			s.reg.Counter("serve/errors").Inc()
-			writeJSON(w, http.StatusBadRequest, planEnvelope{Error: fmt.Sprintf("serve: fault dir %d must be +1 or -1", fl.Dir)})
-			return
-		}
-		if fl.Node < 0 || fl.Dim < 0 {
-			s.reg.Counter("serve/errors").Inc()
-			writeJSON(w, http.StatusBadRequest, planEnvelope{Error: fmt.Sprintf("serve: bad fault link %+v", fl)})
-			return
-		}
+	if err := validateLinks(ev.Links); err != nil {
+		s.reg.Counter("serve/errors").Inc()
+		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
+		return
 	}
-	if s.clst != nil {
-		s.clst.handleFaultClustered(w, r, ev)
+	w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
+	// Honoring min-vector here too gives sequential fault posts a
+	// well-defined cluster-wide order: each originator has applied every
+	// event the client saw acknowledged, so Lamport stamps increase.
+	if !s.checkMinVector(w, r, s.cache.current()) {
 		return
 	}
 	s.mu.Lock()
-	var faults []scenario.FailLink
-	if !ev.Clear {
-		faults = append(faults, s.cache.current().faults...)
-	}
-	snap := s.cache.publish(append(faults, ev.Links...), nil)
+	cev := s.node.Log().Originate(s.cfg.ReplicaID, ev.Links, ev.Clear)
+	snap := s.publishLocked()
 	s.mu.Unlock()
-	epoch := snap.epoch
 	s.reg.Counter("serve/fault_events").Inc()
-	s.reg.Gauge("serve/fault_links").Set(float64(len(snap.faults)))
 	// Forward the event into running transfer sessions: each applies the
 	// failure at its next safe point and streams a pushed-fault frame
 	// (repairs — Clear — do not propagate; a session's engine cannot
 	// un-fail a link mid-run).
-	s.sessions.pushFaults(ev.Links, epoch)
-	writeJSON(w, http.StatusOK, planEnvelope{Epoch: epoch})
+	s.sessions.pushFaults(ev.Links, snap.epoch)
+	// The push is synchronous, so a client that posts a fault and then
+	// plans against another replica usually finds the event already
+	// there; the min-vector check covers the window where it is not. A
+	// peer's reply re-enters onApply, which takes s.mu.
+	s.node.Broadcast(r.Context(), []cluster.Event{cev})
+	w.Header().Set(HeaderVector, snap.vecStr)
+	writeJSON(w, http.StatusOK, planEnvelope{Epoch: snap.epoch, Vector: snap.vecStr})
+}
+
+// validateLinks is the link check POST /v1/fault and POST /v1/gossip
+// share: a fault link names a non-negative node and dimension and a
+// direction of +1 or -1.
+func validateLinks(links []scenario.FailLink) error {
+	for _, fl := range links {
+		if fl.Dir != 1 && fl.Dir != -1 {
+			return fmt.Errorf("serve: fault dir %d must be +1 or -1", fl.Dir)
+		}
+		if fl.Node < 0 || fl.Dim < 0 {
+			return fmt.Errorf("serve: bad fault link %+v", fl)
+		}
+	}
+	return nil
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {

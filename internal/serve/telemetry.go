@@ -36,8 +36,8 @@ const (
 )
 
 // Cluster headers (DESIGN.md §17). Responses carry the replica ID that
-// served the request and (on clustered daemons) the fault-epoch vector
-// the response was computed under; requests may carry a minimum vector
+// served the request and the fault-epoch vector the response was
+// computed under; requests may carry a minimum vector
 // the serving replica must have applied — a replica that is behind
 // rejects with 503 so the client's backoff rides out gossip
 // propagation instead of reading a stale plan.
