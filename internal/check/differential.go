@@ -120,7 +120,7 @@ func RunNetsimMode(sc Scenario, mode netsim.SweepMode, hook func(*netsim.Engine)
 	if _, err := e.Run(); err != nil {
 		return RunOutput{}, err
 	}
-	out := RunOutput{LinkBytes: append([]float64(nil), e.LinkBytes()...)}
+	out := RunOutput{LinkBytes: e.LinkBytes()}
 	for i := 0; i < e.NumFlows(); i++ {
 		r := e.Result(netsim.FlowID(i))
 		out.Flows = append(out.Flows, RefResult{

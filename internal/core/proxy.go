@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/routing"
@@ -144,20 +145,16 @@ func (p *PairPlanner) SetFaults(failed func(int) bool) { p.faults = failed }
 // from every already-accepted leg. The returned set may be smaller than
 // MinProxies; the caller decides whether to fall back to direct transfer.
 func (p *PairPlanner) SelectProxies(src, dst torus.NodeID) []ProxyRoute {
-	return selectProxiesAvoiding(p.tor, src, dst, p.cfg, nil, p.faults)
+	return selectProxies(p.tor, src, dst, p.cfg, p.faults)
 }
 
-// selectProxiesAvoiding is the shared candidate search. extraBusy links
-// (if any) are treated as already in use — group planning passes the
-// routes of previously planned pairs' first hops when needed.
-func selectProxiesAvoiding(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, extraBusy map[int]struct{}, faults func(int) bool) []ProxyRoute {
+// selectProxies is the candidate search shared by the pair planner and
+// the transports.
+func selectProxies(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, faults func(int) bool) []ProxyRoute {
 	if src == dst {
 		return nil
 	}
 	busy := make(map[int]struct{}, 64)
-	for l := range extraBusy {
-		busy[l] = struct{}{}
-	}
 	var accepted []ProxyRoute
 	usedProxies := map[torus.NodeID]struct{}{src: {}, dst: {}}
 	max := cfg.maxProxies(tor.Dims())
@@ -173,11 +170,12 @@ func selectProxiesAvoiding(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyCon
 		dir   torus.Direction
 		disp  int // dimensions the proxy differs from dst in
 	}
-	var cands []candidate
-	srcCoord := tor.Coord(src)
+	cands := make([]candidate, 0, 2*tor.Dims())
+	var cb [torus.MaxDims]int
+	c := torus.Coord(cb[:tor.Dims()])
 	for _, dim := range tor.DimsByExtentDesc() {
-		for _, dir := range []torus.Direction{torus.Plus, torus.Minus} {
-			c := srcCoord.Clone()
+		for _, dir := range [2]torus.Direction{torus.Plus, torus.Minus} {
+			tor.CoordInto(src, c)
 			c[dim] = tor.Wrap(dim, c[dim]+int(dir)*cfg.Offset)
 			proxy := tor.ID(c)
 			if _, taken := usedProxies[proxy]; taken {
@@ -218,7 +216,10 @@ func selectProxiesAvoiding(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyCon
 // displacementDims counts the dimensions in which two nodes differ — the
 // number of routing degrees of freedom between them.
 func displacementDims(tor *torus.Torus, a, b torus.NodeID) int {
-	ca, cb := tor.Coord(a), tor.Coord(b)
+	var ab, bb [torus.MaxDims]int
+	ca, cb := torus.Coord(ab[:tor.Dims()]), torus.Coord(bb[:tor.Dims()])
+	tor.CoordInto(a, ca)
+	tor.CoordInto(b, cb)
 	n := 0
 	for i := range ca {
 		if ca[i] != cb[i] {
@@ -257,62 +258,84 @@ func markBusy(busy map[int]struct{}, links []int) {
 
 // disjointRoute searches the dimension orders the BG/Q's zone routing can
 // realize for a route from src to dst that avoids every busy link and
-// every link in alsoAvoid. Orders are tried deterministically, default
-// (longest-to-shortest) first. Routing stays minimal per dimension, so
-// every returned route has minimal hop count; only the traversal order —
-// and hence the links — differs.
+// every link in alsoAvoid, and then every failed link. Orders are tried
+// in Heap's order from the default (longest-to-shortest) one. Routing
+// stays minimal per dimension, so every returned route has minimal hop
+// count; only the traversal order — and hence the links — differs.
+//
+// A route is one segment per dimension src and dst differ in, and a
+// segment's links depend only on which dimensions were walked before it.
+// So each (walked set, dimension) segment is checked against busy and
+// alsoAvoid once, and only the orders whose segments are all clean are
+// built and passed to the fault predicate: the same orders, in the same
+// order, that checking every full route would pass to it. The route and
+// the links the predicate reads are those of the exhaustive search.
 func disjointRoute(tor *torus.Torus, src, dst torus.NodeID, busy map[int]struct{}, faults func(int) bool, alsoAvoid []int) (routing.Route, bool) {
-	avoid := busy
-	if len(alsoAvoid) > 0 {
-		avoid = make(map[int]struct{}, len(busy)+len(alsoAvoid))
-		for l := range busy {
-			avoid[l] = struct{}{}
-		}
-		for _, l := range alsoAvoid {
-			avoid[l] = struct{}{}
-		}
+	n := tor.Dims()
+	var sb, db [torus.MaxDims]int
+	srcC, dstC := torus.Coord(sb[:n]), torus.Coord(db[:n])
+	tor.CoordInto(src, srcC)
+	tor.CoordInto(dst, dstC)
+	hops := 0
+	for d := 0; d < n; d++ {
+		h, _ := tor.Displacement(d, srcC[d], dstC[d])
+		hops += h
 	}
-	var found routing.Route
-	ok := false
-	forEachPermutation(tor.DimsByExtentDesc(), func(order []int) bool {
-		r := routing.RouteWithOrder(tor, src, dst, order)
-		if !anyBusy(avoid, r.Links) && !anyFailed(faults, r.Links) {
-			found, ok = r, true
-			return false // stop
+	// seg[walked][d] memoizes the segment along d after the dimensions in
+	// the walked bitmask: 0 unchecked, 1 clean, 2 blocked.
+	var seg [1 << torus.MaxDims][torus.MaxDims]uint8
+	clean := func(walked uint, d int) bool {
+		if s := seg[walked][d]; s != 0 {
+			return s == 1
+		}
+		var cb [torus.MaxDims]int
+		cur := torus.Coord(cb[:n])
+		for i := range cur {
+			cur[i] = srcC[i]
+			if walked&(1<<i) != 0 {
+				cur[i] = dstC[i]
+			}
+		}
+		h, dir := tor.Displacement(d, cur[d], dstC[d])
+		seg[walked][d] = 1
+		for ; h > 0; h-- {
+			l := tor.LinkID(tor.ID(cur), d, dir)
+			if _, b := busy[l]; b || slices.Contains(alsoAvoid, l) {
+				seg[walked][d] = 2
+				return false
+			}
+			cur[d] = tor.Wrap(d, cur[d]+int(dir))
 		}
 		return true
-	})
-	return found, ok
-}
-
-// forEachPermutation calls fn with every permutation of base (starting
-// with base itself) until fn returns false. base is not modified.
-func forEachPermutation(base []int, fn func([]int) bool) {
-	perm := append([]int(nil), base...)
-	n := len(perm)
-	// Heap's algorithm, iterative, but emit the identity first.
-	if !fn(perm) {
-		return
 	}
-	c := make([]int, n)
-	i := 0
-	for i < n {
-		if c[i] < i {
-			if i%2 == 0 {
-				perm[0], perm[i] = perm[i], perm[0]
-			} else {
-				perm[c[i]], perm[i] = perm[i], perm[c[i]]
+	var perms routing.Permuter
+	perms.Reset(tor.DimsByExtentDesc())
+	var links []int
+	for order, more := perms.Next(); more; order, more = perms.Next() {
+		ok := true
+		walked := uint(0)
+		for _, d := range order {
+			if srcC[d] == dstC[d] {
+				continue
 			}
-			if !fn(perm) {
-				return
+			if !clean(walked, d) {
+				ok = false
+				break
 			}
-			c[i]++
-			i = 0
-		} else {
-			c[i] = 0
-			i++
+			walked |= 1 << d
+		}
+		if !ok {
+			continue
+		}
+		if links == nil && hops > 0 {
+			links = make([]int, 0, hops)
+		}
+		links = routing.AppendRouteLinks(links[:0], tor, src, dst, order)
+		if !anyFailed(faults, links) {
+			return routing.Route{Src: src, Dst: dst, Links: links}, true
 		}
 	}
+	return routing.Route{}, false
 }
 
 // PairPlan records what PlanPair decided and submitted.

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/rand"
+	"runtime"
 	"testing"
 
 	"bgqflow/internal/netsim"
@@ -227,28 +229,6 @@ func TestSplitBytes(t *testing.T) {
 	}
 }
 
-func TestForEachPermutationCountsAndStops(t *testing.T) {
-	n := 0
-	forEachPermutation([]int{0, 1, 2, 3}, func([]int) bool { n++; return true })
-	if n != 24 {
-		t.Fatalf("visited %d permutations of 4, want 24", n)
-	}
-	n = 0
-	forEachPermutation([]int{0, 1, 2}, func([]int) bool { n++; return n < 3 })
-	if n != 3 {
-		t.Fatalf("early stop visited %d", n)
-	}
-	// First permutation is the identity order.
-	var first []int
-	forEachPermutation([]int{7, 8, 9}, func(p []int) bool {
-		first = append([]int(nil), p...)
-		return false
-	})
-	if first[0] != 7 || first[1] != 8 || first[2] != 9 {
-		t.Fatalf("first permutation %v is not the base order", first)
-	}
-}
-
 func TestProxySelectionDeterministic(t *testing.T) {
 	tor := mira128()
 	pl, _ := NewPairPlanner(tor, DefaultProxyConfig())
@@ -263,3 +243,62 @@ func TestProxySelectionDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// TestPairPlanFootprintFullMira pins the engine's per-touched-link state:
+// a 2-flow plan on the full 49,152-node Mira torus (491,520 links),
+// built, planned and simulated, allocates under 4 MB. An engine with
+// dense per-link state allocated about 26 MB for it.
+func TestPairPlanFootprintFullMira(t *testing.T) {
+	tor := torus.MustNew(torus.Shape{8, 12, 16, 16, 2})
+	p := netsim.DefaultParams()
+	cfg := DefaultProxyConfig()
+	cfg.MinProxies, cfg.MaxProxies, cfg.Threshold = 1, 1, 0
+	pl, err := NewPairPlanner(tor, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pl.PlanPair(e, 0, torus.NodeID(tor.Size()-1), 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	if len(plan.Flows) != 2 {
+		t.Fatalf("plan has %d flows, want 2", len(plan.Flows))
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4<<20 {
+		t.Fatalf("2-flow full-Mira plan allocated %d bytes, want < 4 MB", got)
+	}
+}
+
+// BenchmarkSelectProxies measures Algorithm 1's proxy search for
+// distinct pairs on the 2,048-node Fig. 6 partition.
+func BenchmarkSelectProxies(b *testing.B) {
+	tor := torus.MustNew(torus.Shape{4, 4, 4, 16, 2})
+	pl, err := NewPairPlanner(tor, DefaultProxyConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]torus.NodeID, 1024)
+	for i := range pairs {
+		pairs[i] = [2]torus.NodeID{torus.NodeID(rng.Intn(tor.Size())), torus.NodeID(rng.Intn(tor.Size()))}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := pairs[i%len(pairs)]
+		proxiesSink = pl.SelectProxies(p[0], p[1])
+	}
+}
+
+var proxiesSink []ProxyRoute

@@ -221,7 +221,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 		// every lossy wave until only the direct path is left.
 		var proxies []ProxyRoute
 		if maxK >= t.cfg.MinProxies && remaining >= t.waveThreshold(src, dst, maxK) {
-			proxies = selectProxiesAvoiding(t.tor, src, dst, t.cfg, nil, faults)
+			proxies = selectProxies(t.tor, src, dst, t.cfg, faults)
 			if len(proxies) > maxK {
 				proxies = proxies[:maxK]
 			}

@@ -59,7 +59,7 @@ func TestMoveResilientRecoversFromMidTransferFailure(t *testing.T) {
 
 	// Fail the first hop of the first selected proxy leg mid-transfer:
 	// exactly one piece aborts, and recovery must reroute those bytes.
-	proxies := selectProxiesAvoiding(tor, src, dst, tr.cfg, nil, nil)
+	proxies := selectProxies(tor, src, dst, tr.cfg, nil)
 	if len(proxies) == 0 {
 		t.Fatal("no proxies on a healthy torus")
 	}
@@ -100,7 +100,7 @@ func TestMoveResilientDegradesToDirect(t *testing.T) {
 	// Schedule failures on the first hop of every initially selected
 	// proxy leg1, staggered so each wave loses a piece until the ladder
 	// reaches direct (whose avoiding route skips the dead first hops).
-	proxies := selectProxiesAvoiding(tor, src, dst, tr.cfg, nil, nil)
+	proxies := selectProxies(tor, src, dst, tr.cfg, nil)
 	if len(proxies) < tr.cfg.MinProxies {
 		t.Fatalf("only %d proxies on a healthy torus", len(proxies))
 	}
@@ -173,7 +173,7 @@ func TestMoveResilientDeterministic(t *testing.T) {
 	run := func() TransferReport {
 		tor, _, e, tr := resilientRig(t)
 		src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-		proxies := selectProxiesAvoiding(tor, src, dst, tr.cfg, nil, nil)
+		proxies := selectProxies(tor, src, dst, tr.cfg, nil)
 		e.FailLinkAt(proxies[0].Leg1.Links[0], 5e-3)
 		rep, err := tr.MoveResilient(e, src, dst, 64<<20, DefaultRecoveryConfig())
 		if err != nil {
@@ -190,7 +190,7 @@ func TestMoveResilientDeterministic(t *testing.T) {
 func TestMoveResilientProgressEvents(t *testing.T) {
 	tor, _, e, tr := resilientRig(t)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-	proxies := selectProxiesAvoiding(tor, src, dst, tr.cfg, nil, nil)
+	proxies := selectProxies(tor, src, dst, tr.cfg, nil)
 	e.FailLinkAt(proxies[0].Leg1.Links[0], 5e-3)
 
 	var events []TransferEvent
@@ -301,7 +301,7 @@ func TestMoveResilientInterjectPushedFault(t *testing.T) {
 	direct := func() TransferReport {
 		tor, _, e, tr := resilientRig(t)
 		src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-		proxies := selectProxiesAvoiding(tor, src, dst, tr.cfg, nil, nil)
+		proxies := selectProxies(tor, src, dst, tr.cfg, nil)
 		e.FailLinkAt(proxies[0].Leg1.Links[0], 5e-3)
 		rep, err := tr.MoveResilient(e, src, dst, 64<<20, DefaultRecoveryConfig())
 		if err != nil {
@@ -313,7 +313,7 @@ func TestMoveResilientInterjectPushedFault(t *testing.T) {
 	pushed := func() TransferReport {
 		tor, _, e, tr := resilientRig(t)
 		src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-		proxies := selectProxiesAvoiding(tor, src, dst, tr.cfg, nil, nil)
+		proxies := selectProxies(tor, src, dst, tr.cfg, nil)
 		link := proxies[0].Leg1.Links[0]
 		injected := false
 		rc := DefaultRecoveryConfig()

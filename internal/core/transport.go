@@ -116,7 +116,7 @@ func (t *Transport) entryFor(src, dst torus.NodeID) *pairEntry {
 	if t.rec != nil {
 		t.rec.Registry().Counter("transport/pair_cache_misses").Inc()
 	}
-	proxies := selectProxiesAvoiding(t.tor, src, dst, t.cfg, nil, t.faults)
+	proxies := selectProxies(t.tor, src, dst, t.cfg, t.faults)
 	entry := &pairEntry{proxies: proxies}
 	if len(proxies) >= t.cfg.MinProxies && len(proxies) > 0 {
 		hopsDirect := t.tor.HopDistance(src, dst)

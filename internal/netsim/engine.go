@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"bgqflow/internal/obs"
 	"bgqflow/internal/sim"
@@ -92,6 +93,7 @@ type flow struct {
 	id         FlowID
 	spec       FlowSpec
 	links      []int
+	slots      []int32 // engine slot of each entry of links, parallel to it
 	unmetDeps  int
 	dependents []FlowID
 	state      flowState
@@ -132,22 +134,36 @@ type Engine struct {
 	cm    topo.CostModel // nil = uniform Params arithmetic
 	clock *sim.Engine
 
-	flows     []*flow
-	linkFlows [][]*flow // active flows per link
-	linkVisit []uint64  // component-BFS epoch stamps per link
-	linkBytes []float64 // cumulative bytes carried per link
-	linkIndex []int32   // scratch: link ID -> local index in waterfill
+	flows []*flow
+
+	// Per-link state exists only for links a submitted flow uses. slotOf
+	// maps a link ID to its slot plus one (0: no flow has used the link);
+	// slots are handed out in first-use order and every array below is
+	// indexed by slot, so a plan's engine costs the links it touches, not
+	// the links the machine has.
+	slotOf    []int32
+	slotCap   []float64 // slot -> link capacity (bytes/second)
+	linkFlows [][]*flow // active flows per slot
+	linkVisit []uint64  // component-BFS epoch stamps per slot
+	linkBytes []float64 // cumulative bytes carried per slot
+	linkIndex []int32   // scratch: slot -> local index in waterfill
 	epoch     uint64
 
-	// Flow structs are carved out of arena blocks so steady-state Submit
-	// performs no per-flow allocation (Reserve pre-sizes everything).
+	// Flow structs and their slot lists are carved out of arena blocks so
+	// steady-state Submit performs no per-flow allocation (Reserve
+	// pre-sizes both). reserved counts the Submit calls the last Reserve
+	// still covers; the slot arena sizes its next block for them from
+	// slotsUsed, the slot-list entries handed out so far.
 	arena     []flow
 	arenaUsed int
+	slotArena []int32
+	slotsUsed int
+	reserved  int
 
 	// Scratch buffers reused across component/waterfill sweeps; per-sweep
 	// make()s were the simulator's dominant allocation source.
 	compFlows    []*flow
-	compLinks    []int
+	compLinks    []int32
 	compQueue    []*flow
 	wfLoad       []float64
 	wfCapLeft    []float64
@@ -161,7 +177,7 @@ type Engine struct {
 	// whole exchange phase releasing at once) cost one water-filling
 	// pass instead of N.
 	pendingFlows   []*flow
-	pendingLinks   []int
+	pendingLinks   []int32
 	sweepScheduled bool
 
 	// Incremental-sweep state: the selected mode, the dirty flow set and
@@ -169,7 +185,7 @@ type Engine struct {
 	// sweep counters surfaced via SweepStats and obs.
 	mode      SweepMode
 	dirty     []*flow
-	regLinks  []int
+	regLinks  []int32
 	regOut    []float64 // outside (non-dirty) load per region link
 	regOld    []float64 // total pre-sweep load per region link
 	regOldMax []float64 // highest pre-sweep flow rate per region link
@@ -214,28 +230,81 @@ func NewEngine(net *Network, p Params) (*Engine, error) {
 		return nil, err
 	}
 	return &Engine{
-		net:       net,
-		p:         p,
-		clock:     sim.NewEngine(),
-		linkFlows: make([][]*flow, net.NumLinks()),
-		linkVisit: make([]uint64, net.NumLinks()),
-		linkBytes: make([]float64, net.NumLinks()),
-		linkIndex: make([]int32, net.NumLinks()),
+		net:    net,
+		p:      p,
+		clock:  sim.NewEngine(),
+		slotOf: make([]int32, net.NumLinks()),
 	}, nil
 }
 
-// flowArenaBlock is the number of flow structs allocated per arena block.
-const flowArenaBlock = 512
+// Arena block sizes. The first block is small, so a plan of a few flows
+// allocates a few flows; each further block doubles, up to the max. The
+// per-slot arrays start at slotArenaMin slots too.
+const (
+	flowArenaMin = 8
+	flowArenaMax = 512
+	slotArenaMin = 64
+	slotArenaMax = 8192
+)
 
 // newFlow hands out the next zeroed flow struct from the arena.
 func (e *Engine) newFlow() *flow {
 	if e.arenaUsed == len(e.arena) {
-		e.arena = make([]flow, flowArenaBlock)
+		e.arena = make([]flow, min(max(2*len(e.arena), flowArenaMin), flowArenaMax))
 		e.arenaUsed = 0
 	}
 	f := &e.arena[e.arenaUsed]
 	e.arenaUsed++
 	return f
+}
+
+// newSlots hands out a slot list for n links from the slot arena. A new
+// block holds, for every flow the last Reserve still covers (this one
+// included), as many slots as the flows submitted so far averaged (n for
+// the first flow); with nothing reserved it doubles the previous block.
+func (e *Engine) newSlots(n int) []int32 {
+	i := len(e.slotArena)
+	if cap(e.slotArena)-i < n {
+		size := min(max(2*cap(e.slotArena), slotArenaMin), slotArenaMax)
+		if e.reserved > 0 {
+			per := n
+			if f := len(e.flows); f > 0 {
+				per = (e.slotsUsed + f - 1) / f
+			}
+			size = per * e.reserved
+		}
+		e.slotArena = make([]int32, 0, max(size, n))
+		i = 0
+	}
+	e.slotsUsed += n
+	e.slotArena = e.slotArena[:i+n]
+	return e.slotArena[i : i+n : i+n]
+}
+
+// slot returns link's slot, creating it on the link's first use.
+func (e *Engine) slot(link int) int32 {
+	if s := e.slotOf[link]; s != 0 {
+		return s - 1
+	}
+	s := len(e.slotCap)
+	if s == cap(e.slotCap) {
+		// Grow every per-slot array at once by a quarter, at least
+		// slotArenaMin slots, at most to the link count: a run that
+		// touches most links must not pay for twice as many.
+		n := min(max(s/4, slotArenaMin), len(e.slotOf)-s)
+		e.slotCap = slices.Grow(e.slotCap, n)
+		e.linkFlows = slices.Grow(e.linkFlows, n)
+		e.linkVisit = slices.Grow(e.linkVisit, n)
+		e.linkBytes = slices.Grow(e.linkBytes, n)
+		e.linkIndex = slices.Grow(e.linkIndex, n)
+	}
+	e.slotOf[link] = int32(s) + 1
+	e.slotCap = append(e.slotCap, e.net.Capacity(link))
+	e.linkFlows = append(e.linkFlows, nil)
+	e.linkVisit = append(e.linkVisit, 0)
+	e.linkBytes = append(e.linkBytes, 0)
+	e.linkIndex = append(e.linkIndex, 0)
+	return int32(s)
 }
 
 // Reserve pre-sizes the engine for n further Submit calls so that, with
@@ -252,6 +321,7 @@ func (e *Engine) Reserve(n int) {
 		e.arena = make([]flow, n)
 		e.arenaUsed = 0
 	}
+	e.reserved = n
 }
 
 // OnEvent dispatches a fired clock event to the right flow transition;
@@ -390,6 +460,15 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 				id, l, e.net.LinkName(l)))
 		}
 	}
+	if len(f.links) > 0 {
+		f.slots = e.newSlots(len(f.links))
+		for i, l := range f.links {
+			f.slots[i] = e.slot(l)
+		}
+	}
+	if e.reserved > 0 {
+		e.reserved--
+	}
 	for _, dep := range spec.DependsOn {
 		if int(dep) < 0 || int(dep) >= len(e.flows) {
 			panic(fmt.Sprintf("netsim: flow %d depends on unknown flow %d", id, dep))
@@ -468,8 +547,25 @@ func (e *Engine) Spec(id FlowID) FlowSpec { return e.flows[id].spec }
 func (e *Engine) NumFlows() int { return len(e.flows) }
 
 // LinkBytes returns the cumulative bytes carried by each link during the
-// run, indexed by link ID. The slice is live; do not modify it.
-func (e *Engine) LinkBytes() []float64 { return e.linkBytes }
+// run, indexed by link ID. It is a fresh copy the caller owns; LinkBytesOf
+// reads one link without building it.
+func (e *Engine) LinkBytes() []float64 {
+	out := make([]float64, len(e.slotOf))
+	for l, s := range e.slotOf {
+		if s != 0 {
+			out[l] = e.linkBytes[s-1]
+		}
+	}
+	return out
+}
+
+// LinkBytesOf returns the cumulative bytes link has carried during the run.
+func (e *Engine) LinkBytesOf(link int) float64 {
+	if s := e.slotOf[link]; s != 0 {
+		return e.linkBytes[s-1]
+	}
+	return 0
+}
 
 // localCopyRate is the node-local memcpy rate for flows that never touch
 // the fabric.
@@ -507,10 +603,10 @@ func (e *Engine) activate(f *flow) {
 		e.transferEnd(f)
 		return
 	}
-	for _, l := range f.links {
-		e.linkFlows[l] = append(e.linkFlows[l], f)
+	for _, s := range f.slots {
+		e.linkFlows[s] = append(e.linkFlows[s], f)
 	}
-	e.requestRealloc(f, f.links)
+	e.requestRealloc(f, f.slots)
 }
 
 // transferEnd fires when the last byte leaves the wire: the flow frees its
@@ -521,8 +617,8 @@ func (e *Engine) transferEnd(f *flow) {
 	f.res.TransferEnd = e.clock.Now()
 	// Charge the final segment of progress to the link byte counters
 	// before leaving the links.
-	for _, l := range f.links {
-		e.linkBytes[l] += f.remaining
+	for _, s := range f.slots {
+		e.linkBytes[s] += f.remaining
 	}
 	if e.sink != nil {
 		now := e.clock.Now()
@@ -534,12 +630,12 @@ func (e *Engine) transferEnd(f *flow) {
 		e.sink.FlowEnded(now, f.res.Activated, int(f.id), f.spec.Label, f.spec.Bytes, false)
 	}
 	f.remaining = 0
-	for _, l := range f.links {
-		e.removeFromLink(l, f)
+	for _, s := range f.slots {
+		e.removeFromLink(s, f)
 	}
 	// Freed capacity benefits the rest of the component.
-	if len(f.links) > 0 {
-		e.requestRealloc(nil, f.links)
+	if len(f.slots) > 0 {
+		e.requestRealloc(nil, f.slots)
 	}
 	tail := e.p.ReceiverOverhead + sim.Duration(float64(e.p.HopLatency)*float64(len(f.links)))
 	if e.cm != nil {
@@ -653,21 +749,21 @@ func (e *Engine) abort(f *flow, now sim.Time) {
 				moved = f.remaining
 			}
 			f.remaining -= moved
-			for _, l := range f.links {
-				e.linkBytes[l] += moved
+			for i, s := range f.slots {
+				e.linkBytes[s] += moved
 				if e.sink != nil && moved > 0 {
-					e.sink.LinkWindow(l, f.lastUpdate, now, moved)
+					e.sink.LinkWindow(f.links[i], f.lastUpdate, now, moved)
 				}
 			}
 		}
 		if e.sink != nil {
 			e.sink.FlowEnded(now, f.res.Activated, int(f.id), f.spec.Label, f.spec.Bytes, true)
 		}
-		for _, l := range f.links {
-			e.removeFromLink(l, f)
+		for _, s := range f.slots {
+			e.removeFromLink(s, f)
 		}
-		if len(f.links) > 0 {
-			e.requestRealloc(nil, f.links)
+		if len(f.slots) > 0 {
+			e.requestRealloc(nil, f.slots)
 		}
 	}
 	if f.hasEnd {
@@ -694,22 +790,22 @@ func (e *Engine) Outcomes() (done, aborted int) {
 // (BeginInteractive was called).
 func (e *Engine) Interactive() bool { return e.interactive }
 
-func (e *Engine) removeFromLink(l int, f *flow) {
-	s := e.linkFlows[l]
-	for i, g := range s {
+func (e *Engine) removeFromLink(s int32, f *flow) {
+	on := e.linkFlows[s]
+	for i, g := range on {
 		if g == f {
-			s[i] = s[len(s)-1]
-			e.linkFlows[l] = s[:len(s)-1]
+			on[i] = on[len(on)-1]
+			e.linkFlows[s] = on[:len(on)-1]
 			return
 		}
 	}
 }
 
 // requestRealloc queues a reallocation covering the given seed flow and
-// links and schedules a single sweep at the current instant. All requests
-// made at the same virtual time share one sweep, which runs after every
-// other event at this instant (FIFO ordering of same-time events).
-func (e *Engine) requestRealloc(f *flow, links []int) {
+// link slots and schedules a single sweep at the current instant. All
+// requests made at the same virtual time share one sweep, which runs after
+// every other event at this instant (FIFO ordering of same-time events).
+func (e *Engine) requestRealloc(f *flow, links []int32) {
 	if f != nil {
 		e.pendingFlows = append(e.pendingFlows, f)
 	}
@@ -782,19 +878,19 @@ func (e *Engine) ActiveFlowIDs() []FlowID {
 // FlowRateCap reports a flow's endpoint rate cap.
 func (e *Engine) FlowRateCap(id FlowID) float64 { return e.flows[id].cap }
 
-// component gathers, by BFS over shared links, all active flows and links
-// reachable from the seeds. Because rate allocation is per-link, flows in
-// different components cannot affect each other, so reallocation is scoped
-// to one component — this keeps large sparse runs fast. The returned
-// slices are engine-owned scratch, valid until the next sweep.
-func (e *Engine) component(seedFlows []*flow, seedLinks []int) ([]*flow, []int) {
+// component gathers, by BFS over shared links, all active flows and link
+// slots reachable from the seeds. Because rate allocation is per-link,
+// flows in different components cannot affect each other, so reallocation
+// is scoped to one component — this keeps large sparse runs fast. The
+// returned slices are engine-owned scratch, valid until the next sweep.
+func (e *Engine) component(seedFlows []*flow, seedLinks []int32) ([]*flow, []int32) {
 	e.epoch++
 	ep := e.epoch
 	flows := e.compFlows[:0]
 	links := e.compLinks[:0]
 	flowQueue := e.compQueue[:0]
 
-	addLink := func(l int) {
+	addLink := func(l int32) {
 		if e.linkVisit[l] == ep {
 			return
 		}
@@ -821,8 +917,8 @@ func (e *Engine) component(seedFlows []*flow, seedLinks []int) ([]*flow, []int) 
 	for len(flowQueue) > 0 {
 		f := flowQueue[len(flowQueue)-1]
 		flowQueue = flowQueue[:len(flowQueue)-1]
-		for _, l := range f.links {
-			addLink(l)
+		for _, s := range f.slots {
+			addLink(s)
 		}
 	}
 	e.compFlows, e.compLinks, e.compQueue = flows, links, flowQueue
@@ -847,10 +943,10 @@ func (e *Engine) chargeProgress(flows []*flow) {
 				moved = f.remaining
 			}
 			f.remaining -= moved
-			for _, l := range f.links {
-				e.linkBytes[l] += moved
+			for i, s := range f.slots {
+				e.linkBytes[s] += moved
 				if e.sink != nil && moved > 0 {
-					e.sink.LinkWindow(l, f.lastUpdate, now, moved)
+					e.sink.LinkWindow(f.links[i], f.lastUpdate, now, moved)
 				}
 			}
 		}
@@ -858,7 +954,7 @@ func (e *Engine) chargeProgress(flows []*flow) {
 	}
 }
 
-// solveWaterfill assigns max-min fair rates to flows over links by
+// solveWaterfill assigns max-min fair rates to flows over link slots by
 // progressive filling: the common rate level of unfrozen flows rises
 // until a link saturates or a flow hits its rate cap; those flows
 // freeze; repeat. extLoad, when non-nil, is per-link load from flows
@@ -866,7 +962,7 @@ func (e *Engine) chargeProgress(flows []*flow) {
 // incremental sweep uses; nil means the set covers every flow on the
 // links. Results are left in e.wfNewRate (indexed like flows) and the
 // link positions in e.linkIndex; no engine state changes.
-func (e *Engine) solveWaterfill(flows []*flow, links []int, extLoad []float64) {
+func (e *Engine) solveWaterfill(flows []*flow, links []int32, extLoad []float64) {
 	// Local link indices (dense scratch; only the passed links are read
 	// back, so no invalidation between sweeps is needed).
 	idx := e.linkIndex
@@ -880,14 +976,14 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int, extLoad []float64) {
 	unfrozen := growInts(&e.wfUnfrozen, len(links))        // unfrozen flow count per link
 	capLeft := growFloats(&e.wfCapLeft, len(links), false) // capacity per link
 	for i, l := range links {
-		capLeft[i] = e.net.Capacity(l)
+		capLeft[i] = e.slotCap[l]
 		unfrozen[i] = 0
 		if extLoad != nil {
 			load[i] = extLoad[i]
 		}
 	}
 	for _, f := range flows {
-		for _, l := range f.links {
+		for _, l := range f.slots {
 			unfrozen[idx[l]]++
 		}
 	}
@@ -933,7 +1029,7 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int, extLoad []float64) {
 			f := flows[fi]
 			bound := f.cap <= level+eps
 			if !bound {
-				for _, l := range f.links {
+				for _, l := range f.slots {
 					i := idx[l]
 					if unfrozen[i] > 0 && (capLeft[i]-load[i])/float64(unfrozen[i]) <= level+eps {
 						bound = true
@@ -946,7 +1042,7 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int, extLoad []float64) {
 				continue
 			}
 			newRate[fi] = level
-			for _, l := range f.links {
+			for _, l := range f.slots {
 				i := idx[l]
 				load[i] += level
 				unfrozen[i]--
@@ -1061,7 +1157,7 @@ func (e *Engine) incrementalSweep() {
 		}
 		links = links[:0]
 		for _, f := range dirty {
-			for _, l := range f.links {
+			for _, l := range f.slots {
 				if e.linkVisit[l] != ep {
 					e.linkVisit[l] = ep
 					links = append(links, l)
@@ -1090,7 +1186,7 @@ func (e *Engine) incrementalSweep() {
 		copy(nw, out)
 		for fi, f := range dirty {
 			r := e.wfNewRate[fi]
-			for _, l := range f.links {
+			for _, l := range f.slots {
 				nw[e.linkIndex[l]] += r
 			}
 		}
@@ -1100,7 +1196,7 @@ func (e *Engine) incrementalSweep() {
 		solved := len(dirty)
 		grew := false
 		for i, l := range links {
-			capL := e.net.Capacity(l)
+			capL := e.slotCap[l]
 			epsL := capL*relEps + 1e-15
 			satAfter := nw[i] >= capL-epsL
 			satBefore := old[i] >= capL-epsL

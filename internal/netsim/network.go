@@ -28,7 +28,9 @@ import (
 type Network struct {
 	t          *torus.Torus // nil when the fabric is not a torus
 	tp         topo.Topology
-	capacity   []float64
+	numBase    int       // tp.NumLinks(), the base-fabric link count
+	bandwidth  float64   // one rail of a base link, bytes/second
+	extraCap   []float64 // capacity of extra link numBase+i
 	failed     []bool
 	numFailed  int // links marked in failed; HasFailures is O(1)
 	nodeFailed []bool
@@ -44,17 +46,14 @@ type Network struct {
 // NewNetwork builds the link table for torus t with per-direction torus
 // link capacity linkBandwidth (bytes/second).
 func NewNetwork(t *torus.Torus, linkBandwidth float64) *Network {
-	n := &Network{
-		t:        t,
-		tp:       topo.NewTorus(t),
-		capacity: make([]float64, t.NumTorusLinks()),
-		names:    make(map[int]string),
-		routes:   routing.NewCache(t),
+	return &Network{
+		t:         t,
+		tp:        topo.NewTorus(t),
+		numBase:   t.NumTorusLinks(),
+		bandwidth: linkBandwidth,
+		names:     make(map[int]string),
+		routes:    routing.NewCache(t),
 	}
-	for i := range n.capacity {
-		n.capacity[i] = linkBandwidth
-	}
-	return n
 }
 
 // NewNetworkTopo builds the link table for an arbitrary topology. Each
@@ -65,16 +64,13 @@ func NewNetworkTopo(tp topo.Topology, linkBandwidth float64) *Network {
 	if tt, ok := tp.(*topo.TorusTopo); ok {
 		return NewNetwork(tt.Torus(), linkBandwidth)
 	}
-	n := &Network{
+	return &Network{
 		tp:         tp,
-		capacity:   make([]float64, tp.NumLinks()),
+		numBase:    tp.NumLinks(),
+		bandwidth:  linkBandwidth,
 		names:      make(map[int]string),
 		topoRoutes: make(map[int64][]int),
 	}
-	for i := range n.capacity {
-		n.capacity[i] = linkBandwidth * tp.LinkCapacity(i)
-	}
-	return n
 }
 
 // Torus returns the underlying torus, or nil when the network was built
@@ -89,7 +85,7 @@ func (n *Network) Topology() topo.Topology { return n.tp }
 func (n *Network) NumNodes() int { return n.tp.NumNodes() }
 
 // NumLinks returns the total number of links, torus plus extra.
-func (n *Network) NumLinks() int { return len(n.capacity) }
+func (n *Network) NumLinks() int { return n.numBase + len(n.extraCap) }
 
 // NumTorusLinks returns the number of base-fabric links (extra links have
 // IDs at or beyond this value). The name is historical: on a torus these
@@ -102,8 +98,8 @@ func (n *Network) AddLink(name string, capacity float64) int {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("netsim: extra link %q has capacity %g", name, capacity))
 	}
-	id := len(n.capacity)
-	n.capacity = append(n.capacity, capacity)
+	id := n.NumLinks()
+	n.extraCap = append(n.extraCap, capacity)
 	n.names[id] = name
 	return id
 }
@@ -120,8 +116,15 @@ func (n *Network) AddLinkFrom(name string, from torus.NodeID, capacity float64) 
 	return id
 }
 
-// Capacity returns the capacity of link id in bytes/second.
-func (n *Network) Capacity(id int) float64 { return n.capacity[id] }
+// Capacity returns the capacity of link id in bytes/second: the base
+// bandwidth times the topology's rail multiplier for a base link, the
+// registered capacity for an extra link.
+func (n *Network) Capacity(id int) float64 {
+	if id >= n.numBase {
+		return n.extraCap[id-n.numBase]
+	}
+	return n.bandwidth * n.tp.LinkCapacity(id)
+}
 
 // Route returns the default deterministic route between two torus nodes,
 // served from the network's route cache while the network is failure-free.
@@ -156,7 +159,7 @@ func (n *Network) RouteCache() *routing.Cache { return n.routes }
 // repopulate the cache — long campaigns keep the hot path.
 func (n *Network) FailLink(id int) {
 	if n.failed == nil {
-		n.failed = make([]bool, len(n.capacity))
+		n.failed = make([]bool, n.NumLinks())
 	}
 	n.markFailed(id)
 	if n.routes != nil {
@@ -215,7 +218,7 @@ func (n *Network) FailNode(id torus.NodeID) {
 	}
 	n.nodeFailed[id] = true
 	if n.failed == nil {
-		n.failed = make([]bool, len(n.capacity))
+		n.failed = make([]bool, n.NumLinks())
 	}
 	for _, l := range n.NodeLinks(id) {
 		n.markFailed(l)

@@ -18,20 +18,14 @@ func RouteAvoiding(t *torus.Torus, src, dst torus.NodeID, failed func(int) bool)
 	if failed == nil {
 		return DeterministicRoute(t, src, dst), nil
 	}
-	var found Route
-	ok := false
-	base := t.DimsByExtentDesc()
-	forEachPermutationOf(base, func(order []int) bool {
+	var perms Permuter
+	perms.Reset(t.DimsByExtentDesc())
+	for order, more := perms.Next(); more; order, more = perms.Next() {
 		if r, good := routeWithOrderAvoiding(t, src, dst, order, failed); good {
-			found, ok = r, true
-			return false
+			return r, nil
 		}
-		return true
-	})
-	if !ok {
-		return Route{}, fmt.Errorf("routing: no minimal fault-free route from %d to %d", src, dst)
 	}
-	return found, nil
+	return Route{}, fmt.Errorf("routing: no minimal fault-free route from %d to %d", src, dst)
 }
 
 // routeWithOrderAvoiding walks one dimension order, preferring the
@@ -84,33 +78,4 @@ func walkRing(t *torus.Torus, cur torus.Coord, dim int, dir torus.Direction, hop
 		c[dim] = t.Wrap(dim, c[dim]+int(dir))
 	}
 	return links, true
-}
-
-// forEachPermutationOf is Heap's algorithm over a copy of base, identity
-// first, stopping when fn returns false.
-func forEachPermutationOf(base []int, fn func([]int) bool) {
-	perm := append([]int(nil), base...)
-	n := len(perm)
-	if !fn(perm) {
-		return
-	}
-	c := make([]int, n)
-	i := 0
-	for i < n {
-		if c[i] < i {
-			if i%2 == 0 {
-				perm[0], perm[i] = perm[i], perm[0]
-			} else {
-				perm[c[i]], perm[i] = perm[i], perm[c[i]]
-			}
-			if !fn(perm) {
-				return
-			}
-			c[i]++
-			i = 0
-		} else {
-			c[i] = 0
-			i++
-		}
-	}
 }

@@ -112,24 +112,74 @@ func SharesLink(a, b Route) bool {
 // the minimal way around the ring (ties broken toward the positive
 // direction, matching torus.Displacement).
 func RouteWithOrder(t *torus.Torus, src, dst torus.NodeID, dimOrder []int) Route {
+	return Route{Src: src, Dst: dst, Links: AppendRouteLinks(nil, t, src, dst, dimOrder)}
+}
+
+// AppendRouteLinks appends the links of RouteWithOrder(t, src, dst,
+// dimOrder) to links and returns the extended slice. It allocates only to
+// grow links, so searches that try many orders can reuse one buffer.
+func AppendRouteLinks(links []int, t *torus.Torus, src, dst torus.NodeID, dimOrder []int) []int {
 	if len(dimOrder) != t.Dims() {
-		panic(fmt.Sprintf("routing: dim order %v does not cover %d dimensions", dimOrder, t.Dims()))
+		panic(fmt.Sprintf("routing: dim order of %d dimensions on a %d-D torus", len(dimOrder), t.Dims()))
 	}
-	cur := t.Coord(src)
-	target := t.Coord(dst)
-	var links []int
+	var cb, tb [torus.MaxDims]int
+	cur, target := torus.Coord(cb[:t.Dims()]), torus.Coord(tb[:t.Dims()])
+	t.CoordInto(src, cur)
+	t.CoordInto(dst, target)
 	for _, dim := range dimOrder {
 		hops, dir := t.Displacement(dim, cur[dim], target[dim])
 		for h := 0; h < hops; h++ {
-			from := t.ID(cur)
-			links = append(links, t.LinkID(from, dim, dir))
+			links = append(links, t.LinkID(t.ID(cur), dim, dir))
 			cur[dim] = t.Wrap(dim, cur[dim]+int(dir))
 		}
 	}
 	if !cur.Equal(target) {
 		panic(fmt.Sprintf("routing: route from %d did not reach %d", src, dst))
 	}
-	return Route{Src: src, Dst: dst, Links: links}
+	return links
+}
+
+// Permuter enumerates the permutations of a dimension order with Heap's
+// algorithm, the order itself first, without allocating. Reset starts an
+// enumeration; Next returns each permutation in turn.
+type Permuter struct {
+	perm, c [torus.MaxDims]int
+	n, i    int
+	started bool
+}
+
+// Reset starts enumerating the permutations of base (at most
+// torus.MaxDims entries; base is copied, not retained).
+func (p *Permuter) Reset(base []int) {
+	p.n = copy(p.perm[:], base)
+	p.c = [torus.MaxDims]int{}
+	p.i = 0
+	p.started = false
+}
+
+// Next returns the next permutation, or false after the last of the n!.
+// The slice is the permuter's own buffer, valid until the next call.
+func (p *Permuter) Next() ([]int, bool) {
+	if !p.started {
+		p.started = true
+		return p.perm[:p.n], true
+	}
+	for p.i < p.n {
+		i := p.i
+		if p.c[i] < i {
+			if i%2 == 0 {
+				p.perm[0], p.perm[i] = p.perm[i], p.perm[0]
+			} else {
+				p.perm[p.c[i]], p.perm[i] = p.perm[i], p.perm[p.c[i]]
+			}
+			p.c[i]++
+			p.i = 0
+			return p.perm[:p.n], true
+		}
+		p.c[i] = 0
+		p.i++
+	}
+	return nil, false
 }
 
 // DeterministicRoute computes the BG/Q default deterministic route:

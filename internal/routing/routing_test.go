@@ -2,6 +2,7 @@ package routing
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -277,5 +278,73 @@ func BenchmarkDeterministicRoute(b *testing.B) {
 		src := torus.NodeID(i % tor.Size())
 		dst := torus.NodeID((i * 7) % tor.Size())
 		_ = DeterministicRoute(tor, src, dst)
+	}
+}
+
+func TestForEachPermutationCountsAndStops(t *testing.T) {
+	var p Permuter
+	p.Reset([]int{0, 1, 2, 3})
+	seen := make(map[[4]int]bool)
+	for perm, ok := p.Next(); ok; perm, ok = p.Next() {
+		seen[[4]int(perm)] = true
+	}
+	if len(seen) != 24 {
+		t.Fatalf("visited %d distinct permutations of 4, want 24", len(seen))
+	}
+	if _, ok := p.Next(); ok {
+		t.Fatal("Next after the last permutation must report false")
+	}
+	// Heap's order, which fixes the order the leg searches try routes in.
+	p.Reset([]int{0, 1, 2})
+	want := [][3]int{{0, 1, 2}, {1, 0, 2}, {2, 0, 1}, {0, 2, 1}, {1, 2, 0}, {2, 1, 0}}
+	for k, w := range want {
+		perm, ok := p.Next()
+		if !ok || [3]int(perm) != w {
+			t.Fatalf("permutation %d = %v, want %v", k, perm, w)
+		}
+	}
+	// First permutation is the base order, and Reset restarts.
+	p.Reset([]int{7, 8, 9})
+	first, _ := p.Next()
+	if first[0] != 7 || first[1] != 8 || first[2] != 9 {
+		t.Fatalf("first permutation %v is not the base order", first)
+	}
+	n := 1
+	for _, ok := p.Next(); ok; _, ok = p.Next() {
+		n++
+	}
+	if n != 6 {
+		t.Fatalf("visited %d permutations of 3 after Reset, want 6", n)
+	}
+	base := []int{4, 0, 3, 1, 2}
+	if a := testing.AllocsPerRun(10, func() {
+		p.Reset(base)
+		for _, ok := p.Next(); ok; _, ok = p.Next() {
+		}
+	}); a != 0 {
+		t.Fatalf("enumerating permutations allocates %.0f objects", a)
+	}
+}
+
+// TestAppendRouteLinksReusesBuffer checks the allocation-free route
+// builder: appending into a reused buffer gives RouteWithOrder's links
+// for every order, and allocates nothing once the buffer is large enough.
+func TestAppendRouteLinksReusesBuffer(t *testing.T) {
+	tor := torus.MustNew(torus.Shape{4, 4, 4, 16, 2})
+	src, dst := torus.NodeID(5), torus.NodeID(tor.Size()-3)
+	buf := make([]int, 0, 64)
+	var p Permuter
+	p.Reset(tor.DimsByExtentDesc())
+	for order, ok := p.Next(); ok; order, ok = p.Next() {
+		buf = AppendRouteLinks(buf[:0], tor, src, dst, order)
+		if want := RouteWithOrder(tor, src, dst, order).Links; !slices.Equal(buf, want) {
+			t.Fatalf("order %v: links %v, want %v", order, buf, want)
+		}
+	}
+	order := tor.DimsByExtentDesc()
+	if a := testing.AllocsPerRun(10, func() {
+		buf = AppendRouteLinks(buf[:0], tor, src, dst, order)
+	}); a != 0 {
+		t.Fatalf("AppendRouteLinks into a large enough buffer allocates %.0f objects", a)
 	}
 }

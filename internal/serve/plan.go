@@ -51,6 +51,38 @@ type PairRequest struct {
 	Proxies int `json:"proxies"`
 }
 
+// maxFabricLinks bounds the fabric a request may name: every plan
+// builds per-link state over it. Sequoia, the largest BG/Q, has 983,040
+// torus links.
+const maxFabricLinks = 1 << 21
+
+// checkFabric rejects a fabric of the given kind and extents with more
+// than maxFabricLinks directed links, before anything is built over it.
+func checkFabric(kind string, dims []int) error {
+	if topo.LinkCount(kind, dims, maxFabricLinks) > maxFabricLinks {
+		return fmt.Errorf("serve: %s fabric %v has more than %d links", kind, dims, maxFabricLinks)
+	}
+	return nil
+}
+
+// checkTopology bounds the fabric of a topo.Parse spec.
+func checkTopology(spec string) error {
+	kind, dims, err := topo.ParseSpec(spec)
+	if err != nil {
+		return err
+	}
+	return checkFabric(kind, dims)
+}
+
+// parseShape parses a torus shape and bounds its fabric.
+func parseShape(s string) (torus.Shape, error) {
+	shape, err := torus.ParseShape(s)
+	if err != nil {
+		return nil, err
+	}
+	return shape, checkFabric("torus", shape)
+}
+
 // Validate rejects malformed requests before they reach a worker.
 func (r PairRequest) Validate() error {
 	var size int
@@ -59,16 +91,16 @@ func (r PairRequest) Validate() error {
 		if err != nil {
 			return err
 		}
+		if err := checkTopology(r.Topology); err != nil {
+			return err
+		}
 		size = tp.NumNodes()
 	} else {
-		shape, err := torus.ParseShape(r.Shape)
+		shape, err := parseShape(r.Shape)
 		if err != nil {
 			return err
 		}
-		size = 1
-		for _, ext := range shape {
-			size *= ext
-		}
+		size = shape.Size()
 	}
 	if r.Src < 0 || r.Src >= size || r.Dst < 0 || r.Dst >= size {
 		return fmt.Errorf("serve: pair endpoints (%d,%d) outside fabric of %d nodes", r.Src, r.Dst, size)
@@ -98,7 +130,7 @@ type GroupRequest struct {
 // Validate rejects malformed requests; box validity against the torus is
 // checked at compute time (torus.NewBox).
 func (r GroupRequest) Validate() error {
-	if _, err := torus.ParseShape(r.Shape); err != nil {
+	if _, err := parseShape(r.Shape); err != nil {
 		return err
 	}
 	if r.Bytes < 1 {
@@ -129,7 +161,7 @@ type AggRequest struct {
 // Validate rejects malformed requests and fills defaults (the request is
 // canonicalized so equal requests hash equal).
 func (r *AggRequest) Validate() error {
-	if _, err := torus.ParseShape(r.Shape); err != nil {
+	if _, err := parseShape(r.Shape); err != nil {
 		return err
 	}
 	switch r.Workload {
@@ -567,6 +599,19 @@ func AggWireFromPlan(e *netsim.Engine, ios *ionet.System, plan core.AggPlan, agg
 		out.Aggregators = append(out.Aggregators, AggWire{Node: int(ag.Node), Pset: ag.Pset, Bridge: ag.Bridge})
 	}
 	return out
+}
+
+// validateSim validates a scenario (filling its defaults) and bounds its
+// fabric.
+func validateSim(cfg *scenario.Config) error {
+	if err := cfg.Validate(); err != nil {
+		return err
+	}
+	if cfg.Topology != "" {
+		return checkTopology(cfg.Topology)
+	}
+	_, err := parseShape(cfg.Shape)
+	return err
 }
 
 // ComputeSim runs a full declarative scenario (the bgqsim schema). The

@@ -483,7 +483,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, s.reg, &cfg) {
 		return
 	}
-	if err := cfg.Validate(); err != nil {
+	if err := validateSim(&cfg); err != nil {
 		s.reg.Counter("serve/errors").Inc()
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return

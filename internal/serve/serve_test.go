@@ -378,6 +378,49 @@ func TestE2EBadRequests(t *testing.T) {
 	}
 }
 
+// TestE2EHugeFabricRejected pins the fabric bound: a request naming a
+// machine with more links than any plan may cover is a 400 on every
+// endpoint, decided before per-link state is allocated. Unbounded, such a
+// request panicked a dispatcher worker and killed the daemon.
+func TestE2EHugeFabricRejected(t *testing.T) {
+	srv := serve.New(serve.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	const huge = "1048576x1048576x1048576"
+	cases := []struct{ name, path, body string }{
+		{"pair shape", "/v1/plan/pair", `{"shape":"` + huge + `","src":0,"dst":1,"bytes":1024}`},
+		{"pair overflowing shape", "/v1/plan/pair", `{"shape":"` + huge + `x` + huge + `","src":0,"dst":1,"bytes":1024}`},
+		{"pair torus topology", "/v1/plan/pair", `{"topology":"torus:` + huge + `","src":0,"dst":1,"bytes":1024}`},
+		{"pair fattree topology", "/v1/plan/pair", `{"topology":"fattree:1048576x1048576","src":0,"dst":1,"bytes":1024}`},
+		{"pair dragonfly topology", "/v1/plan/pair", `{"topology":"dragonfly:4294967296x4294967296","src":0,"dst":1,"bytes":1024}`},
+		{"group", "/v1/plan/group", `{"shape":"` + huge + `","srcOrigin":[0,0,0],"srcExtent":[1,1,1],"dstOrigin":[0,0,1],"dstExtent":[1,1,1],"bytes":1024}`},
+		{"agg", "/v1/plan/agg", `{"shape":"` + huge + `","workload":"pattern1"}`},
+		{"transfer", "/v1/transfer", `{"id":"huge","shape":"` + huge + `","src":0,"dst":1,"bytes":1024}`},
+		{"simulate", "/v1/simulate", `{"shape":"` + huge + `","transfer":{"kind":"pair","src":0,"dst":1,"bytes":1024}}`},
+		{"simulate topology", "/v1/simulate", `{"topology":"fattree:1048576x1048576","transfer":{"kind":"pair","src":0,"dst":1,"bytes":1024}}`},
+	}
+	for _, c := range cases {
+		resp, err := http.Post(hs.URL+c.path, "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s: status %d, want 400", c.name, resp.StatusCode)
+		}
+	}
+	// Sequoia's 96-rack torus (983,040 links) stays inside the bound.
+	resp, err := http.Post(hs.URL+"/v1/plan/pair", "application/json",
+		strings.NewReader(`{"shape":"16x16x16x12x2","src":0,"dst":1,"bytes":1024,"proxies":-1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("Sequoia-sized pair plan: status %d, want 200", resp.StatusCode)
+	}
+}
+
 func TestE2EMetricsAndHealth(t *testing.T) {
 	_, client := newTestDaemon(t, serve.Config{})
 	ctx := context.Background()

@@ -75,7 +75,7 @@ func (r TransferRequest) Validate() error {
 	if len(r.ID) > 128 {
 		return fmt.Errorf("serve: session id longer than 128 bytes")
 	}
-	shape, err := torus.ParseShape(r.Shape)
+	shape, err := parseShape(r.Shape)
 	if err != nil {
 		return err
 	}

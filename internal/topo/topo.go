@@ -58,13 +58,9 @@ type Topology interface {
 //	fattree:LxS         — L leaves fully connected to S spines
 //	fattree:LxSxR       — as above with R rails per leaf-spine cable
 func Parse(spec string) (Topology, error) {
-	kind, rest, ok := strings.Cut(spec, ":")
-	if !ok {
-		return nil, fmt.Errorf("topo: spec %q: want kind:dims, e.g. torus:2x2x4", spec)
-	}
-	dims, err := parseDims(rest)
+	kind, dims, err := ParseSpec(spec)
 	if err != nil {
-		return nil, fmt.Errorf("topo: spec %q: %v", spec, err)
+		return nil, err
 	}
 	switch kind {
 	case "torus":
@@ -98,6 +94,48 @@ func Parse(spec string) (Topology, error) {
 	default:
 		return nil, fmt.Errorf("topo: unknown topology kind %q (want torus, dragonfly, or fattree)", kind)
 	}
+}
+
+// ParseSpec splits a Parse spec into its kind and extents without
+// building the fabric.
+func ParseSpec(spec string) (kind string, dims []int, err error) {
+	kind, rest, ok := strings.Cut(spec, ":")
+	if !ok {
+		return "", nil, fmt.Errorf("topo: spec %q: want kind:dims, e.g. torus:2x2x4", spec)
+	}
+	if dims, err = parseDims(rest); err != nil {
+		return "", nil, fmt.Errorf("topo: spec %q: %v", spec, err)
+	}
+	return kind, dims, nil
+}
+
+// LinkCount returns the number of directed base links of the fabric of
+// the given kind and extents — the NumLinks of the topology Parse builds
+// — without building it. The arithmetic saturates: a count above limit
+// (at most 1<<31) is reported as limit+1, so no extents can overflow it.
+// Callers use it to bound a fabric named by an untrusted request before
+// allocating per-link state over it. An unknown kind counts 0.
+func LinkCount(kind string, dims []int, limit int) int {
+	mul := func(a, b int) int {
+		if a > limit || b > limit || a*b > limit {
+			return limit + 1
+		}
+		return a * b
+	}
+	switch {
+	case kind == "torus":
+		n := 2 * len(dims)
+		for _, d := range dims {
+			n = mul(n, d)
+		}
+		return n
+	case kind == "dragonfly" && len(dims) >= 2:
+		g, a := dims[0], dims[1]
+		return min(mul(mul(g, a), a-1)+mul(g, g-1), limit+1)
+	case kind == "fattree" && len(dims) >= 2:
+		return mul(2, mul(dims[0], dims[1]))
+	}
+	return 0
 }
 
 // parseDims parses "2x2x4" into [2 2 4].

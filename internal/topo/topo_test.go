@@ -58,6 +58,39 @@ func TestParseRejectsBadSpecs(t *testing.T) {
 	}
 }
 
+// LinkCount must agree with NumLinks on every family without building
+// the fabric, and saturate on any extents.
+func TestLinkCount(t *testing.T) {
+	const limit = 1 << 21
+	count := func(spec string) int {
+		t.Helper()
+		kind, dims, err := ParseSpec(spec)
+		if err != nil {
+			t.Fatalf("ParseSpec(%q): %v", spec, err)
+		}
+		return LinkCount(kind, dims, limit)
+	}
+	for _, tp := range testTopologies(t) {
+		if n := count(tp.Spec()); n != tp.NumLinks() {
+			t.Fatalf("LinkCount(%q) = %d; NumLinks %d", tp.Spec(), n, tp.NumLinks())
+		}
+	}
+	for _, spec := range []string{
+		"torus:1048576x1048576x1048576",
+		"torus:4611686018427387904x4611686018427387904",
+		"dragonfly:4294967296x4294967296",
+		"dragonfly:2x3037000500",
+		"fattree:1048576x1048576x1",
+	} {
+		if n := count(spec); n != limit+1 {
+			t.Errorf("LinkCount(%q) = %d; want saturated %d", spec, n, limit+1)
+		}
+	}
+	if n := count("torus:16x16x16x12x2"); n != 983040 {
+		t.Errorf("Sequoia torus: %d links, want 983040", n)
+	}
+}
+
 // Every topology's links must be densely numbered, positively
 // capacitated, and printable.
 func TestLinkSpaceDense(t *testing.T) {

@@ -170,7 +170,7 @@ func (t *Torus) Size() int { return t.size }
 // into range, so ID is total on all integer coordinates.
 func (t *Torus) ID(c Coord) NodeID {
 	if len(c) != len(t.shape) {
-		panic(fmt.Sprintf("torus: coordinate %v has %d dims, torus has %d", c, len(c), len(t.shape)))
+		panic(fmt.Sprintf("torus: coordinate has %d dims, torus has %d", len(c), len(t.shape)))
 	}
 	id := 0
 	for i, v := range c {

@@ -66,7 +66,7 @@ func LinkUtilization(e *netsim.Engine, makespan sim.Duration, link int) float64 
 	if makespan <= 0 {
 		return 0
 	}
-	return e.LinkBytes()[link] / (e.Network().Capacity(link) * float64(makespan))
+	return e.LinkBytesOf(link) / (e.Network().Capacity(link) * float64(makespan))
 }
 
 // UplinkLoads returns the bytes carried by every ION uplink, in pset then
