@@ -45,8 +45,9 @@ verify: build lint check check-topo
 # divergence corpus, and the mutation tests that prove each invariant
 # still fires), invariant auditors over every experiment runner, a
 # short randomized-fuzz smoke over the differential oracle, and 10-second
-# fuzz smokes over the fault wire: the X-Bgq-Min-Vector decoder, and
-# POST /v1/fault and POST /v1/gossip bodies against an in-process daemon.
+# fuzz smokes over the wire decoders: the X-Bgq-Min-Vector header, and
+# POST /v1/fault, POST /v1/gossip and the plan request bodies (pair,
+# group, agg, simulate) against an in-process daemon.
 check:
 	$(GO) test ./internal/check
 	$(GO) run ./cmd/bgqbench -check -quick -run all
@@ -54,13 +55,14 @@ check:
 	$(GO) test -fuzz='FuzzParseVector$$' -fuzztime=10s -run '^$$' ./internal/cluster
 	$(GO) test -fuzz='FuzzFaultEvent$$' -fuzztime=10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz='FuzzGossipMessage$$' -fuzztime=10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz='FuzzPlanRequest$$' -fuzztime=10s -run '^$$' ./internal/serve
 
 # Topology-plane oracle: the 200-seed dragonfly/fat-tree differential
 # suite plus invariant audits and the topology round-trip/identity
 # pins, an audited bgqbench cross-topology run, and a short fuzz smoke
 # over the topology differential.
 check-topo:
-	$(GO) test -run 'Topo' -count=1 ./internal/check ./internal/netsim ./internal/packetsim ./internal/scenario ./internal/serve
+	$(GO) test -run 'Topo' -count=1 ./internal/check ./internal/netsim ./internal/scenario ./internal/serve
 	$(GO) run ./cmd/bgqbench -check -quick -run topo
 	$(GO) test -fuzz=FuzzDifferentialTopo -fuzztime=15s -run '^$$' ./internal/check
 

@@ -100,12 +100,11 @@ func main() {
 		log.Fatal(err)
 	}
 	// Record everything: the engine sink produces per-leg flow spans,
-	// failure instants, and the link utilization timeline; the transport
+	// failure instants, and the link utilization timeline; the transfer's
 	// recorder adds the wave / replan / degrade structure on top.
 	rec := obs.NewRecorder()
 	timeline := obs.NewLinkTimeline(1e-3)
 	e.SetSink(rec.EngineSink("net", timeline))
-	tr.SetRecorder(rec, "transfer")
 	e.BeginInteractive()
 	// Target the campaign at links the transfer actually uses — the
 	// direct route plus the first hop of every proxy leg — so failures
@@ -125,7 +124,9 @@ func main() {
 	fmt.Printf("campaign %q: %d in-use links fail within the first 10 ms\n",
 		camp.Name, len(camp.Events))
 
-	rep, err := tr.MoveResilient(e, src, dst, bytes, core.DefaultRecoveryConfig())
+	rc := core.DefaultRecoveryConfig()
+	rc.Recorder, rc.Track = rec, "transfer"
+	rep, err := tr.MoveResilient(e, src, dst, bytes, rc)
 	if err != nil {
 		log.Fatalf("recovery failed: %v", err)
 	}

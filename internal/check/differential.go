@@ -55,20 +55,11 @@ func RunNetsim(sc Scenario, hook func(*netsim.Engine)) (RunOutput, error) {
 // explicit sweep mode — the handle the differential suite uses to pin
 // the incremental engine against the global one.
 func RunNetsimMode(sc Scenario, mode netsim.SweepMode, hook func(*netsim.Engine)) (RunOutput, error) {
-	var net *netsim.Network
-	if sc.Topology != "" {
-		tp, err := topo.Parse(sc.Topology)
-		if err != nil {
-			return RunOutput{}, fmt.Errorf("check: scenario topology: %w", err)
-		}
-		net = netsim.NewNetworkTopo(tp, sc.Params.LinkBandwidth)
-	} else {
-		tor, err := torus.New(torus.Shape(sc.Shape))
-		if err != nil {
-			return RunOutput{}, fmt.Errorf("check: scenario shape %v: %w", sc.Shape, err)
-		}
-		net = netsim.NewNetwork(tor, sc.Params.LinkBandwidth)
+	tp, err := sc.fabric()
+	if err != nil {
+		return RunOutput{}, err
 	}
+	net := netsim.NewNetworkTopo(tp, sc.Params.LinkBandwidth)
 	for i, ex := range sc.Extra {
 		net.AddLinkFrom(fmt.Sprintf("extra%d", i), torus.NodeID(ex.From), ex.Capacity)
 	}
@@ -138,20 +129,11 @@ func RunNetsimMode(sc Scenario, mode netsim.SweepMode, hook func(*netsim.Engine)
 
 // RunRef executes a scenario on the reference engine.
 func RunRef(sc Scenario) (RunOutput, error) {
-	var r *RefEngine
-	if sc.Topology != "" {
-		tp, err := topo.Parse(sc.Topology)
-		if err != nil {
-			return RunOutput{}, fmt.Errorf("check: scenario topology: %w", err)
-		}
-		r = NewRefEngineOn(tp, sc.Params)
-	} else {
-		tor, err := torus.New(torus.Shape(sc.Shape))
-		if err != nil {
-			return RunOutput{}, fmt.Errorf("check: scenario shape %v: %w", sc.Shape, err)
-		}
-		r = NewRefEngine(tor, sc.Params)
+	tp, err := sc.fabric()
+	if err != nil {
+		return RunOutput{}, err
 	}
+	r := NewRefEngine(tp, sc.Params)
 	if sc.CostModel != "" {
 		cm, err := topo.ParseCostModel(sc.CostModel, topo.Uniform{
 			PerFlow:   sc.Params.PerFlowBandwidth,

@@ -9,6 +9,7 @@ import (
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/obs"
 	"bgqflow/internal/routing"
+	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
@@ -150,7 +151,8 @@ func TestCheckAggInvariantsOnRealPlan(t *testing.T) {
 // real cache, with exact hit/miss accounting.
 func TestCheckRouteCacheClean(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := routing.NewCache(tor)
+	tp := topo.NewTorus(tor)
+	c := routing.NewCache(tp.Route)
 	var pairs [][2]torus.NodeID
 	for i := 0; i < 12; i++ {
 		pairs = append(pairs, [2]torus.NodeID{
@@ -158,7 +160,7 @@ func TestCheckRouteCacheClean(t *testing.T) {
 			torus.NodeID((i*13 + 5) % tor.Size()),
 		})
 	}
-	for _, v := range CheckRouteCache(c, pairs, 4, nil) {
+	for _, v := range CheckRouteCache(c, pairs, 4, tp.Route) {
 		t.Error(v)
 	}
 }

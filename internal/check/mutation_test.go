@@ -14,6 +14,7 @@ import (
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/obs"
 	"bgqflow/internal/routing"
+	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
@@ -172,11 +173,10 @@ func TestMutationAggChecksFire(t *testing.T) {
 // router (reversed endpoints) — equality must fail.
 func TestMutationRouteCacheFires(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := routing.NewCache(tor)
+	tp := topo.NewTorus(tor)
+	c := routing.NewCache(tp.Route)
 	pairs := [][2]torus.NodeID{{0, 37}, {5, 100}}
-	wrongRef := func(src, dst torus.NodeID) routing.Route {
-		return routing.DeterministicRoute(tor, dst, src)
-	}
+	wrongRef := func(src, dst torus.NodeID) []int { return tp.Route(dst, src) }
 	wantViolation(t, CheckRouteCache(c, pairs, 2, wrongRef), "route-cache")
 }
 

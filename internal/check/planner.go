@@ -121,16 +121,11 @@ func CheckAggInterleave(aggs []core.Aggregator, numPsets, bridges int) []Violati
 // CheckRouteCache verifies that cached routes equal freshly computed
 // ones for every given pair, across epochs splits with an Invalidate
 // between each, and that the hit/miss counters account for every lookup
-// (ISSUE: "cache-on vs cache-off route equality across Invalidate
-// epochs"). ref computes the uncached route; nil means
-// routing.DeterministicRoute, which is what the cache memoizes —
-// mutation tests pass a different router to prove the check bites.
-func CheckRouteCache(c *routing.Cache, pairs [][2]torus.NodeID, epochs int, ref func(src, dst torus.NodeID) routing.Route) []Violation {
-	if ref == nil {
-		ref = func(src, dst torus.NodeID) routing.Route {
-			return routing.DeterministicRoute(c.Torus(), src, dst)
-		}
-	}
+// (cache-on vs cache-off route equality across Invalidate epochs). ref
+// computes the uncached route: the oracle the cache memoizes, such as a
+// topology's Route — mutation tests pass a different router to prove
+// the check bites.
+func CheckRouteCache(c *routing.Cache, pairs [][2]torus.NodeID, epochs int, ref func(src, dst torus.NodeID) []int) []Violation {
 	var viols []Violation
 	for ep := 0; ep < epochs; ep++ {
 		// Counter accounting is per epoch: Invalidate cold-starts the
@@ -141,18 +136,18 @@ func CheckRouteCache(c *routing.Cache, pairs [][2]torus.NodeID, epochs int, ref 
 			got := c.Route(pr[0], pr[1])
 			lookups++
 			want := ref(pr[0], pr[1])
-			if len(got.Links) != len(want.Links) {
+			if len(got.Links) != len(want) {
 				viols = append(viols, Violation{
 					Invariant: "route-cache",
-					Detail:    fmt.Sprintf("epoch %d pair %d->%d: cached %d hops, fresh %d", ep, pr[0], pr[1], len(got.Links), len(want.Links)),
+					Detail:    fmt.Sprintf("epoch %d pair %d->%d: cached %d hops, fresh %d", ep, pr[0], pr[1], len(got.Links), len(want)),
 				})
 				continue
 			}
 			for i := range got.Links {
-				if got.Links[i] != want.Links[i] {
+				if got.Links[i] != want[i] {
 					viols = append(viols, Violation{
 						Invariant: "route-cache",
-						Detail:    fmt.Sprintf("epoch %d pair %d->%d: link %d is %d, fresh route says %d", ep, pr[0], pr[1], i, got.Links[i], want.Links[i]),
+						Detail:    fmt.Sprintf("epoch %d pair %d->%d: link %d is %d, fresh route says %d", ep, pr[0], pr[1], i, got.Links[i], want[i]),
 					})
 					break
 				}

@@ -106,16 +106,10 @@ type RefEngine struct {
 	resolved  int
 }
 
-// NewRefEngine builds a reference engine over the torus links of tor.
-func NewRefEngine(tor *torus.Torus, p RefParams) *RefEngine {
-	return NewRefEngineOn(topo.NewTorus(tor), p)
-}
-
-// NewRefEngineOn builds a reference engine over an arbitrary topology's
-// base links: each link's capacity is LinkBandwidth times the topology's
-// rail multiplier (exactly 1.0 on a torus, so NewRefEngine is the same
-// engine it always was).
-func NewRefEngineOn(tp topo.Topology, p RefParams) *RefEngine {
+// NewRefEngine builds a reference engine over a topology's base links:
+// each link's capacity is LinkBandwidth times the topology's rail
+// multiplier (exactly 1.0 on a torus).
+func NewRefEngine(tp topo.Topology, p RefParams) *RefEngine {
 	caps := make([]float64, tp.NumLinks())
 	for i := range caps {
 		caps[i] = p.LinkBandwidth * tp.LinkCapacity(i)

@@ -67,6 +67,23 @@ type Scenario struct {
 	NodeFailures []NodeFailure  `json:"node_failures,omitempty"`
 }
 
+// fabric builds the scenario's topology: the Topology spec when set,
+// else the torus described by Shape.
+func (sc Scenario) fabric() (topo.Topology, error) {
+	if sc.Topology != "" {
+		tp, err := topo.Parse(sc.Topology)
+		if err != nil {
+			return nil, fmt.Errorf("check: scenario topology: %w", err)
+		}
+		return tp, nil
+	}
+	tor, err := torus.New(torus.Shape(sc.Shape))
+	if err != nil {
+		return nil, fmt.Errorf("check: scenario shape %v: %w", sc.Shape, err)
+	}
+	return topo.NewTorus(tor), nil
+}
+
 // genShapes are the generator's torus geometries: every dimension count
 // the routing layer distinguishes (2–5 dims), odd and even extents, all
 // small enough that the O(flows²·links) reference engine stays fast.

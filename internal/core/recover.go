@@ -44,12 +44,15 @@ type RecoveryConfig struct {
 	// error aborts the transfer with the bytes delivered so far.
 	Interject func(e *netsim.Engine) error
 
-	// Recorder, when set, receives THIS transfer's sim-clock spans and
-	// instants instead of the transport-attached recorder — a per-call
-	// override so a daemon running many concurrent sessions on one
-	// shared Transport configuration can give each session a private
-	// engine timeline (merged into the service trace when the session
-	// finishes). Track names the span track; empty means "transport".
+	// Recorder, when set, receives the transfer's sim-clock timeline:
+	// one span for the whole transfer on Track, and on Track+"/waves"
+	// one span per recovery wave and per detect-and-backoff window plus
+	// degrade instants; registry counters (transport/...) ride along.
+	// Each call takes its own recorder, so a daemon running many
+	// concurrent sessions can give each a private engine timeline
+	// (merged into the service trace when the session finishes). Attach
+	// an obs.EngineSink to the engine as well to get the per-leg flow
+	// spans under the same recorder. Track empty means "transport".
 	Recorder *obs.Recorder
 	Track    string
 }
@@ -177,13 +180,9 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 	backoff := rc.Backoff
 	remaining := bytes
 	firstWaveProxies := -1
-	rec, track := t.recorder()
-	if rc.Recorder != nil {
-		rec = rc.Recorder
-		track = rc.Track
-		if track == "" {
-			track = "transport"
-		}
+	rec, track := rc.Recorder, rc.Track
+	if track == "" {
+		track = "transport"
 	}
 	if rec != nil {
 		defer func(begin sim.Time) {

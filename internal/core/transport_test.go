@@ -9,72 +9,63 @@ import (
 	"bgqflow/internal/torus"
 )
 
-func newTransport(t *testing.T, tor *torus.Torus) (*Transport, netsim.Params) {
+func newTransport(t *testing.T, tor *torus.Torus) *Transport {
 	t.Helper()
-	p := netsim.DefaultParams()
 	cfg := DefaultProxyConfig()
 	cfg.MaxProxies = 4
-	tr, err := NewTransport(tor, p, cfg)
+	tr, err := NewTransport(tor, netsim.DefaultParams(), cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return tr, p
+	return tr
+}
+
+// interactiveEngine returns a fresh interactive engine over net.
+func interactiveEngine(t *testing.T, net *netsim.Network) *netsim.Engine {
+	t.Helper()
+	e, err := netsim.NewEngine(net, netsim.DefaultParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.BeginInteractive()
+	return e
+}
+
+// move runs one fault-free resilient transfer on a fresh engine over net.
+func move(t *testing.T, tr *Transport, net *netsim.Network, src, dst torus.NodeID, bytes int64) (TransferReport, *netsim.Engine) {
+	t.Helper()
+	e := interactiveEngine(t, net)
+	rep, err := tr.MoveResilient(e, src, dst, bytes, DefaultRecoveryConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !rep.Complete || rep.Attempts != 1 {
+		t.Fatalf("%d->%d (%dB): %+v, want one complete wave", src, dst, bytes, rep)
+	}
+	return rep, e
 }
 
 func TestTransportModeSelection(t *testing.T) {
 	tor := mira128()
-	tr, _ := newTransport(t, tor)
-	e := newEngine(t, tor)
+	tr := newTransport(t, tor)
+	net := netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
-	small, err := tr.Move(e, src, dst, 16<<10)
-	if err != nil {
-		t.Fatal(err)
+	if small, _ := move(t, tr, net, src, dst, 16<<10); small.FinalMode != Direct {
+		t.Fatalf("16KB moved %v", small.FinalMode)
 	}
-	if small.Mode != Direct {
-		t.Fatalf("16KB moved %v", small.Mode)
-	}
-	big, err := tr.Move(e, src, dst, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if big.Mode != Proxied {
-		t.Fatalf("16MB moved %v", big.Mode)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTransportCachesSelections(t *testing.T) {
-	tor := mira128()
-	tr, _ := newTransport(t, tor)
-	e := newEngine(t, tor)
-	for i := 0; i < 10; i++ {
-		if _, err := tr.Move(e, 0, 100, 8<<20); err != nil {
-			t.Fatal(err)
-		}
-	}
-	hits, misses := tr.Stats()
-	if misses != 1 || hits != 9 {
-		t.Fatalf("hits=%d misses=%d, want 9/1", hits, misses)
+	if big, _ := move(t, tr, net, src, dst, 16<<20); big.FinalMode != Proxied {
+		t.Fatalf("16MB moved %v", big.FinalMode)
 	}
 }
 
 func TestTransportMatchesPlanner(t *testing.T) {
 	tor := mira128()
-	tr, p := newTransport(t, tor)
+	tr := newTransport(t, tor)
 	const bytes = 64 << 20
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
-	eT := newEngine(t, tor)
-	if _, err := tr.Move(eT, src, dst, bytes); err != nil {
-		t.Fatal(err)
-	}
-	mkT, err := eT.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
+	rep, _ := move(t, tr, netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth), src, dst, bytes)
 
 	cfg := DefaultProxyConfig()
 	cfg.MaxProxies = 4
@@ -87,120 +78,104 @@ func TestTransportMatchesPlanner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rT := netsim.Throughput(bytes, mkT)
+	rT := netsim.Throughput(bytes, rep.Makespan)
 	rP := netsim.Throughput(bytes, mkP)
 	if rT < rP*0.95 || rT > rP*1.05 {
 		t.Fatalf("transport %.3g vs planner %.3g", rT, rP)
 	}
-	_ = p
 }
 
+// TestTransportFaultsInvalidateCache: a Transport remembers no selection
+// between transfers, so a link that fails after one transfer steers the
+// next one away from the proxy leg it used.
 func TestTransportFaultsInvalidateCache(t *testing.T) {
 	tor := mira128()
-	tr, p := newTransport(t, tor)
-	net := netsim.NewNetwork(tor, p.LinkBandwidth)
+	tr := newTransport(t, tor)
+	net := netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
-	e1, err := netsim.NewEngine(net, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan1, err := tr.Move(e1, src, dst, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan1.Mode != Proxied {
+	first, e1 := move(t, tr, net, src, dst, 16<<20)
+	if first.FinalMode != Proxied {
 		t.Fatal("expected proxied")
 	}
-	// Fail one of the selected legs; the transport must replan.
-	net.FailLink(plan1.Proxies[0].Leg1.Links[0])
-	tr.SetFaults(net.FailedFunc())
+	// Fail the first hop of a leg the first transfer used.
+	leg := -1
+	for id := 0; id < e1.NumFlows(); id++ {
+		if links := e1.FlowRouteLinks(netsim.FlowID(id)); len(links) > 0 && e1.Spec(netsim.FlowID(id)).Src == src {
+			leg = links[0]
+			break
+		}
+	}
+	if leg < 0 {
+		t.Fatal("first transfer submitted no leg out of the source")
+	}
+	net.FailLink(leg)
 
-	e2, err := netsim.NewEngine(net, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan2, err := tr.Move(e2, src, dst, 16<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, pr := range plan2.Proxies {
-		for _, l := range append(append([]int(nil), pr.Leg1.Links...), pr.Leg2.Links...) {
+	_, e2 := move(t, tr, net, src, dst, 16<<20)
+	for id := 0; id < e2.NumFlows(); id++ {
+		for _, l := range e2.FlowRouteLinks(netsim.FlowID(id)) {
 			if net.LinkFailed(l) {
 				t.Fatal("post-fault selection crosses a failed link")
 			}
 		}
 	}
-	if _, err := e2.Run(); err != nil {
-		t.Fatal(err)
-	}
 }
 
 func TestTransportDirectFaultAware(t *testing.T) {
 	tor := mira128()
-	tr, p := newTransport(t, tor)
-	net := netsim.NewNetwork(tor, p.LinkBandwidth)
+	tr := newTransport(t, tor)
+	net := netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 	def := routing.DeterministicRoute(tor, src, dst)
 	net.FailLink(def.Links[0])
-	tr.SetFaults(net.FailedFunc())
-	e, err := netsim.NewEngine(net, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plan, err := tr.Move(e, src, dst, 4<<10) // small: direct
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !e.Result(plan.Final[0]).Done {
-		t.Fatal("direct move did not complete around the failure")
+	rep, _ := move(t, tr, net, src, dst, 4<<10) // small: direct
+	if rep.FinalMode != Direct {
+		t.Fatalf("4KB moved %v", rep.FinalMode)
 	}
 }
 
 func TestTransportValidation(t *testing.T) {
 	tor := mira128()
-	tr, _ := newTransport(t, tor)
-	e := newEngine(t, tor)
-	if _, err := tr.Move(e, 0, 1, -1); err == nil {
+	tr := newTransport(t, tor)
+	e := interactiveEngine(t, netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth))
+	rc := DefaultRecoveryConfig()
+	if _, err := tr.MoveResilient(e, 0, 1, -1, rc); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	if _, err := tr.Move(e, 0, torus.NodeID(9999), 1); err == nil {
+	if _, err := tr.MoveResilient(e, 0, torus.NodeID(9999), 1, rc); err == nil {
 		t.Fatal("bad endpoint accepted")
 	}
 }
 
 func TestTransportConcurrentMoves(t *testing.T) {
-	// Concurrent planning against one transport must be safe; each
+	// Concurrent transfers through one transport must be safe; each
 	// goroutine gets its own engine.
 	tor := mira128()
-	tr, p := newTransport(t, tor)
+	tr := newTransport(t, tor)
+	p := netsim.DefaultParams()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
-			e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
-			if err != nil {
-				errs[g] = err
-				return
-			}
+			net := netsim.NewNetwork(tor, p.LinkBandwidth)
 			for i := 0; i < 20; i++ {
 				src := torus.NodeID((g * 13) % tor.Size())
 				dst := torus.NodeID((g*29 + i) % tor.Size())
 				if src == dst {
 					continue
 				}
-				if _, err := tr.Move(e, src, dst, 4<<20); err != nil {
+				e, err := netsim.NewEngine(net, p)
+				if err != nil {
 					errs[g] = err
 					return
 				}
-			}
-			if _, err := e.Run(); err != nil {
-				errs[g] = err
+				e.BeginInteractive()
+				if _, err := tr.MoveResilient(e, src, dst, 4<<20, DefaultRecoveryConfig()); err != nil {
+					errs[g] = err
+					return
+				}
 			}
 		}(g)
 	}

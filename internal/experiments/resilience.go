@@ -217,16 +217,15 @@ func r1ProxyRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c 
 	if err != nil {
 		return R1Mode{}, err
 	}
-	if rec != nil {
-		tr.SetRecorder(rec, track)
-	}
 	e.BeginInteractive()
 	if err := c.Apply(e); err != nil {
 		return R1Mode{}, err
 	}
+	rc := core.DefaultRecoveryConfig()
+	rc.Recorder, rc.Track = rec, track
 	// A cut torus or exhausted retries still reports partial bytes; the
 	// sweep records the degraded point rather than failing.
-	rep, _ := tr.MoveResilient(e, src, dst, bytes, core.DefaultRecoveryConfig())
+	rep, _ := tr.MoveResilient(e, src, dst, bytes, rc)
 	addSimTime(rep.Makespan)
 	return r1ModeResult(rep.Delivered, bytes, rep.Makespan, rep.Replans), nil
 }

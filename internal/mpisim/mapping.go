@@ -63,11 +63,15 @@ func (o MapOrder) parse(tor *torus.Torus) ([]int, error) {
 	return axes, nil
 }
 
+// maxRanksPerNode is the most ranks a BG/Q node hosts: 16 application
+// cores with 4 hardware threads each.
+const maxRanksPerNode = 64
+
 // NewJobWithMapping lays out ranksPerNode ranks per node under an
 // explicit mapping order.
 func NewJobWithMapping(tor *torus.Torus, ranksPerNode int, order MapOrder) (*Job, error) {
-	if ranksPerNode < 1 {
-		return nil, fmt.Errorf("mpisim: ranks per node %d must be >= 1", ranksPerNode)
+	if ranksPerNode < 1 || ranksPerNode > maxRanksPerNode {
+		return nil, fmt.Errorf("mpisim: ranks per node %d must be in [1, %d]", ranksPerNode, maxRanksPerNode)
 	}
 	axes, err := order.parse(tor)
 	if err != nil {

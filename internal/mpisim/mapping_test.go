@@ -51,6 +51,16 @@ func TestMappingValidation(t *testing.T) {
 	if _, err := NewJobWithMapping(tor, 0, "ABCDET"); err == nil {
 		t.Error("zero ranks per node accepted")
 	}
+	// A BG/Q node runs at most 64 ranks (16 cores x 4 hardware threads);
+	// a larger count used to size the rank table before any check.
+	if _, err := NewJobWithMapping(tor, maxRanksPerNode, "ABCDET"); err != nil {
+		t.Errorf("%d ranks per node rejected: %v", maxRanksPerNode, err)
+	}
+	for _, huge := range []int{maxRanksPerNode + 1, 1 << 40} {
+		if _, err := NewJobWithMapping(tor, huge, "ABCDET"); err == nil {
+			t.Errorf("%d ranks per node accepted", huge)
+		}
+	}
 }
 
 func TestMappingLowercaseAccepted(t *testing.T) {

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math/bits"
-	"sync"
 
 	"bgqflow/internal/routing"
 	"bgqflow/internal/topo"
@@ -19,14 +18,10 @@ import (
 // otherwise); IDs at or above it are extra links in order of
 // registration.
 //
-// A network built with NewNetwork is torus-backed: Torus() is non-nil and
-// the epoch-invalidated routing.Cache serves routes. A network built with
-// NewNetworkTopo over a non-torus topology has a nil Torus(); routes come
-// from the topology's pure route oracle through a lazily filled map
-// (generic routes ignore failures exactly like DeterministicRoute, so no
-// invalidation is needed — see DESIGN.md §16).
+// Every network learns its fabric from a topo.Topology and serves routes
+// from one epoch-invalidated routing.Cache over the topology's route
+// oracle, whatever the fabric (DESIGN.md §8).
 type Network struct {
-	t          *torus.Torus // nil when the fabric is not a torus
 	tp         topo.Topology
 	numBase    int       // tp.NumLinks(), the base-fabric link count
 	bandwidth  float64   // one rail of a base link, bytes/second
@@ -37,46 +32,31 @@ type Network struct {
 	reads      *FaultReads            // nil unless a computation records its fault reads
 	names      map[int]string         // extra-link names for diagnostics
 	extraFrom  map[torus.NodeID][]int // node -> extra links it owns (AddLinkFrom)
-	routes     *routing.Cache         // torus-backed networks only
-
-	topoMu     sync.RWMutex    // guards topoRoutes (non-torus networks)
-	topoRoutes map[int64][]int // (src<<32|dst) -> cached route links
+	routes     *routing.Cache
 }
 
 // NewNetwork builds the link table for torus t with per-direction torus
 // link capacity linkBandwidth (bytes/second).
 func NewNetwork(t *torus.Torus, linkBandwidth float64) *Network {
+	return NewNetworkTopo(topo.NewTorus(t), linkBandwidth)
+}
+
+// NewNetworkTopo builds the link table for a topology. Each base link's
+// capacity is linkBandwidth times the topology's rail multiplier.
+func NewNetworkTopo(tp topo.Topology, linkBandwidth float64) *Network {
 	return &Network{
-		t:         t,
-		tp:        topo.NewTorus(t),
-		numBase:   t.NumTorusLinks(),
+		tp:        tp,
+		numBase:   tp.NumLinks(),
 		bandwidth: linkBandwidth,
 		names:     make(map[int]string),
-		routes:    routing.NewCache(t),
+		routes:    routing.NewCache(tp.Route),
 	}
 }
 
-// NewNetworkTopo builds the link table for an arbitrary topology. Each
-// base link's capacity is linkBandwidth times the topology's rail
-// multiplier. A torus topology delegates to NewNetwork, so torus-backed
-// behavior (route cache, fault epochs) is identical either way.
-func NewNetworkTopo(tp topo.Topology, linkBandwidth float64) *Network {
-	if tt, ok := tp.(*topo.TorusTopo); ok {
-		return NewNetwork(tt.Torus(), linkBandwidth)
-	}
-	return &Network{
-		tp:         tp,
-		numBase:    tp.NumLinks(),
-		bandwidth:  linkBandwidth,
-		names:      make(map[int]string),
-		topoRoutes: make(map[int64][]int),
-	}
-}
-
-// Torus returns the underlying torus, or nil when the network was built
-// over a non-torus topology (NewNetworkTopo). Torus-specific layers
-// (ionet, zone routing, torus-shaped fault campaigns) must check.
-func (n *Network) Torus() *torus.Torus { return n.t }
+// Torus returns the underlying torus, or nil when the fabric is not a
+// torus. Torus-specific layers (ionet, zone routing, torus-shaped fault
+// campaigns) must check.
+func (n *Network) Torus() *torus.Torus { return topo.TorusOf(n.tp) }
 
 // Topology returns the fabric behind the network; never nil.
 func (n *Network) Topology() topo.Topology { return n.tp }
@@ -126,27 +106,15 @@ func (n *Network) Capacity(id int) float64 {
 	return n.bandwidth * n.tp.LinkCapacity(id)
 }
 
-// Route returns the default deterministic route between two torus nodes,
-// served from the network's route cache while the network is failure-free.
-// The returned Route shares a cached Links slice; treat it as read-only.
+// Route returns the topology's deterministic route between two nodes,
+// served from the network's route cache. The returned Route shares a
+// cached Links slice; treat it as read-only.
 func (n *Network) Route(src, dst torus.NodeID) routing.Route {
-	if n.routes != nil {
-		return n.routes.Route(src, dst)
-	}
-	key := int64(src)<<32 | int64(uint32(dst))
-	n.topoMu.RLock()
-	links, ok := n.topoRoutes[key]
-	n.topoMu.RUnlock()
-	if !ok {
-		links = n.tp.Route(src, dst)
-		n.topoMu.Lock()
-		n.topoRoutes[key] = links
-		n.topoMu.Unlock()
-	}
-	return routing.Route{Src: src, Dst: dst, Links: links}
+	return n.routes.Route(src, dst)
 }
 
-// RouteCache exposes the network's route cache for instrumentation.
+// RouteCache exposes the network's route cache for instrumentation;
+// never nil.
 func (n *Network) RouteCache() *routing.Cache { return n.routes }
 
 // FailLink marks a link failed. Flows submitted over failed links are
@@ -162,9 +130,7 @@ func (n *Network) FailLink(id int) {
 		n.failed = make([]bool, n.NumLinks())
 	}
 	n.markFailed(id)
-	if n.routes != nil {
-		n.routes.Invalidate()
-	}
+	n.routes.Invalidate()
 }
 
 // markFailed sets one link's failed flag, counting it only the first
@@ -223,9 +189,7 @@ func (n *Network) FailNode(id torus.NodeID) {
 	for _, l := range n.NodeLinks(id) {
 		n.markFailed(l)
 	}
-	if n.routes != nil {
-		n.routes.Invalidate()
-	}
+	n.routes.Invalidate()
 }
 
 // NodeFailed reports whether a node is marked failed.

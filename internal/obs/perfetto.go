@@ -34,23 +34,47 @@ const tracePid = 1
 
 func usec(t sim.Time) float64 { return float64(t) * 1e6 }
 
-// WriteChromeTrace exports the recorder's spans, instants, and counter
-// samples as Chrome trace-event JSON. Each track becomes a named thread;
-// overlapping spans on one track are spread across lanes (extra threads
-// named "track #n") so concurrent flows render side by side instead of
-// nesting incorrectly. Aborted spans carry an args marker.
-func (r *Recorder) WriteChromeTrace(w io.Writer) error {
-	spans := r.Spans()
-	instants := r.Instants()
-	counters := r.CounterSamples()
+// laneSpan/laneInstant are clock-agnostic export rows: ts and dur are
+// already microseconds on their process's clock. begin and end place
+// the span on its own clock for lane assignment, so lanes never shift
+// by the rounding of the microsecond conversion.
+type laneSpan struct {
+	track      string
+	name       string
+	ts         float64
+	dur        float64
+	begin, end float64
+	args       map[string]any
+}
 
-	// Collect track names: spans and instants share the thread table.
+type laneInstant struct {
+	track string
+	name  string
+	ts    float64
+	args  map[string]any
+}
+
+// simLaneSpan renders a sim-clock span: exported in microseconds of
+// virtual time, laned on the sim clock itself.
+func simLaneSpan(track, name string, begin, end sim.Time, args map[string]any) laneSpan {
+	return laneSpan{
+		track: track, name: name, ts: usec(begin), dur: usec(end - begin),
+		begin: float64(begin), end: float64(end), args: args,
+	}
+}
+
+// laneEvents renders one process's spans and instants. Each track
+// becomes a named thread; overlapping spans on one track are spread
+// across extra threads ("track #n") by greedy first-fit, so concurrent
+// flows render side by side instead of nesting incorrectly. spans must
+// be sorted by begin. Returns the events and the next free tid.
+func laneEvents(pid int, procName string, tidBase int, spans []laneSpan, instants []laneInstant) ([]chromeEvent, int) {
 	trackSet := make(map[string]struct{})
 	for _, s := range spans {
-		trackSet[s.Track] = struct{}{}
+		trackSet[s.track] = struct{}{}
 	}
 	for _, i := range instants {
-		trackSet[i.Track] = struct{}{}
+		trackSet[i.track] = struct{}{}
 	}
 	tracks := make([]string, 0, len(trackSet))
 	for t := range trackSet {
@@ -58,17 +82,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 	}
 	sort.Strings(tracks)
 
-	var events []chromeEvent
-	events = append(events, chromeEvent{
-		Name: "process_name", Ph: "M", Pid: tracePid,
-		Args: map[string]any{"name": "bgqflow"},
-	})
+	events := []chromeEvent{{
+		Name: "process_name", Ph: "M", Pid: pid,
+		Args: map[string]any{"name": procName},
+	}}
 
-	// Lane assignment: greedy first-fit over spans sorted by begin time
-	// (Spans already sorts). laneEnd[track][lane] is the lane's last end.
-	nextTid := 1
+	nextTid := tidBase
 	trackTid := make(map[string]int, len(tracks)) // lane-0 tid per track
-	laneEnd := make(map[string][]sim.Time)
+	laneEnd := make(map[string][]float64)         // each lane's last end
 	laneTid := make(map[string][]int)
 	threadName := func(track string, lane int) chromeEvent {
 		name := track
@@ -76,14 +97,14 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 			name = track + " #" + strconv.Itoa(lane)
 		}
 		return chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: tracePid, Tid: laneTid[track][lane],
+			Name: "thread_name", Ph: "M", Pid: pid, Tid: laneTid[track][lane],
 			Args: map[string]any{"name": name},
 		}
 	}
 	openLane := func(track string) int {
 		lane := len(laneTid[track])
 		laneTid[track] = append(laneTid[track], nextTid)
-		laneEnd[track] = append(laneEnd[track], 0)
+		laneEnd[track] = append(laneEnd[track], -1)
 		if lane == 0 {
 			trackTid[track] = nextTid
 		}
@@ -97,36 +118,55 @@ func (r *Recorder) WriteChromeTrace(w io.Writer) error {
 
 	for _, s := range spans {
 		lane := -1
-		for i, end := range laneEnd[s.Track] {
-			if end <= s.Begin {
+		for i, end := range laneEnd[s.track] {
+			if end <= s.begin {
 				lane = i
 				break
 			}
 		}
 		if lane < 0 {
-			lane = openLane(s.Track)
-			events = append(events, threadName(s.Track, lane))
+			lane = openLane(s.track)
+			events = append(events, threadName(s.track, lane))
 		}
-		laneEnd[s.Track][lane] = s.End
-		ev := chromeEvent{
-			Name: s.Name, Ph: "X", Ts: usec(s.Begin), Dur: usec(s.End - s.Begin),
-			Pid: tracePid, Tid: laneTid[s.Track][lane],
-		}
-		if s.Aborted {
-			ev.Args = map[string]any{"aborted": true}
-		}
-		events = append(events, ev)
+		laneEnd[s.track][lane] = s.end
+		events = append(events, chromeEvent{
+			Name: s.name, Ph: "X", Ts: s.ts, Dur: s.dur,
+			Pid: pid, Tid: laneTid[s.track][lane], Args: s.args,
+		})
 	}
 
 	for _, i := range instants {
 		events = append(events, chromeEvent{
-			Name: i.Name, Ph: "i", Ts: usec(i.At),
-			Pid: tracePid, Tid: trackTid[i.Track], S: "t",
+			Name: i.name, Ph: "i", Ts: i.ts,
+			Pid: pid, Tid: trackTid[i.track], S: "t", Args: i.args,
 		})
 	}
+	return events, nextTid
+}
+
+// WriteChromeTrace exports the recorder's spans, instants, and counter
+// samples as Chrome trace-event JSON: one process whose tracks are laned
+// by laneEvents, plus one counter track per sampled series. Aborted
+// spans carry an args marker.
+func (r *Recorder) WriteChromeTrace(w io.Writer) error {
+	spans := r.Spans()
+	lanes := make([]laneSpan, 0, len(spans))
+	for _, s := range spans {
+		var args map[string]any
+		if s.Aborted {
+			args = map[string]any{"aborted": true}
+		}
+		lanes = append(lanes, simLaneSpan(s.Track, s.Name, s.Begin, s.End, args))
+	}
+	instants := r.Instants()
+	points := make([]laneInstant, 0, len(instants))
+	for _, i := range instants {
+		points = append(points, laneInstant{track: i.Track, name: i.Name, ts: usec(i.At)})
+	}
+	events, _ := laneEvents(tracePid, "bgqflow", 1, lanes, points)
 
 	// Counter tracks are keyed by (pid, name); no thread table needed.
-	for _, c := range counters {
+	for _, c := range r.CounterSamples() {
 		events = append(events, chromeEvent{
 			Name: c.Track, Ph: "C", Ts: usec(c.At), Pid: tracePid,
 			Args: map[string]any{"value": c.Value},

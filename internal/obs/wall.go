@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
@@ -354,103 +353,6 @@ func sortSimSpans(out []SimSpan) {
 	})
 }
 
-// laneSpan/laneInstant are clock-agnostic export rows: timestamps are
-// already microseconds on their process's clock.
-type laneSpan struct {
-	track string
-	name  string
-	ts    float64
-	dur   float64
-	args  map[string]any
-}
-
-type laneInstant struct {
-	track string
-	name  string
-	ts    float64
-	args  map[string]any
-}
-
-// laneEvents renders one process's spans and instants with the same
-// greedy first-fit lane assignment the sim exporter uses: overlapping
-// spans on one track spread across extra threads ("track #n"). spans
-// must be sorted by ts. Returns the events and the next free tid.
-func laneEvents(pid int, procName string, tidBase int, spans []laneSpan, instants []laneInstant) ([]chromeEvent, int) {
-	trackSet := make(map[string]struct{})
-	for _, s := range spans {
-		trackSet[s.track] = struct{}{}
-	}
-	for _, i := range instants {
-		trackSet[i.track] = struct{}{}
-	}
-	tracks := make([]string, 0, len(trackSet))
-	for t := range trackSet {
-		tracks = append(tracks, t)
-	}
-	sort.Strings(tracks)
-
-	events := []chromeEvent{{
-		Name: "process_name", Ph: "M", Pid: pid,
-		Args: map[string]any{"name": procName},
-	}}
-
-	nextTid := tidBase
-	trackTid := make(map[string]int, len(tracks))
-	laneEnd := make(map[string][]float64)
-	laneTid := make(map[string][]int)
-	threadName := func(track string, lane int) chromeEvent {
-		name := track
-		if lane > 0 {
-			name = track + " #" + strconv.Itoa(lane)
-		}
-		return chromeEvent{
-			Name: "thread_name", Ph: "M", Pid: pid, Tid: laneTid[track][lane],
-			Args: map[string]any{"name": name},
-		}
-	}
-	openLane := func(track string) int {
-		lane := len(laneTid[track])
-		laneTid[track] = append(laneTid[track], nextTid)
-		laneEnd[track] = append(laneEnd[track], -1)
-		if lane == 0 {
-			trackTid[track] = nextTid
-		}
-		nextTid++
-		return lane
-	}
-	for _, track := range tracks {
-		openLane(track)
-		events = append(events, threadName(track, 0))
-	}
-
-	for _, s := range spans {
-		lane := -1
-		for i, end := range laneEnd[s.track] {
-			if end <= s.ts {
-				lane = i
-				break
-			}
-		}
-		if lane < 0 {
-			lane = openLane(s.track)
-			events = append(events, threadName(s.track, lane))
-		}
-		laneEnd[s.track][lane] = s.ts + s.dur
-		events = append(events, chromeEvent{
-			Name: s.name, Ph: "X", Ts: s.ts, Dur: s.dur,
-			Pid: pid, Tid: laneTid[s.track][lane], Args: s.args,
-		})
-	}
-
-	for _, i := range instants {
-		events = append(events, chromeEvent{
-			Name: i.name, Ph: "i", Ts: i.ts,
-			Pid: pid, Tid: trackTid[i.track], S: "t", Args: i.args,
-		})
-	}
-	return events, nextTid
-}
-
 func traceArgs(trace string, extra map[string]any) map[string]any {
 	if trace == "" && extra == nil {
 		return nil
@@ -503,9 +405,10 @@ func (r *WallRecorder) WriteChromeTrace(w io.Writer) error {
 			extra["aborted"] = true
 		}
 		ts := usecSince(s.Begin)
+		dur := usecSince(s.End) - ts
 		wallSpans = append(wallSpans, laneSpan{
-			track: s.Track, name: s.Name, ts: ts, dur: usecSince(s.End) - ts,
-			args: traceArgs(s.Trace, extra),
+			track: s.Track, name: s.Name, ts: ts, dur: dur,
+			begin: ts, end: ts + dur, args: traceArgs(s.Trace, extra),
 		})
 	}
 	sort.SliceStable(instants, func(i, j int) bool { return instants[i].At.Before(instants[j].At) })
@@ -529,10 +432,7 @@ func (r *WallRecorder) WriteChromeTrace(w io.Writer) error {
 		if s.Aborted {
 			extra = map[string]any{"aborted": true}
 		}
-		simLane = append(simLane, laneSpan{
-			track: s.Track, name: s.Name, ts: usec(s.Begin), dur: usec(s.End - s.Begin),
-			args: traceArgs(s.Trace, extra),
-		})
+		simLane = append(simLane, simLaneSpan(s.Track, s.Name, s.Begin, s.End, traceArgs(s.Trace, extra)))
 	}
 	sort.SliceStable(simInstants, func(i, j int) bool {
 		if simInstants[i].At != simInstants[j].At {

@@ -25,7 +25,6 @@ import (
 
 	"bgqflow/internal/routing"
 	"bgqflow/internal/sim"
-	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
@@ -133,9 +132,10 @@ type link struct {
 }
 
 // Sim is a packet-level simulation run. Submit messages, then Run once.
+// It models the BG/Q torus only: packets, injection FIFOs and routing
+// zones are torus hardware constructs.
 type Sim struct {
-	tor    *torus.Torus // nil on non-torus fabrics
-	tp     topo.Topology
+	tor    *torus.Torus
 	p      Params
 	clock  *sim.Engine
 	msgs   []*message
@@ -154,33 +154,9 @@ func New(tor *torus.Torus, p Params, zoneSeed int64) (*Sim, error) {
 	}
 	return &Sim{
 		tor:           tor,
-		tp:            topo.NewTorus(tor),
 		p:             p,
 		clock:         sim.NewEngine(),
 		links:         make([]link, tor.NumTorusLinks()),
-		seed:          zoneSeed,
-		packetsBudget: p.MaxPackets,
-	}, nil
-}
-
-// NewSimTopo creates a packet simulation over an arbitrary fabric. A
-// torus topology delegates to New, keeping the zone-randomized routing
-// machinery byte-identical; on other fabrics the topology's
-// deterministic route oracle replaces the zone router (zone selection
-// is a torus hardware construct, so MessageSpec.Zone is ignored there —
-// use MessageSpec.Links to pin an explicit path).
-func NewSimTopo(tp topo.Topology, p Params, zoneSeed int64) (*Sim, error) {
-	if tt, ok := tp.(*topo.TorusTopo); ok {
-		return New(tt.Torus(), p, zoneSeed)
-	}
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	return &Sim{
-		tp:            tp,
-		p:             p,
-		clock:         sim.NewEngine(),
-		links:         make([]link, tp.NumLinks()),
 		seed:          zoneSeed,
 		packetsBudget: p.MaxPackets,
 	}, nil
@@ -253,7 +229,7 @@ func (s *Sim) inject(m *message) {
 		panic(fmt.Sprintf("packetsim: packet budget exhausted (MaxPackets=%d)", s.p.MaxPackets))
 	}
 	var router *routing.Router
-	if m.spec.Links == nil && s.tor != nil {
+	if m.spec.Links == nil {
 		r, err := routing.NewRouter(s.tor, m.spec.Zone, s.seed+int64(m.id)*7919+13)
 		if err != nil {
 			panic(err)
@@ -262,14 +238,9 @@ func (s *Sim) inject(m *message) {
 	}
 	m.remaining = nPackets
 	for i := 0; i < nPackets; i++ {
-		var route []int
-		switch {
-		case m.spec.Links != nil:
-			route = m.spec.Links
-		case router != nil:
+		route := m.spec.Links
+		if router != nil {
 			route = router.Route(m.spec.Src, m.spec.Dst).Links
-		default:
-			route = s.tp.Route(m.spec.Src, m.spec.Dst)
 		}
 		if len(route) == 0 {
 			// Node-local packet: deliver immediately.
@@ -302,13 +273,7 @@ func (s *Sim) serve(l int) {
 	lk.queue = lk.queue[1:]
 	payload := s.payloadOf(pk)
 	lk.bytes += float64(payload)
-	occupancy := s.p.packetTime(payload)
-	// Multi-rail links drain their queue proportionally faster. Torus
-	// links report capacity 1.0, leaving the BG/Q arithmetic untouched.
-	if c := s.tp.LinkCapacity(l); c != 1 {
-		occupancy = sim.Duration(float64(occupancy) / c)
-	}
-	s.clock.After(occupancy, func(*sim.Engine) {
+	s.clock.After(s.p.packetTime(payload), func(*sim.Engine) {
 		// Head-of-line done: the link can start the next packet while
 		// this one finishes its hop latency.
 		s.clock.After(s.p.HopLatency, func(*sim.Engine) { s.arrive(pk) })

@@ -7,99 +7,58 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// cacheKey identifies one cached route: endpoints plus the packed
-// dimension order the route was computed under.
+// cacheKey identifies one cached route by its endpoints.
 type cacheKey struct {
 	src, dst torus.NodeID
-	order    uint32
 }
 
-// packOrder encodes a dimension order into a uint32, 4 bits per
-// dimension (1-based so the zero value never collides with a real
-// order). It reports false when the order does not fit (more than 8
-// dimensions), in which case callers skip the cache.
-func packOrder(order []int) (uint32, bool) {
-	if len(order) > 8 {
-		return 0, false
-	}
-	var sig uint32
-	for i, d := range order {
-		sig |= uint32(d+1) << (4 * i)
-	}
-	return sig, true
-}
-
-// Cache memoizes dimension-ordered routes on one torus. Deterministic
-// routes are pure functions of (src, dst, dimension order) on a fixed
-// topology, and the flow simulator asks for the same routes once per
-// flow — across collective I/O rounds, proxy legs, and repeated
-// engine runs over one network — so memoizing them removes the route
-// walk and its allocation from the per-flow hot path.
+// Cache memoizes a deterministic route oracle: any func(src, dst) that
+// returns the directed-link path between two endpoints of one fabric
+// (the torus's default dimension-ordered route, or a topology's route
+// oracle). Deterministic routes are pure functions of (src, dst) on a
+// fixed fabric, and the flow simulator asks for the same routes once per
+// flow — across collective I/O rounds, proxy legs, and repeated engine
+// runs over one network — so memoizing them removes the route walk and
+// its allocation from the per-flow hot path.
 //
 // Cached routes share one exactly-sized Links slice per entry: callers
 // must treat Route.Links as read-only. Appending to it is safe (the
 // slice has no spare capacity, so append always copies), which is how
 // ionet extends bridge routes with the 11th link.
 //
-// A Cache is safe for concurrent use. Fault handling: topology changes
-// (failed links) do not change what DeterministicRoute returns, so cached
-// default routes stay byte-identical across failures — but no entry
-// memoized before a failure event may be served afterwards without a
-// fresh look at the world. Every failure event therefore calls
-// Invalidate, which purges the map and bumps the failure epoch; the cache
-// then repopulates from current state and stays hot for the rest of the
-// campaign (DESIGN.md §8 documents the invalidation rule). Disable
-// remains for callers that want the permanent bypass.
+// A Cache is safe for concurrent use. Fault handling: failed links do
+// not change what the oracle returns, so cached routes stay
+// byte-identical across failures — but no entry memoized before a
+// failure event may be served afterwards without a fresh look at the
+// world. Every failure event therefore calls Invalidate, which purges
+// the map and bumps the failure epoch; the cache then repopulates from
+// current state and stays hot for the rest of the campaign (DESIGN.md §8
+// documents the invalidation rule).
 type Cache struct {
-	t        *torus.Torus
-	defOrder []int
-	defSig   uint32
+	route func(src, dst torus.NodeID) []int
 
-	mu       sync.RWMutex
-	routes   map[cacheKey][]int
-	disabled bool
-	epoch    uint64 // failure events seen (Invalidate calls)
+	mu     sync.RWMutex
+	routes map[cacheKey][]int
+	epoch  uint64 // failure events seen (Invalidate calls)
 
 	hits, misses atomic.Uint64
 }
 
-// NewCache returns an empty route cache for torus t.
-func NewCache(t *torus.Torus) *Cache {
-	defOrder := t.DimsByExtentDesc()
-	sig, _ := packOrder(defOrder)
-	return &Cache{
-		t:        t,
-		defOrder: defOrder,
-		defSig:   sig,
-		routes:   make(map[cacheKey][]int),
-	}
+// NewCache returns an empty cache over the route oracle route. The
+// oracle must be deterministic and must not modify a slice it returned
+// earlier; the cache keeps exactly-sized copies of what it returns
+// (or the slice itself when it is already exactly sized).
+func NewCache(route func(src, dst torus.NodeID) []int) *Cache {
+	return &Cache{route: route, routes: make(map[cacheKey][]int)}
 }
 
-// Torus reports the torus the cache routes on.
-func (c *Cache) Torus() *torus.Torus { return c.t }
-
-// Route returns the default deterministic route (longest-to-shortest
-// dimension order) from src to dst, served from the cache when possible.
+// Route returns the oracle's route from src to dst, served from the
+// cache when possible.
 func (c *Cache) Route(src, dst torus.NodeID) Route {
-	return c.route(src, dst, c.defOrder, c.defSig)
-}
-
-// RouteWithOrder returns the dimension-ordered route from src to dst
-// visiting dimensions in dimOrder, served from the cache when possible.
-func (c *Cache) RouteWithOrder(src, dst torus.NodeID, dimOrder []int) Route {
-	sig, ok := packOrder(dimOrder)
-	if !ok {
-		return RouteWithOrder(c.t, src, dst, dimOrder)
-	}
-	return c.route(src, dst, dimOrder, sig)
-}
-
-func (c *Cache) route(src, dst torus.NodeID, order []int, sig uint32) Route {
-	key := cacheKey{src, dst, sig}
+	key := cacheKey{src, dst}
 	c.mu.RLock()
-	disabled := c.disabled
 	links, ok := c.routes[key]
-	if ok && !disabled {
+	if ok {
 		// Count the hit while still holding the read lock: Invalidate
 		// resets the counters under the write lock, so counting after
 		// RUnlock would let a concurrent Invalidate zero the counters
@@ -108,47 +67,37 @@ func (c *Cache) route(src, dst torus.NodeID, order []int, sig uint32) Route {
 		c.hits.Add(1)
 	}
 	c.mu.RUnlock()
-	if disabled {
-		return RouteWithOrder(c.t, src, dst, order)
-	}
 	if ok {
 		return Route{Src: src, Dst: dst, Links: links}
 	}
-	r := RouteWithOrder(c.t, src, dst, order)
-	// Store an exactly-sized copy so callers appending to Links always
-	// reallocate instead of scribbling over the cached slice.
-	links = make([]int, len(r.Links))
-	copy(links, r.Links)
-	c.mu.Lock()
-	if !c.disabled {
-		// The miss is counted in the same critical section that stores
-		// the entry, so it always lands in the epoch whose map it
-		// populated, even when an Invalidate slid in since the read.
-		c.misses.Add(1)
-		c.routes[key] = links
+	links = c.route(src, dst)
+	if cap(links) != len(links) {
+		// Store an exactly-sized copy so callers appending to Links
+		// always reallocate instead of scribbling over the cached slice.
+		exact := make([]int, len(links))
+		copy(exact, links)
+		links = exact
 	}
+	c.mu.Lock()
+	// The miss is counted in the same critical section that stores the
+	// entry, so it always lands in the epoch whose map it populated,
+	// even when an Invalidate slid in since the read.
+	c.misses.Add(1)
+	c.routes[key] = links
 	c.mu.Unlock()
 	return Route{Src: src, Dst: dst, Links: links}
 }
 
-// Purge drops every cached route but keeps the cache active.
-func (c *Cache) Purge() {
-	c.mu.Lock()
-	c.routes = make(map[cacheKey][]int)
-	c.mu.Unlock()
-}
-
 // Invalidate records one failure event: it purges every cached route and
-// advances the failure epoch. Unlike Disable the cache stays active, so
-// lookups repopulate it from post-failure state — the memoized routes are
-// pure functions of the (unchanged) topology, and fail-stop checks
-// against failed links are made by the submitting layer against live
-// state, never against the cache. Each failure event must call
-// Invalidate again: repeated calls purge idempotently, and an explicitly
-// Disabled cache stays disabled. The hit/miss counters reset with the
-// purge — they describe the current epoch's (cold-started) cache, so
-// observability reads hit rates per failure epoch rather than blended
-// across purges.
+// advances the failure epoch. The cache stays active, so lookups
+// repopulate it from post-failure state — the memoized routes are pure
+// functions of the (unchanged) fabric, and fail-stop checks against
+// failed links are made by the submitting layer against live state,
+// never against the cache. Each failure event must call Invalidate
+// again: repeated calls purge idempotently. The hit/miss counters reset
+// with the purge — they describe the current epoch's (cold-started)
+// cache, so observability reads hit rates per failure epoch rather than
+// blended across purges.
 func (c *Cache) Invalidate() {
 	c.mu.Lock()
 	c.routes = make(map[cacheKey][]int)
@@ -166,36 +115,11 @@ func (c *Cache) Epoch() uint64 {
 	return c.epoch
 }
 
-// Disable purges the cache and makes every subsequent lookup compute a
-// fresh route without storing it. The network layer calls this when a
-// link fails: from then on route requests must go through the planning
-// layer's fault-aware paths, never a memoized one.
-func (c *Cache) Disable() {
-	c.mu.Lock()
-	c.disabled = true
-	c.routes = make(map[cacheKey][]int)
-	c.mu.Unlock()
-}
-
-// Enabled reports whether lookups are served from the cache.
-func (c *Cache) Enabled() bool {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	return !c.disabled
-}
-
 // Len reports the number of cached routes.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()
 	return len(c.routes)
-}
-
-// Stats reports cache hits and misses since the last Invalidate (or
-// construction). Lookups made while the cache is disabled count as
-// neither.
-func (c *Cache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
 }
 
 // Counts reports the cache's observability counters: hits and misses in

@@ -15,7 +15,7 @@ import (
 // boundary.
 func TestCacheCountersAcrossEpochBoundary(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	pairs := [][2]torus.NodeID{{0, 7}, {3, 100}, {5, 64}, {9, 33}}
 	for epoch := 0; epoch < 3; epoch++ {
 		for _, pr := range pairs {
@@ -48,7 +48,7 @@ func TestCacheCountersAcrossEpochBoundary(t *testing.T) {
 // resets.
 func TestCacheConcurrentInvalidateAndLookups(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	pairs := [][2]torus.NodeID{{0, 7}, {3, 100}, {5, 64}, {9, 33}, {12, 80}, {1, 2}}
 	want := make([]Route, len(pairs))
 	for i, pr := range pairs {

@@ -6,9 +6,15 @@ import (
 	"bgqflow/internal/torus"
 )
 
+// newTorusCache memoizes the torus's default deterministic route, the
+// oracle a torus-backed network's cache serves.
+func newTorusCache(tor *torus.Torus) *Cache {
+	return NewCache(func(src, dst torus.NodeID) []int { return DeterministicRoute(tor, src, dst).Links })
+}
+
 func TestCacheMatchesUncachedRoutes(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	for src := torus.NodeID(0); src < 16; src++ {
 		for _, dst := range []torus.NodeID{0, 1, 63, torus.NodeID(tor.Size() - 1)} {
 			want := DeterministicRoute(tor, src, dst)
@@ -25,37 +31,15 @@ func TestCacheMatchesUncachedRoutes(t *testing.T) {
 			}
 		}
 	}
-	hits, misses := c.Stats()
+	hits, misses, _ := c.Counts()
 	if hits == 0 || misses == 0 {
 		t.Fatalf("stats hits=%d misses=%d, want both nonzero", hits, misses)
 	}
 }
 
-func TestCacheRouteWithOrder(t *testing.T) {
-	tor := torus.MustNew(torus.Shape{2, 3, 4})
-	c := NewCache(tor)
-	order := []int{0, 1, 2}
-	want := RouteWithOrder(tor, 0, 23, order)
-	got := c.RouteWithOrder(0, 23, order)
-	gotAgain := c.RouteWithOrder(0, 23, order)
-	for i := range want.Links {
-		if got.Links[i] != want.Links[i] || gotAgain.Links[i] != want.Links[i] {
-			t.Fatalf("ordered cache route diverges at hop %d", i)
-		}
-	}
-	// Distinct orders are distinct entries.
-	other := c.RouteWithOrder(0, 23, []int{2, 1, 0})
-	if len(other.Links) != len(want.Links) {
-		t.Fatalf("minimal routes must have equal hop count: %d vs %d", len(other.Links), len(want.Links))
-	}
-	if c.Len() < 2 {
-		t.Fatalf("cache holds %d entries, want >= 2 (one per order)", c.Len())
-	}
-}
-
 func TestCacheLinksHaveNoSpareCapacity(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	r := c.Route(0, torus.NodeID(tor.Size()-1))
 	if cap(r.Links) != len(r.Links) {
 		t.Fatalf("cached Links cap %d != len %d; append would corrupt the cache", cap(r.Links), len(r.Links))
@@ -71,41 +55,9 @@ func TestCacheLinksHaveNoSpareCapacity(t *testing.T) {
 	}
 }
 
-func TestCachePurgeAndDisable(t *testing.T) {
-	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
-	c.Route(0, 5)
-	if c.Len() != 1 {
-		t.Fatalf("cache holds %d entries, want 1", c.Len())
-	}
-	c.Purge()
-	if c.Len() != 0 {
-		t.Fatal("purge left entries behind")
-	}
-	if !c.Enabled() {
-		t.Fatal("purge must keep the cache enabled")
-	}
-	c.Route(0, 5)
-	c.Disable()
-	if c.Len() != 0 || c.Enabled() {
-		t.Fatal("disable must purge and deactivate")
-	}
-	// Lookups still work, bypassing the cache.
-	want := DeterministicRoute(tor, 0, 5)
-	got := c.Route(0, 5)
-	for i := range want.Links {
-		if got.Links[i] != want.Links[i] {
-			t.Fatal("disabled cache returned a wrong route")
-		}
-	}
-	if c.Len() != 0 {
-		t.Fatal("disabled cache stored a route")
-	}
-}
-
 func TestCacheInvalidatePerFailureEvent(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	c.Route(0, 5)
 	c.Route(0, 9)
 	if c.Len() != 2 || c.Epoch() != 0 {
@@ -116,9 +68,6 @@ func TestCacheInvalidatePerFailureEvent(t *testing.T) {
 	c.Invalidate()
 	if c.Len() != 0 {
 		t.Fatal("Invalidate left entries behind")
-	}
-	if !c.Enabled() {
-		t.Fatal("Invalidate must not disable the cache")
 	}
 	if c.Epoch() != 1 {
 		t.Fatalf("epoch = %d after one event, want 1", c.Epoch())
@@ -134,22 +83,11 @@ func TestCacheInvalidatePerFailureEvent(t *testing.T) {
 	if c.Len() != 0 || c.Epoch() != 2 {
 		t.Fatalf("len=%d epoch=%d after second event, want 0/2", c.Len(), c.Epoch())
 	}
-
-	// An explicitly disabled cache stays disabled across failure events.
-	c.Disable()
-	c.Invalidate()
-	if c.Enabled() {
-		t.Fatal("Invalidate re-enabled a disabled cache")
-	}
-	c.Route(0, 5)
-	if c.Len() != 0 {
-		t.Fatal("disabled cache stored a route after Invalidate")
-	}
 }
 
 func TestCacheConcurrentReaders(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	done := make(chan bool)
 	for w := 0; w < 4; w++ {
 		go func(seed int) {
@@ -185,16 +123,16 @@ func BenchmarkRouteCacheHitMiss(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		b.ReportAllocs()
-		c := NewCache(tor)
+		c := newTorusCache(tor)
 		for i := 0; i < b.N; i++ {
 			s := torus.NodeID(i % tor.Size())
-			c.Purge()
+			c.Invalidate()
 			_ = c.Route(s, dst)
 		}
 	})
 	b.Run("hit", func(b *testing.B) {
 		b.ReportAllocs()
-		c := NewCache(tor)
+		c := newTorusCache(tor)
 		c.Route(src, dst)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -204,12 +142,11 @@ func BenchmarkRouteCacheHitMiss(b *testing.B) {
 }
 
 // TestCacheCounts covers the observability counters: hits and misses
-// accumulate within one failure epoch, Invalidate resets them (per-epoch
-// hit rates) while counting itself as an invalidation, and disabled
-// lookups count as neither.
+// accumulate within one failure epoch, and Invalidate resets them
+// (per-epoch hit rates) while counting itself as an invalidation.
 func TestCacheCounts(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	c := NewCache(tor)
+	c := newTorusCache(tor)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
 	if h, m, inv := c.Counts(); h != 0 || m != 0 || inv != 0 {
@@ -231,14 +168,5 @@ func TestCacheCounts(t *testing.T) {
 	c.Route(src, dst) // hit
 	if h, m, inv := c.Counts(); h != 1 || m != 1 || inv != 1 {
 		t.Fatalf("second-epoch counts = (%d,%d,%d), want (1,1,1)", h, m, inv)
-	}
-	if h, m := c.Stats(); h != 1 || m != 1 {
-		t.Fatalf("Stats = (%d,%d), want (1,1) — same window as Counts", h, m)
-	}
-
-	c.Disable()
-	c.Route(src, dst)
-	if h, m, _ := c.Counts(); h != 1 || m != 1 {
-		t.Fatalf("disabled lookups must not count, got (%d,%d)", h, m)
 	}
 }

@@ -602,8 +602,13 @@ func AggWireFromPlan(e *netsim.Engine, ios *ionet.System, plan core.AggPlan, agg
 }
 
 // validateSim validates a scenario (filling its defaults) and bounds its
-// fabric.
+// fabric. It refuses the io workload "file" before anything is opened:
+// its burstFile is a path on the daemon's host, which a remote client
+// must not make the daemon read (bgqsim, the local CLI, replays files).
 func validateSim(cfg *scenario.Config) error {
+	if cfg.IO != nil && cfg.IO.Workload == "file" {
+		return fmt.Errorf("serve: io workload \"file\" reads a daemon-side path; replay it with bgqsim")
+	}
 	if err := cfg.Validate(); err != nil {
 		return err
 	}

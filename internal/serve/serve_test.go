@@ -7,6 +7,8 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -16,6 +18,7 @@ import (
 	"bgqflow/internal/scenario"
 	"bgqflow/internal/serve"
 	"bgqflow/internal/torus"
+	"bgqflow/internal/workload"
 )
 
 const testShape = "2x2x4x4x2" // the paper's 128-node midplane slice
@@ -418,6 +421,101 @@ func TestE2EHugeFabricRejected(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("Sequoia-sized pair plan: status %d, want 200", resp.StatusCode)
+	}
+}
+
+// TestE2ESimulateRefusesBurstFile pins that a remote simulate request
+// cannot make the daemon open a path on its host: the io workload "file"
+// is a 400 before anything is opened, even for a valid recording that
+// bgqsim replays. The daemon used to open any burstFile, so a FIFO
+// parked its worker and a non-JSON file leaked its first byte in the
+// error; the follow-up request proves the only worker is still free.
+func TestE2ESimulateRefusesBurstFile(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "burst.json")
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := workload.WriteBurst(f, workload.Burst{Description: "recorded", Sizes: []int64{1 << 20, 2 << 20}}); err != nil {
+		t.Fatal(err)
+	}
+	f.Close()
+	_, client := newTestDaemon(t, serve.Config{Workers: 1})
+	ctx := context.Background()
+	res, err := client.Simulate(ctx, scenario.Config{
+		Shape: testShape,
+		IO:    &scenario.IOConfig{Workload: "file", BurstFile: path, Approach: "topology-aware"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Status != http.StatusBadRequest || !strings.Contains(res.Err, `"file"`) {
+		t.Fatalf("file workload: status %d (%s), want 400 naming the workload", res.Status, res.Err)
+	}
+	res, err = client.Simulate(ctx, scenario.Config{
+		Shape: testShape,
+		IO:    &scenario.IOConfig{Workload: "pattern1", Approach: "topology-aware"},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.OK() {
+		t.Fatalf("generated workload after the refusal: status %d: %s", res.Status, res.Err)
+	}
+}
+
+// TestE2EHugeRanksPerNodeRejected pins the rank-density bound on both
+// request paths that lay out an MPI job: a ranksPerNode above a BG/Q
+// node's 64 hardware threads is a 400 from POST /v1/plan/agg and POST
+// /v1/simulate and an error from the direct calls. It used to size the
+// rank table first, panicking a dispatcher worker and killing the
+// daemon; the last request proves the worker survived.
+func TestE2EHugeRanksPerNodeRejected(t *testing.T) {
+	srv := serve.New(serve.Config{Workers: 1})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() { hs.Close(); srv.Close() })
+	const rpn = 1 << 40
+	agg := serve.AggRequest{Shape: testShape, Workload: "dense", RanksPerNode: rpn}
+	sim := scenario.Config{
+		Shape:        testShape,
+		RanksPerNode: rpn,
+		IO:           &scenario.IOConfig{Workload: "dense", Approach: "topology-aware"},
+	}
+	if _, err := serve.ComputeAgg(agg, nil); err == nil {
+		t.Error("ComputeAgg accepted ranksPerNode 2^40")
+	}
+	if _, err := serve.ComputeSim(sim, nil); err == nil {
+		t.Error("ComputeSim accepted ranksPerNode 2^40")
+	}
+	for _, c := range []struct {
+		path string
+		body any
+	}{
+		{"/v1/plan/agg", agg},
+		{"/v1/simulate", sim},
+		{"/v1/plan/agg", serve.AggRequest{Shape: testShape, Workload: "dense", RanksPerNode: 65}},
+	} {
+		b, err := json.Marshal(c.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(hs.URL+c.path, "application/json", bytes.NewReader(b))
+		if err != nil {
+			t.Fatalf("%s: %v", c.path, err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s %s: status %d, want 400", c.path, b, resp.StatusCode)
+		}
+	}
+	resp, err := http.Post(hs.URL+"/v1/plan/agg", "application/json",
+		strings.NewReader(`{"shape":"`+testShape+`","workload":"dense","ranksPerNode":64}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("64 ranks per node: status %d, want 200", resp.StatusCode)
 	}
 }
 

@@ -1,9 +1,11 @@
 package topo
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
+	"bgqflow/internal/routing"
 	"bgqflow/internal/torus"
 )
 
@@ -244,6 +246,17 @@ func TestTorusAdapterMatchesTorus(t *testing.T) {
 		if tt.LinkString(l) != tor.LinkString(l) {
 			t.Fatalf("link %d renders %q, want %q", l, tt.LinkString(l), tor.LinkString(l))
 		}
+	}
+	for src := torus.NodeID(0); int(src) < tor.Size(); src++ {
+		for dst := torus.NodeID(0); int(dst) < tor.Size(); dst++ {
+			got, want := tt.Route(src, dst), routing.DeterministicRoute(tor, src, dst).Links
+			if !slices.Equal(got, want) || cap(got) != len(got) {
+				t.Fatalf("route %d->%d = %v (cap %d), want %v exactly sized", src, dst, got, cap(got), want)
+			}
+		}
+	}
+	if TorusOf(tt) != tor {
+		t.Fatal("TorusOf lost the wrapped torus")
 	}
 }
 

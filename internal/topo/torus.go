@@ -8,18 +8,27 @@ import (
 // TorusTopo adapts a *torus.Torus (the BG/Q 5D fabric) to the Topology
 // interface. Link IDs, routes, and node-link enumeration order are
 // exactly those of torus.LinkID / routing.DeterministicRoute /
-// netsim.Network.NodeLinks, so a torus-backed engine behaves
-// byte-identically whether it is built from the torus or the adapter.
+// netsim.Network.NodeLinks, so every layer that learns the torus through
+// the adapter behaves as the BG/Q does.
 type TorusTopo struct {
-	t *torus.Torus
+	t     *torus.Torus
+	order []int // default dimension order: longest extent first
 }
 
 // NewTorus wraps t.
-func NewTorus(t *torus.Torus) *TorusTopo { return &TorusTopo{t: t} }
+func NewTorus(t *torus.Torus) *TorusTopo {
+	return &TorusTopo{t: t, order: t.DimsByExtentDesc()}
+}
 
-// Torus exposes the wrapped torus for callers that need the full
-// torus-specific API (planners, fault campaigns, zone routing).
-func (tt *TorusTopo) Torus() *torus.Torus { return tt.t }
+// TorusOf returns the torus behind a topology, or nil when the fabric
+// is not a torus. Torus-specific layers (planners, ionet, zone routing,
+// torus-shaped fault campaigns) learn the torus through it.
+func TorusOf(tp Topology) *torus.Torus {
+	if tt, ok := tp.(*TorusTopo); ok {
+		return tt.t
+	}
+	return nil
+}
 
 // Kind returns "torus".
 func (tt *TorusTopo) Kind() string { return "torus" }
@@ -38,9 +47,18 @@ func (tt *TorusTopo) NumLinks() int { return tt.t.NumTorusLinks() }
 func (tt *TorusTopo) LinkCapacity(id int) float64 { return 1.0 }
 
 // Route is the BG/Q default deterministic route: dimension-ordered,
-// longest extent first, minimal way around each ring.
+// longest extent first, minimal way around each ring. The route is
+// walked into a stack buffer and returned exactly sized, so a route
+// cache can keep it without copying.
 func (tt *TorusTopo) Route(src, dst torus.NodeID) []int {
-	return routing.DeterministicRoute(tt.t, src, dst).Links
+	var buf [64]int
+	walked := routing.AppendRouteLinks(buf[:0], tt.t, src, dst, tt.order)
+	if len(walked) == 0 {
+		return nil
+	}
+	links := make([]int, len(walked))
+	copy(links, walked)
+	return links
 }
 
 // NodeLinks enumerates the node's outgoing and incoming directed links in

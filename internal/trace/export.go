@@ -136,29 +136,6 @@ func (ex *Export) AttachTimeline(e *netsim.Engine, tl *obs.LinkTimeline) {
 	ex.Timeline = t
 }
 
-// RecordFlowSpans emits one complete span per flow of a finished run
-// into the recorder, under track: the flow's wire occupancy (activation
-// to transfer end, or to the failure instant for aborted flows), named
-// by the flow label. It is the batch-run counterpart of attaching an
-// obs.EngineSink before the run — planners that only see the engine
-// after Run (bgqbench sweep points, scenario files) use it to get
-// per-leg spans into a Perfetto trace.
-func RecordFlowSpans(rec *obs.Recorder, e *netsim.Engine, track string) {
-	for i := 0; i < e.NumFlows(); i++ {
-		res := e.Result(netsim.FlowID(i))
-		label := e.Spec(netsim.FlowID(i)).Label
-		if label == "" {
-			label = fmt.Sprintf("flow%d", i)
-		}
-		switch {
-		case res.Done:
-			rec.Span(track, label, res.Activated, res.TransferEnd)
-		case res.Aborted && res.AbortTime > res.Activated && res.Activated > 0:
-			rec.SpanAborted(track, label+" (aborted)", res.Activated, res.AbortTime)
-		}
-	}
-}
-
 // ReadExport parses a previously written export. Files from schema 1
 // (which predate the "schema" field) are accepted and normalized to
 // Schema == 1; files newer than ExportSchema are rejected.

@@ -154,22 +154,20 @@ func TestExportSchema2RoundTrip(t *testing.T) {
 		}
 	}
 
-	// Flow spans recorded post hoc from the finished engine: done flows
-	// plus the aborted one (which has a real activation window).
-	rec2 := obs.NewRecorder()
-	RecordFlowSpans(rec2, e, "post")
-	spans := rec2.Spans()
+	// The engine sink recorded one span per flow live: the done flow and
+	// the aborted one (which has a real activation window).
+	spans := rec.Spans()
 	if len(spans) != 2 {
-		t.Fatalf("RecordFlowSpans emitted %d spans, want 2", len(spans))
+		t.Fatalf("EngineSink recorded %d flow spans, want 2", len(spans))
 	}
-	var postAbort bool
+	var sinkAbort bool
 	for _, s := range spans {
 		if s.Aborted {
-			postAbort = true
+			sinkAbort = true
 		}
 	}
-	if !postAbort {
-		t.Fatal("RecordFlowSpans dropped the aborted flow's span")
+	if !sinkAbort {
+		t.Fatal("EngineSink dropped the aborted flow's span")
 	}
 }
 
