@@ -184,6 +184,11 @@ func (p *Planner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sink) 
 		}
 	}
 
+	// collio has no fault-aware routing: a flow whose route crosses a
+	// failed link fails the plan here, before the engine's fail-stop
+	// check at Submit would panic on it.
+	net := e.Network()
+
 	// Submit round by round. Within a round, each aggregator's write
 	// depends on all of its exchanges; the next round starts after the
 	// collective sync (a zero-byte barrier flow) or, without RoundSync,
@@ -211,6 +216,9 @@ func (p *Planner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sink) 
 			var exIDs []netsim.FlowID
 			var wbytes int64
 			for _, pe := range pend {
+				if pe.src != aggNode && cut(net, net.Route(pe.src, aggNode).Links) {
+					return plan, fmt.Errorf("collio: exchange from node %d to aggregator %d is cut by failures", pe.src, aggNode)
+				}
 				id := e.Submit(netsim.FlowSpec{
 					Src: pe.src, Dst: aggNode, Bytes: pe.bytes,
 					DependsOn: deps,
@@ -223,6 +231,9 @@ func (p *Planner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sink) 
 			// the window's file offset.
 			pi, bi := p.ios.DefaultPath(aggNode)
 			fabric, conts := sink.WriteFlows(aggNode, pi, bi, a*domain+int64(k)*p.cfg.BufferBytes, wbytes)
+			if cut(net, fabric.Links) {
+				return plan, fmt.Errorf("collio: write leg of aggregator %d to its I/O node is cut by failures", aggNode)
+			}
 			fabric.DependsOn = exIDs
 			fabric.Label = fmt.Sprintf("wr/a%d/r%d", a, k)
 			w := e.Submit(fabric)
@@ -249,6 +260,17 @@ func (p *Planner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sink) 
 		}
 	}
 	return plan, nil
+}
+
+// cut reports whether a failed link lies on a route. It reads the same
+// links the engine's fail-stop check reads when the flow is submitted.
+func cut(net *netsim.Network, links []int) bool {
+	for _, l := range links {
+		if net.LinkFailed(l) {
+			return true
+		}
+	}
+	return false
 }
 
 func maxI64(a, b int64) int64 {

@@ -1,6 +1,7 @@
 package collio
 
 import (
+	"strings"
 	"testing"
 
 	"bgqflow/internal/core"
@@ -328,4 +329,50 @@ func TestSingleRankBurst(t *testing.T) {
 	if written != 64<<20 {
 		t.Fatalf("wrote %d", written)
 	}
+}
+
+// A collective write has no fault-aware routing: a failed link on an
+// exchange's default route or on an aggregator's write leg fails the
+// plan, instead of reaching the engine's fail-stop panic at Submit.
+func TestPlanFailsOnCutRoutes(t *testing.T) {
+	data := func(r *rig) []int64 { return workload.Dense(r.job.NumRanks(), 1<<16) }
+	t.Run("exchange", func(t *testing.T) {
+		r := newRig(t, torus.Shape{2, 2, 4, 4, 2}, 1)
+		p, err := NewPlanner(r.ios, r.job, r.p, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Fail the first hop out of a node that is not an aggregator.
+		agg := map[torus.NodeID]bool{}
+		for _, n := range p.Aggregators() {
+			agg[n] = true
+		}
+		src := torus.NodeID(0)
+		for agg[src] {
+			src++
+		}
+		for _, dst := range p.Aggregators() {
+			if links := r.net.Route(src, dst).Links; len(links) > 0 {
+				r.net.FailLink(links[0])
+			}
+		}
+		if _, err := p.Plan(r.engine(t), data(r)); err == nil || !strings.Contains(err.Error(), "exchange") {
+			t.Fatalf("plan over a cut exchange route: %v", err)
+		}
+	})
+	t.Run("write", func(t *testing.T) {
+		r := newRig(t, torus.Shape{2, 2, 4, 4, 2}, 1)
+		p, err := NewPlanner(r.ios, r.job, r.p, DefaultConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range p.Aggregators() {
+			pi, bi := r.ios.DefaultPath(n)
+			links, _ := r.ios.WriteRouteVia(n, pi, bi)
+			r.net.FailLink(links[len(links)-1])
+		}
+		if _, err := p.Plan(r.engine(t), data(r)); err == nil || !strings.Contains(err.Error(), "write leg") {
+			t.Fatalf("plan over a cut write leg: %v", err)
+		}
+	})
 }

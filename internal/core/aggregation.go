@@ -174,6 +174,9 @@ type AggPlan struct {
 	// of T, exscan for the round-robin index, bcast of the selection);
 	// report it on top of the flow makespan.
 	Metadata sim.Duration
+	// Aggregators is the selection the burst was assigned to, after
+	// aggregators on failed nodes were dropped.
+	Aggregators []Aggregator
 	// Final holds the flows that land data on the I/O nodes.
 	Final []netsim.FlowID
 }
@@ -227,6 +230,7 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 	}
 	plan.AggPerPset = perPset
 	plan.NumAggregators = len(aggs)
+	plan.Aggregators = aggs
 
 	// Rank-order file offsets per node.
 	offset := make([]int64, len(perNode))

@@ -9,21 +9,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 
-	"bgqflow/internal/collio"
-	"bgqflow/internal/core"
 	"bgqflow/internal/faultinject"
-	"bgqflow/internal/ionet"
-	"bgqflow/internal/mpisim"
-	"bgqflow/internal/netsim"
-	"bgqflow/internal/obs"
 	"bgqflow/internal/sim"
-	"bgqflow/internal/stats"
 	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 	"bgqflow/internal/trace"
-	"bgqflow/internal/workload"
 )
 
 // Config is the root scenario description.
@@ -47,8 +38,10 @@ type Config struct {
 	Seed int64 `json:"seed"`
 	// CollectTrace attaches a flow-timeline export to the result.
 	CollectTrace bool `json:"collectTrace"`
-	// FailLinks injects link failures before planning; transfer
-	// scenarios plan around them (fault-aware routing).
+	// FailLinks injects link failures before planning. Transfers and
+	// topology-aware io route around them (fault-aware routing); a
+	// collective-io write, which has no fault-aware routing, fails when
+	// one lies on its route.
 	FailLinks []FailLink `json:"failLinks,omitempty"`
 	// FaultCampaign injects seeded, time-scheduled failures mid-run.
 	// Pair transfers switch to the resilient recovery loop; other
@@ -138,11 +131,6 @@ func (fc *FaultCampaignConfig) Build(tor *torus.Torus) (*faultinject.Campaign, e
 	if err := fc.validate(); err != nil {
 		return nil, err
 	}
-	return fc.build(tor)
-}
-
-// build instantiates the campaign for a concrete torus.
-func (fc *FaultCampaignConfig) build(tor *torus.Torus) (*faultinject.Campaign, error) {
 	ms := func(v float64) sim.Time { return sim.Time(v * 1e-3) }
 	switch fc.Kind {
 	case "uniform":
@@ -317,354 +305,4 @@ func (c *Config) validateTopology() error {
 		return fmt.Errorf("scenario: pair endpoints outside fabric of %d nodes", tp.NumNodes())
 	}
 	return nil
-}
-
-// runTransferTopo executes the direct pair transfer a non-torus
-// scenario describes.
-func runTransferTopo(c Config) (Result, error) {
-	var res Result
-	tp, err := topo.Parse(c.Topology)
-	if err != nil {
-		return res, err
-	}
-	params := netsim.DefaultParams()
-	net := netsim.NewNetworkTopo(tp, params.LinkBandwidth)
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return res, err
-	}
-	tl := attachTimeline(e, c)
-	t := c.Transfer
-	e.Submit(netsim.FlowSpec{
-		Src:   torus.NodeID(t.Src),
-		Dst:   torus.NodeID(t.Dst),
-		Bytes: t.Bytes,
-		Label: "direct",
-	})
-	mk, err := e.Run()
-	if err != nil {
-		return res, err
-	}
-	res.GBps = netsim.Throughput(t.Bytes, mk) / 1e9
-	res.MakespanMS = float64(mk) * 1e3
-	res.Mode = fmt.Sprintf("direct on %s", tp.Spec())
-	if c.CollectTrace {
-		ex, err := trace.BuildExport(e, mk, nil)
-		if err != nil {
-			return res, err
-		}
-		if tl != nil {
-			ex.AttachTimeline(e, tl)
-		}
-		res.Trace = &ex
-	}
-	return res, nil
-}
-
-// Run executes the scenario.
-func Run(c Config) (Result, error) {
-	if err := c.Validate(); err != nil {
-		return Result{}, err
-	}
-	if c.Topology != "" {
-		return runTransferTopo(c)
-	}
-	shape, err := torus.ParseShape(c.Shape)
-	if err != nil {
-		return Result{}, err
-	}
-	tor, err := torus.New(shape)
-	if err != nil {
-		return Result{}, err
-	}
-	params := netsim.DefaultParams()
-	if c.Transfer != nil {
-		return runTransfer(tor, params, c)
-	}
-	return runIO(tor, params, c)
-}
-
-func applyFailures(tor *torus.Torus, net *netsim.Network, fails []FailLink) error {
-	for _, fl := range fails {
-		if fl.Node < 0 || fl.Node >= tor.Size() || fl.Dim < 0 || fl.Dim >= tor.Dims() {
-			return fmt.Errorf("scenario: bad failLink %+v", fl)
-		}
-		dir := torus.Plus
-		switch fl.Dir {
-		case 1:
-		case -1:
-			dir = torus.Minus
-		default:
-			return fmt.Errorf("scenario: failLink dir %d must be +1 or -1", fl.Dir)
-		}
-		net.FailLink(tor.LinkID(torus.NodeID(fl.Node), fl.Dim, dir))
-	}
-	return nil
-}
-
-func runTransfer(tor *torus.Torus, params netsim.Params, c Config) (Result, error) {
-	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	if err := applyFailures(tor, net, c.FailLinks); err != nil {
-		return Result{}, err
-	}
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return Result{}, err
-	}
-	t := c.Transfer
-	var res Result
-	tl := attachTimeline(e, c)
-	attachTrace := func(mk sim.Duration) error {
-		if !c.CollectTrace {
-			return nil
-		}
-		ex, err := trace.BuildExport(e, mk, nil)
-		if err != nil {
-			return err
-		}
-		if tl != nil {
-			ex.AttachTimeline(e, tl)
-		}
-		res.Trace = &ex
-		return nil
-	}
-	switch t.Kind {
-	case "pair":
-		if t.Src < 0 || t.Src >= tor.Size() || t.Dst < 0 || t.Dst >= tor.Size() {
-			return res, fmt.Errorf("scenario: pair endpoints outside torus of %d nodes", tor.Size())
-		}
-		cfg := core.DefaultProxyConfig()
-		if t.Proxies < 0 {
-			cfg.Threshold = 1 << 62
-		} else if t.Proxies > 0 {
-			cfg.MaxProxies = t.Proxies
-			cfg.MinProxies = 1
-			cfg.Threshold = 0
-		}
-		if c.FaultCampaign != nil {
-			// Mid-run failures: run the resilient transfer loop (detect ->
-			// replan -> degrade) instead of the one-shot plan.
-			camp, err := c.FaultCampaign.build(tor)
-			if err != nil {
-				return res, err
-			}
-			tr, err := core.NewTransport(tor, params, cfg)
-			if err != nil {
-				return res, err
-			}
-			e.BeginInteractive()
-			if err := camp.Apply(e); err != nil {
-				return res, err
-			}
-			rep, rerr := tr.MoveResilient(e, torus.NodeID(t.Src), torus.NodeID(t.Dst), t.Bytes, core.DefaultRecoveryConfig())
-			if rep.Delivered > 0 && rep.Makespan > 0 {
-				res.GBps = netsim.Throughput(rep.Delivered, rep.Makespan) / 1e9
-			}
-			res.MakespanMS = float64(rep.Makespan) * 1e3
-			res.Mode = fmt.Sprintf("resilient %v (%d replans)", rep.FinalMode, rep.Replans)
-			res.Notes = append(res.Notes, fmt.Sprintf("fault campaign %q: %d events; delivered %d of %d bytes",
-				camp.Name, len(camp.Events), rep.Delivered, rep.Bytes))
-			if rep.Degraded {
-				res.Notes = append(res.Notes, "recovery degraded the proxy count mid-transfer")
-			}
-			if rerr != nil {
-				res.Notes = append(res.Notes, fmt.Sprintf("recovery gave up: %v", rerr))
-			}
-			return res, attachTrace(rep.Makespan)
-		}
-		pl, err := core.NewPairPlanner(tor, cfg)
-		if err != nil {
-			return res, err
-		}
-		if net.HasFailures() {
-			pl.SetFaults(net.FailedFunc())
-			res.Notes = append(res.Notes, fmt.Sprintf("%d links failed; planning around them", len(c.FailLinks)))
-		}
-		plan, err := pl.PlanPair(e, torus.NodeID(t.Src), torus.NodeID(t.Dst), t.Bytes)
-		if err != nil {
-			return res, err
-		}
-		mk, err := e.Run()
-		if err != nil {
-			return res, err
-		}
-		res.GBps = netsim.Throughput(t.Bytes, mk) / 1e9
-		res.MakespanMS = float64(mk) * 1e3
-		res.Mode = fmt.Sprintf("%v (%d proxies)", plan.Mode, len(plan.Proxies))
-		return res, attachTrace(mk)
-	case "group":
-		sBox, err := torus.NewBox(tor, t.SrcOrigin, t.SrcExtent)
-		if err != nil {
-			return res, fmt.Errorf("scenario: srcBox: %w", err)
-		}
-		dBox, err := torus.NewBox(tor, t.DstOrigin, t.DstExtent)
-		if err != nil {
-			return res, fmt.Errorf("scenario: dstBox: %w", err)
-		}
-		cfg := core.DefaultProxyConfig()
-		if t.Proxies < 0 {
-			cfg.Threshold = 1 << 62
-		}
-		gp, err := core.NewGroupPlanner(tor, cfg)
-		if err != nil {
-			return res, err
-		}
-		if t.Proxies > 0 {
-			gp.ForceGroups = t.Proxies
-		}
-		if net.HasFailures() {
-			gp.SetFaults(net.FailedFunc())
-			res.Notes = append(res.Notes, fmt.Sprintf("%d links failed; planning around them", len(c.FailLinks)))
-		}
-		plan, err := gp.Plan(e, sBox, dBox, t.Bytes)
-		if err != nil {
-			return res, err
-		}
-		if c.FaultCampaign != nil {
-			camp, cerr := c.FaultCampaign.build(tor)
-			if cerr != nil {
-				return res, cerr
-			}
-			if cerr := camp.Apply(e); cerr != nil {
-				return res, cerr
-			}
-			res.Notes = append(res.Notes, fmt.Sprintf("fault campaign %q: %d events (no recovery for group transfers)",
-				camp.Name, len(camp.Events)))
-		}
-		mk, err := e.Run()
-		if err != nil {
-			return res, err
-		}
-		if c.FaultCampaign != nil {
-			done, aborted := e.Outcomes()
-			res.Notes = append(res.Notes, fmt.Sprintf("outcomes: %d flows completed, %d aborted", done, aborted))
-		}
-		res.GBps = netsim.Throughput(t.Bytes, mk) / 1e9
-		res.MakespanMS = float64(mk) * 1e3
-		res.Mode = fmt.Sprintf("%v groups=%v directPairs=%d", plan.Mode, plan.Groups, plan.DirectPairs)
-		return res, attachTrace(mk)
-	}
-	return res, fmt.Errorf("scenario: unreachable transfer kind")
-}
-
-func runIO(tor *torus.Torus, params netsim.Params, c Config) (Result, error) {
-	var res Result
-	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
-	if err != nil {
-		return res, err
-	}
-	mapping := mpisim.DefaultMapOrder
-	if c.Mapping != "" {
-		mapping = mpisim.MapOrder(c.Mapping)
-	}
-	job, err := mpisim.NewJobWithMapping(tor, c.RanksPerNode, mapping)
-	if err != nil {
-		return res, err
-	}
-	var data []int64
-	switch c.IO.Workload {
-	case "pattern1":
-		data = workload.Uniform(job.NumRanks(), c.IO.MaxBytes, c.Seed)
-	case "pattern2":
-		data = workload.Pattern2(job.NumRanks(), c.IO.MaxBytes, c.Seed)
-	case "dense":
-		data = workload.Dense(job.NumRanks(), c.IO.MaxBytes)
-	case "hacc":
-		data = workload.HACC(job.NumRanks(), c.IO.MaxBytes/workload.HACCRecordBytes)
-	case "file":
-		f, err := os.Open(c.IO.BurstFile)
-		if err != nil {
-			return res, fmt.Errorf("scenario: %w", err)
-		}
-		burst, err := workload.ReadBurst(f)
-		f.Close()
-		if err != nil {
-			return res, err
-		}
-		data = burst.FitToRanks(job.NumRanks())
-	}
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return res, err
-	}
-	tl := attachTimeline(e, c)
-	var total int64
-	var meta float64
-	switch c.IO.Approach {
-	case "topology-aware":
-		pl, err := core.NewAggPlanner(ios, job, params, core.DefaultAggConfig())
-		if err != nil {
-			return res, err
-		}
-		plan, err := pl.Plan(e, data)
-		if err != nil {
-			return res, err
-		}
-		total, meta = plan.TotalBytes, float64(plan.Metadata)
-		res.Mode = fmt.Sprintf("topology-aware: %d aggregators (%d/pset), %d senders",
-			plan.NumAggregators, plan.AggPerPset, plan.Senders)
-	case "collective-io":
-		pl, err := collio.NewPlanner(ios, job, params, collio.DefaultConfig())
-		if err != nil {
-			return res, err
-		}
-		plan, err := pl.Plan(e, data)
-		if err != nil {
-			return res, err
-		}
-		total, meta = plan.TotalBytes, float64(plan.Metadata)
-		res.Mode = fmt.Sprintf("collective-io: %d aggregators, %d rounds", plan.NumAggregators, plan.Rounds)
-	}
-	if c.FaultCampaign != nil {
-		camp, cerr := c.FaultCampaign.build(tor)
-		if cerr != nil {
-			return res, cerr
-		}
-		if cerr := camp.Apply(e); cerr != nil {
-			return res, cerr
-		}
-		res.Notes = append(res.Notes, fmt.Sprintf("fault campaign %q: %d events", camp.Name, len(camp.Events)))
-	}
-	mk, err := e.Run()
-	if err != nil {
-		return res, err
-	}
-	if c.FaultCampaign != nil {
-		done, aborted := e.Outcomes()
-		res.Notes = append(res.Notes, fmt.Sprintf("outcomes: %d flows completed, %d aborted", done, aborted))
-	}
-	res.GBps = float64(total) / (float64(mk) + meta) / 1e9
-	res.MakespanMS = (float64(mk) + meta) * 1e3
-	res.UplinkImbalance = stats.ImbalanceRatio(trace.UplinkLoads(e, ios))
-	res.Notes = append(res.Notes,
-		fmt.Sprintf("burst %.2f GB over %d ranks (%s mapping)", float64(total)/1e9, job.NumRanks(), job.Order()))
-	if c.CollectTrace {
-		ex, err := trace.BuildExport(e, mk, nil)
-		if err != nil {
-			return res, err
-		}
-		if tl != nil {
-			ex.AttachTimeline(e, tl)
-		}
-		res.Trace = &ex
-	}
-	return res, nil
-}
-
-// traceBucket is the timeline resolution of collected traces: 1 ms
-// buckets resolve the multi-millisecond transfers scenarios run.
-const traceBucket sim.Duration = 1e-3
-
-// attachTimeline hooks a link-utilization timeline onto the engine when
-// the scenario collects a trace, so the schema-2 export carries the
-// time-resolved section. Without CollectTrace the engine keeps a nil
-// sink (zero instrumentation cost).
-func attachTimeline(e *netsim.Engine, c Config) *obs.LinkTimeline {
-	if !c.CollectTrace {
-		return nil
-	}
-	tl := obs.NewLinkTimeline(traceBucket)
-	e.SetSink(obs.TimelineSink{TL: tl})
-	return tl
 }

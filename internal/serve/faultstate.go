@@ -38,7 +38,7 @@ type faultSnapshot struct {
 
 // maxKeyedNodes bounds the node IDs a link key can name (28 bits, with
 // 3 bits of dimension and 1 of direction). A plan on a larger torus
-// records no read set (planReads.watch), so a fault beyond the bound
+// records no read set (planReads.readSet), so a fault beyond the bound
 // applies to no plan that keeps one.
 const maxKeyedNodes = 1 << 28
 
@@ -144,7 +144,8 @@ func lowestFaulted(faults []scenario.FailLink) [torus.MaxDims]int {
 
 // anyApplicable reports whether the snapshot fails any link of a torus
 // with the given node count and dimensionality — the answer the torus's
-// network gives to HasFailures once applicableFaults are failed on it.
+// network gives to HasFailures once the snapshot's faults that name its
+// links are failed on it.
 func (s *faultSnapshot) anyApplicable(size, dims int) bool {
 	for d := 0; d < dims && d < len(s.lowNode); d++ {
 		if s.lowNode[d] < size {
@@ -177,35 +178,35 @@ type readSet struct {
 }
 
 // planReads collects what a plan computation reads of the fault state.
-// A Compute function calls watch on the network it builds from the
-// fault set; a computation that never calls watch records no read set,
-// and its plan is invalidated by every fault event. Nil-safe: the
-// exported Compute functions pass nil and record nothing.
+// A Compute function builds its plan through build, which records the
+// fault reads of the network scenario.Build makes; a computation that
+// builds nothing records no read set, and its plan is invalidated by
+// every fault event. Nil-safe: the exported Compute functions pass nil
+// and record nothing.
 type planReads struct {
-	watched bool
-	tor     *torus.Torus // nil: a fabric no fault event names
-	net     netsim.FaultReads
+	built bool
+	tor   *torus.Torus // nil: a fabric no fault event names
+	net   netsim.FaultReads
 }
 
-// watch starts recording the network's fault reads. tor is the torus the
-// network is built on, or nil for a non-torus fabric.
-func (p *planReads) watch(tor *torus.Torus, net *netsim.Network) {
-	if p == nil || tor != nil && tor.Size() > maxKeyedNodes {
-		return // keys cannot name this torus's links: record no read set
+// build runs scenario.Build under faults, recording its fault reads.
+func (p *planReads) build(c scenario.Config, faults []scenario.FailLink) (*scenario.Built, error) {
+	if p == nil {
+		return scenario.Build(c, faults, nil)
 	}
-	p.watched = true
-	if tor != nil {
-		p.tor = tor
-		net.RecordFaultReads(&p.net)
+	b, err := scenario.Build(c, faults, &p.net)
+	if err == nil {
+		p.built, p.tor = true, b.Torus
 	}
+	return b, err
 }
 
 // readSet converts the recorded reads into the entry form; snap is the
 // snapshot the computation planned against. It returns nil when the
 // computation recorded nothing.
 func (p *planReads) readSet(snap *faultSnapshot) *readSet {
-	if !p.watched {
-		return nil
+	if !p.built || p.tor != nil && p.tor.Size() > maxKeyedNodes {
+		return nil // nothing recorded, or keys cannot name this torus's links
 	}
 	rs := &readSet{}
 	if p.tor == nil {

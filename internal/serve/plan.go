@@ -15,17 +15,16 @@ import (
 	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 	"bgqflow/internal/trace"
-	"bgqflow/internal/workload"
 )
 
 // This file holds the daemon's wire types and the pure plan
 // computations behind them. Every Compute* function is a deterministic
-// function of (request, fault set): it builds a fresh torus + network +
-// engine, runs the same planner code path the one-shot CLIs use, and
-// serializes the outcome. Purity is what makes the plan cache and
-// request coalescing sound — and what the e2e differential test pins:
-// plans served under concurrency must be byte-identical to a direct
-// single-threaded planner call.
+// function of (request, fault set): it turns the request into a
+// scenario.Config, builds it with scenario.Build (the builder bgqsim
+// runs) and serializes the outcome. Purity is what makes the plan cache
+// and request coalescing sound — and what the e2e differential test
+// pins: plans served under concurrency must be byte-identical to a
+// direct single-threaded planner call.
 
 // PairRequest asks for an Algorithm 1 point-to-point plan.
 type PairRequest struct {
@@ -261,33 +260,6 @@ type SimResult struct {
 	Notes           []string `json:"notes,omitempty"`
 }
 
-// applicableFaults filters the daemon's fault set down to the entries
-// that name a valid link of this torus; events recorded against other
-// geometries do not apply.
-func applicableFaults(tor *torus.Torus, faults []scenario.FailLink) []scenario.FailLink {
-	var out []scenario.FailLink
-	for _, fl := range faults {
-		if fl.Node < 0 || fl.Node >= tor.Size() || fl.Dim < 0 || fl.Dim >= tor.Dims() {
-			continue
-		}
-		if fl.Dir != 1 && fl.Dir != -1 {
-			continue
-		}
-		out = append(out, fl)
-	}
-	return out
-}
-
-func failNetworkLinks(tor *torus.Torus, net *netsim.Network, faults []scenario.FailLink) {
-	for _, fl := range faults {
-		dir := torus.Plus
-		if fl.Dir == -1 {
-			dir = torus.Minus
-		}
-		net.FailLink(tor.LinkID(torus.NodeID(fl.Node), fl.Dim, dir))
-	}
-}
-
 // flowWires serializes every flow submitted to the engine, in submission
 // order, with its resolved route.
 func flowWires(e *netsim.Engine) []FlowWire {
@@ -305,105 +277,35 @@ func flowWires(e *netsim.Engine) []FlowWire {
 	return out
 }
 
-// pairConfig maps the request's Proxies knob onto a ProxyConfig, the
-// same convention the bgqsim scenario schema uses.
-func pairConfig(proxies int) core.ProxyConfig {
-	cfg := core.DefaultProxyConfig()
-	if proxies < 0 {
-		cfg.Threshold = 1 << 62
-	} else if proxies > 0 {
-		cfg.MaxProxies = proxies
-		cfg.MinProxies = 1
-		cfg.Threshold = 0
-	}
-	return cfg
-}
-
 // ComputePair plans one point-to-point transfer and simulates it.
 func ComputePair(req PairRequest, faults []scenario.FailLink) (PairPlan, error) {
 	return computePair(req, faults, nil)
 }
 
-// computePair is ComputePair recording its fault reads in reads.
+// computePair is ComputePair recording its fault reads in reads. Off the
+// torus the daemon's faults do not apply and the plan is direct: the
+// proxy ladder is torus-specific, so a request forcing proxies there is
+// rejected rather than silently downgraded.
 func computePair(req PairRequest, faults []scenario.FailLink, reads *planReads) (PairPlan, error) {
 	if err := req.Validate(); err != nil {
 		return PairPlan{}, err
 	}
-	if req.Topology != "" {
-		return computePairTopo(req, reads)
-	}
-	shape, err := torus.ParseShape(req.Shape)
-	if err != nil {
-		return PairPlan{}, err
-	}
-	tor, err := torus.New(shape)
-	if err != nil {
-		return PairPlan{}, err
-	}
-	params := netsim.DefaultParams()
-	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	failNetworkLinks(tor, net, applicableFaults(tor, faults))
-	reads.watch(tor, net)
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return PairPlan{}, err
-	}
-	pl, err := core.NewPairPlanner(tor, pairConfig(req.Proxies))
-	if err != nil {
-		return PairPlan{}, err
-	}
-	// Installed even on a fault-free network, where it changes no route
-	// (RouteAvoiding tries the default route first): the plan then reads
-	// only the links it routes over, not whether the fault set is empty.
-	pl.SetFaults(net.FailedFunc())
-	plan, err := pl.PlanPair(e, torus.NodeID(req.Src), torus.NodeID(req.Dst), req.Bytes)
-	if err != nil {
-		return PairPlan{}, err
-	}
-	mk, err := e.Run()
-	if err != nil {
-		return PairPlan{}, err
-	}
-	return PairWireFromPlan(e, plan, float64(mk)), nil
-}
-
-// computePairTopo plans a direct transfer on a non-torus fabric. The
-// daemon's fault events are torus link coordinates and do not apply; the
-// proxy ladder is torus-specific, so the plan is always direct (a
-// request forcing proxies is rejected rather than silently downgraded).
-func computePairTopo(req PairRequest, reads *planReads) (PairPlan, error) {
-	if req.Proxies > 0 {
+	if req.Topology != "" && req.Proxies > 0 {
 		return PairPlan{}, fmt.Errorf("serve: proxy planning is torus-only; topology %q serves direct plans", req.Topology)
 	}
-	tp, err := topo.Parse(req.Topology)
+	b, err := reads.build(scenario.Config{
+		Shape:    req.Shape,
+		Topology: req.Topology,
+		Transfer: &scenario.TransferConfig{Kind: "pair", Src: req.Src, Dst: req.Dst, Bytes: req.Bytes, Proxies: req.Proxies},
+	}, faults)
 	if err != nil {
 		return PairPlan{}, err
 	}
-	params := netsim.DefaultParams()
-	net := netsim.NewNetworkTopo(tp, params.LinkBandwidth)
-	reads.watch(nil, net)
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return PairPlan{}, err
+	out := PairWireFromPlan(b.Engine, *b.Pair, float64(b.Makespan))
+	if b.Torus == nil {
+		out.Topology = b.Topo.Spec()
 	}
-	e.Submit(netsim.FlowSpec{
-		Src:   torus.NodeID(req.Src),
-		Dst:   torus.NodeID(req.Dst),
-		Bytes: req.Bytes,
-		Label: "direct",
-	})
-	mk, err := e.Run()
-	if err != nil {
-		return PairPlan{}, err
-	}
-	return PairPlan{
-		Mode:       "direct",
-		Topology:   tp.Spec(),
-		Bytes:      req.Bytes,
-		Flows:      flowWires(e),
-		MakespanMS: float64(mk) * 1e3,
-		GBps:       netsim.Throughput(req.Bytes, sim.Duration(mk)) / 1e9,
-	}, nil
+	return out, nil
 }
 
 // PairWireFromPlan builds the wire form from a core plan plus the engine
@@ -437,52 +339,18 @@ func computeGroup(req GroupRequest, faults []scenario.FailLink, reads *planReads
 	if err := req.Validate(); err != nil {
 		return GroupPlan{}, err
 	}
-	shape, err := torus.ParseShape(req.Shape)
+	b, err := reads.build(scenario.Config{
+		Shape: req.Shape,
+		Transfer: &scenario.TransferConfig{
+			Kind: "group", Bytes: req.Bytes, Proxies: req.Proxies,
+			SrcOrigin: req.SrcOrigin, SrcExtent: req.SrcExtent,
+			DstOrigin: req.DstOrigin, DstExtent: req.DstExtent,
+		},
+	}, faults)
 	if err != nil {
 		return GroupPlan{}, err
 	}
-	tor, err := torus.New(shape)
-	if err != nil {
-		return GroupPlan{}, err
-	}
-	sBox, err := torus.NewBox(tor, req.SrcOrigin, req.SrcExtent)
-	if err != nil {
-		return GroupPlan{}, fmt.Errorf("serve: srcBox: %w", err)
-	}
-	dBox, err := torus.NewBox(tor, req.DstOrigin, req.DstExtent)
-	if err != nil {
-		return GroupPlan{}, fmt.Errorf("serve: dstBox: %w", err)
-	}
-	params := netsim.DefaultParams()
-	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	failNetworkLinks(tor, net, applicableFaults(tor, faults))
-	reads.watch(tor, net)
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return GroupPlan{}, err
-	}
-	cfg := core.DefaultProxyConfig()
-	if req.Proxies < 0 {
-		cfg.Threshold = 1 << 62
-	}
-	gp, err := core.NewGroupPlanner(tor, cfg)
-	if err != nil {
-		return GroupPlan{}, err
-	}
-	// Always installed, as in computePair: fault-free routes are unchanged.
-	gp.SetFaults(net.FailedFunc())
-	if req.Proxies > 0 {
-		gp.ForceGroups = req.Proxies
-	}
-	plan, err := gp.Plan(e, sBox, dBox, req.Bytes)
-	if err != nil {
-		return GroupPlan{}, err
-	}
-	mk, err := e.Run()
-	if err != nil {
-		return GroupPlan{}, err
-	}
-	return GroupWireFromPlan(e, plan, req.Bytes, float64(mk)), nil
+	return GroupWireFromPlan(b.Engine, *b.Group, req.Bytes, float64(b.Makespan)), nil
 }
 
 // GroupWireFromPlan builds the wire form from a core group plan.
@@ -514,74 +382,21 @@ func computeAgg(req AggRequest, faults []scenario.FailLink, reads *planReads) (A
 	if err := req.Validate(); err != nil {
 		return AggPlan{}, err
 	}
-	shape, err := torus.ParseShape(req.Shape)
+	b, err := reads.build(scenario.Config{
+		Shape:        req.Shape,
+		RanksPerNode: req.RanksPerNode,
+		Mapping:      req.Mapping,
+		Seed:         req.Seed,
+		IO:           &scenario.IOConfig{Workload: req.Workload, MaxBytes: req.MaxBytes, Approach: "topology-aware"},
+	}, faults)
 	if err != nil {
 		return AggPlan{}, err
 	}
-	tor, err := torus.New(shape)
-	if err != nil {
-		return AggPlan{}, err
-	}
-	params := netsim.DefaultParams()
-	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
-	if err != nil {
-		return AggPlan{}, err
-	}
-	failNetworkLinks(tor, net, applicableFaults(tor, faults))
-	reads.watch(tor, net)
-	job, err := mpisim.NewJobWithMapping(tor, req.RanksPerNode, mpisim.MapOrder(req.Mapping))
-	if err != nil {
-		return AggPlan{}, err
-	}
-	var data []int64
-	switch req.Workload {
-	case "pattern1":
-		data = workload.Uniform(job.NumRanks(), req.MaxBytes, req.Seed)
-	case "pattern2":
-		data = workload.Pattern2(job.NumRanks(), req.MaxBytes, req.Seed)
-	case "dense":
-		data = workload.Dense(job.NumRanks(), req.MaxBytes)
-	case "hacc":
-		data = workload.HACC(job.NumRanks(), req.MaxBytes/workload.HACCRecordBytes)
-	}
-	e, err := netsim.NewEngine(net, params)
-	if err != nil {
-		return AggPlan{}, err
-	}
-	pl, err := core.NewAggPlanner(ios, job, params, core.DefaultAggConfig())
-	if err != nil {
-		return AggPlan{}, err
-	}
-	plan, err := pl.Plan(e, data)
-	if err != nil {
-		return AggPlan{}, err
-	}
-	mk, err := e.Run()
-	if err != nil {
-		return AggPlan{}, err
-	}
-	var aggs []core.Aggregator
-	if plan.TotalBytes > 0 {
-		// Re-derive the (deterministic) selection so the wire form can
-		// carry it; mirror the planner's degraded-pset filtering.
-		_, aggs = pl.AggregatorsFor(plan.TotalBytes)
-		if net.HasFailures() {
-			live := aggs[:0]
-			for _, ag := range aggs {
-				if !net.NodeFailed(ag.Node) {
-					live = append(live, ag)
-				}
-			}
-			aggs = live
-		}
-	}
-	return AggWireFromPlan(e, ios, plan, aggs, float64(mk)), nil
+	return AggWireFromPlan(b.Engine, b.IO, *b.Agg, float64(b.Makespan)), nil
 }
 
-// AggWireFromPlan builds the wire form from a core aggregation plan plus
-// the (already fault-filtered) aggregator selection behind it.
-func AggWireFromPlan(e *netsim.Engine, ios *ionet.System, plan core.AggPlan, aggs []core.Aggregator, makespanSec float64) AggPlan {
+// AggWireFromPlan builds the wire form from a core aggregation plan.
+func AggWireFromPlan(e *netsim.Engine, ios *ionet.System, plan core.AggPlan, makespanSec float64) AggPlan {
 	out := AggPlan{
 		TotalBytes:     plan.TotalBytes,
 		AggPerPset:     plan.AggPerPset,
@@ -595,7 +410,7 @@ func AggWireFromPlan(e *netsim.Engine, ios *ionet.System, plan core.AggPlan, agg
 		out.GBps = float64(plan.TotalBytes) / denom / 1e9
 	}
 	out.UplinkImbalance = stats.ImbalanceRatio(trace.UplinkLoads(e, ios))
-	for _, ag := range aggs {
+	for _, ag := range plan.Aggregators {
 		out.Aggregators = append(out.Aggregators, AggWire{Node: int(ag.Node), Pset: ag.Pset, Bridge: ag.Bridge})
 	}
 	return out
@@ -619,19 +434,26 @@ func validateSim(cfg *scenario.Config) error {
 	return err
 }
 
-// ComputeSim runs a full declarative scenario (the bgqsim schema). The
-// daemon's fault set is merged into the scenario's failLinks (entries
-// valid for its shape only); trace collection is disabled — traces are
-// per-request artifacts, not cacheable plans.
+// ComputeSim runs a full declarative scenario (the bgqsim schema) under
+// the daemon's fault set, which applies where it names links of the
+// scenario's torus; the scenario's own failLinks stay strict. Trace
+// collection is disabled: traces are per-request artifacts, not
+// cacheable plans.
 func ComputeSim(cfg scenario.Config, faults []scenario.FailLink) (SimResult, error) {
+	return computeSim(cfg, faults, nil)
+}
+
+// computeSim is ComputeSim recording its fault reads in reads.
+func computeSim(cfg scenario.Config, faults []scenario.FailLink, reads *planReads) (SimResult, error) {
 	cfg.CollectTrace = false
-	if shape, err := torus.ParseShape(cfg.Shape); err == nil {
-		if tor, terr := torus.New(shape); terr == nil {
-			cfg.FailLinks = append(append([]scenario.FailLink(nil), cfg.FailLinks...),
-				applicableFaults(tor, faults)...)
-		}
+	if err := cfg.Validate(); err != nil {
+		return SimResult{}, err
 	}
-	res, err := scenario.Run(cfg)
+	b, err := reads.build(cfg, faults)
+	if err != nil {
+		return SimResult{}, err
+	}
+	res, err := b.Result()
 	if err != nil {
 		return SimResult{}, err
 	}

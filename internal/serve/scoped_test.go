@@ -27,6 +27,7 @@ type planService interface {
 	PlanPair(context.Context, serve.PairRequest) (serve.PlanResult, error)
 	PlanGroup(context.Context, serve.GroupRequest) (serve.PlanResult, error)
 	PlanAgg(context.Context, serve.AggRequest) (serve.PlanResult, error)
+	Simulate(context.Context, scenario.Config) (serve.PlanResult, error)
 	Fault(context.Context, serve.FaultEvent) (uint64, error)
 }
 
@@ -35,6 +36,7 @@ type scopedReq struct {
 	pair  *serve.PairRequest
 	group *serve.GroupRequest
 	agg   *serve.AggRequest
+	sim   *scenario.Config
 }
 
 func (q scopedReq) String() string {
@@ -43,6 +45,9 @@ func (q scopedReq) String() string {
 		return fmt.Sprintf("pair %+v", *q.pair)
 	case q.group != nil:
 		return fmt.Sprintf("group %+v", *q.group)
+	case q.sim != nil:
+		b, _ := json.Marshal(q.sim)
+		return "sim " + string(b)
 	}
 	return fmt.Sprintf("agg %+v", *q.agg)
 }
@@ -53,6 +58,8 @@ func (q scopedReq) serve(ctx context.Context, svc planService) (serve.PlanResult
 		return svc.PlanPair(ctx, *q.pair)
 	case q.group != nil:
 		return svc.PlanGroup(ctx, *q.group)
+	case q.sim != nil:
+		return svc.Simulate(ctx, *q.sim)
 	}
 	return svc.PlanAgg(ctx, *q.agg)
 }
@@ -68,6 +75,8 @@ func (q scopedReq) direct(faults []scenario.FailLink) ([]byte, error) {
 		plan, err = serve.ComputePair(*q.pair, faults)
 	case q.group != nil:
 		plan, err = serve.ComputeGroup(*q.group, faults)
+	case q.sim != nil:
+		plan, err = serve.ComputeSim(*q.sim, faults)
 	default:
 		plan, err = serve.ComputeAgg(*q.agg, faults)
 	}
@@ -109,21 +118,64 @@ func scopedPool(rng *rand.Rand) []scopedReq {
 		}
 		pool = append(pool, scopedReq{agg: &a})
 	}
+	return append(pool, simPool()...)
+}
+
+// simPool is a fixed mix of simulate requests: every plan kind a
+// scenario builds, with and without its own faults and campaigns.
+func simPool() []scopedReq {
+	pair := func(src, dst int, bytes int64, proxies int) *scenario.TransferConfig {
+		return &scenario.TransferConfig{Kind: "pair", Src: src, Dst: dst, Bytes: bytes, Proxies: proxies}
+	}
+	group := &scenario.TransferConfig{Kind: "group", Bytes: 1 << 20,
+		SrcOrigin: []int{0, 0, 0, 0, 0}, SrcExtent: []int{2, 2, 2, 1, 1},
+		DstOrigin: []int{0, 0, 2, 2, 1}, DstExtent: []int{2, 2, 2, 1, 1}}
+	burst := func(approach string) *scenario.IOConfig {
+		return &scenario.IOConfig{Workload: "pattern2", MaxBytes: 1 << 20, Approach: approach}
+	}
+	var pool []scopedReq
+	for _, c := range []scenario.Config{
+		{Transfer: pair(0, 97, 4<<20, 0)},
+		{Transfer: pair(3, 64, 2<<20, -1)},
+		{Transfer: pair(5, 122, 4<<20, 3)},
+		{Transfer: pair(0, 127, 4<<20, 0), FailLinks: []scenario.FailLink{{Node: 0, Dim: 2, Dir: -1}}},
+		{Transfer: pair(0, 127, 8<<20, 0), FaultCampaign: &scenario.FaultCampaignConfig{Kind: "burst", Seed: 5, Count: 3, AtMS: 0.5}},
+		{Transfer: group},
+		{Transfer: group, FaultCampaign: &scenario.FaultCampaignConfig{Kind: "uniform", Seed: 2, Count: 4, WindowMS: 1}},
+		{Seed: 3, RanksPerNode: 4, IO: burst("topology-aware")},
+		{Seed: 4, RanksPerNode: 4, IO: burst("collective-io")},
+		{Seed: 5, RanksPerNode: 4, IO: burst("topology-aware"),
+			FaultCampaign: &scenario.FaultCampaignConfig{Kind: "nodes", Seed: 6, Count: 2, WindowMS: 2}},
+		{Topology: "dragonfly:4x4x2", Transfer: pair(1, 9, 4<<20, 0)},
+	} {
+		c := c
+		c.Shape = testShape
+		pool = append(pool, scopedReq{sim: &c})
+	}
 	return pool
+}
+
+// scopedStats counts a differential run's cache hits, and the hits
+// served across a fault event: the entry was computed before the latest
+// event the client saw.
+type scopedStats struct {
+	hits, crossed       int
+	simHits, simCrossed int
 }
 
 // runScopedDifferential drives seeds requests from the pool through svc
 // with fault events (adds, repairs, and repairs that re-add) between
 // them, comparing every response with the oracle under the fault set the
-// client has seen acknowledged. It returns how many responses were
-// cache hits.
-func runScopedDifferential(t *testing.T, svc planService, seeds int, seed int64) (hits int) {
+// client has seen acknowledged.
+func runScopedDifferential(t *testing.T, svc planService, seeds int, seed int64) (st scopedStats) {
 	t.Helper()
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(seed))
 	pool := scopedPool(rng)
 	const size = 2 * 2 * 4 * 4 * 2
 	var faults []scenario.FailLink // client-side mirror of the fault set
+	events := 0
+	computedAt := make([]int, len(pool)) // events seen when each request was last computed
 	for s := 0; s < seeds; s++ {
 		if s > 0 && s%4 == 0 {
 			ev := serve.FaultEvent{}
@@ -145,8 +197,10 @@ func runScopedDifferential(t *testing.T, svc planService, seeds int, seed int64)
 				faults = nil
 			}
 			faults = append(faults, ev.Links...)
+			events++
 		}
-		q := pool[rng.Intn(len(pool))]
+		qi := rng.Intn(len(pool))
+		q := pool[qi]
 		res, err := q.serve(ctx, svc)
 		if err != nil {
 			t.Fatalf("seed %d: %s: %v", s, q, err)
@@ -165,39 +219,51 @@ func runScopedDifferential(t *testing.T, svc planService, seeds int, seed int64)
 			t.Fatalf("seed %d (%d faults, cached %v): %s: served plan differs from a direct call under its snapshot's faults\nserved: %s\ndirect: %s",
 				s, len(faults), res.Cached, q, res.Plan, want)
 		}
-		if res.Cached {
-			hits++
+		if !res.Cached {
+			computedAt[qi] = events
+			continue
+		}
+		cross := computedAt[qi] < events
+		st.hits++
+		if cross {
+			st.crossed++
+		}
+		if q.sim != nil {
+			st.simHits++
+			if cross {
+				st.simCrossed++
+			}
 		}
 	}
-	return hits
+	return st
 }
 
-// TestScopedDifferential200Seeds is the scoped-invalidation gate: 240
-// seeded pair, group and agg requests with fault adds and repairs
-// between them, through a standalone daemon and through a 3-replica
-// ring. Every response must be byte-identical to a direct Compute call
-// under its own snapshot's fault set — hits included, and hits must
-// happen across fault events.
+// TestScopedDifferential200Seeds is the scoped-invalidation gate: 400
+// seeded pair, group, agg and simulate requests with fault adds and
+// repairs between them, through a standalone daemon and through a
+// 3-replica ring. Every response must be byte-identical to a direct
+// Compute call under its own snapshot's fault set — hits included, and
+// hits, sims among them, must happen across fault events.
 func TestScopedDifferential200Seeds(t *testing.T) {
-	const seeds = 240
-	t.Run("standalone", func(t *testing.T) {
-		srv, client := newTestDaemon(t, serve.Config{})
-		hits := runScopedDifferential(t, client, seeds, 11)
-		if hits == 0 {
-			t.Fatal("no cache hits across fault events")
+	const seeds = 400
+	check := func(t *testing.T, st scopedStats) {
+		t.Helper()
+		if st.crossed == 0 || st.simCrossed == 0 {
+			t.Fatalf("no cache hits across fault events: %+v", st)
 		}
-		t.Logf("%d hits of %d requests, final epoch %d", hits, seeds, srv.Epoch())
+		t.Logf("%d hits of %d requests, %d across fault events; sims: %d hits, %d across fault events",
+			st.hits, seeds, st.crossed, st.simHits, st.simCrossed)
+	}
+	t.Run("standalone", func(t *testing.T) {
+		_, client := newTestDaemon(t, serve.Config{})
+		check(t, runScopedDifferential(t, client, seeds, 11))
 	})
 	t.Run("ring", func(t *testing.T) {
 		tc := newTestCluster(t, 3, nil)
-		hits := runScopedDifferential(t, tc.ring, seeds, 12)
-		if hits == 0 {
-			t.Fatal("no cache hits across fault events")
-		}
+		check(t, runScopedDifferential(t, tc.ring, seeds, 12))
 		if n := tc.ring.StaleServed(); n != 0 {
 			t.Fatalf("stale_served = %d, want 0", n)
 		}
-		t.Logf("%d hits of %d requests", hits, seeds)
 	})
 }
 
@@ -328,20 +394,24 @@ func TestE2EGroupUnderFaultDoesNotCrash(t *testing.T) {
 	}
 }
 
-// An agg plan whose gather or write leg has no minimal route left fails
-// with 400 instead of submitting the cut route to the engine.
-func TestE2EAggUnderCutFaultsDoesNotCrash(t *testing.T) {
-	_, client := newTestDaemon(t, serve.Config{})
-	ctx := context.Background()
-	// Fail both C-ring directions out of every node with C coordinate 0:
-	// senders there cannot leave along C at all.
+// cRingCut fails both C-ring directions out of every node with C
+// coordinate 0 on testShape: senders there cannot leave along C at all.
+func cRingCut() []scenario.FailLink {
 	var links []scenario.FailLink
 	for n := 0; n < 2*2*4*4*2; n++ {
 		if (n/(2*2))%4 == 0 {
 			links = append(links, scenario.FailLink{Node: n, Dim: 2, Dir: 1}, scenario.FailLink{Node: n, Dim: 2, Dir: -1})
 		}
 	}
-	if _, err := client.Fault(ctx, serve.FaultEvent{Links: links}); err != nil {
+	return links
+}
+
+// An agg plan whose gather or write leg has no minimal route left fails
+// with 400 instead of submitting the cut route to the engine.
+func TestE2EAggUnderCutFaultsDoesNotCrash(t *testing.T) {
+	_, client := newTestDaemon(t, serve.Config{})
+	ctx := context.Background()
+	if _, err := client.Fault(ctx, serve.FaultEvent{Links: cRingCut()}); err != nil {
 		t.Fatal(err)
 	}
 	req := serve.AggRequest{Shape: testShape, Workload: "dense", MaxBytes: 1 << 20}

@@ -316,7 +316,7 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 //
 // The request plans against one fault snapshot: its fault set, epoch and
 // vector all come from the same publish. compute records what it reads
-// of the fault set in reads (see planReads.watch).
+// of the fault set in reads (see planReads.build).
 func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key string,
 	compute func(faults []scenario.FailLink, reads *planReads) (any, error)) {
 	t0 := time.Now()
@@ -496,9 +496,8 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: err.Error()})
 		return
 	}
-	// A simulation records no read set: every fault event invalidates it.
-	s.servePlan(w, r, "sim", simCacheKey(cfg, canon), func(faults []scenario.FailLink, _ *planReads) (any, error) {
-		return ComputeSim(cfg, faults)
+	s.servePlan(w, r, "sim", simCacheKey(cfg, canon), func(faults []scenario.FailLink, reads *planReads) (any, error) {
+		return computeSim(cfg, faults, reads)
 	})
 }
 

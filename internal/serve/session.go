@@ -318,17 +318,16 @@ func (m *sessionMgr) pushFaults(links []scenario.FailLink, epoch uint64) {
 // push queues the applicable subset of a fault event for injection at
 // the session's next safe point.
 func (s *session) push(links []scenario.FailLink, epoch uint64) {
-	appl := applicableFaults(s.tor, links)
+	var appl []scenario.FailLink
+	var ids []int
+	for _, fl := range links {
+		if id, ok := fl.LinkID(s.tor); ok {
+			appl = append(appl, fl)
+			ids = append(ids, id)
+		}
+	}
 	if len(appl) == 0 {
 		return
-	}
-	ids := make([]int, len(appl))
-	for i, fl := range appl {
-		dir := torus.Plus
-		if fl.Dir == -1 {
-			dir = torus.Minus
-		}
-		ids[i] = s.tor.LinkID(torus.NodeID(fl.Node), fl.Dim, dir)
 	}
 	s.mu.Lock()
 	if s.state == sessRunning {
@@ -430,6 +429,9 @@ func (s *session) run() {
 	rep, err := RunTransfer(req, faults, hooks)
 	s.finish(rep, err)
 	if wall != nil {
+		// Merge the engine's sim-clock spans before closing the session
+		// span: a trace read once no span is open then holds them.
+		wall.MergeSim(s.trace, hooks.Recorder)
 		s.mu.Lock()
 		aborted := s.aborted
 		s.mu.Unlock()
@@ -438,7 +440,6 @@ func (s *session) run() {
 		} else {
 			wall.SpanEnd(span)
 		}
-		wall.MergeSim(s.trace, hooks.Recorder)
 	}
 	reg.Histogram("serve/session_wall_ms").Observe(float64(time.Since(t0)) / 1e6)
 }

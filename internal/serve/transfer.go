@@ -255,7 +255,11 @@ func RunTransfer(req TransferRequest, faults []scenario.FailLink, hooks Transfer
 	}
 	params := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	failNetworkLinks(tor, net, applicableFaults(tor, faults))
+	for _, fl := range faults {
+		if id, ok := fl.LinkID(tor); ok {
+			net.FailLink(id)
+		}
+	}
 	e, err := netsim.NewEngine(net, params)
 	if err != nil {
 		return core.TransferReport{}, err

@@ -11,6 +11,7 @@ package torus
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -49,7 +50,9 @@ func (s Shape) String() string {
 	return strings.Join(parts, "x")
 }
 
-// ParseShape parses a BG/Q style shape string such as "2x2x4x4x2".
+// ParseShape parses a BG/Q style shape string such as "2x2x4x4x2". Each
+// extent is a whole decimal number of at least 1 with no sign or other
+// characters around it.
 func ParseShape(str string) (Shape, error) {
 	parts := strings.Split(str, "x")
 	if len(parts) == 0 || len(parts) > MaxDims {
@@ -57,8 +60,8 @@ func ParseShape(str string) (Shape, error) {
 	}
 	s := make(Shape, len(parts))
 	for i, p := range parts {
-		var d int
-		if _, err := fmt.Sscanf(p, "%d", &d); err != nil || d < 1 {
+		d, err := strconv.Atoi(p)
+		if err != nil || d < 1 || p[0] == '+' {
 			return nil, fmt.Errorf("torus: bad extent %q in shape %q", p, str)
 		}
 		s[i] = d

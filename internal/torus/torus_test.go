@@ -57,6 +57,38 @@ func TestParseShape(t *testing.T) {
 	}
 }
 
+// An extent with anything but digits in it is malformed, even when a
+// number prefixes it: a lenient parse would give one partition several
+// spellings.
+func TestParseShapeRejectsTrailingGarbage(t *testing.T) {
+	for _, tc := range []struct {
+		in   string
+		want Shape
+	}{
+		{"2x2x4x4x2", Shape{2, 2, 4, 4, 2}},
+		{"16", Shape{16}},
+		{"2x2x4x4x2abc", nil},
+		{"2x2x4x4x2.9", nil},
+		{"2x2x4x4x+2", nil},
+		{"2x2x4x4x 2", nil},
+		{"2x2x4x4x2 ", nil},
+		{"2xx2", nil},
+		{"2x0", nil},
+		{"0x10", nil},
+	} {
+		got, err := ParseShape(tc.in)
+		if tc.want == nil {
+			if err == nil {
+				t.Errorf("ParseShape(%q) = %v, want an error", tc.in, got)
+			}
+			continue
+		}
+		if err != nil || got.String() != tc.want.String() {
+			t.Errorf("ParseShape(%q) = %v, %v; want %v", tc.in, got, err, tc.want)
+		}
+	}
+}
+
 func TestIDCoordRoundTripExhaustive(t *testing.T) {
 	tor := mira128()
 	for id := NodeID(0); int(id) < tor.Size(); id++ {
