@@ -48,10 +48,11 @@ type Aggregator struct {
 }
 
 // AggPlanner implements Algorithm 2. The Init part — querying pset
-// geometry and precomputing the candidate aggregator sets for every
-// feasible per-pset count — runs once in NewAggPlanner; each write burst
-// then only needs the total data size (one allreduce) before flows can be
-// submitted.
+// geometry and finding the per-pset aggregator counts every pset splits
+// into exactly — runs once in NewAggPlanner; each write burst then only
+// needs the total data size (one allreduce) to select a count, and
+// AggregatorsFor builds that count's candidate set alone. A planner is
+// read-only after Init, so concurrent bursts may share it.
 type AggPlanner struct {
 	ios  *ionet.System
 	job  *mpisim.Job
@@ -61,9 +62,6 @@ type AggPlanner struct {
 	// feasible lists the per-pset aggregator counts with an exact 5-D
 	// block decomposition, ascending.
 	feasible []int
-	// candidates[count][pset] lists the aggregator nodes (block lead
-	// nodes) for that per-pset count.
-	candidates map[int][][]torus.NodeID
 
 	// rec, when set, accumulates per-aggregator and per-bridge byte
 	// counters into its registry as bursts are planned. nil = off.
@@ -84,13 +82,11 @@ func NewAggPlanner(ios *ionet.System, job *mpisim.Job, params netsim.Params, cfg
 		return nil, fmt.Errorf("core: MaxAggregatorsPerPset must be positive")
 	}
 	a := &AggPlanner{
-		ios:        ios,
-		job:        job,
-		cfg:        cfg,
-		coll:       mpisim.NewCollectiveModel(job, params),
-		candidates: make(map[int][][]torus.NodeID),
+		ios:  ios,
+		job:  job,
+		cfg:  cfg,
+		coll: mpisim.NewCollectiveModel(job, params),
 	}
-	tor := job.Torus()
 	max := cfg.MaxAggregatorsPerPset
 	if ps := ios.Pset(0).Box.Size(); max > ps {
 		max = ps
@@ -99,20 +95,15 @@ func NewAggPlanner(ios *ionet.System, job *mpisim.Job, params netsim.Params, cfg
 	if len(a.feasible) == 0 {
 		return nil, fmt.Errorf("core: pset %v admits no block decomposition", ios.Pset(0).Box)
 	}
+	// Every pset must split into every feasible count; only a failure
+	// builds the blocks, for its error.
 	for _, count := range a.feasible {
-		perPset := make([][]torus.NodeID, ios.NumPsets())
 		for pi := 0; pi < ios.NumPsets(); pi++ {
-			blocks, err := ios.Pset(pi).Box.Blocks(count)
-			if err != nil {
+			if box := ios.Pset(pi).Box; !torus.Splittable(box.Extent, count) {
+				_, err := box.Blocks(count)
 				return nil, fmt.Errorf("core: pset %d: %w", pi, err)
 			}
-			nodes := make([]torus.NodeID, len(blocks))
-			for bi, blk := range blocks {
-				nodes[bi] = tor.ID(blk.Corner())
-			}
-			perPset[pi] = nodes
 		}
-		a.candidates[count] = perPset
 	}
 	return a, nil
 }
@@ -142,16 +133,25 @@ func (a *AggPlanner) AggregatorsFor(totalBytes int64) (perPset int, aggs []Aggre
 		}
 	}
 	bridges := a.ios.Config().BridgesPerPset
-	perPsetNodes := a.candidates[perPset]
+	npsets := a.ios.NumPsets()
+	leads := make([][]torus.NodeID, npsets)
+	for pi := range leads {
+		nodes, err := a.ios.Pset(pi).Box.BlockLeads(a.job.Torus(), perPset)
+		if err != nil {
+			panic(fmt.Sprintf("core: pset %d lost its feasible split into %d: %v", pi, perPset, err))
+		}
+		leads[pi] = nodes
+	}
 	// Interleave across psets so that ANY prefix of the list — which is
 	// all a burst with few senders uses under round-robin assignment —
 	// already spreads evenly over the I/O nodes and their bridges.
+	aggs = make([]Aggregator, 0, perPset*npsets)
 	for bi := 0; bi < perPset; bi++ {
-		for pi := 0; pi < a.ios.NumPsets(); pi++ {
-			node := perPsetNodes[pi][bi]
+		for pi := 0; pi < npsets; pi++ {
+			node := leads[pi][bi]
 			aggs = append(aggs, Aggregator{
 				Node:     node,
-				LeadRank: a.job.RanksOn(node)[0],
+				LeadRank: a.job.FirstRankOn(node),
 				Pset:     pi,
 				Bridge:   bi % bridges,
 			})

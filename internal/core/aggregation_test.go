@@ -270,3 +270,57 @@ func TestAggBalancesIONLoadForConcentratedBurst(t *testing.T) {
 		t.Fatalf("ION uplink imbalance: min %g, max %g", min, max)
 	}
 }
+
+// eagerAggregators is the Init the planner used to run for every feasible
+// count: build each pset's blocks, take their origin corners and each
+// corner's first rank, interleaved across psets.
+func eagerAggregators(t *testing.T, r *aggRig, count int) []Aggregator {
+	t.Helper()
+	bridges := r.ios.Config().BridgesPerPset
+	perPset := make([][]torus.NodeID, r.ios.NumPsets())
+	for pi := range perPset {
+		blocks, err := r.ios.Pset(pi).Box.Blocks(count)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, blk := range blocks {
+			perPset[pi] = append(perPset[pi], r.tor.ID(blk.Corner()))
+		}
+	}
+	var aggs []Aggregator
+	for bi := 0; bi < count; bi++ {
+		for pi := range perPset {
+			node := perPset[pi][bi]
+			aggs = append(aggs, Aggregator{Node: node, LeadRank: r.job.RanksOn(node)[0], Pset: pi, Bridge: bi % bridges})
+		}
+	}
+	return aggs
+}
+
+// AggregatorsFor builds only the selected count's candidates; for every
+// feasible count it must return what the eager Init selected.
+func TestAggregatorsForMatchesEagerInit(t *testing.T) {
+	for _, shape := range []torus.Shape{{2, 2, 4, 4, 2}, {4, 4, 4, 16, 2}} {
+		r := newAggRig(t, shape, 16)
+		a, err := NewAggPlanner(r.ios, r.job, r.p, DefaultAggConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		S, nio := a.cfg.MinBytesPerAggregator, int64(r.ios.NumIONodes())
+		for _, count := range a.FeasibleCounts() {
+			perPset, got := a.AggregatorsFor(int64(count) * S * nio)
+			if perPset != count {
+				t.Fatalf("%v: burst sized for %d aggregators per pset selected %d", shape, count, perPset)
+			}
+			want := eagerAggregators(t, r, count)
+			if len(got) != len(want) {
+				t.Fatalf("%v count %d: %d aggregators, want %d", shape, count, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("%v count %d: aggregator %d = %+v, want %+v", shape, count, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

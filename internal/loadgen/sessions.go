@@ -350,19 +350,45 @@ func RunSessions(ctx context.Context, client *serve.Client, o SessionOptions) (S
 
 	// Server-side counters; best effort (the run may have outlived the
 	// daemon it started against).
-	if snap, merr := client.Metrics(ctx); merr == nil {
-		rep.Metrics = &snap
-		rep.ServerExecuted = snap.Counters["serve/sessions_executed"]
-		rep.ServerStarted = snap.Counters["serve/sessions_started"]
-		rep.ServerRearmed = snap.Counters["serve/sessions_rearmed"]
-		rep.ServerCompleted = snap.Counters["serve/sessions_completed"]
-		rep.ServerAborted = snap.Counters["serve/sessions_aborted"]
+	metrics, slo := closingSnapshots(ctx, client, policy)
+	if metrics != nil {
+		rep.Metrics = metrics
+		rep.ServerExecuted = metrics.Counters["serve/sessions_executed"]
+		rep.ServerStarted = metrics.Counters["serve/sessions_started"]
+		rep.ServerRearmed = metrics.Counters["serve/sessions_rearmed"]
+		rep.ServerCompleted = metrics.Counters["serve/sessions_completed"]
+		rep.ServerAborted = metrics.Counters["serve/sessions_aborted"]
 		rep.Duplicated = rep.ServerExecuted - rep.ServerStarted - rep.ServerRearmed
 	}
-	if slo, serr := client.SLO(ctx); serr == nil && slo.Enabled {
-		rep.SLO = &slo
-	}
+	rep.SLO = slo
 	return rep, nil
+}
+
+// closingWindow bounds how long the closing fetches wait for a daemon to
+// come back: a soak whose last sessions end during a restart's drain
+// meets no listener until the new daemon binds.
+const closingWindow = 5 * time.Second
+
+// closingSnapshots fetches the daemon's metrics and SLO verdicts after a
+// soak, retrying transport errors under policy for up to closingWindow
+// each. Either result is nil when the daemon did not serve it (an SLO
+// snapshot also when no objectives are configured).
+func closingSnapshots(ctx context.Context, client *serve.Client, policy serve.RetryPolicy) (metrics *obs.MetricsSnapshot, slo *obs.SLOSnapshot) {
+	var m obs.MetricsSnapshot
+	if policy.Await(ctx, closingWindow, func(ctx context.Context) (err error) {
+		m, err = client.Metrics(ctx)
+		return err
+	}) == nil {
+		metrics = &m
+	}
+	var s obs.SLOSnapshot
+	if policy.Await(ctx, closingWindow, func(ctx context.Context) (err error) {
+		s, err = client.SLO(ctx)
+		return err
+	}) == nil && s.Enabled {
+		slo = &s
+	}
+	return metrics, slo
 }
 
 // SessionCriteria are the chaos-soak gates.

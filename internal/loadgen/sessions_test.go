@@ -3,11 +3,15 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"net"
+	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
+	"bgqflow/internal/obs"
 	"bgqflow/internal/serve"
 )
 
@@ -109,5 +113,43 @@ func TestSessionCriteriaGates(t *testing.T) {
 	clean := SessionReport{Completed: 10, Resumes: 2, PushedFaults: 2, PeakConcurrent: 8}
 	if err := clean.Check(SessionCriteria{MinCompleted: 10, MinResumes: 1, MinPushedFaults: 1, MinPeakConcurrent: 4}); err != nil {
 		t.Fatalf("clean report failed: %v", err)
+	}
+}
+
+// A soak whose last sessions end during a daemon restart meets no
+// listener until the new daemon binds; the closing fetches must wait for
+// it rather than report no metrics and no SLO verdicts.
+func TestClosingSnapshotsWaitForLateListener(t *testing.T) {
+	sock := filepath.Join(t.TempDir(), "bgqd.sock")
+	client, err := serve.NewClient("unix://" + sock)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := serve.New(serve.Config{
+		StatsWindow: 10 * time.Second,
+		SLOs: []obs.SLOSpec{{Name: "plan_p99", Kind: obs.SLOLatencyP99,
+			Metric: "serve/window/plan_latency_ms", Threshold: 60_000}},
+	})
+	defer srv.Close()
+	hs := &http.Server{Handler: srv.Handler()}
+	defer hs.Close()
+	bound := make(chan error, 1)
+	go func() {
+		time.Sleep(300 * time.Millisecond)
+		l, err := net.Listen("unix", sock)
+		bound <- err
+		if err == nil {
+			hs.Serve(l)
+		}
+	}()
+	policy := serve.RetryPolicy{BaseBackoff: 10 * time.Millisecond, MaxBackoff: 500 * time.Millisecond, Jitter: 0.25, RetryConn: true}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	metrics, slo := closingSnapshots(ctx, client, policy)
+	if err := <-bound; err != nil {
+		t.Fatal(err)
+	}
+	if metrics == nil || slo == nil {
+		t.Fatalf("closing fetches got metrics %v, SLO %v: they gave up before the listener bound", metrics != nil, slo != nil)
 	}
 }

@@ -87,6 +87,13 @@ func NewJobWithMapping(tor *torus.Torus, ranksPerNode int, order MapOrder) (*Job
 		rankNode:     make([]torus.NodeID, numRanks),
 		nodeRanks:    make([][]int, tor.Size()),
 	}
+	// The odometer covers every (node, T) pair once, so every node hosts
+	// exactly ranksPerNode ranks: carve each node's list from one array
+	// rather than growing it rank by rank.
+	flat := make([]int, numRanks)
+	for n := range j.nodeRanks {
+		j.nodeRanks[n] = flat[n*ranksPerNode : n*ranksPerNode : (n+1)*ranksPerNode]
+	}
 	// Odometer over the permuted axes, rightmost (last) fastest.
 	extent := func(axis int) int {
 		if axis == dims {

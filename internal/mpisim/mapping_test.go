@@ -129,3 +129,88 @@ func TestMappingChangesDataPlacement(t *testing.T) {
 		t.Fatalf("round-robin mapping spread 16 ranks over %d nodes", len(nodesRR))
 	}
 }
+
+// appendLayout is the layout NewJobWithMapping built before it carved
+// the rank lists from one array: the same odometer, each node's list
+// grown by append.
+func appendLayout(t *testing.T, tor *torus.Torus, k int, order MapOrder) ([]torus.NodeID, [][]int) {
+	t.Helper()
+	axes, err := order.parse(tor)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dims := tor.Dims()
+	rankNode := make([]torus.NodeID, tor.Size()*k)
+	nodeRanks := make([][]int, tor.Size())
+	pos := make([]int, len(axes))
+	coord := make(torus.Coord, dims)
+	for r := range rankNode {
+		for i, axis := range axes {
+			if axis < dims {
+				coord[axis] = pos[i]
+			}
+		}
+		node := tor.ID(coord)
+		rankNode[r] = node
+		nodeRanks[node] = append(nodeRanks[node], r)
+		for i := len(axes) - 1; i >= 0; i-- {
+			pos[i]++
+			ext := k
+			if axes[i] < dims {
+				ext = tor.Extent(axes[i])
+			}
+			if pos[i] < ext {
+				break
+			}
+			pos[i] = 0
+		}
+	}
+	return rankNode, nodeRanks
+}
+
+// The rank lists are carved from one array; NodeOf, RanksOn and
+// FirstRankOn must equal the append-built layout under every mapping
+// order.
+func TestRankListsMatchAppendBuilt(t *testing.T) {
+	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
+	var orders []MapOrder
+	var permute func(prefix, rest string)
+	permute = func(prefix, rest string) {
+		if rest == "" {
+			orders = append(orders, MapOrder(prefix))
+			return
+		}
+		for i := range rest {
+			permute(prefix+rest[i:i+1], rest[:i]+rest[i+1:])
+		}
+	}
+	permute("", "ABCDET")
+	if len(orders) != 720 {
+		t.Fatalf("%d orders, want 720", len(orders))
+	}
+	for _, k := range []int{1, 4, 16} {
+		for _, order := range orders {
+			j, err := NewJobWithMapping(tor, k, order)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rankNode, nodeRanks := appendLayout(t, tor, k, order)
+			for r, n := range rankNode {
+				if j.NodeOf(r) != n {
+					t.Fatalf("%s k=%d: rank %d on node %d, want %d", order, k, r, j.NodeOf(r), n)
+				}
+			}
+			for n, want := range nodeRanks {
+				got := j.RanksOn(torus.NodeID(n))
+				if len(got) != len(want) || j.FirstRankOn(torus.NodeID(n)) != want[0] {
+					t.Fatalf("%s k=%d node %d: ranks %v, want %v", order, k, n, got, want)
+				}
+				for i := range got {
+					if got[i] != want[i] {
+						t.Fatalf("%s k=%d node %d: ranks %v, want %v", order, k, n, got, want)
+					}
+				}
+			}
+		}
+	}
+}

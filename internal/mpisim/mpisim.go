@@ -64,6 +64,12 @@ func (j *Job) RanksOn(node torus.NodeID) []int {
 	return append([]int(nil), j.nodeRanks[node]...)
 }
 
+// FirstRankOn returns the lowest rank a node hosts — rank 0 of a
+// subcommunicator whose first node it is — without RanksOn's copy.
+func (j *Job) FirstRankOn(node torus.NodeID) int {
+	return j.nodeRanks[node][0]
+}
+
 // World returns the communicator containing every rank.
 func (j *Job) World() *Comm {
 	ranks := make([]int, j.numRanks)

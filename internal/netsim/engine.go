@@ -525,6 +525,10 @@ func (e *Engine) Run() (sim.Duration, error) {
 		panic("netsim: Run called twice")
 	}
 	e.ran = true
+	// A flow holds at most one pending clock event at a time, and one
+	// batched sweep can be pending beside them: sized here, at the
+	// start of the run, the clock never grows during it.
+	e.clock.Reserve(len(e.flows) + 1)
 	for _, f := range e.flows {
 		if f.unmetDeps == 0 {
 			e.release(f)
@@ -1072,13 +1076,14 @@ func (e *Engine) applyRates(flows []*flow) {
 		if f.hasEnd && r == f.rate {
 			continue
 		}
-		if f.hasEnd {
-			e.clock.Cancel(f.endEvent)
-		}
 		f.rate = r
 		dt := sim.Duration(f.remaining / f.rate)
 		f.next = evTransferEnd
-		f.endEvent = e.clock.AfterCall(dt, e, f)
+		// Move the pending completion in place; its fresh sequence
+		// number orders it exactly as Cancel + AfterCall would.
+		if !f.hasEnd || !e.clock.RescheduleAfter(f.endEvent, dt) {
+			f.endEvent = e.clock.AfterCall(dt, e, f)
+		}
 		f.hasEnd = true
 	}
 }

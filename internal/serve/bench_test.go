@@ -32,4 +32,26 @@ func BenchmarkComputePairCold(b *testing.B) {
 	}
 }
 
-var pairSink serve.PairPlan
+// BenchmarkComputeAggCold measures one uncached Algorithm 2 plan — the
+// agg request serve-cold sends: a Pattern-2 burst on the 2x2x4x4x2 Fig. 5
+// partition, planned, simulated and encoded — cycling through 64 seeds.
+func BenchmarkComputeAggCold(b *testing.B) {
+	reqs := make([]serve.AggRequest, 64)
+	for i := range reqs {
+		reqs[i] = serve.AggRequest{Shape: "2x2x4x4x2", Workload: "pattern2", Seed: int64(i + 1)}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		plan, err := serve.ComputeAgg(reqs[i%len(reqs)], nil)
+		if err != nil {
+			b.Fatal(err)
+		}
+		aggSink = plan
+	}
+}
+
+var (
+	pairSink serve.PairPlan
+	aggSink  serve.AggPlan
+)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -11,6 +12,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptrace"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -118,6 +120,24 @@ func (p RetryPolicy) sleep(ctx context.Context, attempt int, hint time.Duration)
 		return nil
 	case <-ctx.Done():
 		return ctx.Err()
+	}
+}
+
+// Await runs fetch until it succeeds or fails with anything but a
+// transport error, backing off under p between transport failures —
+// a daemon restarting between listeners — for at most window. It
+// returns fetch's last error.
+func (p RetryPolicy) Await(ctx context.Context, window time.Duration, fetch func(context.Context) error) error {
+	deadline := time.Now().Add(window)
+	for attempt := 0; ; attempt++ {
+		err := fetch(ctx)
+		var uerr *url.Error
+		if err == nil || !errors.As(err, &uerr) || ctx.Err() != nil || time.Now().After(deadline) {
+			return err
+		}
+		if serr := p.sleep(ctx, attempt, 0); serr != nil {
+			return err
+		}
 	}
 }
 

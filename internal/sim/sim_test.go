@@ -370,3 +370,125 @@ func TestAfterCallSteadyStateAllocationFree(t *testing.T) {
 		t.Fatalf("AfterCall+Run allocates %.1f objects/op, want 0", avg)
 	}
 }
+
+func TestStaleIDNeverTouchesSlotReuse(t *testing.T) {
+	e := NewEngine()
+	cb := &recordCB{}
+	fired := e.AfterCall(1, cb, nil)
+	e.Run()
+	cancelled := e.AfterCall(1, cb, nil)
+	if !e.Cancel(cancelled) {
+		t.Fatal("cancel of a pending event failed")
+	}
+	// Both stale IDs name the slot the next events reuse.
+	a := e.AfterCall(3, cb, 1)
+	b := e.AfterCall(4, cb, 2)
+	for _, stale := range []EventID{fired, cancelled} {
+		if e.Cancel(stale) {
+			t.Fatalf("stale ID %+v cancelled a reused slot", stale)
+		}
+		if e.RescheduleAfter(stale, 0) {
+			t.Fatalf("stale ID %+v rescheduled a reused slot", stale)
+		}
+	}
+	if e.Pending() != 2 {
+		t.Fatalf("Pending() = %d, want 2", e.Pending())
+	}
+	cb.got, cb.at = nil, nil
+	e.Run()
+	if len(cb.got) != 2 || cb.got[0] != 1 || cb.got[1] != 2 || cb.at[0] != 4 || cb.at[1] != 5 {
+		t.Fatalf("fired %v at %v, want [1 2] at [4 5]", cb.got, cb.at)
+	}
+	if e.Cancel(a) || e.RescheduleAfter(b, 1) {
+		t.Fatal("IDs of fired events still matched")
+	}
+	if e.RescheduleAfter(EventID{}, 1) {
+		t.Fatal("zero ID rescheduled an event")
+	}
+}
+
+func TestRescheduleToSameTimeFiresLast(t *testing.T) {
+	e := NewEngine()
+	cb := &recordCB{}
+	first := e.AtCall(5, cb, "first")
+	e.AtCall(5, cb, "second")
+	if !e.RescheduleAfter(first, 5) {
+		t.Fatal("reschedule of a pending event failed")
+	}
+	e.Run()
+	if len(cb.got) != 2 || cb.got[0] != "second" || cb.got[1] != "first" {
+		t.Fatalf("fired %v, want [second first]: a rescheduled event queues behind its instant", cb.got)
+	}
+}
+
+func TestRescheduleMovesEarlierAndLater(t *testing.T) {
+	e := NewEngine()
+	cb := &recordCB{}
+	ids := make([]EventID, 6)
+	for i := range ids {
+		ids[i] = e.AtCall(Time(10+i), cb, i)
+	}
+	e.RescheduleAfter(ids[5], 1)  // to t=1
+	e.RescheduleAfter(ids[0], 20) // to t=20
+	e.RescheduleAfter(ids[3], -2) // clamps to t=0
+	e.Run()
+	want := []any{3, 5, 1, 2, 4, 0}
+	wantAt := []Time{0, 1, 11, 12, 14, 20}
+	for i := range want {
+		if cb.got[i] != want[i] || cb.at[i] != wantAt[i] {
+			t.Fatalf("fired %v at %v, want %v at %v", cb.got, cb.at, want, wantAt)
+		}
+	}
+}
+
+func TestReserveKeepsSchedulingAllocationFree(t *testing.T) {
+	e := NewEngine()
+	cb := &recordCB{got: make([]any, 0, 512), at: make([]Time, 0, 512)}
+	arg := new(int)
+	// AllocsPerRun calls f twice: a warm-up and the measured run.
+	e.Reserve(512)
+	avg := testing.AllocsPerRun(1, func() {
+		for i := 0; i < 256; i++ {
+			e.AfterCall(Duration(i%7), cb, arg)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("scheduling 256 reserved events allocates %.1f objects, want 0", avg)
+	}
+	e.Run()
+	if len(cb.got) != 512 {
+		t.Fatalf("fired %d events, want 512", len(cb.got))
+	}
+}
+
+// BenchmarkEngineReschedule keeps 4,096 events pending; each step moves
+// 16 of them to new times (netsim's per-sweep completion updates), then
+// fires the earliest, which schedules its own replacement.
+func BenchmarkEngineReschedule(b *testing.B) {
+	const pending, moves = 4096, 16
+	e := NewEngine()
+	r := &rescheduler{rng: rand.New(rand.NewSource(1)), ids: make([]EventID, pending), idx: make([]int, pending)}
+	for i := range r.ids {
+		r.idx[i] = i
+		r.ids[i] = e.AfterCall(Duration(r.rng.Float64()), r, &r.idx[i])
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for m := 0; m < moves; m++ {
+			e.RescheduleAfter(r.ids[r.rng.Intn(pending)], Duration(r.rng.Float64()))
+		}
+		e.Step()
+	}
+}
+
+type rescheduler struct {
+	rng *rand.Rand
+	ids []EventID
+	idx []int
+}
+
+func (r *rescheduler) OnEvent(e *Engine, arg any) {
+	i := arg.(*int)
+	r.ids[*i] = e.AfterCall(Duration(r.rng.Float64()), r, i)
+}

@@ -1,9 +1,6 @@
 package torus
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Box is a rectangular region of a torus: an origin corner plus an extent
 // in each dimension. Boxes model psets (the 128-node I/O groupings of the
@@ -121,34 +118,55 @@ func SplitFactors(extent Shape, parts int) ([]int, error) {
 		return nil, fmt.Errorf("torus: cannot split %v (%d nodes) into %d parts", extent, extent.Size(), parts)
 	}
 	f := make([]int, len(extent))
-	remaining := make([]int, len(extent))
 	for i := range f {
 		f[i] = 1
-		remaining[i] = extent[i]
 	}
-	p := parts
-	for p > 1 {
+	if prime := split(extent.Clone(), parts, f); prime != 0 {
+		return nil, fmt.Errorf("torus: %v has no block decomposition into %d parts (prime %d does not divide any remaining extent)",
+			extent, parts, prime)
+	}
+	return f, nil
+}
+
+// Splittable reports whether SplitFactors(extent, parts) succeeds,
+// without building the factors or an error: the feasibility test
+// Algorithm 2's Init runs for every candidate count.
+func Splittable(extent Shape, parts int) bool {
+	if parts < 1 || parts > extent.Size() {
+		return false
+	}
+	var buf [MaxDims]int
+	return split(append(buf[:0], extent...), parts, nil) == 0
+}
+
+// split runs SplitFactors' greedy rule over rem, the remaining extent of
+// each dimension, which it divides in place: each prime factor of parts,
+// smallest first, goes to the dimension with the largest remaining extent
+// it divides, ties to the lowest index. When f is non-nil the prime is
+// multiplied into f's entry for that dimension. split returns 0 on
+// success, or the first prime no remaining extent admits.
+func split(rem []int, parts int, f []int) (failed int) {
+	for p := parts; p > 1; {
 		prime := smallestPrimeFactor(p)
-		// Pick the dimension with the largest remaining extent divisible
-		// by this prime; ties favor the lowest index for determinism.
 		best := -1
-		for i := range remaining {
-			if remaining[i]%prime != 0 {
+		for i := range rem {
+			if rem[i]%prime != 0 {
 				continue
 			}
-			if best < 0 || remaining[i] > remaining[best] {
+			if best < 0 || rem[i] > rem[best] {
 				best = i
 			}
 		}
 		if best < 0 {
-			return nil, fmt.Errorf("torus: %v has no block decomposition into %d parts (prime %d does not divide any remaining extent)",
-				extent, parts, prime)
+			return prime
 		}
-		f[best] *= prime
-		remaining[best] /= prime
+		if f != nil {
+			f[best] *= prime
+		}
+		rem[best] /= prime
 		p /= prime
 	}
-	return f, nil
+	return 0
 }
 
 func smallestPrimeFactor(n int) int {
@@ -198,17 +216,45 @@ func (b Box) Blocks(parts int) ([]Box, error) {
 	return out, nil
 }
 
+// BlockLeads returns the node of each block's origin corner for the
+// parts-way split of the box, in the order Blocks returns the blocks,
+// without building the blocks. These are Algorithm 2's candidate
+// aggregators.
+func (b Box) BlockLeads(t *Torus, parts int) ([]NodeID, error) {
+	f, err := SplitFactors(b.Extent, parts)
+	if err != nil {
+		return nil, err
+	}
+	out := make([]NodeID, 0, parts)
+	c := b.Origin.Clone()
+	idx := make([]int, len(f))
+	for {
+		out = append(out, t.ID(c))
+		i := len(idx) - 1
+		for ; i >= 0; i-- {
+			idx[i]++
+			c[i] += b.Extent[i] / f[i]
+			if idx[i] < f[i] {
+				break
+			}
+			idx[i] = 0
+			c[i] = b.Origin[i]
+		}
+		if i < 0 {
+			return out, nil
+		}
+	}
+}
+
 // FeasibleBlockCounts returns, in ascending order, every parts value in
-// [1, max] for which the box has an exact block decomposition. The
-// aggregator-placement algorithm precomputes candidate aggregator sets for
-// each of these counts (the paper's list P = {1, 2, 4, ..., 128}).
+// [1, max] for which the box has an exact block decomposition (the
+// paper's list P = {1, 2, 4, ..., 128} for a 128-node pset).
 func (b Box) FeasibleBlockCounts(max int) []int {
 	var out []int
 	for p := 1; p <= max && p <= b.Size(); p++ {
-		if _, err := SplitFactors(b.Extent, p); err == nil {
+		if Splittable(b.Extent, p) {
 			out = append(out, p)
 		}
 	}
-	sort.Ints(out)
 	return out
 }

@@ -171,3 +171,92 @@ func TestPropertyBlocksPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// forEachShape calls fn for every shape with 1..5 dimensions, extents
+// 1..8 and at most 256 nodes.
+func forEachShape(fn func(Shape)) {
+	var walk func(s Shape)
+	walk = func(s Shape) {
+		if len(s) > 0 {
+			fn(s.Clone())
+		}
+		if len(s) == 5 {
+			return
+		}
+		for x := 1; x <= 8 && s.Size()*x <= 256; x++ {
+			walk(append(s, x))
+		}
+	}
+	walk(nil)
+}
+
+// FeasibleBlockCounts and Splittable skip building factors and errors;
+// they must still agree with SplitFactors' definition everywhere.
+func TestFeasibleBlockCountsMatchSplitFactors(t *testing.T) {
+	shapes := 0
+	forEachShape(func(s Shape) {
+		shapes++
+		var want []int
+		for p := 0; p <= s.Size()+1; p++ {
+			_, err := SplitFactors(s, p)
+			if got := Splittable(s, p); got != (err == nil) {
+				t.Fatalf("Splittable(%v, %d) = %v, SplitFactors error %v", s, p, got, err)
+			}
+			if err == nil && p >= 1 {
+				want = append(want, p)
+			}
+		}
+		box := Box{Origin: make(Coord, len(s)), Extent: s}
+		got := box.FeasibleBlockCounts(256)
+		if len(got) != len(want) {
+			t.Fatalf("FeasibleBlockCounts(%v) = %v, want %v", s, got, want)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("FeasibleBlockCounts(%v) = %v, want %v", s, got, want)
+			}
+		}
+	})
+	if shapes < 1000 {
+		t.Fatalf("walked %d shapes; the enumeration is broken", shapes)
+	}
+}
+
+func TestSplittableDoesNotAllocate(t *testing.T) {
+	s := Shape{2, 2, 4, 4, 2}
+	if n := testing.AllocsPerRun(100, func() {
+		for p := 1; p <= 128; p++ {
+			Splittable(s, p)
+		}
+	}); n != 0 {
+		t.Fatalf("Splittable allocates %.0f objects per 128 counts", n)
+	}
+}
+
+// BlockLeads must name the origin corner of every block Blocks builds,
+// in Blocks' order.
+func TestBlockLeadsMatchBlocks(t *testing.T) {
+	tor := MustNew(Shape{4, 4, 4, 16, 2})
+	box := MustNewBox(tor, Coord{0, 0, 0, 8, 0}, Shape{4, 4, 4, 8, 2})
+	for _, parts := range box.FeasibleBlockCounts(box.Size()) {
+		blocks, err := box.Blocks(parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leads, err := box.BlockLeads(tor, parts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(leads) != len(blocks) {
+			t.Fatalf("BlockLeads(%d): %d leads for %d blocks", parts, len(leads), len(blocks))
+		}
+		for i, blk := range blocks {
+			if want := tor.ID(blk.Corner()); leads[i] != want {
+				t.Fatalf("BlockLeads(%d)[%d] = %d, want %d", parts, i, leads[i], want)
+			}
+		}
+	}
+	if _, err := box.BlockLeads(tor, 3); err == nil {
+		t.Fatal("BlockLeads accepted an infeasible count")
+	}
+}
