@@ -286,7 +286,6 @@ func TestBgqbenchFlagValidation(t *testing.T) {
 		want string // substring of the one-line stderr error
 	}{
 		{"unknown name in list", []string{"-run", "fig5,nonsense"}, "unknown experiment"},
-		{"unknown mode alias", []string{"-mode", "nonsense"}, "unknown experiment"},
 		{"unreadable compare", []string{"-run", "fig5", "-compare", filepath.Join(t.TempDir(), "missing.json")}, "compare"},
 		{"negative parallel", []string{"-run", "fig5", "-parallel", "-2"}, "-parallel"},
 		{"check with obs-trace", []string{"-run", "fig5", "-check", "-obs-trace", "x.json"}, "-check"},

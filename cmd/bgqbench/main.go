@@ -5,7 +5,7 @@
 // Usage:
 //
 //	bgqbench [-run fig5|fig6|fig7|fig8|fig9|fig10|fig11|r1|ablations|extensions|scale|topo|all]
-//	         [-quick] [-parallel N] [-engine incremental|global]
+//	         [-quick] [-parallel N]
 //	         [-json out.json] [-compare prev.json]
 //	         [-obs-trace f] [-metrics f] [-check]
 //	         [-cpuprofile f] [-memprofile f] [-trace f]
@@ -24,12 +24,6 @@
 // counters and histograms as a flat JSON snapshot. Both also embed a
 // metrics summary in the -json report. The observability hooks are
 // currently wired through the r1 runner.
-//
-// -engine selects the netsim rate-update strategy for every engine the
-// runners build: the default incremental waterfill or the global
-// full-sweep oracle (DESIGN.md §13). Combined with -check this audits
-// the incremental engine live; combined with -run scale it measures the
-// two strategies head to head on the full-Mira scenario.
 //
 // -check attaches an invariant auditor (internal/check) to every engine
 // the runners build: per-sweep capacity and rate-cap checks plus
@@ -109,7 +103,7 @@ var runners = []struct {
 // validateFlags rejects bad flags before any experiment runs, so a long
 // sweep never dies halfway through on a typo. Returned errors are
 // printed as a single line and exit with status 2.
-func validateFlags(selected []string, parallel int, engine string, checkOn bool, obsTrace, metricsOut, compare string) error {
+func validateFlags(selected []string, parallel int, checkOn bool, obsTrace, metricsOut, compare string) error {
 	known := make([]string, 0, len(runners)+1)
 	for _, r := range runners {
 		known = append(known, r.name)
@@ -129,9 +123,6 @@ func validateFlags(selected []string, parallel int, engine string, checkOn bool,
 	}
 	if parallel < 0 {
 		return fmt.Errorf("-parallel must be >= 0, got %d", parallel)
-	}
-	if engine != "incremental" && engine != "global" {
-		return fmt.Errorf("-engine must be incremental or global, got %q", engine)
 	}
 	if checkOn && (obsTrace != "" || metricsOut != "") {
 		return fmt.Errorf("-check cannot be combined with -obs-trace or -metrics: the invariant auditor claims each engine's observability sink")
@@ -177,7 +168,6 @@ func (c *checkCollector) drain() (engines int, viols []check.Violation) {
 
 func main() {
 	run := flag.String("run", "all", "which experiment to run: fig5..fig11, r1, ablations, extensions, or all")
-	mode := flag.String("mode", "", "alias for -run (e.g. -mode r1)")
 	quick := flag.Bool("quick", false, "trimmed sweeps for a fast smoke run")
 	parallel := flag.Int("parallel", 0, "sweep-point workers; 0 = one per CPU, 1 = sequential (same results either way)")
 	jsonOut := flag.String("json", "", "write a machine-readable run report to this file")
@@ -188,14 +178,10 @@ func main() {
 	obsTrace := flag.String("obs-trace", "", "write the run's simulation-time spans as Chrome trace-event JSON (ui.perfetto.dev)")
 	metricsOut := flag.String("metrics", "", "write the observability metrics registry as a JSON snapshot")
 	checkOn := flag.Bool("check", false, "attach invariant auditors (internal/check) to every engine; exit non-zero on any violation")
-	engine := flag.String("engine", "incremental", "netsim sweep strategy: incremental (default) or global (the full-sweep oracle)")
 	flag.Parse()
 
-	if *mode != "" {
-		run = mode
-	}
 	selected := strings.Split(*run, ",")
-	if err := validateFlags(selected, *parallel, *engine, *checkOn, *obsTrace, *metricsOut, *compare); err != nil {
+	if err := validateFlags(selected, *parallel, *checkOn, *obsTrace, *metricsOut, *compare); err != nil {
 		fmt.Fprintf(os.Stderr, "bgqbench: %v\n", err)
 		os.Exit(2)
 	}
@@ -210,17 +196,6 @@ func main() {
 	if *checkOn {
 		checker = &checkCollector{}
 		opt.EngineHook = checker.attach
-	}
-	if *engine == "global" {
-		// Compose ahead of the checker hook: SetSweepMode must run before
-		// any flow is submitted, and the auditor only observes.
-		base := opt.EngineHook
-		opt.EngineHook = func(e *netsim.Engine) {
-			e.SetSweepMode(netsim.SweepGlobal)
-			if base != nil {
-				base(e)
-			}
-		}
 	}
 
 	if *cpuprofile != "" {

@@ -20,13 +20,9 @@ type RunOutput struct {
 
 // Divergence is one observed disagreement between two engines.
 type Divergence struct {
-	Kind string `json:"kind"` // "error", "outcome", "time", "link_bytes"
-	Flow int    `json:"flow,omitempty"`
-	Link int    `json:"link,omitempty"`
-	// Pair names the engine pair that disagreed ("incremental vs ref",
-	// "incremental vs global"); empty in records predating the
-	// incremental engine and in direct CompareRuns use.
-	Pair   string `json:"pair,omitempty"`
+	Kind   string `json:"kind"` // "error", "outcome", "time", "link_bytes"
+	Flow   int    `json:"flow,omitempty"`
+	Link   int    `json:"link,omitempty"`
 	Detail string `json:"detail"`
 }
 
@@ -37,24 +33,13 @@ func (d Divergence) String() string {
 	} else if d.Kind != "error" {
 		s += fmt.Sprintf(" flow=%d", d.Flow)
 	}
-	if d.Pair != "" {
-		s += " [" + d.Pair + "]"
-	}
 	return s + ": " + d.Detail
 }
 
-// RunNetsim executes a scenario on the optimized engine in its default
-// (incremental) sweep mode. hook, when non-nil, runs on the engine
-// before any flow is submitted (bgqbench and the invariant tests attach
-// an Auditor here).
+// RunNetsim executes a scenario on the optimized engine. hook, when
+// non-nil, runs on the engine before any flow is submitted (bgqbench and
+// the invariant tests attach an Auditor here).
 func RunNetsim(sc Scenario, hook func(*netsim.Engine)) (RunOutput, error) {
-	return RunNetsimMode(sc, netsim.SweepIncremental, hook)
-}
-
-// RunNetsimMode executes a scenario on the optimized engine with an
-// explicit sweep mode — the handle the differential suite uses to pin
-// the incremental engine against the global one.
-func RunNetsimMode(sc Scenario, mode netsim.SweepMode, hook func(*netsim.Engine)) (RunOutput, error) {
 	tp, err := sc.fabric()
 	if err != nil {
 		return RunOutput{}, err
@@ -75,7 +60,6 @@ func RunNetsimMode(sc Scenario, mode netsim.SweepMode, hook func(*netsim.Engine)
 	if err != nil {
 		return RunOutput{}, err
 	}
-	e.SetSweepMode(mode)
 	if sc.CostModel != "" {
 		cm, err := topo.ParseCostModel(sc.CostModel, netsim.CostModelFromParams(e.Params()))
 		if err != nil {
@@ -135,13 +119,7 @@ func RunRef(sc Scenario) (RunOutput, error) {
 	}
 	r := NewRefEngine(tp, sc.Params)
 	if sc.CostModel != "" {
-		cm, err := topo.ParseCostModel(sc.CostModel, topo.Uniform{
-			PerFlow:   sc.Params.PerFlowBandwidth,
-			LocalCopy: sc.Params.LocalCopyBandwidth,
-			Sender:    sc.Params.SenderOverhead,
-			Receiver:  sc.Params.ReceiverOverhead,
-			Hop:       sc.Params.HopLatency,
-		})
+		cm, err := topo.ParseCostModel(sc.CostModel, sc.Params.uniform())
 		if err != nil {
 			return RunOutput{}, fmt.Errorf("check: scenario cost model: %w", err)
 		}
@@ -250,35 +228,24 @@ func CompareRuns(got, want RunOutput) []Divergence {
 	return divs
 }
 
-// labelPair stamps the engine pair a comparison ran between onto its
-// divergences.
-func labelPair(divs []Divergence, pair string) []Divergence {
-	for i := range divs {
-		divs[i].Pair = pair
-	}
-	return divs
-}
-
-// RunDifferential runs a scenario through the incremental netsim engine,
-// the global netsim engine, and the reference engine, and returns every
-// divergence: incremental vs ref pins the model, incremental vs global
-// pins the dirty-set cutoff (rates, completion times, and per-link
-// bytes must agree, including under fault campaigns). An error in one
-// engine but not the others is itself a divergence; an error in all
-// three (same scenario defect seen everywhere) is clean.
+// RunDifferential runs a scenario through the netsim engine and the
+// reference engine and returns every divergence: rates, completion
+// times, and per-link bytes must agree, including under fault campaigns,
+// so the comparison pins both the model and the incremental sweep's
+// dirty-set cutoff. An error in one engine but not the other is itself a
+// divergence; an error in both (same scenario defect seen everywhere) is
+// clean.
 func RunDifferential(sc Scenario) []Divergence {
-	incOut, incErr := RunNetsimMode(sc, netsim.SweepIncremental, nil)
-	glbOut, glbErr := RunNetsimMode(sc, netsim.SweepGlobal, nil)
+	netOut, netErr := RunNetsim(sc, nil)
 	refOut, refErr := RunRef(sc)
-	if incErr != nil || glbErr != nil || refErr != nil {
-		if incErr != nil && glbErr != nil && refErr != nil {
+	if netErr != nil || refErr != nil {
+		if netErr != nil && refErr != nil {
 			return nil
 		}
 		return []Divergence{{
 			Kind:   "error",
-			Detail: fmt.Sprintf("incremental err=%v, global err=%v, ref err=%v", incErr, glbErr, refErr),
+			Detail: fmt.Sprintf("netsim err=%v, ref err=%v", netErr, refErr),
 		}}
 	}
-	divs := labelPair(CompareRuns(incOut, refOut), "incremental vs ref")
-	return append(divs, labelPair(CompareRuns(incOut, glbOut), "incremental vs global")...)
+	return CompareRuns(netOut, refOut)
 }

@@ -28,28 +28,17 @@ func TestDifferentialSeeds(t *testing.T) {
 	}
 }
 
-// TestIncrementalVsGlobalSparseSeeds pins the incremental sweep against
-// the global sweep on the larger sparse generator — the regime where the
-// dirty-set cutoff actually prunes (the 200-seed suite above also runs
-// both modes, but its scenarios are small enough that regions often span
-// the whole component). The reference engine is skipped: at these sizes
-// only the two netsim modes are tractable, and global mode is the
-// oracle.
-func TestIncrementalVsGlobalSparseSeeds(t *testing.T) {
+// TestDifferentialSparseSeeds drives the larger sparse generator through
+// both engines — the regime where the dirty-set cutoff actually prunes
+// (the 200-seed suite above is small enough that regions often span the
+// whole component).
+func TestDifferentialSparseSeeds(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sparse differential sweep is seconds-long; skipped in -short")
 	}
 	for seed := int64(0); seed < 40; seed++ {
 		sc := GenerateSparse(seed)
-		inc, incErr := RunNetsimMode(sc, netsim.SweepIncremental, nil)
-		glb, glbErr := RunNetsimMode(sc, netsim.SweepGlobal, nil)
-		if (incErr != nil) != (glbErr != nil) {
-			t.Fatalf("seed %d: incremental err=%v, global err=%v", seed, incErr, glbErr)
-		}
-		if incErr != nil {
-			continue
-		}
-		if divs := CompareRuns(inc, glb); len(divs) > 0 {
+		if divs := RunDifferential(sc); len(divs) > 0 {
 			for _, d := range divs {
 				t.Errorf("seed %d: %s", seed, d)
 			}
@@ -62,7 +51,7 @@ func TestIncrementalVsGlobalSparseSeeds(t *testing.T) {
 // TestSparseSeedsExerciseCutoff guards the suite above against
 // vacuousness: the sparse scenarios must actually take the incremental
 // path (many incremental sweeps, few fallbacks), otherwise the
-// comparison would only be re-testing the global engine.
+// comparison would only be re-testing full re-levels.
 func TestSparseSeedsExerciseCutoff(t *testing.T) {
 	var full, inc int64
 	for seed := int64(0); seed < 5; seed++ {

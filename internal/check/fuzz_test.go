@@ -41,7 +41,7 @@ func FuzzDifferential(f *testing.F) {
 
 // FuzzDifferentialTopo is the topology axis of the differential fuzzer:
 // seeds drive GenerateTopo (dragonfly/fat-tree fabrics, some with the
-// heterogeneous cost model) through all three engines. Findings archive
+// heterogeneous cost model) through both engines. Findings archive
 // like FuzzDifferential's.
 //
 // Run a smoke budget with:

@@ -32,8 +32,8 @@ func (v Violation) String() string { return v.Invariant + ": " + v.Detail }
 //
 // It keeps only O(links) state (a running sum per link, never a full
 // timeline), so it is safe to leave attached on 131k-core experiment
-// runs under bgqbench -check. An Auditor claims the engine's Sink and
-// sweep-observer slots; it cannot be combined with -obs-trace/-metrics.
+// runs under bgqbench -check. An Auditor claims the engine's Sink; it
+// cannot be combined with -obs-trace/-metrics.
 type Auditor struct {
 	e        *netsim.Engine
 	sums     []float64
@@ -59,7 +59,6 @@ func NewAuditor(e *netsim.Engine) *Auditor {
 		panic("check: NewAuditor on an engine that already has a sink")
 	}
 	e.SetSink(auditSink{a})
-	e.SetSweepObserver(a.afterSweep)
 	return a
 }
 
@@ -145,8 +144,8 @@ func (a *Auditor) Finish() []Violation {
 // SweepsAudited reports how many sweeps the capacity audit sampled.
 func (a *Auditor) SweepsAudited() int { return a.audited }
 
-// auditSink feeds the auditor's per-link running sums; every emission
-// except LinkWindow is a no-op.
+// auditSink feeds the auditor: LinkWindow its per-link running sums,
+// SweepDone its capacity audit; every other emission is a no-op.
 type auditSink struct{ a *Auditor }
 
 var _ obs.Sink = auditSink{}
@@ -154,8 +153,9 @@ var _ obs.Sink = auditSink{}
 func (auditSink) FlowActivated(now sim.Time, id int, label string) {}
 func (auditSink) FlowEnded(now, activated sim.Time, id int, label string, bytes int64, aborted bool) {
 }
-func (auditSink) SweepDone(now sim.Time, flows, links int, full bool)           {}
 func (auditSink) FailureApplied(now sim.Time, node int, isNode bool, links int) {}
+
+func (s auditSink) SweepDone(now sim.Time, flows, links int, full bool) { s.a.afterSweep(now) }
 
 func (s auditSink) LinkWindow(link int, from, to sim.Time, bytes float64) {
 	if link >= 0 && link < len(s.a.sums) {

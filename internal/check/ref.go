@@ -94,8 +94,7 @@ type refFailure struct {
 // component. It exists to be compared against, not to be fast.
 type RefEngine struct {
 	tp        topo.Topology
-	cm        topo.CostModel // nil = uniform RefParams arithmetic
-	p         RefParams
+	cm        topo.CostModel // endpoint costs; uniform RefParams unless SetCostModel
 	caps      []float64
 	failed    []bool
 	extraFrom map[torus.NodeID][]int
@@ -106,9 +105,22 @@ type RefEngine struct {
 	resolved  int
 }
 
+// uniform lifts the constants into the uniform cost model, the one a
+// reference engine starts from.
+func (p RefParams) uniform() topo.Uniform {
+	return topo.Uniform{
+		PerFlow:   p.PerFlowBandwidth,
+		LocalCopy: p.LocalCopyBandwidth,
+		Sender:    p.SenderOverhead,
+		Receiver:  p.ReceiverOverhead,
+		Hop:       p.HopLatency,
+	}
+}
+
 // NewRefEngine builds a reference engine over a topology's base links:
 // each link's capacity is LinkBandwidth times the topology's rail
-// multiplier (exactly 1.0 on a torus).
+// multiplier (exactly 1.0 on a torus). Its endpoint costs are p's
+// uniform model until SetCostModel replaces it.
 func NewRefEngine(tp topo.Topology, p RefParams) *RefEngine {
 	caps := make([]float64, tp.NumLinks())
 	for i := range caps {
@@ -116,7 +128,7 @@ func NewRefEngine(tp topo.Topology, p RefParams) *RefEngine {
 	}
 	return &RefEngine{
 		tp:        tp,
-		p:         p,
+		cm:        p.uniform(),
 		caps:      caps,
 		failed:    make([]bool, len(caps)),
 		extraFrom: make(map[torus.NodeID][]int),
@@ -124,10 +136,9 @@ func NewRefEngine(tp topo.Topology, p RefParams) *RefEngine {
 	}
 }
 
-// SetCostModel installs a per-node endpoint cost model mirroring
+// SetCostModel replaces the endpoint cost model, mirroring
 // netsim.Engine.SetCostModel: flow caps, sender/receiver overheads, and
-// hop latency come from the model instead of the uniform RefParams. Must
-// be called before any Submit; nil keeps the uniform arithmetic.
+// hop latency come from the model. Must be called before any Submit.
 func (r *RefEngine) SetCostModel(cm topo.CostModel) {
 	if len(r.flows) > 0 {
 		panic("check: SetCostModel after Submit")
@@ -155,20 +166,17 @@ func (r *RefEngine) Submit(spec RefFlowSpec) int {
 	if spec.Bytes < 0 {
 		panic(fmt.Sprintf("check: negative flow size %d", spec.Bytes))
 	}
-	f := &refFlow{spec: spec, cap: r.p.PerFlowBandwidth}
-	if r.cm != nil {
-		f.cap = r.cm.PerFlowRate(spec.Src, spec.Dst)
-	}
+	f := &refFlow{spec: spec, cap: r.cm.PerFlowRate(spec.Src, spec.Dst)}
 	switch {
 	case spec.HasLinks:
 		// A flow occupies a set of links: a route listing a link twice
 		// still claims it once and moves each byte across it once.
 		f.links = dedupRefLinks(spec.Links)
 		if len(f.links) == 0 {
-			f.cap = r.localCopyRate(spec.Src)
+			f.cap = r.cm.LocalCopyRate(spec.Src)
 		}
 	case spec.Src == spec.Dst:
-		f.cap = r.localCopyRate(spec.Src)
+		f.cap = r.cm.LocalCopyRate(spec.Src)
 	default:
 		f.links = r.tp.Route(spec.Src, spec.Dst)
 	}
@@ -313,22 +321,10 @@ func (r *RefEngine) LinkBytes() []float64 {
 	return append([]float64(nil), r.linkBytes...)
 }
 
-// localCopyRate is the node-local memcpy rate at n.
-func (r *RefEngine) localCopyRate(n torus.NodeID) float64 {
-	if r.cm != nil {
-		return r.cm.LocalCopyRate(n)
-	}
-	return r.p.LocalCopyBandwidth
-}
-
 func (r *RefEngine) release(f *refFlow, t float64) {
 	f.state = refDelayed
 	f.res.Released = t
-	if r.cm != nil {
-		f.timer = t + r.cm.SenderOverhead(f.spec.Src) + f.spec.ExtraDelay
-	} else {
-		f.timer = t + r.p.SenderOverhead + f.spec.ExtraDelay
-	}
+	f.timer = t + r.cm.SenderOverhead(f.spec.Src) + f.spec.ExtraDelay
 }
 
 func (r *RefEngine) activate(f *refFlow) {
@@ -345,11 +341,7 @@ func (r *RefEngine) transferEnd(f *refFlow) {
 	f.state = refDraining
 	f.res.TransferEnd = r.now
 	f.rate = 0
-	if r.cm != nil {
-		f.timer = r.now + r.cm.ReceiverOverhead(f.spec.Dst) + r.cm.HopLatency()*float64(len(f.links))
-	} else {
-		f.timer = r.now + r.p.ReceiverOverhead + r.p.HopLatency*float64(len(f.links))
-	}
+	f.timer = r.now + r.cm.ReceiverOverhead(f.spec.Dst) + r.cm.HopLatency()*float64(len(f.links))
 }
 
 func (r *RefEngine) finishFlow(f *refFlow) {

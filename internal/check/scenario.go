@@ -227,8 +227,8 @@ var sparseShapes = [][]int{
 // hundred mostly-neighborhood flows with jittered release times on a
 // medium torus — the regime the incremental waterfill's cutoff targets
 // (most links unsaturated, changes local). The same determinism contract
-// as Generate holds. Used by the incremental-vs-global differential
-// suite, which skips the reference engine.
+// as Generate holds. Used by the sparse differential suite
+// (TestDifferentialSparseSeeds).
 func GenerateSparse(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed ^ 0x5eed5eed))
 	sc := Scenario{Seed: seed}

@@ -13,7 +13,7 @@ import (
 
 // TestDifferentialSeedsTopo is the topology axis of the 200-seed suite:
 // dragonfly and fat-tree scenarios (a third with a heterogeneous cost
-// model) through all three engines. Any divergence is a topology or
+// model) through both engines. Any divergence is a topology or
 // cost-model bug — archive the failing seed and fix it.
 func TestDifferentialSeedsTopo(t *testing.T) {
 	if testing.Short() {

@@ -55,8 +55,8 @@ func scaleGeometry(quick bool) (torus.Shape, int) {
 // activations over many distinct instants, plus a small link-failure
 // campaign. The pattern mirrors the check package's GenerateSparse at
 // full machine scale; correctness of the incremental engine against the
-// global one is pinned there, so this runner only reports throughput
-// and sweep statistics.
+// reference engine is pinned there, so this runner only reports
+// throughput and sweep statistics.
 func ScaleSparse(opt Options) (ScaleResult, error) {
 	shape, ranks := scaleGeometry(opt.Quick)
 	tor, err := torus.New(shape)

@@ -111,8 +111,8 @@ func TestDedupLinksLeavesCleanRoutesAlone(t *testing.T) {
 // TestSameInstantDedupBatchMatchesGlobal crosses the duplicate-link
 // regression with the same-instant batching contract: a batch of flows
 // activating at one virtual instant — some over routes listing links
-// multiple times — must trigger exactly one sweep in incremental mode,
-// and that sweep's outcome must be bit-identical to the global engine's,
+// multiple times — must trigger exactly one sweep, and that sweep's
+// outcome must be bit-identical to the full twin's (twinRun),
 // with each duplicated link counted once in rate shares and byte
 // charges.
 func TestSameInstantDedupBatchMatchesGlobal(t *testing.T) {
@@ -122,10 +122,10 @@ func TestSameInstantDedupBatchMatchesGlobal(t *testing.T) {
 		bytes  = 1 << 20
 	)
 	p := DefaultParams()
-	logs := map[SweepMode]*sweepLog{}
+	logs := map[bool]*sweepLog{}
 	inc, glb := twinRun(t, p, func(e *Engine) {
 		sl := &sweepLog{}
-		logs[e.SweepMode()] = sl
+		logs[e.fullOnly] = sl
 		e.SetSink(sl)
 		for i := 0; i < nDup; i++ {
 			e.Submit(FlowSpec{Src: 0, Dst: 1, Bytes: bytes, Links: []int{5, 5, 9, 9, 5}})
@@ -148,7 +148,7 @@ func TestSameInstantDedupBatchMatchesGlobal(t *testing.T) {
 		float64(r0.TransferEnd-r0.Activated), float64(bytes)/(p.LinkBandwidth/(nDup+nClean)), 1e-9)
 
 	activateAt := r0.Activated
-	for mode, sl := range logs {
+	for fullOnly, sl := range logs {
 		atInstant := 0
 		for _, at := range sl.times {
 			if at == activateAt {
@@ -156,11 +156,11 @@ func TestSameInstantDedupBatchMatchesGlobal(t *testing.T) {
 			}
 		}
 		if atInstant != 1 {
-			t.Fatalf("mode %d: %d sweeps at the activation instant, want exactly 1 (times %v)",
-				mode, atInstant, sl.times)
+			t.Fatalf("fullOnly=%v: %d sweeps at the activation instant, want exactly 1 (times %v)",
+				fullOnly, atInstant, sl.times)
 		}
 	}
-	if il := logs[SweepIncremental]; il.flows[0] != nDup+nClean {
+	if il := logs[false]; il.flows[0] != nDup+nClean {
 		t.Fatalf("batched sweep covered %d flows, want %d", il.flows[0], nDup+nClean)
 	}
 	if full, _ := inc.SweepStats(); full != 0 {

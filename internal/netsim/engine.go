@@ -109,29 +109,12 @@ type flow struct {
 	dIdx       int32  // position in the current dirty set (valid when visit matches)
 }
 
-// SweepMode selects the engine's rate-reallocation strategy.
-type SweepMode uint8
-
-const (
-	// SweepIncremental (the default) re-levels, on each change, only the
-	// region of links whose max-min bottleneck level can actually have
-	// changed: the dirty set seeds with the changed flows' links and
-	// expands across a link only when its residual capacity proves a
-	// neighboring flow's rate must move (DESIGN.md §13). Flows outside
-	// the frontier keep their rates and byte accounting untouched.
-	SweepIncremental SweepMode = iota
-	// SweepGlobal re-levels the changed flows' whole connected component
-	// on every change — the original engine behavior, kept selectable as
-	// the oracle the differential suite pins SweepIncremental against.
-	SweepGlobal
-)
-
 // Engine executes a DAG of flows over a Network and reports per-flow
 // timing. Submit all flows, then call Run once.
 type Engine struct {
 	net   *Network
 	p     Params
-	cm    topo.CostModel // nil = uniform Params arithmetic
+	cm    topo.CostModel // endpoint costs; uniform Params unless SetCostModel
 	clock *sim.Engine
 
 	flows []*flow
@@ -180,10 +163,9 @@ type Engine struct {
 	pendingLinks   []int32
 	sweepScheduled bool
 
-	// Incremental-sweep state: the selected mode, the dirty flow set and
-	// region-link scratch reused across sweeps, and the full/incremental
-	// sweep counters surfaced via SweepStats and obs.
-	mode      SweepMode
+	// Incremental-sweep state: the dirty flow set and region-link scratch
+	// reused across sweeps, and the full/incremental sweep counters
+	// surfaced via SweepStats and obs.
 	dirty     []*flow
 	regLinks  []int32
 	regOut    []float64 // outside (non-dirty) load per region link
@@ -194,26 +176,21 @@ type Engine struct {
 	fullSweeps int64
 	incSweeps  int64
 
+	// fullOnly sends every sweep straight to fullReLevel, bypassing the
+	// dirty set. Only package tests set it: the full re-level is the twin
+	// the incremental sweep is pinned against bit for bit.
+	fullOnly bool
+
 	active      int // flows not yet done or aborted
 	aborted     int // flows cut by failure events
 	ran         bool
 	interactive bool
 
-	// sweepObserver, when set, runs after every reallocation sweep; test
-	// code uses it to audit the rate assignment (fairness invariants).
-	sweepObserver func(now sim.Time)
-
-	// failureObserver, when set, runs after a scheduled failure event has
-	// been applied and its victims aborted. The I/O layer uses it to fail
-	// over bridge assignments mid-run; traces use it to annotate runs.
-	failureObserver func(now sim.Time, node torus.NodeID, isNode bool, links []int)
-
-	// sink is the generalized telemetry interface the single-purpose
-	// observers grew into (see obs.Sink): flow activations and wire
-	// spans, sweep and failure events, and per-link byte windows for
-	// time-bucketed utilization. nil means observability off — every
-	// emission site is a single predictable branch, preserving the
-	// zero-allocation steady state of Submit/release.
+	// sink is the engine's one observation hook (see obs.Sink): flow
+	// activations and wire spans, sweep and failure events, and per-link
+	// byte windows for time-bucketed utilization. nil means observability
+	// off — every emission site is a single predictable branch, preserving
+	// the zero-allocation steady state of Submit/release.
 	sink obs.Sink
 }
 
@@ -224,7 +201,9 @@ type failureEvent struct {
 	isNode bool
 }
 
-// NewEngine creates an engine over net with parameters p.
+// NewEngine creates an engine over net with parameters p. Its endpoint
+// costs are p's uniform model (CostModelFromParams) until SetCostModel
+// replaces it.
 func NewEngine(net *Network, p Params) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -232,6 +211,7 @@ func NewEngine(net *Network, p Params) (*Engine, error) {
 	return &Engine{
 		net:    net,
 		p:      p,
+		cm:     CostModelFromParams(p),
 		clock:  sim.NewEngine(),
 		slotOf: make([]int32, net.NumLinks()),
 	}, nil
@@ -354,26 +334,10 @@ func (e *Engine) SetSink(s obs.Sink) { e.sink = s }
 // Sink returns the installed observability sink (nil when off).
 func (e *Engine) Sink() obs.Sink { return e.sink }
 
-// SetSweepMode selects the rate-update strategy. The mode shapes every
-// reallocation from the first activation on, so it must be chosen before
-// any flow is submitted (in practice: right after NewEngine, e.g. from
-// experiments.Options.EngineHook).
-func (e *Engine) SetSweepMode(m SweepMode) {
-	if len(e.flows) > 0 {
-		panic("netsim: SetSweepMode after Submit")
-	}
-	e.mode = m
-}
-
-// SweepMode reports the selected rate-update strategy.
-func (e *Engine) SweepMode() SweepMode { return e.mode }
-
-// SetCostModel installs a per-node endpoint cost model (DESIGN.md §16)
-// replacing the uniform Params arithmetic for flow rate caps, sender and
-// receiver overheads, and hop latency. Like SetSweepMode it shapes every
-// flow from release on, so it must be chosen before any flow is
-// submitted. A nil model keeps the exact Params expressions — the default
-// path is byte-identical to an engine that never heard of cost models.
+// SetCostModel replaces the engine's endpoint cost model (DESIGN.md §16):
+// flow rate caps, sender and receiver overheads, and hop latency. It
+// shapes every flow from release on, so it must be called before any
+// flow is submitted.
 func (e *Engine) SetCostModel(cm topo.CostModel) {
 	if len(e.flows) > 0 {
 		panic("netsim: SetCostModel after Submit")
@@ -381,13 +345,9 @@ func (e *Engine) SetCostModel(cm topo.CostModel) {
 	e.cm = cm
 }
 
-// CostModel reports the installed cost model (nil = uniform Params).
-func (e *Engine) CostModel() topo.CostModel { return e.cm }
-
 // CostModelFromParams lifts the uniform Params constants into a
-// topo.Uniform cost model. Installing it is semantically identical to
-// installing no model; it exists as the base for tiered models
-// (topo.NewHetero, topo.ParseCostModel).
+// topo.Uniform cost model: the one every engine starts from, and the
+// base for tiered models (topo.NewHetero, topo.ParseCostModel).
 func CostModelFromParams(p Params) topo.Uniform {
 	return topo.Uniform{
 		PerFlow:   p.PerFlowBandwidth,
@@ -400,10 +360,9 @@ func CostModelFromParams(p Params) topo.Uniform {
 }
 
 // SweepStats reports how many full (whole-component) and incremental
-// (dirty-region) sweeps the engine has performed. In SweepGlobal mode
-// every sweep is full; in SweepIncremental mode the full count is the
-// fallbacks (DESIGN.md §13), so incremental ≫ full is the signature of
-// an effective cutoff.
+// (dirty-region) sweeps the engine has performed. The full count is the
+// incremental sweep's fallbacks (DESIGN.md §13), so incremental ≫ full
+// is the signature of an effective cutoff.
 func (e *Engine) SweepStats() (full, incremental int64) {
 	return e.fullSweeps, e.incSweeps
 }
@@ -427,10 +386,7 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 	}
 	id := FlowID(len(e.flows))
 	f := e.newFlow()
-	f.id, f.spec, f.cap = id, spec, e.p.PerFlowBandwidth
-	if e.cm != nil {
-		f.cap = e.cm.PerFlowRate(spec.Src, spec.Dst)
-	}
+	f.id, f.spec, f.cap = id, spec, e.cm.PerFlowRate(spec.Src, spec.Dst)
 	switch {
 	case spec.Links != nil:
 		// Explicit routes are honored even for Src == Dst (e.g. a
@@ -441,10 +397,10 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 		// leave a stale linkFlows entry behind at removal.
 		f.links = dedupLinks(spec.Links)
 		if len(f.links) == 0 {
-			f.cap = e.localCopyRate(spec.Src)
+			f.cap = e.cm.LocalCopyRate(spec.Src)
 		}
 	case spec.Src == spec.Dst:
-		f.cap = e.localCopyRate(spec.Src)
+		f.cap = e.cm.LocalCopyRate(spec.Src)
 	default:
 		// Served from the network's route cache: the default route is a
 		// pure function of the endpoints, and exchanges resubmit the
@@ -571,23 +527,11 @@ func (e *Engine) LinkBytesOf(link int) float64 {
 	return 0
 }
 
-// localCopyRate is the node-local memcpy rate for flows that never touch
-// the fabric.
-func (e *Engine) localCopyRate(n torus.NodeID) float64 {
-	if e.cm != nil {
-		return e.cm.LocalCopyRate(n)
-	}
-	return e.p.LocalCopyBandwidth
-}
-
 // release starts a flow's sender-overhead countdown.
 func (e *Engine) release(f *flow) {
 	f.state = stateDelayed
 	f.res.Released = e.clock.Now()
-	delay := e.p.SenderOverhead + f.spec.ExtraDelay
-	if e.cm != nil {
-		delay = sim.Duration(e.cm.SenderOverhead(f.spec.Src)) + f.spec.ExtraDelay
-	}
+	delay := sim.Duration(e.cm.SenderOverhead(f.spec.Src)) + f.spec.ExtraDelay
 	f.next = evActivate
 	f.endEvent = e.clock.AfterCall(delay, e, f)
 	f.hasEnd = true
@@ -641,10 +585,7 @@ func (e *Engine) transferEnd(f *flow) {
 	if len(f.slots) > 0 {
 		e.requestRealloc(nil, f.slots)
 	}
-	tail := e.p.ReceiverOverhead + sim.Duration(float64(e.p.HopLatency)*float64(len(f.links)))
-	if e.cm != nil {
-		tail = sim.Duration(e.cm.ReceiverOverhead(f.spec.Dst) + e.cm.HopLatency()*float64(len(f.links)))
-	}
+	tail := sim.Duration(e.cm.ReceiverOverhead(f.spec.Dst)) + sim.Duration(e.cm.HopLatency()*float64(len(f.links)))
 	f.next = evFinish
 	f.endEvent = e.clock.AfterCall(tail, e, f)
 	f.hasEnd = true
@@ -692,13 +633,6 @@ func (e *Engine) FailNodeAt(n torus.NodeID, at sim.Time) {
 	e.clock.AtCall(at, e, &failureEvent{links: e.net.NodeLinks(n), node: n, isNode: true})
 }
 
-// SetFailureObserver installs a callback run after each failure event has
-// been applied (links dead, victims aborted). The I/O layer hooks bridge
-// failover here; instrumentation uses it to annotate timelines.
-func (e *Engine) SetFailureObserver(fn func(now sim.Time, node torus.NodeID, isNode bool, links []int)) {
-	e.failureObserver = fn
-}
-
 // applyFailure fires a scheduled failure: mark the links dead, then abort
 // every flow in flight (or not yet started) whose route crosses one.
 func (e *Engine) applyFailure(fe *failureEvent) {
@@ -728,9 +662,6 @@ func (e *Engine) applyFailure(fe *failureEvent) {
 				}
 			}
 		}
-	}
-	if e.failureObserver != nil {
-		e.failureObserver(now, fe.node, fe.isNode, fe.links)
 	}
 	if e.sink != nil {
 		e.sink.FailureApplied(now, int(fe.node), fe.isNode, len(fe.links))
@@ -820,38 +751,25 @@ func (e *Engine) requestRealloc(f *flow, links []int32) {
 	}
 }
 
+// sweep runs the batched reallocation: the incremental sweep or, when
+// the tests' fullOnly twin is set, a full re-level from the same seeds.
 func (e *Engine) sweep() {
 	e.sweepScheduled = false
-	if e.mode == SweepGlobal {
-		flows, links := e.component(e.pendingFlows, e.pendingLinks)
+	if e.fullOnly {
+		e.fullReLevel(e.pendingFlows, e.pendingLinks)
 		e.pendingFlows = e.pendingFlows[:0]
 		e.pendingLinks = e.pendingLinks[:0]
-		if len(flows) > 0 {
-			e.chargeProgress(flows)
-			e.solveWaterfill(flows, links, nil)
-			e.applyRates(flows)
-		}
-		e.fullSweeps++
-		e.finishSweep(len(flows), len(links), true)
 		return
 	}
 	e.incrementalSweep()
 }
 
-// finishSweep runs the post-sweep hooks shared by every sweep flavor.
+// finishSweep reports a finished sweep to the sink.
 func (e *Engine) finishSweep(flows, links int, full bool) {
-	if e.sweepObserver != nil {
-		e.sweepObserver(e.clock.Now())
-	}
 	if e.sink != nil {
 		e.sink.SweepDone(e.clock.Now(), flows, links, full)
 	}
 }
-
-// SetSweepObserver installs a callback run after every rate
-// reallocation; use FlowRate/ActiveFlowIDs from inside it to audit the
-// allocation. Intended for tests and instrumentation.
-func (e *Engine) SetSweepObserver(fn func(now sim.Time)) { e.sweepObserver = fn }
 
 // FlowRate reports a flow's current rate; active is false when the flow
 // is not currently transferring.
@@ -1148,7 +1066,7 @@ func (e *Engine) incrementalSweep() {
 	for round := 0; ; round++ {
 		if round == incMaxRounds {
 			e.dirty, e.regLinks = dirty, links
-			e.fullReLevel(dirty)
+			e.fullReLevel(dirty, nil)
 			return
 		}
 		// Region = the dirty flows' links. Each round restarts with a
@@ -1246,7 +1164,7 @@ func (e *Engine) incrementalSweep() {
 		for fi := range dirty {
 			if e.wfNewRate[fi] <= 0 {
 				e.dirty, e.regLinks = dirty, links
-				e.fullReLevel(dirty)
+				e.fullReLevel(dirty, nil)
 				return
 			}
 		}
@@ -1260,9 +1178,10 @@ func (e *Engine) incrementalSweep() {
 }
 
 // fullReLevel abandons locality: it re-levels the entire connected
-// component reachable from the seeds — the incremental sweep's fallback.
-func (e *Engine) fullReLevel(seeds []*flow) {
-	flows, links := e.component(seeds, nil)
+// component reachable from the seed flows and link slots — the
+// incremental sweep's fallback.
+func (e *Engine) fullReLevel(seedFlows []*flow, seedLinks []int32) {
+	flows, links := e.component(seedFlows, seedLinks)
 	if len(flows) > 0 {
 		e.chargeProgress(flows)
 		e.solveWaterfill(flows, links, nil)

@@ -193,12 +193,12 @@ func TestFailNodeAtAbortsFlowsThroughNode(t *testing.T) {
 	from, _, _ := tor.LinkFrom(def.Links[len(def.Links)/2])
 	id := e.Submit(FlowSpec{Src: src, Dst: dst, Bytes: 64 << 20})
 	var observed int
-	e.SetFailureObserver(func(now sim.Time, node torus.NodeID, isNode bool, links []int) {
+	e.SetSink(hookSink{failure: func(now sim.Time, node int, isNode bool) {
 		observed++
-		if !isNode || node != from {
+		if !isNode || node != int(from) {
 			t.Errorf("observer saw node=%d isNode=%v, want node %d", node, isNode, from)
 		}
-	})
+	}})
 	e.FailNodeAt(from, 5e-3)
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -278,8 +278,8 @@ func TestRepeatedFailureEventsAreIdempotent(t *testing.T) {
 // TestSameInstantSubmitsAndFailureOneSweep pins the same-instant
 // batching contract under faults: N simultaneous activations mixed with
 // a failure at the same virtual time coalesce into ONE sweep at that
-// instant, and the incremental result is bit-identical to the global
-// engine's — byte counters included. Both event orderings are covered:
+// instant, and the incremental result is bit-identical to the full
+// twin's (twinRun) — byte counters included. Both event orderings are covered:
 // the failure firing before the activations (victims die while still
 // paying sender overhead) and after (victims activate, then abort
 // mid-instant).
@@ -297,10 +297,10 @@ func TestSameInstantSubmitsAndFailureOneSweep(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			p := DefaultParams()
 			failAt := sim.Time(p.SenderOverhead) // exactly the activation instant
-			logs := map[SweepMode]*sweepLog{}
+			logs := map[bool]*sweepLog{}
 			build := func(e *Engine) {
 				sl := &sweepLog{}
-				logs[e.SweepMode()] = sl
+				logs[e.fullOnly] = sl
 				e.SetSink(sl)
 				submit := func() {
 					for i := 0; i < nSurvivors; i++ {
@@ -337,7 +337,7 @@ func TestSameInstantSubmitsAndFailureOneSweep(t *testing.T) {
 			approx(t, "survivor transfer span",
 				float64(r0.TransferEnd-r0.Activated), bytes/(p.LinkBandwidth/nSurvivors), 1e-9)
 
-			for mode, sl := range logs {
+			for fullOnly, sl := range logs {
 				atInstant := 0
 				for _, at := range sl.times {
 					if at == failAt {
@@ -345,11 +345,11 @@ func TestSameInstantSubmitsAndFailureOneSweep(t *testing.T) {
 					}
 				}
 				if atInstant != 1 {
-					t.Fatalf("mode %d: %d sweeps at the mixed instant, want exactly 1 (times %v)",
-						mode, atInstant, sl.times)
+					t.Fatalf("fullOnly=%v: %d sweeps at the mixed instant, want exactly 1 (times %v)",
+						fullOnly, atInstant, sl.times)
 				}
 			}
-			il := logs[SweepIncremental]
+			il := logs[false]
 			if il.flows[0] != nSurvivors {
 				t.Fatalf("batched sweep covered %d flows, want the %d survivors", il.flows[0], nSurvivors)
 			}

@@ -45,7 +45,7 @@ func TestMaxMinInvariantsUnderRandomLoad(t *testing.T) {
 
 		const relEps = 1e-6
 		audits := 0
-		e.SetSweepObserver(func(now sim.Time) {
+		e.SetSink(hookSink{sweep: func(now sim.Time) {
 			audits++
 			active := e.ActiveFlowIDs()
 			// Per-link rate sums.
@@ -89,7 +89,7 @@ func TestMaxMinInvariantsUnderRandomLoad(t *testing.T) {
 					t.Fatalf("flow %d at rate %g has no bottleneck (cap %g)", id, r, e.FlowRateCap(id))
 				}
 			}
-		})
+		}})
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
 		}

@@ -8,22 +8,23 @@ import (
 	"bgqflow/internal/sim"
 )
 
-// Incremental-vs-global sweep tests: the incremental waterfill
-// (DESIGN.md §13) must produce runs indistinguishable from the global
-// engine while touching only the links whose bottleneck level can
-// actually change. The check package's differential suites cover random
-// scenarios; the tests here pin the hand-constructed shapes the cutoff
-// rules were derived from.
+// Incremental-vs-full sweep tests: the incremental waterfill
+// (DESIGN.md §13) must produce runs indistinguishable from an engine
+// that re-levels the whole component on every change, while touching
+// only the links whose bottleneck level can actually change. The check
+// package's differential suites cover random scenarios against the
+// reference engine; the tests here pin the hand-constructed shapes the
+// cutoff rules were derived from.
 
 // twinRun executes the same build on two engines over identical fresh
-// networks — one in the default incremental mode, one pinned to the
-// global sweep — and returns both after Run.
+// networks — one sweeping incrementally, one with every sweep sent to a
+// full re-level (fullOnly) — and returns both after Run.
 func twinRun(t *testing.T, p Params, build func(e *Engine)) (inc, glb *Engine) {
 	t.Helper()
 	var out [2]*Engine
-	for i, mode := range []SweepMode{SweepIncremental, SweepGlobal} {
+	for i, fullOnly := range []bool{false, true} {
 		e := newTestEngine(t, mira128(), p)
-		e.SetSweepMode(mode)
+		e.fullOnly = fullOnly
 		build(e)
 		if _, err := e.Run(); err != nil {
 			t.Fatal(err)
@@ -85,6 +86,28 @@ func (s *sweepLog) SweepDone(now sim.Time, flows, links int, full bool) {
 	s.full = append(s.full, full)
 }
 
+// hookSink hands SweepDone and FailureApplied to optional callbacks; the
+// other sink events are ignored.
+type hookSink struct {
+	sweep   func(now sim.Time)
+	failure func(now sim.Time, node int, isNode bool)
+}
+
+func (h hookSink) FlowActivated(now sim.Time, id int, label string) {}
+func (h hookSink) FlowEnded(now, activated sim.Time, id int, label string, bytes int64, aborted bool) {
+}
+func (h hookSink) LinkWindow(link int, from, to sim.Time, bytes float64) {}
+func (h hookSink) SweepDone(now sim.Time, flows, links int, full bool) {
+	if h.sweep != nil {
+		h.sweep(now)
+	}
+}
+func (h hookSink) FailureApplied(now sim.Time, node int, isNode bool, links int) {
+	if h.failure != nil {
+		h.failure(now, node, isNode)
+	}
+}
+
 // TestIncrementalCutoffScopesRegion pins the tentpole's payoff shape: a
 // mid-run arrival on a lightly loaded link re-levels only the links
 // whose bottleneck level can change, not the whole connected component.
@@ -92,16 +115,16 @@ func (s *sweepLog) SweepDone(now sim.Time, flows, links int, full bool) {
 // component at a uniform level (every interior link saturated at
 // cap/2). A later arrival on link 0 fits exactly under that level: the
 // incremental region must stop at link 1 — link 1 stays saturated at an
-// unchanged level, so no rule fires — while the global engine re-levels
-// all seven links. Results must still be bit-identical.
+// unchanged level, so no rule fires — while the full twin re-levels all
+// seven links. Results must still be bit-identical.
 func TestIncrementalCutoffScopesRegion(t *testing.T) {
 	p := DefaultParams()
 	p.PerFlowBandwidth = p.LinkBandwidth // links, not endpoint caps, bind
 	const chain = 6
-	logs := map[SweepMode]*sweepLog{}
+	logs := map[bool]*sweepLog{}
 	inc, glb := twinRun(t, p, func(e *Engine) {
 		sl := &sweepLog{}
-		logs[e.SweepMode()] = sl
+		logs[e.fullOnly] = sl
 		e.SetSink(sl)
 		for i := 0; i < chain; i++ {
 			e.Submit(FlowSpec{Src: 0, Dst: 1, Bytes: 8 << 20, Links: []int{i, i + 1}})
@@ -113,7 +136,7 @@ func TestIncrementalCutoffScopesRegion(t *testing.T) {
 		t.Fatalf("incremental engine fell back to %d full sweeps", full)
 	}
 	// Sweep 0 is the t=0 activation batch; sweep 1 is the arrival.
-	il, gl := logs[SweepIncremental], logs[SweepGlobal]
+	il, gl := logs[false], logs[true]
 	if len(il.links) < 2 || len(gl.links) < 2 {
 		t.Fatalf("sweep logs too short: %d incremental, %d global", len(il.links), len(gl.links))
 	}
@@ -133,16 +156,16 @@ func TestIncrementalCutoffScopesRegion(t *testing.T) {
 // w and d1 split b's leftover above c's level). When z1 finishes, only
 // c's flows are seeded — but d2's rise saturates b at a level below w
 // and d1's rates, the squeeze rule marks them, and round two re-levels
-// the whole component. The run must match the global engine bit-for-bit
+// the whole component. The run must match the full twin bit-for-bit
 // on every flow timeline, with no fallback to a full sweep.
 func TestIncrementalSqueezeRipplesToNeighbors(t *testing.T) {
 	p := DefaultParams()
 	p.PerFlowBandwidth = p.LinkBandwidth
 	const b, c = 3, 7 // any two distinct torus links
-	logs := map[SweepMode]*sweepLog{}
+	logs := map[bool]*sweepLog{}
 	inc, glb := twinRun(t, p, func(e *Engine) {
 		sl := &sweepLog{}
-		logs[e.SweepMode()] = sl
+		logs[e.fullOnly] = sl
 		e.SetSink(sl)
 		e.Submit(FlowSpec{Src: 0, Dst: 1, Bytes: 8 << 20, Links: []int{b}})    // w
 		e.Submit(FlowSpec{Src: 2, Dst: 3, Bytes: 8 << 20, Links: []int{b}})    // d1
@@ -157,7 +180,7 @@ func TestIncrementalSqueezeRipplesToNeighbors(t *testing.T) {
 	}
 	// Sweep 1 is z1's departure: the seed is c's three survivors, and the
 	// squeeze rule must pull in w and d1 — five flows, both links.
-	il := logs[SweepIncremental]
+	il := logs[false]
 	if len(il.flows) < 2 {
 		t.Fatalf("sweep log too short: %d sweeps", len(il.flows))
 	}
@@ -168,4 +191,54 @@ func TestIncrementalSqueezeRipplesToNeighbors(t *testing.T) {
 	if il.full[1] {
 		t.Fatal("departure sweep fell back to a full re-level; the squeeze rule should converge incrementally")
 	}
+}
+
+// TestIncrementalRoseRuleLiftsRiders pins rule (iii): a link that stays
+// saturated while its level rises must pull in the outside flows riding
+// its old level. Every link carries C, caps are off. L carries d1, d2
+// and the rider w; M carries d1, m1, m2; N carries d2, n1, n2; X only
+// n2 — every flow at C/3. At one instant X fails (aborting n2) and two
+// more flows join M. The seeds are M's and N's flows, which leaves w
+// outside: M's five flows settle at C/5, so d2 would take L's remaining
+// 7C/15 while w sat at its old C/3. L stays saturated at a risen level,
+// the rose rule pulls w in, and d2 and w split L's 4C/5.
+func TestIncrementalRoseRuleLiftsRiders(t *testing.T) {
+	p := DefaultParams()
+	p.PerFlowBandwidth = p.LinkBandwidth // links, not endpoint caps, bind
+	const L, M, N, X = 3, 7, 11, 15      // any four distinct torus links
+	const late = 1e-3                    // the M joiners' extra delay
+	failAt := sim.Time(p.SenderOverhead + late)
+	e := newTestEngine(t, mira128(), p)
+	e.Submit(FlowSpec{Src: 0, Dst: 1, Bytes: 64 << 20, Links: []int{L, M}}) // d1
+	d2 := e.Submit(FlowSpec{Src: 2, Dst: 3, Bytes: 64 << 20, Links: []int{L, N}})
+	w := e.Submit(FlowSpec{Src: 4, Dst: 5, Bytes: 64 << 20, Links: []int{L}})
+	e.Submit(FlowSpec{Src: 6, Dst: 7, Bytes: 64 << 20, Links: []int{M}})   // m1
+	e.Submit(FlowSpec{Src: 8, Dst: 9, Bytes: 64 << 20, Links: []int{M}})   // m2
+	e.Submit(FlowSpec{Src: 10, Dst: 11, Bytes: 64 << 20, Links: []int{N}}) // n1
+	n2 := e.Submit(FlowSpec{Src: 12, Dst: 13, Bytes: 64 << 20, Links: []int{N, X}})
+	for i := 0; i < 2; i++ {
+		e.Submit(FlowSpec{Src: 14, Dst: 15, Bytes: 64 << 20, Links: []int{M}, ExtraDelay: late})
+	}
+	e.FailLinkAt(X, failAt)
+	var rw, rd2 float64
+	var sweeps int
+	e.SetSink(hookSink{sweep: func(now sim.Time) {
+		if now == failAt {
+			sweeps++
+			rw, _ = e.FlowRate(w)
+			rd2, _ = e.FlowRate(d2)
+		}
+	}})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if r := e.Result(n2); !r.Aborted || r.AbortTime != failAt {
+		t.Fatalf("n2: %+v, want aborted at %g", r, float64(failAt))
+	}
+	if sweeps != 1 {
+		t.Fatalf("%d sweeps at the failure instant, want 1", sweeps)
+	}
+	C := p.LinkBandwidth
+	approx(t, "rider w rate", rw, 0.4*C, 1e-9)
+	approx(t, "d2 rate", rd2, 0.4*C, 1e-9)
 }

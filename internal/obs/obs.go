@@ -24,9 +24,9 @@ import "bgqflow/internal/sim"
 // The zero value is never issued.
 type SpanID uint64
 
-// Sink is the engine-facing telemetry interface: the generalized form of
-// netsim's single-purpose sweepObserver/failureObserver hooks. The flow
-// engine calls it at every lifecycle edge; *Recorder.EngineSink adapts a
+// Sink is the engine-facing telemetry interface and the flow engine's
+// only observation hook. The flow engine calls it at every lifecycle
+// edge; *Recorder.EngineSink adapts a
 // Recorder into one with every event filed under a track prefix, so
 // several engines (e.g. the parallel experiment runner's sweep points)
 // can share one Recorder without colliding.
@@ -48,9 +48,9 @@ type Sink interface {
 
 	// SweepDone fires after each rate-reallocation sweep with the number
 	// of flows and links that were rebalanced. full distinguishes a
-	// whole-component sweep (global mode, or an incremental fallback)
-	// from an incremental dirty-region sweep, where flows/links count
-	// only the re-leveled region.
+	// whole-component sweep (an incremental fallback) from an
+	// incremental dirty-region sweep, where flows/links count only the
+	// re-leveled region.
 	SweepDone(now sim.Time, flows, links int, full bool)
 
 	// FailureApplied fires after a scheduled failure event has been

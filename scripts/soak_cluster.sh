@@ -34,7 +34,9 @@
 #
 # Environment knobs: SOAK_DURATION (default 30s), SOAK_RPS (default
 # 400), SOAK_SEED (default 7), SOAK_FAULT_EVERY (default 50).
-# SOAK_SHORT=1 shrinks the run (9s) for `make verify`.
+# SOAK_SHORT=1 shrinks the run (9s) for `make verify` and writes its
+# report under the gitignored .soak/ directory instead of the repository
+# root: a smoke run is not a trajectory archive.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -43,14 +45,17 @@ duration="${SOAK_DURATION:-30s}"
 rps="${SOAK_RPS:-400}"
 seed="${SOAK_SEED:-7}"
 fault_every="${SOAK_FAULT_EVERY:-50}"
+archive=""
 if [ "${SOAK_SHORT:-0}" = "1" ]; then
     duration=9s
+    archive=".soak/"
+    mkdir -p "$archive"
 fi
 # Chaos points: kill at 1/3 of the run, restart at 2/3.
 dur_secs=$(printf '%s' "$duration" | sed 's/s$//')
 kill_after=$((dur_secs / 3))
 restart_after=$((dur_secs / 3))
-out="CLUSTER_$(date +%Y%m%d).json"
+out="${archive}CLUSTER_$(date +%Y%m%d).json"
 
 bindir=$(mktemp -d)
 r0_pid=""; r1_pid=""; r2_pid=""

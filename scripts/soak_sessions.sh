@@ -33,7 +33,9 @@
 # Environment knobs: SOAK_SESSIONS (default 1000), SOAK_SEED (default
 # 7), SOAK_PACE_US (default 20000), SOAK_RESTART_AFTER (seconds before
 # the SIGTERM, default 2). SOAK_SHORT=1 shrinks the run (64 sessions,
-# restart after 1s) for `make verify`.
+# restart after 1s) for `make verify` and writes its three files under
+# the gitignored .soak/ directory instead of the repository root: a
+# smoke run is not a trajectory archive.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -42,13 +44,16 @@ sessions="${SOAK_SESSIONS:-1000}"
 seed="${SOAK_SEED:-7}"
 pace="${SOAK_PACE_US:-20000}"
 restart_after="${SOAK_RESTART_AFTER:-2}"
+archive=""
 if [ "${SOAK_SHORT:-0}" = "1" ]; then
     sessions=64
     restart_after=1
+    archive=".soak/"
+    mkdir -p "$archive"
 fi
-out="SESSIONS_$(date +%Y%m%d).json"
-slo_out="SLO_SESSIONS_$(date +%Y%m%d).json"
-trace_out="TRACE_SESSIONS_$(date +%Y%m%d).json"
+out="${archive}SESSIONS_$(date +%Y%m%d).json"
+slo_out="${archive}SLO_SESSIONS_$(date +%Y%m%d).json"
+trace_out="${archive}TRACE_SESSIONS_$(date +%Y%m%d).json"
 
 bindir=$(mktemp -d)
 sock="$bindir/bgqd.sock"
