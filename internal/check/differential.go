@@ -6,7 +6,6 @@ import (
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/sim"
-	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
@@ -60,13 +59,6 @@ func RunNetsim(sc Scenario, hook func(*netsim.Engine)) (RunOutput, error) {
 	if err != nil {
 		return RunOutput{}, err
 	}
-	if sc.CostModel != "" {
-		cm, err := topo.ParseCostModel(sc.CostModel, netsim.CostModelFromParams(e.Params()))
-		if err != nil {
-			return RunOutput{}, fmt.Errorf("check: scenario cost model: %w", err)
-		}
-		e.SetCostModel(cm)
-	}
 	if hook != nil {
 		hook(e)
 	}
@@ -118,13 +110,6 @@ func RunRef(sc Scenario) (RunOutput, error) {
 		return RunOutput{}, err
 	}
 	r := NewRefEngine(tp, sc.Params)
-	if sc.CostModel != "" {
-		cm, err := topo.ParseCostModel(sc.CostModel, sc.Params.uniform())
-		if err != nil {
-			return RunOutput{}, fmt.Errorf("check: scenario cost model: %w", err)
-		}
-		r.SetCostModel(cm)
-	}
 	for _, ex := range sc.Extra {
 		r.AddLinkFrom(torus.NodeID(ex.From), ex.Capacity)
 	}

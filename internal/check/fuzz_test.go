@@ -40,9 +40,8 @@ func FuzzDifferential(f *testing.F) {
 }
 
 // FuzzDifferentialTopo is the topology axis of the differential fuzzer:
-// seeds drive GenerateTopo (dragonfly/fat-tree fabrics, some with the
-// heterogeneous cost model) through both engines. Findings archive
-// like FuzzDifferential's.
+// seeds drive GenerateTopo (dragonfly/fat-tree fabrics) through both
+// engines. Findings archive like FuzzDifferential's.
 //
 // Run a smoke budget with:
 //
@@ -64,7 +63,7 @@ func FuzzDifferentialTopo(f *testing.F) {
 			}
 		}
 		for _, d := range divs {
-			t.Errorf("seed %d (%s/%s): %s", seed, sc.Topology, sc.CostModel, d)
+			t.Errorf("seed %d (%s): %s", seed, sc.Topology, d)
 		}
 	})
 }

@@ -94,7 +94,7 @@ type refFailure struct {
 // component. It exists to be compared against, not to be fast.
 type RefEngine struct {
 	tp        topo.Topology
-	cm        topo.CostModel // endpoint costs; uniform RefParams unless SetCostModel
+	p         RefParams
 	caps      []float64
 	failed    []bool
 	extraFrom map[torus.NodeID][]int
@@ -105,22 +105,9 @@ type RefEngine struct {
 	resolved  int
 }
 
-// uniform lifts the constants into the uniform cost model, the one a
-// reference engine starts from.
-func (p RefParams) uniform() topo.Uniform {
-	return topo.Uniform{
-		PerFlow:   p.PerFlowBandwidth,
-		LocalCopy: p.LocalCopyBandwidth,
-		Sender:    p.SenderOverhead,
-		Receiver:  p.ReceiverOverhead,
-		Hop:       p.HopLatency,
-	}
-}
-
 // NewRefEngine builds a reference engine over a topology's base links:
 // each link's capacity is LinkBandwidth times the topology's rail
-// multiplier (exactly 1.0 on a torus). Its endpoint costs are p's
-// uniform model until SetCostModel replaces it.
+// multiplier (exactly 1.0 on a torus). Endpoint costs come from p.
 func NewRefEngine(tp topo.Topology, p RefParams) *RefEngine {
 	caps := make([]float64, tp.NumLinks())
 	for i := range caps {
@@ -128,22 +115,12 @@ func NewRefEngine(tp topo.Topology, p RefParams) *RefEngine {
 	}
 	return &RefEngine{
 		tp:        tp,
-		cm:        p.uniform(),
+		p:         p,
 		caps:      caps,
 		failed:    make([]bool, len(caps)),
 		extraFrom: make(map[torus.NodeID][]int),
 		linkBytes: make([]float64, len(caps)),
 	}
-}
-
-// SetCostModel replaces the endpoint cost model, mirroring
-// netsim.Engine.SetCostModel: flow caps, sender/receiver overheads, and
-// hop latency come from the model. Must be called before any Submit.
-func (r *RefEngine) SetCostModel(cm topo.CostModel) {
-	if len(r.flows) > 0 {
-		panic("check: SetCostModel after Submit")
-	}
-	r.cm = cm
 }
 
 // AddLinkFrom registers an extra link owned by a torus node (the 11th
@@ -166,17 +143,17 @@ func (r *RefEngine) Submit(spec RefFlowSpec) int {
 	if spec.Bytes < 0 {
 		panic(fmt.Sprintf("check: negative flow size %d", spec.Bytes))
 	}
-	f := &refFlow{spec: spec, cap: r.cm.PerFlowRate(spec.Src, spec.Dst)}
+	f := &refFlow{spec: spec, cap: r.p.PerFlowBandwidth}
 	switch {
 	case spec.HasLinks:
 		// A flow occupies a set of links: a route listing a link twice
 		// still claims it once and moves each byte across it once.
 		f.links = dedupRefLinks(spec.Links)
 		if len(f.links) == 0 {
-			f.cap = r.cm.LocalCopyRate(spec.Src)
+			f.cap = r.p.LocalCopyBandwidth
 		}
 	case spec.Src == spec.Dst:
-		f.cap = r.cm.LocalCopyRate(spec.Src)
+		f.cap = r.p.LocalCopyBandwidth
 	default:
 		f.links = r.tp.Route(spec.Src, spec.Dst)
 	}
@@ -324,7 +301,7 @@ func (r *RefEngine) LinkBytes() []float64 {
 func (r *RefEngine) release(f *refFlow, t float64) {
 	f.state = refDelayed
 	f.res.Released = t
-	f.timer = t + r.cm.SenderOverhead(f.spec.Src) + f.spec.ExtraDelay
+	f.timer = t + r.p.SenderOverhead + f.spec.ExtraDelay
 }
 
 func (r *RefEngine) activate(f *refFlow) {
@@ -341,7 +318,7 @@ func (r *RefEngine) transferEnd(f *refFlow) {
 	f.state = refDraining
 	f.res.TransferEnd = r.now
 	f.rate = 0
-	f.timer = r.now + r.cm.ReceiverOverhead(f.spec.Dst) + r.cm.HopLatency()*float64(len(f.links))
+	f.timer = r.now + r.p.ReceiverOverhead + r.p.HopLatency*float64(len(f.links))
 }
 
 func (r *RefEngine) finishFlow(f *refFlow) {

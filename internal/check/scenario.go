@@ -48,19 +48,15 @@ type NodeFailure struct {
 // testdata/divergences (see EXPERIMENTS.md).
 //
 // The BG/Q-default compatibility rule (DESIGN.md §16): an empty Topology
-// means "the torus described by Shape" and an empty CostModel means "the
-// uniform Params arithmetic", so every pre-topology scenario and every
-// archived divergence replays byte-identically.
+// means "the torus described by Shape", so every pre-topology scenario
+// and every archived divergence replays byte-identically.
 type Scenario struct {
 	Seed  int64 `json:"seed"`
 	Shape []int `json:"shape,omitempty"`
 	// Topology is a topo.Parse spec ("dragonfly:6x4x2"); empty selects
 	// the torus built from Shape.
-	Topology string    `json:"topology,omitempty"`
-	Params   RefParams `json:"params"`
-	// CostModel is a topo.ParseCostModel spec ("hetero:4") over the
-	// uniform Params base; empty keeps the uniform arithmetic.
-	CostModel    string         `json:"cost_model,omitempty"`
+	Topology     string         `json:"topology,omitempty"`
+	Params       RefParams      `json:"params"`
 	Extra        []ExtraLink    `json:"extra,omitempty"`
 	Flows        []ScenarioFlow `json:"flows"`
 	LinkFailures []LinkFailure  `json:"link_failures,omitempty"`
@@ -314,10 +310,7 @@ var genTopoSpecs = []string{
 // (the topology axis of the differential suite). Flow kinds mirror
 // Generate: default oracle routes, local copies, explicit routes (the
 // topology's own oracle path, sometimes extended over an extra link), and
-// arbitrary link multisets. A third of the scenarios also draw a
-// heterogeneous cost model, so the CPU/GPU-tiered endpoint arithmetic is
-// differentially tested on every fabric. Determinism contract as
-// Generate.
+// arbitrary link multisets. Determinism contract as Generate.
 func GenerateTopo(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed ^ 0x70705eed))
 	sc := Scenario{Seed: seed}
@@ -337,8 +330,9 @@ func GenerateTopo(seed int64) Scenario {
 		ReceiverOverhead:   1e-6 + rng.Float64()*29e-6,
 		HopLatency:         1e-9 + rng.Float64()*99e-9,
 	}
+	// The retired cost-model axis's draws: every seed keeps its scenario.
 	if rng.Intn(3) == 0 {
-		sc.CostModel = fmt.Sprintf("hetero:%d", 2+rng.Intn(4))
+		rng.Intn(4)
 	}
 
 	for i, n := 0, rng.Intn(3); i < n; i++ {

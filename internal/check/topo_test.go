@@ -12,9 +12,8 @@ import (
 )
 
 // TestDifferentialSeedsTopo is the topology axis of the 200-seed suite:
-// dragonfly and fat-tree scenarios (a third with a heterogeneous cost
-// model) through both engines. Any divergence is a topology or
-// cost-model bug — archive the failing seed and fix it.
+// dragonfly and fat-tree scenarios through both engines. Any divergence
+// is a topology bug — archive the failing seed and fix it.
 func TestDifferentialSeedsTopo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("topology differential sweep is seconds-long; skipped in -short")
@@ -27,8 +26,8 @@ func TestDifferentialSeedsTopo(t *testing.T) {
 			for _, d := range divs {
 				t.Errorf("seed %d: %s", seed, d)
 			}
-			t.Fatalf("seed %d: %d divergences (%d flows on %s cost=%q, %d link / %d node failures)",
-				seed, len(divs), len(sc.Flows), sc.Topology, sc.CostModel, len(sc.LinkFailures), len(sc.NodeFailures))
+			t.Fatalf("seed %d: %d divergences (%d flows on %s, %d link / %d node failures)",
+				seed, len(divs), len(sc.Flows), sc.Topology, len(sc.LinkFailures), len(sc.NodeFailures))
 		}
 	}
 	// The generator must actually exercise every configured fabric.
@@ -75,14 +74,13 @@ func TestGenerateTopoDeterministic(t *testing.T) {
 	}
 }
 
-// TestTopoScenarioRoundTrip pins the JSON schema: topology and cost
-// model survive the archive round trip, and a torus scenario serializes
-// without either field (the BG/Q-default compatibility rule — old
-// corpus files and new torus files are the same bytes).
+// TestTopoScenarioRoundTrip pins the JSON schema: the topology survives
+// the archive round trip, and a torus scenario serializes without it
+// (the BG/Q-default compatibility rule — old corpus files and new torus
+// files are the same bytes).
 func TestTopoScenarioRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	sc := GenerateTopo(3)
-	sc.CostModel = "hetero:3"
 	path := filepath.Join(dir, "topo.json")
 	if err := WriteScenario(path, sc); err != nil {
 		t.Fatal(err)
@@ -91,13 +89,13 @@ func TestTopoScenarioRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Topology != sc.Topology || got.CostModel != sc.CostModel {
+	if got.Topology != sc.Topology {
 		t.Fatalf("round trip lost the topology axis: %+v", got)
 	}
 
 	tor := Generate(3)
-	if tor.Topology != "" || tor.CostModel != "" {
-		t.Fatalf("torus generator must leave the topology fields empty: %+v", tor)
+	if tor.Topology != "" {
+		t.Fatalf("torus generator must leave the topology empty: %+v", tor)
 	}
 	path = filepath.Join(dir, "torus.json")
 	if err := WriteScenario(path, tor); err != nil {
@@ -111,10 +109,8 @@ func TestTopoScenarioRoundTrip(t *testing.T) {
 	if err := json.Unmarshal(b, &raw); err != nil {
 		t.Fatal(err)
 	}
-	for _, field := range []string{"topology", "cost_model"} {
-		if _, present := raw[field]; present {
-			t.Fatalf("torus scenario JSON must omit %q (BG/Q-default rule)", field)
-		}
+	if _, present := raw["topology"]; present {
+		t.Fatal(`torus scenario JSON must omit "topology" (BG/Q-default rule)`)
 	}
 }
 
@@ -149,77 +145,5 @@ func TestTopoNetworkMatchesTorusNetwork(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestUniformCostModelIsIdentity pins that installing the uniform cost
-// model built from the engine's own Params changes nothing: same flows,
-// same timelines, same link bytes, bit for bit.
-func TestUniformCostModelIsIdentity(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		sc := Generate(seed)
-		plain, err := RunNetsim(sc, nil)
-		if err != nil {
-			continue
-		}
-		modeled, err := RunNetsim(sc, func(e *netsim.Engine) {
-			e.SetCostModel(netsim.CostModelFromParams(e.Params()))
-		})
-		if err != nil {
-			t.Fatalf("seed %d: modeled run errored: %v", seed, err)
-		}
-		if len(plain.Flows) != len(modeled.Flows) {
-			t.Fatalf("seed %d: flow counts differ", seed)
-		}
-		for i := range plain.Flows {
-			if plain.Flows[i] != modeled.Flows[i] {
-				t.Fatalf("seed %d flow %d: %+v vs %+v", seed, i, plain.Flows[i], modeled.Flows[i])
-			}
-		}
-		for l := range plain.LinkBytes {
-			if plain.LinkBytes[l] != modeled.LinkBytes[l] {
-				t.Fatalf("seed %d link %d: %g vs %g", seed, l, plain.LinkBytes[l], modeled.LinkBytes[l])
-			}
-		}
-	}
-}
-
-// TestHeteroCostModelShapesRates pins the heterogeneous model's
-// observable effect end to end: on a fat-tree where only node 0 is
-// GPU-tier, a GPU->GPU flow finishes faster than the same-length
-// CPU->CPU flow because its endpoint cap doubles.
-func TestHeteroCostModelShapesRates(t *testing.T) {
-	tp, err := topo.Parse("fattree:8x4x1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := netsim.DefaultParams()
-	cm, err := topo.NewHetero(netsim.CostModelFromParams(p), 4) // nodes 0 and 4 are GPU
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	run := func(src, dst torus.NodeID) float64 {
-		net := netsim.NewNetworkTopo(tp, p.LinkBandwidth*4) // links never bottleneck
-		e, err := netsim.NewEngine(net, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		e.SetCostModel(cm)
-		id := e.Submit(netsim.FlowSpec{Src: src, Dst: dst, Bytes: 64 << 20})
-		if _, err := e.Run(); err != nil {
-			t.Fatal(err)
-		}
-		res := e.Result(id)
-		return float64(res.TransferEnd - res.Activated)
-	}
-
-	gpu := run(0, 4) // both GPU-tier: 2x rate cap
-	cpu := run(1, 5) // both CPU-tier: base rate cap
-	if gpu >= cpu {
-		t.Fatalf("GPU->GPU transfer (%gs) not faster than CPU->CPU (%gs)", gpu, cpu)
-	}
-	if ratio := cpu / gpu; ratio < 1.9 || ratio > 2.1 {
-		t.Fatalf("rate ratio %g, want ~2 (the hetero rate scale)", ratio)
 	}
 }

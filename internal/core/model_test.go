@@ -5,7 +5,6 @@ import (
 	"testing/quick"
 
 	"bgqflow/internal/netsim"
-	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
@@ -214,55 +213,5 @@ func TestAutoThresholdNeverProxiesWhenModelSaysNo(t *testing.T) {
 	}
 	if plan.Mode != Direct {
 		t.Fatalf("k=2 auto planner chose %v", plan.Mode)
-	}
-}
-
-// TestCostModelForUniformIsIdentity pins the BG/Q identity rule: the
-// pair-specialized model built from the uniform cost model of the same
-// params reproduces NewCostModel bit for bit, for any endpoint pair.
-func TestCostModelForUniformIsIdentity(t *testing.T) {
-	p := netsim.DefaultParams()
-	plain := newModel(t)
-	for _, pair := range [][2]torus.NodeID{{0, 97}, {3, 3}, {127, 0}} {
-		m, err := NewCostModelFor(netsim.CostModelFromParams(p), pair[0], pair[1], p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range []int64{1, 4 << 10, 1 << 20, 64 << 20} {
-			if a, b := m.DirectTime(d, 5), plain.DirectTime(d, 5); a != b {
-				t.Fatalf("pair %v d=%d: DirectTime %v != %v", pair, d, a, b)
-			}
-			if a, b := m.ProxyTime(d, 4, 3, 4), plain.ProxyTime(d, 4, 3, 4); a != b {
-				t.Fatalf("pair %v d=%d: ProxyTime %v != %v", pair, d, a, b)
-			}
-			if a, b := m.Threshold(4, 5, 3, 4), plain.Threshold(4, 5, 3, 4); a != b {
-				t.Fatalf("pair %v: Threshold %v != %v", pair, a, b)
-			}
-		}
-	}
-}
-
-// TestCostModelForHeteroTiers: on a tiered fabric the GPU->GPU pair is
-// priced faster than the CPU->CPU pair for large messages (the 2x rate
-// dominates), and slower for tiny ones (the 1.5x overhead dominates).
-func TestCostModelForHeteroTiers(t *testing.T) {
-	p := netsim.DefaultParams()
-	cm, err := topo.NewHetero(netsim.CostModelFromParams(p), 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gpu, err := NewCostModelFor(cm, 0, 4, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu, err := NewCostModelFor(cm, 1, 5, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g, c := gpu.DirectTime(64<<20, 5), cpu.DirectTime(64<<20, 5); g >= c {
-		t.Errorf("64MB: GPU pair %v not faster than CPU pair %v", g, c)
-	}
-	if g, c := gpu.DirectTime(64, 5), cpu.DirectTime(64, 5); g <= c {
-		t.Errorf("64B: GPU pair %v not overhead-dominated vs CPU pair %v", g, c)
 	}
 }

@@ -56,7 +56,6 @@ type System struct {
 	nodeBridge []torus.NodeID // node -> default bridge node
 	nodeUplink []int          // node -> default bridge's 11th-link ID
 	nodeBrIdx  []int          // node -> default bridge index within pset
-	bridgeDead [][]bool       // pset -> bridge index -> failed over
 }
 
 // Build carves the partition into psets, places bridge nodes, registers
@@ -114,7 +113,6 @@ func Build(net *netsim.Network, cfg Config) (*System, error) {
 			}
 		}
 		s.psets = append(s.psets, ps)
-		s.bridgeDead = append(s.bridgeDead, make([]bool, cfg.BridgesPerPset))
 	}
 	return s, nil
 }
@@ -149,64 +147,6 @@ func (s *System) DefaultPath(n torus.NodeID) (pi, bi int) {
 // Uplink returns the 11th-link ID of bridge index bi within pset pi.
 func (p *Pset) Uplink(bi int) int { return p.uplinks[bi] }
 
-// BridgeDead reports whether bridge bi of pset pi has been failed over.
-func (s *System) BridgeDead(pi, bi int) bool { return s.bridgeDead[pi][bi] }
-
-// LiveBridge returns a live bridge index of pset pi, preferring the given
-// index. It returns -1 when every bridge of the pset is dead.
-func (s *System) LiveBridge(pi, prefer int) int {
-	dead := s.bridgeDead[pi]
-	if !dead[prefer] {
-		return prefer
-	}
-	for off := 1; off < len(dead); off++ {
-		if bi := (prefer + off) % len(dead); !dead[bi] {
-			return bi
-		}
-	}
-	return -1
-}
-
-// FailBridge records bridge bi of pset pi as dead and reassigns every
-// compute node whose default path used it to the next surviving bridge of
-// the pset (deterministically: the first live index after bi, wrapping).
-// It is the I/O-level failover response; the physical failure itself is
-// injected on the netsim side (FailNode / a fault campaign). It returns an
-// error when the pset has no surviving bridge — that pset can no longer
-// reach its I/O node.
-func (s *System) FailBridge(pi, bi int) error {
-	if s.bridgeDead[pi][bi] {
-		return nil
-	}
-	s.bridgeDead[pi][bi] = true
-	to := s.LiveBridge(pi, bi)
-	if to < 0 {
-		return fmt.Errorf("ionet: pset %d lost all %d bridges", pi, s.cfg.BridgesPerPset)
-	}
-	ps := &s.psets[pi]
-	for _, n := range ps.Box.Nodes(s.tor) {
-		if s.nodeBrIdx[n] == bi {
-			s.nodeBrIdx[n] = to
-			s.nodeBridge[n] = ps.Bridges[to]
-			s.nodeUplink[n] = ps.uplinks[to]
-		}
-	}
-	return nil
-}
-
-// HandleNodeFailure is the hook for netsim's failure observer: when the
-// failed node is a bridge, its pset fails over to the surviving bridge.
-// It reports whether a failover happened (false for non-bridge nodes).
-func (s *System) HandleNodeFailure(n torus.NodeID) (bool, error) {
-	pi := s.nodePset[n]
-	for bi, b := range s.psets[pi].Bridges {
-		if b == n {
-			return true, s.FailBridge(pi, bi)
-		}
-	}
-	return false, nil
-}
-
 // torusLeg routes the compute-fabric leg of a write. While the network has
 // failures it prefers a fault-avoiding route; when none exists among the
 // realizable dimension orders it falls back to the default route, and the
@@ -221,10 +161,10 @@ func (s *System) torusLeg(n, bridge torus.NodeID) []int {
 }
 
 // WriteRoute returns the full link path of a default-path write from node
-// n to its I/O node: the torus route to n's default bridge (post-failover
-// assignment, avoiding failed links when possible), then the bridge's
-// 11th link. The returned destination is the bridge node (the flow's last
-// compute-fabric endpoint).
+// n to its I/O node: the torus route to n's default bridge (avoiding
+// failed links when possible), then the bridge's 11th link. The returned
+// destination is the bridge node (the flow's last compute-fabric
+// endpoint).
 func (s *System) WriteRoute(n torus.NodeID) (links []int, bridge torus.NodeID) {
 	bridge = s.nodeBridge[n]
 	leg := s.torusLeg(n, bridge)
@@ -236,17 +176,9 @@ func (s *System) WriteRoute(n torus.NodeID) (links []int, bridge torus.NodeID) {
 
 // WriteRouteVia returns the write path from node n through a specific
 // bridge of a specific pset (used by aggregators that are assigned a
-// bridge explicitly to balance the two 11th links of their pset). A dead
-// bridge silently fails over to the pset's surviving one; it panics when
-// the pset has no live bridge left.
+// bridge explicitly to balance the two 11th links of their pset).
 func (s *System) WriteRouteVia(n torus.NodeID, pi, bi int) (links []int, bridge torus.NodeID) {
 	ps := &s.psets[pi]
-	if live := s.LiveBridge(pi, bi); live != bi {
-		if live < 0 {
-			panic(fmt.Sprintf("ionet: pset %d has no live bridge", pi))
-		}
-		bi = live
-	}
 	bridge = ps.Bridges[bi]
 	leg := s.torusLeg(n, bridge)
 	links = make([]int, 0, len(leg)+1)

@@ -7,7 +7,6 @@ import (
 
 	"bgqflow/internal/obs"
 	"bgqflow/internal/sim"
-	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
@@ -114,7 +113,6 @@ type flow struct {
 type Engine struct {
 	net   *Network
 	p     Params
-	cm    topo.CostModel // endpoint costs; uniform Params unless SetCostModel
 	clock *sim.Engine
 
 	flows []*flow
@@ -201,9 +199,7 @@ type failureEvent struct {
 	isNode bool
 }
 
-// NewEngine creates an engine over net with parameters p. Its endpoint
-// costs are p's uniform model (CostModelFromParams) until SetCostModel
-// replaces it.
+// NewEngine creates an engine over net with parameters p.
 func NewEngine(net *Network, p Params) (*Engine, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -211,7 +207,6 @@ func NewEngine(net *Network, p Params) (*Engine, error) {
 	return &Engine{
 		net:    net,
 		p:      p,
-		cm:     CostModelFromParams(p),
 		clock:  sim.NewEngine(),
 		slotOf: make([]int32, net.NumLinks()),
 	}, nil
@@ -334,31 +329,6 @@ func (e *Engine) SetSink(s obs.Sink) { e.sink = s }
 // Sink returns the installed observability sink (nil when off).
 func (e *Engine) Sink() obs.Sink { return e.sink }
 
-// SetCostModel replaces the engine's endpoint cost model (DESIGN.md §16):
-// flow rate caps, sender and receiver overheads, and hop latency. It
-// shapes every flow from release on, so it must be called before any
-// flow is submitted.
-func (e *Engine) SetCostModel(cm topo.CostModel) {
-	if len(e.flows) > 0 {
-		panic("netsim: SetCostModel after Submit")
-	}
-	e.cm = cm
-}
-
-// CostModelFromParams lifts the uniform Params constants into a
-// topo.Uniform cost model: the one every engine starts from, and the
-// base for tiered models (topo.NewHetero, topo.ParseCostModel).
-func CostModelFromParams(p Params) topo.Uniform {
-	return topo.Uniform{
-		PerFlow:   p.PerFlowBandwidth,
-		LocalCopy: p.LocalCopyBandwidth,
-		Sender:    float64(p.SenderOverhead),
-		Receiver:  float64(p.ReceiverOverhead),
-		Forward:   float64(p.ProxyForwardOverhead),
-		Hop:       float64(p.HopLatency),
-	}
-}
-
 // SweepStats reports how many full (whole-component) and incremental
 // (dirty-region) sweeps the engine has performed. The full count is the
 // incremental sweep's fallbacks (DESIGN.md §13), so incremental ≫ full
@@ -386,7 +356,7 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 	}
 	id := FlowID(len(e.flows))
 	f := e.newFlow()
-	f.id, f.spec, f.cap = id, spec, e.cm.PerFlowRate(spec.Src, spec.Dst)
+	f.id, f.spec, f.cap = id, spec, e.p.PerFlowBandwidth
 	switch {
 	case spec.Links != nil:
 		// Explicit routes are honored even for Src == Dst (e.g. a
@@ -397,10 +367,10 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 		// leave a stale linkFlows entry behind at removal.
 		f.links = dedupLinks(spec.Links)
 		if len(f.links) == 0 {
-			f.cap = e.cm.LocalCopyRate(spec.Src)
+			f.cap = e.p.LocalCopyBandwidth
 		}
 	case spec.Src == spec.Dst:
-		f.cap = e.cm.LocalCopyRate(spec.Src)
+		f.cap = e.p.LocalCopyBandwidth
 	default:
 		// Served from the network's route cache: the default route is a
 		// pure function of the endpoints, and exchanges resubmit the
@@ -531,7 +501,7 @@ func (e *Engine) LinkBytesOf(link int) float64 {
 func (e *Engine) release(f *flow) {
 	f.state = stateDelayed
 	f.res.Released = e.clock.Now()
-	delay := sim.Duration(e.cm.SenderOverhead(f.spec.Src)) + f.spec.ExtraDelay
+	delay := e.p.SenderOverhead + f.spec.ExtraDelay
 	f.next = evActivate
 	f.endEvent = e.clock.AfterCall(delay, e, f)
 	f.hasEnd = true
@@ -585,7 +555,7 @@ func (e *Engine) transferEnd(f *flow) {
 	if len(f.slots) > 0 {
 		e.requestRealloc(nil, f.slots)
 	}
-	tail := sim.Duration(e.cm.ReceiverOverhead(f.spec.Dst)) + sim.Duration(e.cm.HopLatency()*float64(len(f.links)))
+	tail := e.p.ReceiverOverhead + e.p.HopLatency*sim.Duration(len(f.links))
 	f.next = evFinish
 	f.endEvent = e.clock.AfterCall(tail, e, f)
 	f.hasEnd = true

@@ -59,6 +59,70 @@ func TestSingleFlowTiming(t *testing.T) {
 	}
 }
 
+// TestEndpointArithmeticExact pins, bit for bit, the expressions the
+// engine charges for a flow's endpoints: the release wait
+// SenderOverhead + ExtraDelay, the tail ReceiverOverhead +
+// HopLatency·hops, and the lone-flow rates PerFlowBandwidth (links)
+// and LocalCopyBandwidth (local copy). The constants, and a multi-hop
+// flow released and finished within microseconds, are chosen so that
+// reassociating either sum, summing the hop latencies one by one, or
+// capping at the wrong rate changes the result bits.
+func TestEndpointArithmeticExact(t *testing.T) {
+	tor := mira128()
+	p := DefaultParams()
+	p.PerFlowBandwidth = 1.3e9 // below the link rate: the flow cap binds
+	p.LocalCopyBandwidth = 7.3e9
+	p.SenderOverhead = 13.7e-6
+	p.ReceiverOverhead = 11.3e-6
+	p.HopLatency = 29.9e-9
+	const extra = 7.9e-6
+	const multiBytes, copyBytes = 777, 9<<20 + 13
+	e := newTestEngine(t, tor, p)
+	src := tor.ID(torus.Coord{0, 0, 0, 0, 0})
+	dst := tor.ID(torus.Coord{1, 1, 2, 2, 1})
+	// A zero-byte feeder gives the multi-hop flow a non-zero release time.
+	feeder := e.Submit(FlowSpec{Src: src, Dst: src})
+	multi := e.Submit(FlowSpec{Src: src, Dst: dst, Bytes: multiBytes,
+		DependsOn: []FlowID{feeder}, ExtraDelay: extra})
+	local := e.Submit(FlowSpec{Src: 9, Dst: 9, Bytes: copyBytes})
+	emptyRoute := e.Submit(FlowSpec{Src: 11, Dst: 11, Bytes: copyBytes, Links: []int{}})
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	hops := len(e.Network().Route(src, dst).Links)
+	if hops != 7 {
+		t.Fatalf("multi-hop flow crosses %d links, want 7", hops)
+	}
+
+	m := e.Result(multi)
+	if m.Released == 0 {
+		t.Fatal("multi-hop flow released at 0; the feeder should delay it")
+	}
+	if want := m.Released + sim.Time(p.SenderOverhead+extra); m.Activated != want {
+		t.Errorf("multi-hop Activated = %v, want Released + (SenderOverhead + ExtraDelay) = %v", m.Activated, want)
+	}
+	if want := m.Activated + sim.Time(float64(multiBytes)/p.PerFlowBandwidth); m.TransferEnd != want {
+		t.Errorf("multi-hop TransferEnd = %v, want Activated + bytes/PerFlowBandwidth = %v", m.TransferEnd, want)
+	}
+	if want := m.TransferEnd + sim.Time(p.ReceiverOverhead+p.HopLatency*sim.Duration(hops)); m.Completed != want {
+		t.Errorf("multi-hop Completed = %v, want TransferEnd + (ReceiverOverhead + HopLatency·%d) = %v", m.Completed, hops, want)
+	}
+
+	// A local copy, by endpoints or by an explicit empty route.
+	for _, id := range []FlowID{local, emptyRoute} {
+		l := e.Result(id)
+		if want := l.Released + sim.Time(p.SenderOverhead); l.Activated != want {
+			t.Errorf("local copy %d Activated = %v, want Released + SenderOverhead = %v", id, l.Activated, want)
+		}
+		if want := l.Activated + sim.Time(float64(copyBytes)/p.LocalCopyBandwidth); l.TransferEnd != want {
+			t.Errorf("local copy %d TransferEnd = %v, want Activated + bytes/LocalCopyBandwidth = %v", id, l.TransferEnd, want)
+		}
+		if want := l.TransferEnd + sim.Time(p.ReceiverOverhead); l.Completed != want {
+			t.Errorf("local copy %d Completed = %v, want TransferEnd + ReceiverOverhead = %v", id, l.Completed, want)
+		}
+	}
+}
+
 func TestTwoFlowsShareOneLinkEqually(t *testing.T) {
 	tor := mira128()
 	p := DefaultParams()

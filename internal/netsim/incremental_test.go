@@ -242,3 +242,39 @@ func TestIncrementalRoseRuleLiftsRiders(t *testing.T) {
 	approx(t, "rider w rate", rw, 0.4*C, 1e-9)
 	approx(t, "d2 rate", rd2, 0.4*C, 1e-9)
 }
+
+// TestIncrementalFreedRuleToleratesRoundedSaturation pins the tolerance
+// in rule (ii)'s "saturated before" test. Link B carries x and six
+// riders, seven flows at level r = C/7; link A carries x alone. At
+// C = 1.8e9 the seven rates, summed the way the audit sums them, come
+// to one ulp under C, so only the tolerance sees B as saturated. Seven
+// joiners on A then pull x down to C/8: B is freed, and its riders must
+// rise to (C - C/8)/6. An exact test (sum >= C) would miss the freed
+// link and leave them at r, where the full re-level twin lifts them.
+func TestIncrementalFreedRuleToleratesRoundedSaturation(t *testing.T) {
+	p := DefaultParams()
+	const A, B = 3, 7    // any two distinct torus links
+	const late = 1e-3    // the joiners' extra delay
+	C := p.LinkBandwidth // caps are far above every level here
+	r := C / 7
+	var sum float64
+	for i := 0; i < 7; i++ {
+		sum += r
+	}
+	if !(sum < C) {
+		t.Fatalf("seven shares of %g sum to %g, not under it: the case needs a capacity that rounds short", C, sum)
+	}
+	inc, full := twinRun(t, p, func(e *Engine) {
+		e.Submit(FlowSpec{Src: 0, Dst: 1, Bytes: 64 << 20, Links: []int{A, B}}) // x
+		for i := 0; i < 6; i++ {
+			e.Submit(FlowSpec{Src: 2, Dst: 3, Bytes: 64 << 20, Links: []int{B}})
+		}
+		for i := 0; i < 7; i++ {
+			e.Submit(FlowSpec{Src: 4, Dst: 5, Bytes: 64 << 20, Links: []int{A}, ExtraDelay: late})
+		}
+	})
+	requireIdenticalRuns(t, inc, full, false)
+	if f, _ := inc.SweepStats(); f != 0 {
+		t.Fatalf("%d full re-levels; the freed audit should converge incrementally", f)
+	}
+}

@@ -20,7 +20,6 @@ type LinkTimeline struct {
 	bytes   map[int][]float64
 	dropped int64 // windows discarded (non-positive bytes, inverted, non-finite)
 	clamped int64 // windows with from < 0 clamped to start at 0
-	reg     *Registry
 }
 
 // NewLinkTimeline returns a timeline with the given bucket width.
@@ -34,16 +33,6 @@ func NewLinkTimeline(bucket sim.Duration) *LinkTimeline {
 
 // Bucket reports the bucket width.
 func (t *LinkTimeline) Bucket() sim.Duration { return t.bucket }
-
-// SetRegistry attaches a metrics registry: dropped and clamped window
-// counts are mirrored into "obs/timeline/windows_dropped" and
-// "obs/timeline/windows_clamped" as they occur, so a -metrics snapshot
-// carries them alongside the series they taint. Pass nil to detach.
-func (t *LinkTimeline) SetRegistry(reg *Registry) {
-	t.mu.Lock()
-	t.reg = reg
-	t.mu.Unlock()
-}
 
 // DroppedWindows reports how many Add calls were discarded outright
 // (non-positive or non-finite byte counts, inverted windows). A
@@ -76,17 +65,11 @@ func (t *LinkTimeline) Add(link int, from, to sim.Time, b float64) {
 	defer t.mu.Unlock()
 	if !(b > 0) || math.IsInf(b, 0) || !(to >= from) || to < 0 || math.IsInf(float64(to), 0) {
 		t.dropped++
-		if t.reg != nil {
-			t.reg.Counter("obs/timeline/windows_dropped").Inc()
-		}
 		return
 	}
 	if from < 0 {
 		from = 0
 		t.clamped++
-		if t.reg != nil {
-			t.reg.Counter("obs/timeline/windows_clamped").Inc()
-		}
 	}
 	w := float64(t.bucket)
 	last := int(float64(to) / w)

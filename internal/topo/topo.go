@@ -1,11 +1,11 @@
 // Package topo abstracts the machine fabric behind the simulators: which
-// nodes exist, which directed links connect them, how a message routes
-// deterministically between two endpoints, and how fast each endpoint can
-// inject or drain data. The BG/Q 5D torus with the paper's Eq. 1–5
-// endpoint constants is one instance; dragonfly and fat-tree fabrics and
-// a heterogeneous (CPU/GPU-tiered) endpoint model are others. Every
-// planner, oracle, fault campaign, and the bgqd daemon consume these
-// interfaces so a new machine is one constructor away (DESIGN.md §16).
+// nodes exist, which directed links connect them, and how a message
+// routes deterministically between two endpoints. The BG/Q 5D torus is
+// one instance; dragonfly and fat-tree fabrics are others. Every planner,
+// oracle, fault campaign, and the bgqd daemon consume this interface so a
+// new fabric is one constructor away (DESIGN.md §16). Endpoint costs are
+// not a fabric property: the engines read them from their own machine
+// constants.
 package topo
 
 import (

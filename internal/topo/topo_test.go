@@ -327,49 +327,6 @@ func TestMultiRailCapacity(t *testing.T) {
 	}
 }
 
-func TestCostModels(t *testing.T) {
-	base := Uniform{PerFlow: 100, LocalCopy: 1000, Sender: 1e-6, Receiver: 2e-6, Forward: 3e-6, Hop: 4e-9}
-
-	cm, err := ParseCostModel("", base)
-	if err != nil || cm.Name() != "uniform" {
-		t.Fatalf("empty spec: %v %v", cm, err)
-	}
-	if cm.PerFlowRate(0, 1) != 100 || cm.SenderOverhead(3) != 1e-6 || cm.HopLatency() != 4e-9 {
-		t.Fatalf("uniform model does not pass through base constants")
-	}
-
-	cm, err = ParseCostModel("hetero:4", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := cm.(Hetero)
-	if !h.GPU(0) || !h.GPU(4) || h.GPU(1) {
-		t.Fatalf("tier assignment wrong: %v %v %v", h.GPU(0), h.GPU(4), h.GPU(1))
-	}
-	// GPU->GPU runs at the scaled rate; mixed pairs fall to the CPU rate.
-	if got := cm.PerFlowRate(0, 4); got != 100*heteroRateScale {
-		t.Fatalf("GPU->GPU rate = %g", got)
-	}
-	if got := cm.PerFlowRate(0, 1); got != 100 {
-		t.Fatalf("GPU->CPU rate = %g, want CPU-bound 100", got)
-	}
-	if got := cm.SenderOverhead(4); got != 1e-6*heteroOverheadScale {
-		t.Fatalf("GPU sender overhead = %g", got)
-	}
-	if got := cm.ReceiverOverhead(1); got != 2e-6 {
-		t.Fatalf("CPU receiver overhead = %g", got)
-	}
-	if cm.Spec() != "hetero:4" {
-		t.Fatalf("Spec = %q", cm.Spec())
-	}
-
-	for _, bad := range []string{"hetero:", "hetero:0", "hetero:x", "gpu:2"} {
-		if _, err := ParseCostModel(bad, base); err == nil {
-			t.Errorf("ParseCostModel(%q) must fail", bad)
-		}
-	}
-}
-
 func TestSpecRoundTrip(t *testing.T) {
 	for _, tp := range testTopologies(t) {
 		again, err := Parse(tp.Spec())

@@ -7,7 +7,8 @@
 # comparison against the most recent previous BENCH_*.json so the
 # performance trajectory is visible run over run.
 #
-# `scripts/bench.sh topo` (`make check-topo` archives it): runs the
+# `scripts/bench.sh topo` (no make target; `make check-topo` runs only
+# an audited quick `-run topo` and archives nothing): runs the
 # cross-topology comparison sweep (torus vs dragonfly vs fat-tree,
 # bgqbench -run topo) and archives it as BENCH_TOPO_<date>.json — the
 # trajectory file for the pluggable-topology plane.
