@@ -83,11 +83,14 @@ bench:
 # Full-machine tentpole benchmark (DESIGN.md §13): 48K nodes / 131,072
 # ranks through the incremental waterfill, archived as
 # BENCH_SCALE_<date>.json. Fails on a >2x wall-clock regression against
-# the most recent committed BENCH_SCALE_*.json. Not part of `make
-# verify` (it is a multi-second perf gate, not a correctness gate); run
-# it before merging engine-touching changes.
+# the most recent committed BENCH_SCALE_*.json. With BASE=<rev> it also
+# runs that revision and the working tree alternately on this host,
+# three times each, and fails if the working tree's median wall time is
+# more than 25% above the base's. Not part of `make verify` (it is a
+# multi-second perf gate, not a correctness gate); run it before merging
+# engine-touching changes.
 bench-scale:
-	./scripts/bench.sh scale
+	./scripts/bench.sh scale $(BASE)
 
 # Load/soak gate: spawn a real bgqd on a Unix socket, drive it with
 # bgqload for 30s at a fixed request rate, fail on any 5xx, on a shed

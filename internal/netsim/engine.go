@@ -88,24 +88,47 @@ const (
 	evFinish
 )
 
+// flow is a flow's hot record: what Submit, the sweeps and the clock
+// events read. The first cache line holds every field the sweep loops
+// touch; the rest is read once or twice per flow lifetime. A flow's
+// route, dependencies, label and callback live in the engine's side
+// table (flowCold), and only when it has one of them, so a flow of
+// endpoints, size and delay costs this record alone. TestFlowRecordLayout
+// pins the size and the first line.
 type flow struct {
-	id         FlowID
-	spec       FlowSpec
-	links      []int
-	slots      []int32 // engine slot of each entry of links, parallel to it
-	unmetDeps  int
-	dependents []FlowID
-	state      flowState
-	next       flowEvent // which event the pending timer fires
-	remaining  float64   // bytes left to transfer
-	rate       float64   // current allocation, bytes/second
-	cap        float64   // per-flow rate cap
+	rate      float64 // current allocation, bytes/second
+	visit     uint64  // component-BFS / dirty-set epoch stamp
+	dIdx      int32   // position in the current dirty set (valid when visit matches)
+	state     flowState
+	next      flowEvent // which event the pending timer fires
+	hasEnd    bool
+	cap       float64 // per-flow rate cap
+	slots     []int32 // engine slot of each link of the route
+	remaining float64 // bytes left to transfer
+
 	lastUpdate sim.Time
 	endEvent   sim.EventID
-	hasEnd     bool
-	res        FlowResult
-	visit      uint64 // component-BFS / dirty-set epoch stamp
-	dIdx       int32  // position in the current dirty set (valid when visit matches)
+	id         int32 // the flow's FlowID
+	cold       int32 // index of the flow's side-table entry plus one; 0: none
+	// The timeline FlowResult reports. end is the completion instant of
+	// a done flow and the abort instant of an aborted one.
+	released, activated, transferEnd, end sim.Time
+	src, dst                              torus.NodeID
+	bytes                                 int64
+	extraDelay                            sim.Duration
+}
+
+// flowCold is a flow's side-table entry: the FlowSpec fields the sweeps
+// never read, and the dependency bookkeeping. Only a flow with DependsOn
+// can have unmet dependencies, and only a flow another one depends on
+// has dependents, so neither needs room in every hot record.
+type flowCold struct {
+	links      []int // FlowSpec.Links as submitted
+	dependsOn  []FlowID
+	label      string
+	onComplete func()
+	dependents []FlowID // flows waiting on this one
+	unmetDeps  int      // dependencies not yet done
 }
 
 // Engine executes a DAG of flows over a Network and reports per-flow
@@ -116,6 +139,9 @@ type Engine struct {
 	clock *sim.Engine
 
 	flows []*flow
+	// cold is the append-only side table of flowCold entries (see flow):
+	// it grows by append, so no flow causes an allocation of its own.
+	cold []flowCold
 
 	// Per-link state exists only for links a submitted flow uses. slotOf
 	// maps a link ID to its slot plus one (0: no flow has used the link);
@@ -124,6 +150,7 @@ type Engine struct {
 	// the links the machine has.
 	slotOf    []int32
 	slotCap   []float64 // slot -> link capacity (bytes/second)
+	slotLink  []int32   // slot -> link ID
 	linkFlows [][]*flow // active flows per slot
 	linkVisit []uint64  // component-BFS epoch stamps per slot
 	linkBytes []float64 // cumulative bytes carried per slot
@@ -178,6 +205,9 @@ type Engine struct {
 	// dirty set. Only package tests set it: the full re-level is the twin
 	// the incremental sweep is pinned against bit for bit.
 	fullOnly bool
+	// maxRounds is the most rounds any incremental sweep has started;
+	// package tests read it.
+	maxRounds int
 
 	active      int // flows not yet done or aborted
 	aborted     int // flows cut by failure events
@@ -268,6 +298,7 @@ func (e *Engine) slot(link int) int32 {
 		// touches most links must not pay for twice as many.
 		n := min(max(s/4, slotArenaMin), len(e.slotOf)-s)
 		e.slotCap = slices.Grow(e.slotCap, n)
+		e.slotLink = slices.Grow(e.slotLink, n)
 		e.linkFlows = slices.Grow(e.linkFlows, n)
 		e.linkVisit = slices.Grow(e.linkVisit, n)
 		e.linkBytes = slices.Grow(e.linkBytes, n)
@@ -275,6 +306,7 @@ func (e *Engine) slot(link int) int32 {
 	}
 	e.slotOf[link] = int32(s) + 1
 	e.slotCap = append(e.slotCap, e.net.Capacity(link))
+	e.slotLink = append(e.slotLink, int32(link))
 	e.linkFlows = append(e.linkFlows, nil)
 	e.linkVisit = append(e.linkVisit, 0)
 	e.linkBytes = append(e.linkBytes, 0)
@@ -354,9 +386,14 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 	if spec.Bytes < 0 {
 		panic(fmt.Sprintf("netsim: negative flow size %d", spec.Bytes))
 	}
+	if len(e.flows) == math.MaxInt32 {
+		panic("netsim: more than MaxInt32 flows")
+	}
 	id := FlowID(len(e.flows))
 	f := e.newFlow()
-	f.id, f.spec, f.cap = id, spec, e.p.PerFlowBandwidth
+	f.id, f.cap = int32(id), e.p.PerFlowBandwidth
+	f.src, f.dst, f.bytes, f.extraDelay = spec.Src, spec.Dst, spec.Bytes, spec.ExtraDelay
+	var links []int
 	switch {
 	case spec.Links != nil:
 		// Explicit routes are honored even for Src == Dst (e.g. a
@@ -365,8 +402,8 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 		// once — a duplicate entry would double-count the flow in
 		// waterfill sharing, double-charge the link's byte counter, and
 		// leave a stale linkFlows entry behind at removal.
-		f.links = dedupLinks(spec.Links)
-		if len(f.links) == 0 {
+		links = dedupLinks(spec.Links)
+		if len(links) == 0 {
 			f.cap = e.p.LocalCopyBandwidth
 		}
 	case spec.Src == spec.Dst:
@@ -375,9 +412,9 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 		// Served from the network's route cache: the default route is a
 		// pure function of the endpoints, and exchanges resubmit the
 		// same pairs every round.
-		f.links = e.net.Route(spec.Src, spec.Dst).Links
+		links = e.net.Route(spec.Src, spec.Dst).Links
 	}
-	for _, l := range f.links {
+	for _, l := range links {
 		if l < 0 || l >= e.net.NumLinks() {
 			panic(fmt.Sprintf("netsim: flow %d routed over unknown link %d", id, l))
 		}
@@ -386,31 +423,71 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 				id, l, e.net.LinkName(l)))
 		}
 	}
-	if len(f.links) > 0 {
-		f.slots = e.newSlots(len(f.links))
-		for i, l := range f.links {
+	if len(links) > 0 {
+		f.slots = e.newSlots(len(links))
+		for i, l := range links {
 			f.slots[i] = e.slot(l)
 		}
 	}
 	if e.reserved > 0 {
 		e.reserved--
 	}
+	if spec.Links != nil || spec.DependsOn != nil || spec.Label != "" || spec.OnComplete != nil {
+		f.cold = e.newCold()
+		c := &e.cold[f.cold-1]
+		c.links, c.dependsOn, c.label, c.onComplete = spec.Links, spec.DependsOn, spec.Label, spec.OnComplete
+	}
+	unmet := 0
 	for _, dep := range spec.DependsOn {
 		if int(dep) < 0 || int(dep) >= len(e.flows) {
 			panic(fmt.Sprintf("netsim: flow %d depends on unknown flow %d", id, dep))
 		}
 		d := e.flows[dep]
 		if d.state != stateDone {
-			d.dependents = append(d.dependents, id)
-			f.unmetDeps++
+			if d.cold == 0 {
+				d.cold = e.newCold()
+			}
+			dc := &e.cold[d.cold-1]
+			dc.dependents = append(dc.dependents, id)
+			unmet++
 		}
+	}
+	if unmet > 0 {
+		e.cold[f.cold-1].unmetDeps = unmet
 	}
 	e.flows = append(e.flows, f)
 	e.active++
-	if e.interactive && f.unmetDeps == 0 {
+	if e.interactive && unmet == 0 {
 		e.release(f)
 	}
 	return id
+}
+
+// newCold appends a zeroed side-table entry and returns its index plus
+// one, the form flow.cold keeps.
+func (e *Engine) newCold() int32 {
+	if cap(e.cold) == 0 {
+		e.cold = make([]flowCold, 0, flowArenaMin) // as the flow arena starts
+	}
+	e.cold = append(e.cold, flowCold{})
+	return int32(len(e.cold))
+}
+
+// coldOf returns f's side-table entry, or nil when it has none. The
+// pointer is valid until the next Submit.
+func (e *Engine) coldOf(f *flow) *flowCold {
+	if f.cold == 0 {
+		return nil
+	}
+	return &e.cold[f.cold-1]
+}
+
+// label returns f's FlowSpec.Label.
+func (e *Engine) label(f *flow) string {
+	if c := e.coldOf(f); c != nil {
+		return c.label
+	}
+	return ""
 }
 
 // dedupLinks returns links with duplicates removed, preserving first-
@@ -456,7 +533,7 @@ func (e *Engine) Run() (sim.Duration, error) {
 	// start of the run, the clock never grows during it.
 	e.clock.Reserve(len(e.flows) + 1)
 	for _, f := range e.flows {
-		if f.unmetDeps == 0 {
+		if f.cold == 0 || e.cold[f.cold-1].unmetDeps == 0 {
 			e.release(f)
 		}
 	}
@@ -468,10 +545,27 @@ func (e *Engine) Run() (sim.Duration, error) {
 }
 
 // Result returns a flow's timing after Run.
-func (e *Engine) Result(id FlowID) FlowResult { return e.flows[id].res }
+func (e *Engine) Result(id FlowID) FlowResult {
+	f := e.flows[id]
+	r := FlowResult{Released: f.released, Activated: f.activated, TransferEnd: f.transferEnd}
+	switch f.state {
+	case stateDone:
+		r.Completed, r.Bytes, r.Done = f.end, f.bytes, true
+	case stateAborted:
+		r.Aborted, r.AbortTime = true, f.end
+	}
+	return r
+}
 
 // Spec returns the FlowSpec a flow was submitted with.
-func (e *Engine) Spec(id FlowID) FlowSpec { return e.flows[id].spec }
+func (e *Engine) Spec(id FlowID) FlowSpec {
+	f := e.flows[id]
+	s := FlowSpec{Src: f.src, Dst: f.dst, Bytes: f.bytes, ExtraDelay: f.extraDelay}
+	if c := e.coldOf(f); c != nil {
+		s.Links, s.DependsOn, s.Label, s.OnComplete = c.links, c.dependsOn, c.label, c.onComplete
+	}
+	return s
+}
 
 // NumFlows returns the number of submitted flows.
 func (e *Engine) NumFlows() int { return len(e.flows) }
@@ -500,8 +594,8 @@ func (e *Engine) LinkBytesOf(link int) float64 {
 // release starts a flow's sender-overhead countdown.
 func (e *Engine) release(f *flow) {
 	f.state = stateDelayed
-	f.res.Released = e.clock.Now()
-	delay := e.p.SenderOverhead + f.spec.ExtraDelay
+	f.released = e.clock.Now()
+	delay := e.p.SenderOverhead + f.extraDelay
 	f.next = evActivate
 	f.endEvent = e.clock.AfterCall(delay, e, f)
 	f.hasEnd = true
@@ -511,13 +605,13 @@ func (e *Engine) release(f *flow) {
 func (e *Engine) activate(f *flow) {
 	f.state = stateActive
 	f.hasEnd = false
-	f.res.Activated = e.clock.Now()
-	f.remaining = float64(f.spec.Bytes)
+	f.activated = e.clock.Now()
+	f.remaining = float64(f.bytes)
 	f.lastUpdate = e.clock.Now()
 	if e.sink != nil {
-		e.sink.FlowActivated(e.clock.Now(), int(f.id), f.spec.Label)
+		e.sink.FlowActivated(e.clock.Now(), int(f.id), e.label(f))
 	}
-	if f.spec.Bytes == 0 {
+	if f.bytes == 0 {
 		e.transferEnd(f)
 		return
 	}
@@ -532,7 +626,7 @@ func (e *Engine) activate(f *flow) {
 func (e *Engine) transferEnd(f *flow) {
 	f.state = stateDraining
 	f.hasEnd = false
-	f.res.TransferEnd = e.clock.Now()
+	f.transferEnd = e.clock.Now()
 	// Charge the final segment of progress to the link byte counters
 	// before leaving the links.
 	for _, s := range f.slots {
@@ -541,11 +635,11 @@ func (e *Engine) transferEnd(f *flow) {
 	if e.sink != nil {
 		now := e.clock.Now()
 		if f.remaining > 0 {
-			for _, l := range f.links {
-				e.sink.LinkWindow(l, f.lastUpdate, now, f.remaining)
+			for _, s := range f.slots {
+				e.sink.LinkWindow(int(e.slotLink[s]), f.lastUpdate, now, f.remaining)
 			}
 		}
-		e.sink.FlowEnded(now, f.res.Activated, int(f.id), f.spec.Label, f.spec.Bytes, false)
+		e.sink.FlowEnded(now, f.activated, int(f.id), e.label(f), f.bytes, false)
 	}
 	f.remaining = 0
 	for _, s := range f.slots {
@@ -555,7 +649,7 @@ func (e *Engine) transferEnd(f *flow) {
 	if len(f.slots) > 0 {
 		e.requestRealloc(nil, f.slots)
 	}
-	tail := e.p.ReceiverOverhead + e.p.HopLatency*sim.Duration(len(f.links))
+	tail := e.p.ReceiverOverhead + e.p.HopLatency*sim.Duration(len(f.slots))
 	f.next = evFinish
 	f.endEvent = e.clock.AfterCall(tail, e, f)
 	f.hasEnd = true
@@ -564,17 +658,21 @@ func (e *Engine) transferEnd(f *flow) {
 func (e *Engine) finish(f *flow) {
 	f.state = stateDone
 	f.hasEnd = false
-	f.res.Completed = e.clock.Now()
-	f.res.Bytes = f.spec.Bytes
-	f.res.Done = true
+	f.end = e.clock.Now()
 	e.active--
-	if f.spec.OnComplete != nil {
-		f.spec.OnComplete()
+	if f.cold == 0 {
+		return
 	}
-	for _, dep := range f.dependents {
+	if fn := e.cold[f.cold-1].onComplete; fn != nil {
+		// The callback may Submit (interactive mode), which can move the
+		// side table: look f's entry up again after it.
+		fn()
+	}
+	for _, dep := range e.cold[f.cold-1].dependents {
 		d := e.flows[dep]
-		d.unmetDeps--
-		if d.unmetDeps == 0 && d.state == statePending {
+		dc := &e.cold[d.cold-1]
+		dc.unmetDeps--
+		if dc.unmetDeps == 0 && d.state == statePending {
 			e.release(d)
 		}
 	}
@@ -625,8 +723,8 @@ func (e *Engine) applyFailure(fe *failureEvent) {
 			if f.state == stateDone || f.state == stateAborted || f.state == stateDraining {
 				continue
 			}
-			for _, l := range f.links {
-				if _, dead := newly[l]; dead {
+			for _, s := range f.slots {
+				if _, dead := newly[int(e.slotLink[s])]; dead {
 					e.abort(f, now)
 					break
 				}
@@ -654,15 +752,15 @@ func (e *Engine) abort(f *flow, now sim.Time) {
 				moved = f.remaining
 			}
 			f.remaining -= moved
-			for i, s := range f.slots {
+			for _, s := range f.slots {
 				e.linkBytes[s] += moved
 				if e.sink != nil && moved > 0 {
-					e.sink.LinkWindow(f.links[i], f.lastUpdate, now, moved)
+					e.sink.LinkWindow(int(e.slotLink[s]), f.lastUpdate, now, moved)
 				}
 			}
 		}
 		if e.sink != nil {
-			e.sink.FlowEnded(now, f.res.Activated, int(f.id), f.spec.Label, f.spec.Bytes, true)
+			e.sink.FlowEnded(now, f.activated, int(f.id), e.label(f), f.bytes, true)
 		}
 		for _, s := range f.slots {
 			e.removeFromLink(s, f)
@@ -676,12 +774,13 @@ func (e *Engine) abort(f *flow, now sim.Time) {
 		f.hasEnd = false
 	}
 	f.state = stateAborted
-	f.res.Aborted = true
-	f.res.AbortTime = now
+	f.end = now
 	e.active--
 	e.aborted++
-	for _, dep := range f.dependents {
-		e.abort(e.flows[dep], now)
+	if c := e.coldOf(f); c != nil {
+		for _, dep := range c.dependents {
+			e.abort(e.flows[dep], now)
+		}
 	}
 }
 
@@ -751,17 +850,26 @@ func (e *Engine) FlowRate(id FlowID) (rate float64, active bool) {
 	return f.rate, true
 }
 
-// FlowRouteLinks returns the links a flow occupies (its planned route).
+// FlowRouteLinks returns the links a flow occupies (its planned route,
+// each link once, in route order).
 func (e *Engine) FlowRouteLinks(id FlowID) []int {
-	return append([]int(nil), e.flows[id].links...)
+	slots := e.flows[id].slots
+	if len(slots) == 0 {
+		return nil
+	}
+	out := make([]int, len(slots))
+	for i, s := range slots {
+		out[i] = int(e.slotLink[s])
+	}
+	return out
 }
 
 // ActiveFlowIDs returns the flows currently transferring.
 func (e *Engine) ActiveFlowIDs() []FlowID {
 	var out []FlowID
-	for _, f := range e.flows {
+	for id, f := range e.flows {
 		if f.state == stateActive {
-			out = append(out, f.id)
+			out = append(out, FlowID(id))
 		}
 	}
 	return out
@@ -835,10 +943,10 @@ func (e *Engine) chargeProgress(flows []*flow) {
 				moved = f.remaining
 			}
 			f.remaining -= moved
-			for i, s := range f.slots {
+			for _, s := range f.slots {
 				e.linkBytes[s] += moved
 				if e.sink != nil && moved > 0 {
-					e.sink.LinkWindow(f.links[i], f.lastUpdate, now, moved)
+					e.sink.LinkWindow(int(e.slotLink[s]), f.lastUpdate, now, moved)
 				}
 			}
 		}
@@ -976,11 +1084,13 @@ func (e *Engine) applyRates(flows []*flow) {
 	}
 }
 
-// incMaxRounds bounds the dirty-set expansion before the engine gives up
-// on locality and falls back to a full component sweep: each round
-// re-solves the whole dirty set, so runaway expansion would cost more
-// than the one full sweep it replaces.
-const incMaxRounds = 8
+// incFreeRounds is how many rounds an incremental sweep runs before its
+// work budget applies. Each round re-solves the whole dirty set, so from
+// then on the sweep keeps going only while its dirty-set sizes, summed
+// over its rounds, stay within the engine's active flow count — more
+// would cost more than the one full re-level it replaces. Sweeps that
+// converge within these rounds never meet the budget (DESIGN.md §13).
+const incFreeRounds = 8
 
 // incrementalSweep re-levels only the flows whose max-min rate can have
 // changed (DESIGN.md §13). The dirty set seeds with the changed flows
@@ -999,9 +1109,10 @@ const incMaxRounds = 8
 // Flows flagged by an audit join the dirty set and the solve repeats;
 // when no rule fires, every outside flow provably keeps its rate, and
 // the restricted solution is the global max-min solution. The dirty set
-// only grows, so the loop terminates; incMaxRounds (or a degenerate
-// zero-rate solve, which means the frontier cut a binding constraint)
-// falls back to the classic full component sweep.
+// only grows and every round spends from a finite work budget (see
+// incFreeRounds), so the loop terminates; an exhausted budget (or a
+// degenerate zero-rate solve, which means the frontier cut a binding
+// constraint) falls back to the classic full component sweep.
 func (e *Engine) incrementalSweep() {
 	// Seed the dirty set.
 	e.epoch++
@@ -1033,12 +1144,15 @@ func (e *Engine) incrementalSweep() {
 	}
 
 	links := e.regLinks[:0]
+	work := 0
 	for round := 0; ; round++ {
-		if round == incMaxRounds {
+		work += len(dirty)
+		if round >= incFreeRounds && work > e.active {
 			e.dirty, e.regLinks = dirty, links
 			e.fullReLevel(dirty, nil)
 			return
 		}
+		e.maxRounds = max(e.maxRounds, round+1)
 		// Region = the dirty flows' links. Each round restarts with a
 		// fresh epoch so the previous round's link stamps are forgotten;
 		// the flow stamps and dirty indices are re-applied.
@@ -1130,7 +1244,9 @@ func (e *Engine) incrementalSweep() {
 		}
 		// Converged: every outside flow provably keeps its rate. A zero
 		// rate can only mean the region boundary cut a binding
-		// constraint; re-level the whole component instead.
+		// constraint; re-level the whole component instead. Only links
+		// slower than the audits' 1e-15 B/s tolerance get here
+		// (DESIGN.md §13, TestZeroRateSolveFallsBack).
 		for fi := range dirty {
 			if e.wfNewRate[fi] <= 0 {
 				e.dirty, e.regLinks = dirty, links

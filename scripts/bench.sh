@@ -13,11 +13,17 @@
 # bgqbench -run topo) and archives it as BENCH_TOPO_<date>.json — the
 # trajectory file for the pluggable-topology plane.
 #
-# `scripts/bench.sh scale` (`make bench-scale`): runs the full-machine
-# tentpole scenario (DESIGN.md §13 — 48K nodes, 131,072 ranks, the
-# incremental waterfill's headline number), archives it as
+# `scripts/bench.sh scale [BASE]` (`make bench-scale [BASE=rev]`): runs
+# the full-machine tentpole scenario (DESIGN.md §13 — 48K nodes, 131,072
+# ranks, the incremental waterfill's headline number), archives it as
 # BENCH_SCALE_<date>.json, and FAILS if wall-clock regressed more than
 # 2x against the most recent committed BENCH_SCALE_*.json baseline.
+# Given a base revision, it then extracts that revision with git archive
+# into a temporary directory and runs `bgqbench -run scale` alternately
+# on the base and on the working tree, three times each, on this host:
+# it prints each side's median total_wall_ms and alloc_bytes and their
+# ratios, and FAILS if the working tree's median wall time is more than
+# 25% above the base's.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -25,9 +31,50 @@ cd "$(dirname "$0")/.."
 mode="${1:-quick}"
 
 # total_wall_ms extracts the total from a bgqbench -json report without
-# depending on jq.
+# depending on jq; alloc_bytes likewise takes the first experiment's.
 total_wall_ms() {
     sed -n 's/.*"total_wall_ms":[[:space:]]*\([0-9.]*\).*/\1/p' "$1" | head -1
+}
+alloc_bytes() {
+    sed -n 's/.*"alloc_bytes":[[:space:]]*\([0-9.]*\).*/\1/p' "$1" | head -1
+}
+
+# median prints the median of the numbers given as arguments.
+median() {
+    printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+}
+
+# scale_pairs BASE runs `bgqbench -run scale` three times each on the base
+# revision and on the working tree, alternating, and gates their medians.
+scale_pairs() {
+    base_rev=$1
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    mkdir "$tmp/src"
+    git archive "$base_rev" | tar -x -C "$tmp/src"
+    (cd "$tmp/src" && go build -o "$tmp/bgqbench-base" ./cmd/bgqbench)
+    go build -o "$tmp/bgqbench-work" ./cmd/bgqbench
+    bw="" ba="" ww="" wa=""
+    for i in 1 2 3; do
+        # Alternate which side runs first, so a host slow spell does not
+        # always land on the same side.
+        if [ $((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi
+        for side in $order; do
+            "$tmp/bgqbench-$side" -run scale -json "$tmp/$side-$i.json" > /dev/null
+            wall=$(total_wall_ms "$tmp/$side-$i.json")
+            alloc=$(alloc_bytes "$tmp/$side-$i.json")
+            echo "bench-scale: run $i $side: ${wall} ms, ${alloc} B allocated"
+            if [ "$side" = base ]; then bw="$bw $wall" ba="$ba $alloc"; else ww="$ww $wall" wa="$wa $alloc"; fi
+        done
+    done
+    # shellcheck disable=SC2086 # word splitting is the point
+    mbw=$(median $bw) mba=$(median $ba) mww=$(median $ww) mwa=$(median $wa)
+    echo "bench-scale: median wall ${mbw} ms (base $base_rev) vs ${mww} ms (working tree), ratio $(awk -v a="$mww" -v b="$mbw" 'BEGIN { printf "%.3f", a / b }')"
+    echo "bench-scale: median alloc ${mba} B (base) vs ${mwa} B (working tree), ratio $(awk -v a="$mwa" -v b="$mba" 'BEGIN { printf "%.3f", a / b }')"
+    if awk -v w="$mww" -v b="$mbw" 'BEGIN { exit !(w > 1.25 * b) }'; then
+        echo "bench-scale: FAIL — the working tree's median ${mww} ms is more than 25% above the base's ${mbw} ms" >&2
+        exit 1
+    fi
 }
 
 case "$mode" in
@@ -78,9 +125,12 @@ scale)
     else
         echo "bench-scale: wrote $out (${now} ms; no previous BENCH_SCALE_*.json to gate against)"
     fi
+    if [ -n "${2:-}" ]; then
+        scale_pairs "$2"
+    fi
     ;;
 *)
-    echo "usage: scripts/bench.sh [quick|topo|scale]" >&2
+    echo "usage: scripts/bench.sh [quick|topo|scale [BASE]]" >&2
     exit 2
     ;;
 esac
