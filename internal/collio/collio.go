@@ -139,7 +139,7 @@ func (p *Planner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sink) 
 		total += d
 	}
 	plan := Plan{TotalBytes: total, NumAggregators: len(p.aggNodes)}
-	world := p.job.World()
+	world := p.job.NumRanks()
 	plan.Metadata = p.coll.AllreduceTime(world, 8) + p.coll.AllgatherTime(world, 16)
 	if total == 0 {
 		return plan, nil

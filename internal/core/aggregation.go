@@ -194,7 +194,7 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		return AggPlan{}, err
 	}
 	plan := AggPlan{TotalBytes: total, Senders: senders}
-	world := a.job.World()
+	world := a.job.NumRanks()
 	plan.Metadata = a.coll.AllreduceTime(world, 8) + // total size
 		a.coll.AllreduceTime(world, 8) + // exscan of has-data indicator
 		a.coll.BcastTime(world, 16) // selected per-pset count

@@ -130,9 +130,6 @@ func NewPairPlanner(tor *torus.Torus, cfg ProxyConfig) (*PairPlanner, error) {
 	return &PairPlanner{tor: tor, cfg: cfg}, nil
 }
 
-// Config returns the planner's configuration.
-func (p *PairPlanner) Config() ProxyConfig { return p.cfg }
-
 // SetFaults gives the planner a failed-link predicate; selected proxy
 // legs and direct fallback routes avoid those links. Pass the network's
 // FailedFunc after injecting failures.
@@ -392,21 +389,16 @@ func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes in
 	plan := PairPlan{Mode: Proxied, Proxies: proxies, Bytes: bytes}
 	pieces := splitBytes(bytes, len(proxies))
 	for i, pr := range proxies {
-		flows, finals := p.submitLegs(e, pr, pieces[i], fmt.Sprintf("proxy%d", i))
+		flows, finals := submitLegPair(e, p.cfg, pr, pieces[i], fmt.Sprintf("proxy%d", i))
 		plan.Flows = append(plan.Flows, flows...)
 		plan.Final = append(plan.Final, finals...)
 	}
 	return plan, nil
 }
 
-// submitLegs emits the flow DAG for one proxy piece: either one
-// store-and-forward leg pair, or a pipelined chain of chunk leg pairs.
-func (p *PairPlanner) submitLegs(e *netsim.Engine, pr ProxyRoute, bytes int64, label string) (flows, finals []netsim.FlowID) {
-	return submitLegPair(e, p.cfg, pr, bytes, label)
-}
-
-// submitLegPair is the shared two-leg emission used by the pair and
-// group planners.
+// submitLegPair emits the flow DAG for one proxy piece, for the pair and
+// group planners: either one store-and-forward leg pair, or a pipelined
+// chain of chunk leg pairs.
 func submitLegPair(e *netsim.Engine, cfg ProxyConfig, pr ProxyRoute, bytes int64, label string) (flows, finals []netsim.FlowID) {
 	fwd := e.Params().ProxyForwardOverhead
 	if !cfg.Pipeline || bytes <= cfg.ChunkBytes {

@@ -115,11 +115,13 @@ func (c RecoveryConfig) validate() error {
 	if c.MaxReplans < 0 {
 		return fmt.Errorf("core: negative MaxReplans")
 	}
-	if c.DetectFactor < 1 {
+	// The negated comparisons reject NaN, which would put the detection
+	// event at a NaN virtual time.
+	if !(c.DetectFactor >= 1) {
 		return fmt.Errorf("core: DetectFactor %g must be >= 1 (detection cannot precede completion)", c.DetectFactor)
 	}
-	if c.Backoff < 0 {
-		return fmt.Errorf("core: negative Backoff")
+	if !(c.Backoff >= 0) {
+		return fmt.Errorf("core: Backoff %g must be >= 0", float64(c.Backoff))
 	}
 	return nil
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 
@@ -166,6 +167,24 @@ func TestMoveResilientRequiresInteractive(t *testing.T) {
 	}
 	if _, err := tr.MoveResilient(e, 0, 1, 1<<20, DefaultRecoveryConfig()); err == nil {
 		t.Fatal("batch-mode engine accepted")
+	}
+}
+
+// A NaN DetectFactor or Backoff slips past "< bound" checks and would
+// put the detection event at a NaN virtual time; both must be rejected
+// up front like any other out-of-range value.
+func TestMoveResilientRejectsNaNConfig(t *testing.T) {
+	nan := math.NaN()
+	for name, mut := range map[string]func(*RecoveryConfig){
+		"DetectFactor": func(rc *RecoveryConfig) { rc.DetectFactor = nan },
+		"Backoff":      func(rc *RecoveryConfig) { rc.Backoff = sim.Duration(nan) },
+	} {
+		tor, _, e, tr := resilientRig(t)
+		rc := DefaultRecoveryConfig()
+		mut(&rc)
+		if _, err := tr.MoveResilient(e, 0, torus.NodeID(tor.Size()-1), 64<<20, rc); err == nil {
+			t.Errorf("NaN %s accepted", name)
+		}
 	}
 }
 

@@ -83,18 +83,6 @@ func (c *Campaign) Apply(e *netsim.Engine) error {
 	return nil
 }
 
-// Links returns the distinct link IDs the campaign fails directly (node
-// events not expanded).
-func (c *Campaign) Links() []int {
-	out := make([]int, 0, len(c.Events))
-	for _, ev := range c.Events {
-		if !ev.IsNode {
-			out = append(out, ev.Link)
-		}
-	}
-	return out
-}
-
 func (c *Campaign) sortByTime() {
 	sort.SliceStable(c.Events, func(i, j int) bool { return c.Events[i].At < c.Events[j].At })
 }

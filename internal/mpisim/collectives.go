@@ -7,28 +7,28 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// This file builds the metadata collectives as actual flow DAGs on the
-// network simulator. The analytic CollectiveModel prices are used inside
-// the planners (they are cheap and the paper asserts these costs are
-// negligible); the builders here exist to validate that pricing and to
-// let experiments simulate a collective explicitly when they want its
-// traffic on the wire.
-
-// BuildBcastFlows submits a binomial-tree broadcast of bytes from the
-// communicator-local root over comm: in round i, every rank with local
-// index < 2^i that already holds the data sends to index + 2^i. It
-// returns the flows that deliver the payload to the leaves; the
-// broadcast is complete when all of them are.
-func BuildBcastFlows(e *netsim.Engine, c *Comm, rootLocal int, bytes int64) ([]netsim.FlowID, error) {
-	n := c.Size()
-	if rootLocal < 0 || rootLocal >= n {
-		return nil, fmt.Errorf("mpisim: bcast root %d outside communicator of size %d", rootLocal, n)
+// BuildBcastFlows is the simulated reference for CollectiveModel's
+// prices: it builds a metadata broadcast as an actual flow DAG on the
+// network simulator, so the analytic price can be checked against the
+// traffic it stands for. The planners use the price, which is cheap; the
+// paper asserts these costs are negligible.
+//
+// It submits a binomial-tree broadcast of bytes among the given world
+// ranks of j from ranks[root]: in round i, every participant with index
+// < 2^i (counted from the root) that already holds the data sends to
+// index + 2^i. It returns the flows that deliver the payload to the
+// leaves; the broadcast is complete when all of them are.
+func BuildBcastFlows(e *netsim.Engine, j *Job, ranks []int, root int, bytes int64) ([]netsim.FlowID, error) {
+	n := len(ranks)
+	if root < 0 || root >= n {
+		return nil, fmt.Errorf("mpisim: bcast root %d outside %d participants", root, n)
 	}
-	// Rotate so the root is local index 0.
-	node := func(local int) torus.NodeID {
-		return c.job.NodeOf(c.WorldRank((local + rootLocal) % n))
+	// Rotate so the root is index 0.
+	node := func(i int) torus.NodeID {
+		return j.NodeOf(ranks[(i+root)%n])
 	}
-	// deliver[i] is the flow that hands rank i the payload (-1 = has it).
+	// deliver[i] is the flow that hands participant i the payload (-1 =
+	// has it).
 	deliver := make([]netsim.FlowID, n)
 	for i := range deliver {
 		deliver[i] = -1
@@ -49,108 +49,6 @@ func BuildBcastFlows(e *netsim.Engine, c *Comm, rootLocal int, bytes int64) ([]n
 			deliver[dst] = id
 			finals = append(finals, id)
 		}
-	}
-	return finals, nil
-}
-
-// BuildReduceFlows submits a binomial-tree reduction toward the
-// communicator-local root: the mirror image of BuildBcastFlows. The
-// returned flows are the last wave into the root.
-func BuildReduceFlows(e *netsim.Engine, c *Comm, rootLocal int, bytes int64) ([]netsim.FlowID, error) {
-	n := c.Size()
-	if rootLocal < 0 || rootLocal >= n {
-		return nil, fmt.Errorf("mpisim: reduce root %d outside communicator of size %d", rootLocal, n)
-	}
-	node := func(local int) torus.NodeID {
-		return c.job.NodeOf(c.WorldRank((local + rootLocal) % n))
-	}
-	// ready[i] is the flow after which rank i's partial result is
-	// complete (-1 = ready now).
-	ready := make([]netsim.FlowID, n)
-	for i := range ready {
-		ready[i] = -1
-	}
-	var last []netsim.FlowID
-	span := 1
-	for span < n {
-		span *= 2
-	}
-	for span /= 2; span >= 1; span /= 2 {
-		var wave []netsim.FlowID
-		for dst := 0; dst < span && dst+span < n; dst++ {
-			src := dst + span
-			var deps []netsim.FlowID
-			if ready[src] >= 0 {
-				deps = append(deps, ready[src])
-			}
-			if ready[dst] >= 0 {
-				deps = append(deps, ready[dst])
-			}
-			id := e.Submit(netsim.FlowSpec{
-				Src: node(src), Dst: node(dst), Bytes: bytes,
-				DependsOn: deps,
-				Label:     fmt.Sprintf("reduce/%d->%d", src, dst),
-			})
-			ready[dst] = id
-			wave = append(wave, id)
-		}
-		if len(wave) > 0 {
-			last = wave
-		}
-	}
-	return last, nil
-}
-
-// BuildAllreduceFlows submits reduce-to-root followed by broadcast.
-func BuildAllreduceFlows(e *netsim.Engine, c *Comm, bytes int64) ([]netsim.FlowID, error) {
-	reduceLast, err := BuildReduceFlows(e, c, 0, bytes)
-	if err != nil {
-		return nil, err
-	}
-	// The broadcast root must wait for the reduction; chain by making
-	// the first broadcast wave depend on the reduction's last wave.
-	// BuildBcastFlows has no dependency hook, so emit a zero-byte gate.
-	gate := e.Submit(netsim.FlowSpec{
-		Src: c.job.NodeOf(c.Leader()), Dst: c.job.NodeOf(c.Leader()),
-		Bytes: 0, DependsOn: reduceLast, Label: "allreduce/gate",
-	})
-	finals, err := buildBcastFlowsAfter(e, c, 0, bytes, gate)
-	if err != nil {
-		return nil, err
-	}
-	return finals, nil
-}
-
-// buildBcastFlowsAfter is BuildBcastFlows with a root dependency.
-func buildBcastFlowsAfter(e *netsim.Engine, c *Comm, rootLocal int, bytes int64, after netsim.FlowID) ([]netsim.FlowID, error) {
-	n := c.Size()
-	node := func(local int) torus.NodeID {
-		return c.job.NodeOf(c.WorldRank((local + rootLocal) % n))
-	}
-	deliver := make([]netsim.FlowID, n)
-	for i := range deliver {
-		deliver[i] = -1
-	}
-	deliver[0] = after
-	var finals []netsim.FlowID
-	for span := 1; span < n; span *= 2 {
-		for src := 0; src < span && src+span < n; src++ {
-			dst := src + span
-			var deps []netsim.FlowID
-			if deliver[src] >= 0 {
-				deps = []netsim.FlowID{deliver[src]}
-			}
-			id := e.Submit(netsim.FlowSpec{
-				Src: node(src), Dst: node(dst), Bytes: bytes,
-				DependsOn: deps,
-				Label:     fmt.Sprintf("bcast/%d->%d", src, dst),
-			})
-			deliver[dst] = id
-			finals = append(finals, id)
-		}
-	}
-	if n == 1 {
-		finals = append(finals, after)
 	}
 	return finals, nil
 }

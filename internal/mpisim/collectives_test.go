@@ -22,16 +22,25 @@ func collRig(t *testing.T) (*Job, *netsim.Engine, netsim.Params) {
 	return j, e, p
 }
 
+// worldRanks lists every rank of j, in order.
+func worldRanks(j *Job) []int {
+	ranks := make([]int, j.NumRanks())
+	for i := range ranks {
+		ranks[i] = i
+	}
+	return ranks
+}
+
 func TestBuildBcastFlowsReachEveryRank(t *testing.T) {
 	j, e, _ := collRig(t)
-	c := j.World()
-	finals, err := BuildBcastFlows(e, c, 0, 1024)
+	ranks := worldRanks(j)
+	finals, err := BuildBcastFlows(e, j, ranks, 0, 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A binomial broadcast over n ranks delivers to n-1 of them.
-	if len(finals) != c.Size()-1 {
-		t.Fatalf("%d delivery flows, want %d", len(finals), c.Size()-1)
+	if len(finals) != len(ranks)-1 {
+		t.Fatalf("%d delivery flows, want %d", len(finals), len(ranks)-1)
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -45,38 +54,31 @@ func TestBuildBcastFlowsReachEveryRank(t *testing.T) {
 
 func TestBuildBcastRootValidation(t *testing.T) {
 	j, e, _ := collRig(t)
-	if _, err := BuildBcastFlows(e, j.World(), -1, 8); err == nil {
+	if _, err := BuildBcastFlows(e, j, worldRanks(j), -1, 8); err == nil {
 		t.Fatal("negative root accepted")
 	}
-	if _, err := BuildBcastFlows(e, j.World(), j.NumRanks(), 8); err == nil {
+	if _, err := BuildBcastFlows(e, j, worldRanks(j), j.NumRanks(), 8); err == nil {
 		t.Fatal("out-of-range root accepted")
 	}
 }
 
 func TestBcastRoundsScaleLogarithmically(t *testing.T) {
 	j, _, p := collRig(t)
-	world := j.World()
-	small, err := NewComm(j, []int{0, 1, 2, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	run := func(c *Comm) float64 {
+	run := func(ranks []int) float64 {
 		e, _ := netsim.NewEngine(netsim.NewNetwork(j.Torus(), p.LinkBandwidth), p)
-		finals, err := BuildBcastFlows(e, c, 0, 8)
-		if err != nil {
+		if _, err := BuildBcastFlows(e, j, ranks, 0, 8); err != nil {
 			t.Fatal(err)
 		}
 		mk, err := e.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = finals
 		return float64(mk)
 	}
-	t4 := run(small)   // 2 rounds
-	t128 := run(world) // 7 rounds
+	t4 := run([]int{0, 1, 2, 3}) // 2 rounds
+	t128 := run(worldRanks(j))   // 7 rounds
 	if t128 <= t4 {
-		t.Fatal("bigger communicator should take longer")
+		t.Fatal("more participants should take longer")
 	}
 	// Log scaling: 128 ranks is 7 rounds vs 2 — the ratio should be far
 	// below the 32x linear ratio.
@@ -89,94 +91,17 @@ func TestAnalyticBcastPriceIsSane(t *testing.T) {
 	// The CollectiveModel price should be within a small factor of the
 	// simulated binomial broadcast.
 	j, e, p := collRig(t)
-	c := j.World()
-	finals, err := BuildBcastFlows(e, c, 0, 8)
-	if err != nil {
+	if _, err := BuildBcastFlows(e, j, worldRanks(j), 0, 8); err != nil {
 		t.Fatal(err)
 	}
 	mk, err := e.Run()
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = finals
 	m := NewCollectiveModel(j, p)
-	priced := float64(m.BcastTime(c, 8))
+	priced := float64(m.BcastTime(j.NumRanks(), 8))
 	ratio := priced / float64(mk)
 	if ratio < 0.3 || ratio > 3 {
 		t.Fatalf("analytic bcast %.3g vs simulated %.3g (ratio %.2f)", priced, float64(mk), ratio)
-	}
-}
-
-func TestBuildReduceFlows(t *testing.T) {
-	j, e, _ := collRig(t)
-	c := j.World()
-	last, err := BuildReduceFlows(e, c, 0, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(last) == 0 {
-		t.Fatal("no final reduction wave")
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// The last wave lands on the root's node.
-	rootNode := j.NodeOf(c.Leader())
-	for _, id := range last {
-		_ = id
-	}
-	_ = rootNode
-}
-
-func TestBuildReduceRootValidation(t *testing.T) {
-	j, e, _ := collRig(t)
-	if _, err := BuildReduceFlows(e, j.World(), 999999, 8); err == nil {
-		t.Fatal("bad root accepted")
-	}
-}
-
-func TestBuildAllreduceFlows(t *testing.T) {
-	j, e, _ := collRig(t)
-	c := j.World()
-	finals, err := BuildAllreduceFlows(e, c, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(finals) != c.Size()-1 {
-		t.Fatalf("%d final deliveries, want %d", len(finals), c.Size()-1)
-	}
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Allreduce = reduce + bcast: it must cost more than a lone bcast.
-	e2, _ := netsim.NewEngine(netsim.NewNetwork(j.Torus(), netsim.DefaultParams().LinkBandwidth), netsim.DefaultParams())
-	if _, err := BuildBcastFlows(e2, c, 0, 8); err != nil {
-		t.Fatal(err)
-	}
-	mkB, err := e2.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mk <= mkB {
-		t.Fatalf("allreduce %g not slower than bcast %g", float64(mk), float64(mkB))
-	}
-}
-
-func TestAllreduceSingletonComm(t *testing.T) {
-	j, e, _ := collRig(t)
-	c, err := NewComm(j, []int{5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	finals, err := BuildAllreduceFlows(e, c, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(finals) == 0 {
-		t.Fatal("singleton allreduce produced no completion flow")
-	}
-	if _, err := e.Run(); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -80,12 +80,11 @@ func NewJobWithMapping(tor *torus.Torus, ranksPerNode int, order MapOrder) (*Job
 	dims := tor.Dims()
 	numRanks := tor.Size() * ranksPerNode
 	j := &Job{
-		tor:          tor,
-		ranksPerNode: ranksPerNode,
-		numRanks:     numRanks,
-		order:        order,
-		rankNode:     make([]torus.NodeID, numRanks),
-		nodeRanks:    make([][]int, tor.Size()),
+		tor:       tor,
+		numRanks:  numRanks,
+		order:     order,
+		rankNode:  make([]torus.NodeID, numRanks),
+		nodeRanks: make([][]int, tor.Size()),
 	}
 	// The odometer covers every (node, T) pair once, so every node hosts
 	// exactly ranksPerNode ranks: carve each node's list from one array

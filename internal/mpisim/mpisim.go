@@ -1,24 +1,26 @@
 // Package mpisim provides the MPI-shaped substrate the paper's algorithms
-// run on: the mapping from MPI ranks to torus nodes, communicators and
-// subcommunicators, and analytic timing models for the metadata
-// collectives the algorithms use (Allreduce of the total data size,
-// Bcast of the aggregator list, Allgather of coordinates).
+// run on: the mapping from MPI ranks to torus nodes, analytic prices for
+// the metadata collectives the algorithms use (Allreduce of the total
+// data size, Bcast of the aggregator list, Allgather of coordinates)
+// over a rank count, and an SPMD Runtime whose ranks Put, Send, Recv,
+// Barrier and Compute on the simulated torus.
 //
 // Ranks are mapped to nodes in block order (the BG/Q "ABCDET" default):
 // ranks r*K .. r*K+K-1 live on node r, where K is the ranks-per-node
 // count, and nodes are ordered row-major over the torus coordinates.
 //
-// The collective timing models are deliberately simple tree/ring models
-// built from the netsim endpoint parameters; the paper asserts (and our
-// experiments confirm) that these metadata costs are negligible next to
-// the data movement itself, so fidelity beyond the right order of
-// magnitude is not required.
+// The collective prices are deliberately simple tree models built from
+// the netsim endpoint parameters, checked against a simulated binomial
+// broadcast (BuildBcastFlows); the paper asserts (and our experiments
+// confirm) that these metadata costs are negligible next to the data
+// movement itself, so fidelity beyond the right order of magnitude is
+// not required. The subcommunicator Algorithm 2 forms over a 5-D block
+// appears only as its rank 0, the block's lead (Job.FirstRankOn).
 package mpisim
 
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/sim"
@@ -27,12 +29,11 @@ import (
 
 // Job is a parallel job: a partition plus a rank layout.
 type Job struct {
-	tor          *torus.Torus
-	ranksPerNode int
-	numRanks     int
-	order        MapOrder
-	rankNode     []torus.NodeID
-	nodeRanks    [][]int
+	tor       *torus.Torus
+	numRanks  int
+	order     MapOrder
+	rankNode  []torus.NodeID
+	nodeRanks [][]int
 }
 
 // NewJob lays out ranksPerNode ranks on every node of tor under the
@@ -47,9 +48,6 @@ func (j *Job) Torus() *torus.Torus { return j.tor }
 
 // NumRanks returns the total number of MPI ranks.
 func (j *Job) NumRanks() int { return j.numRanks }
-
-// RanksPerNode returns the rank density.
-func (j *Job) RanksPerNode() int { return j.ranksPerNode }
 
 // NodeOf returns the node hosting a rank.
 func (j *Job) NodeOf(rank int) torus.NodeID {
@@ -70,101 +68,12 @@ func (j *Job) FirstRankOn(node torus.NodeID) int {
 	return j.nodeRanks[node][0]
 }
 
-// World returns the communicator containing every rank.
-func (j *Job) World() *Comm {
-	ranks := make([]int, j.numRanks)
-	for i := range ranks {
-		ranks[i] = i
-	}
-	return &Comm{job: j, ranks: ranks}
-}
-
-// Comm is a communicator: an ordered set of world ranks. Index within
-// the slice is the communicator-local rank, so ranks[0] is "rank 0 of the
-// subcomm" — the process Algorithm 2 elects as a block's aggregator.
-type Comm struct {
-	job   *Job
-	ranks []int
-}
-
-// NewComm builds a communicator from explicit world ranks (MPI_Comm_create).
-// Ranks must be valid and strictly increasing.
-func NewComm(j *Job, ranks []int) (*Comm, error) {
-	if len(ranks) == 0 {
-		return nil, fmt.Errorf("mpisim: empty communicator")
-	}
-	for i, r := range ranks {
-		if r < 0 || r >= j.numRanks {
-			return nil, fmt.Errorf("mpisim: rank %d outside job", r)
-		}
-		if i > 0 && ranks[i-1] >= r {
-			return nil, fmt.Errorf("mpisim: ranks must be strictly increasing")
-		}
-	}
-	return &Comm{job: j, ranks: append([]int(nil), ranks...)}, nil
-}
-
-// Job returns the communicator's job.
-func (c *Comm) Job() *Job { return c.job }
-
-// Size returns the communicator size.
-func (c *Comm) Size() int { return len(c.ranks) }
-
-// WorldRank translates a communicator-local rank to a world rank.
-func (c *Comm) WorldRank(local int) int { return c.ranks[local] }
-
-// Leader returns the world rank of communicator-local rank 0.
-func (c *Comm) Leader() int { return c.ranks[0] }
-
-// LocalRank translates a world rank to its communicator-local rank, or -1
-// if the rank is not a member.
-func (c *Comm) LocalRank(world int) int {
-	i := sort.SearchInts(c.ranks, world)
-	if i < len(c.ranks) && c.ranks[i] == world {
-		return i
-	}
-	return -1
-}
-
-// SubcommForNodes builds the communicator of all ranks hosted by the given
-// nodes (MPI_Comm_create over a node block); this is how Algorithm 2 forms
-// a subcomm per 5-D block and elects its rank 0 as the aggregator.
-func (c *Comm) SubcommForNodes(nodes []torus.NodeID) (*Comm, error) {
-	inSet := make(map[torus.NodeID]bool, len(nodes))
-	for _, n := range nodes {
-		inSet[n] = true
-	}
-	var ranks []int
-	for _, r := range c.ranks {
-		if inSet[c.job.NodeOf(r)] {
-			ranks = append(ranks, r)
-		}
-	}
-	if len(ranks) == 0 {
-		return nil, fmt.Errorf("mpisim: no member ranks on the given %d nodes", len(nodes))
-	}
-	return &Comm{job: c.job, ranks: ranks}, nil
-}
-
-// RangeComm builds the communicator of world ranks [lo, hi).
-func (c *Comm) RangeComm(lo, hi int) (*Comm, error) {
-	var ranks []int
-	for _, r := range c.ranks {
-		if r >= lo && r < hi {
-			ranks = append(ranks, r)
-		}
-	}
-	if len(ranks) == 0 {
-		return nil, fmt.Errorf("mpisim: empty range [%d,%d)", lo, hi)
-	}
-	return &Comm{job: c.job, ranks: ranks}, nil
-}
-
-// CollectiveModel prices the metadata collectives.
+// CollectiveModel prices the metadata collectives. A price depends only
+// on the participant count n and the payload: a binomial tree over n
+// ranks takes treeDepth(n) rounds, each priced by perRound.
 type CollectiveModel struct {
-	p        netsim.Params
-	avgHops  float64
-	perRound func(bytes int64) sim.Duration
+	p       netsim.Params
+	avgHops float64
 }
 
 // NewCollectiveModel builds a model for a job under netsim parameters.
@@ -175,13 +84,15 @@ func NewCollectiveModel(j *Job, p netsim.Params) *CollectiveModel {
 	for d := 0; d < j.tor.Dims(); d++ {
 		diam += j.tor.Extent(d) / 2
 	}
-	m := &CollectiveModel{p: p, avgHops: float64(diam) / 2}
-	m.perRound = func(bytes int64) sim.Duration {
-		return m.p.SenderOverhead + m.p.ReceiverOverhead +
-			sim.Duration(m.avgHops*float64(m.p.HopLatency)) +
-			sim.Duration(float64(bytes)/m.p.PerFlowBandwidth)
-	}
-	return m
+	return &CollectiveModel{p: p, avgHops: float64(diam) / 2}
+}
+
+// perRound prices one tree round moving bytes over a representative
+// route.
+func (m *CollectiveModel) perRound(bytes int64) sim.Duration {
+	return m.p.SenderOverhead + m.p.ReceiverOverhead +
+		sim.Duration(m.avgHops*float64(m.p.HopLatency)) +
+		sim.Duration(float64(bytes)/m.p.PerFlowBandwidth)
 }
 
 func treeDepth(n int) int {
@@ -191,28 +102,29 @@ func treeDepth(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// AllreduceTime prices an allreduce of bytes payload over comm: a binomial
-// reduce followed by a binomial broadcast.
-func (m *CollectiveModel) AllreduceTime(c *Comm, bytes int64) sim.Duration {
-	return sim.Duration(2 * float64(treeDepth(c.Size())) * float64(m.perRound(bytes)))
+// AllreduceTime prices an allreduce of bytes payload over n ranks: a
+// binomial reduce followed by a binomial broadcast.
+func (m *CollectiveModel) AllreduceTime(n int, bytes int64) sim.Duration {
+	return sim.Duration(2 * float64(treeDepth(n)) * float64(m.perRound(bytes)))
 }
 
-// BcastTime prices a binomial-tree broadcast of bytes payload.
-func (m *CollectiveModel) BcastTime(c *Comm, bytes int64) sim.Duration {
-	return sim.Duration(float64(treeDepth(c.Size())) * float64(m.perRound(bytes)))
+// BcastTime prices a binomial-tree broadcast of bytes payload over n
+// ranks.
+func (m *CollectiveModel) BcastTime(n int, bytes int64) sim.Duration {
+	return sim.Duration(float64(treeDepth(n)) * float64(m.perRound(bytes)))
 }
 
-// BarrierTime prices a zero-byte allreduce.
-func (m *CollectiveModel) BarrierTime(c *Comm) sim.Duration {
-	return m.AllreduceTime(c, 0)
+// BarrierTime prices a zero-byte allreduce over n ranks.
+func (m *CollectiveModel) BarrierTime(n int) sim.Duration {
+	return m.AllreduceTime(n, 0)
 }
 
-// AllgatherTime prices a recursive-doubling allgather where every rank
-// contributes bytesPerRank: round i moves 2^i * bytesPerRank.
-func (m *CollectiveModel) AllgatherTime(c *Comm, bytesPerRank int64) sim.Duration {
+// AllgatherTime prices a recursive-doubling allgather over n ranks where
+// every rank contributes bytesPerRank: round i moves 2^i * bytesPerRank.
+func (m *CollectiveModel) AllgatherTime(n int, bytesPerRank int64) sim.Duration {
 	var total sim.Duration
 	chunk := bytesPerRank
-	for i := 0; i < treeDepth(c.Size()); i++ {
+	for i := 0; i < treeDepth(n); i++ {
 		total += m.perRound(chunk)
 		chunk *= 2
 	}

@@ -47,93 +47,6 @@ func TestNodeOfOutOfRangePanics(t *testing.T) {
 	j.NodeOf(j.NumRanks())
 }
 
-func TestWorldComm(t *testing.T) {
-	j := job16(t)
-	w := j.World()
-	if w.Size() != j.NumRanks() {
-		t.Fatalf("world size %d", w.Size())
-	}
-	if w.Leader() != 0 {
-		t.Fatalf("world leader %d", w.Leader())
-	}
-	if w.WorldRank(100) != 100 {
-		t.Fatal("world comm should be identity")
-	}
-	if w.LocalRank(100) != 100 {
-		t.Fatal("world LocalRank should be identity")
-	}
-}
-
-func TestNewCommValidation(t *testing.T) {
-	j := job16(t)
-	if _, err := NewComm(j, nil); err == nil {
-		t.Error("empty comm accepted")
-	}
-	if _, err := NewComm(j, []int{3, 3}); err == nil {
-		t.Error("duplicate ranks accepted")
-	}
-	if _, err := NewComm(j, []int{5, 2}); err == nil {
-		t.Error("unsorted ranks accepted")
-	}
-	if _, err := NewComm(j, []int{-1}); err == nil {
-		t.Error("negative rank accepted")
-	}
-	if _, err := NewComm(j, []int{j.NumRanks()}); err == nil {
-		t.Error("out-of-range rank accepted")
-	}
-}
-
-func TestSubcommForNodes(t *testing.T) {
-	j := job16(t)
-	w := j.World()
-	nodes := []torus.NodeID{2, 5}
-	sc, err := w.SubcommForNodes(nodes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sc.Size() != 32 {
-		t.Fatalf("subcomm size %d, want 32", sc.Size())
-	}
-	if sc.Leader() != 32 {
-		t.Fatalf("subcomm leader %d, want 32 (first rank on node 2)", sc.Leader())
-	}
-	for i := 0; i < sc.Size(); i++ {
-		n := j.NodeOf(sc.WorldRank(i))
-		if n != 2 && n != 5 {
-			t.Fatalf("subcomm member on node %d", n)
-		}
-	}
-}
-
-func TestLocalRank(t *testing.T) {
-	j := job16(t)
-	c, err := NewComm(j, []int{10, 20, 30})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if c.LocalRank(20) != 1 {
-		t.Fatalf("LocalRank(20) = %d", c.LocalRank(20))
-	}
-	if c.LocalRank(15) != -1 {
-		t.Fatal("nonmember should map to -1")
-	}
-}
-
-func TestRangeComm(t *testing.T) {
-	j := job16(t)
-	w := j.World()
-	rc, err := w.RangeComm(100, 200)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rc.Size() != 100 || rc.Leader() != 100 {
-		t.Fatalf("RangeComm size=%d leader=%d", rc.Size(), rc.Leader())
-	}
-	if _, err := w.RangeComm(5000, 6000); err == nil {
-		t.Fatal("empty range accepted")
-	}
-}
-
 func TestTreeDepth(t *testing.T) {
 	cases := map[int]int{1: 0, 2: 1, 3: 2, 4: 2, 5: 3, 1024: 10, 1025: 11}
 	for n, want := range cases {
@@ -146,10 +59,9 @@ func TestTreeDepth(t *testing.T) {
 func TestCollectiveTimesScaleWithLogP(t *testing.T) {
 	j := job16(t)
 	m := NewCollectiveModel(j, netsim.DefaultParams())
-	w := j.World()
-	small, _ := NewComm(j, []int{0, 1})
-	if m.AllreduceTime(w, 8) <= m.AllreduceTime(small, 8) {
-		t.Fatal("allreduce time should grow with communicator size")
+	w := j.NumRanks()
+	if m.AllreduceTime(w, 8) <= m.AllreduceTime(2, 8) {
+		t.Fatal("allreduce time should grow with the rank count")
 	}
 	if m.BcastTime(w, 8) >= m.AllreduceTime(w, 8) {
 		t.Fatal("bcast should be cheaper than allreduce")
@@ -166,7 +78,7 @@ func TestCollectiveTimesAreNegligible(t *testing.T) {
 	j := job16(t)
 	p := netsim.DefaultParams()
 	m := NewCollectiveModel(j, p)
-	meta := float64(m.AllreduceTime(j.World(), 8))
+	meta := float64(m.AllreduceTime(j.NumRanks(), 8))
 	payload := float64(8<<20) / p.PerFlowBandwidth // one rank's worth of sparse data
 	if meta > payload/5 {
 		t.Fatalf("metadata allreduce %gs not negligible next to an 8MB transfer %gs", meta, payload)
@@ -176,9 +88,8 @@ func TestCollectiveTimesAreNegligible(t *testing.T) {
 func TestAllgatherMovesAllData(t *testing.T) {
 	j := job16(t)
 	m := NewCollectiveModel(j, netsim.DefaultParams())
-	c, _ := NewComm(j, []int{0, 16, 32, 48})
-	tAll := m.AllgatherTime(c, 1024)
-	tB := m.BcastTime(c, 1024)
+	tAll := m.AllgatherTime(4, 1024)
+	tB := m.BcastTime(4, 1024)
 	if tAll <= tB/2 {
 		t.Fatalf("allgather %g should not be far cheaper than bcast %g", tAll, tB)
 	}

@@ -178,8 +178,8 @@ func (r *Rank) Now() sim.Time {
 
 // Compute advances the rank's virtual time by d (a compute phase).
 func (r *Rank) Compute(d sim.Duration) error {
-	if d < 0 {
-		return fmt.Errorf("mpisim: negative compute time")
+	if !(d >= 0) {
+		return fmt.Errorf("mpisim: compute time %g must be >= 0", float64(d))
 	}
 	return r.rt.await(func(done func()) {
 		r.rt.e.ScheduleAfter(d, done)
@@ -271,7 +271,7 @@ func (r *Rank) Barrier() error {
 			dones := rt.barDones
 			rt.barWaiting = 0
 			rt.barDones = nil
-			delay := rt.coll.BarrierTime(rt.job.World())
+			delay := rt.coll.BarrierTime(rt.job.NumRanks())
 			rt.e.ScheduleAfter(delay, func() {
 				for _, d := range dones {
 					d()

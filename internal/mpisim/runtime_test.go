@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"bgqflow/internal/netsim"
+	"bgqflow/internal/sim"
 	"bgqflow/internal/torus"
 )
 
@@ -220,6 +221,27 @@ func TestRuntimeValidation(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Compute(NaN) must fail like a negative time: scheduled, it would set
+// the virtual clock to NaN for the rest of the run.
+func TestRuntimeComputeRejectsNaN(t *testing.T) {
+	rt, _ := newRT(t, torus.Shape{2, 2, 2, 2, 2}, 1)
+	end, err := rt.Run(func(r *Rank) error {
+		if r.ID() != 0 {
+			return nil
+		}
+		if err := r.Compute(sim.Duration(math.NaN())); err == nil {
+			return fmt.Errorf("NaN compute accepted")
+		}
+		return r.Compute(1e-3)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if end != 1e-3 {
+		t.Fatalf("run ended at %v, want 1ms", end)
 	}
 }
 

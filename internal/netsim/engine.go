@@ -1331,9 +1331,6 @@ func (e *Engine) StepClock() bool {
 	return e.clock.Step()
 }
 
-// PendingEvents reports how many events are queued. Interactive mode.
-func (e *Engine) PendingEvents() int { return e.clock.Pending() }
-
 // Now reports the engine's virtual time.
 func (e *Engine) Now() sim.Time { return e.clock.Now() }
 

@@ -201,9 +201,6 @@ type EngineSink struct {
 
 var _ Sink = (*EngineSink)(nil)
 
-// Timeline returns the sink's attached timeline (nil when none).
-func (s *EngineSink) Timeline() *LinkTimeline { return s.tl }
-
 // FlowActivated implements Sink: it samples the active-flow counter.
 func (s *EngineSink) FlowActivated(now sim.Time, id int, label string) {
 	s.active++

@@ -118,9 +118,6 @@ func NewSLOTracker(reg *Registry, specs []SLOSpec) (*SLOTracker, error) {
 	}, nil
 }
 
-// Specs returns the tracked objectives.
-func (t *SLOTracker) Specs() []SLOSpec { return append([]SLOSpec(nil), t.specs...) }
-
 // Evaluate runs every objective against the current windows, bumps the
 // burn counters, and returns the verdicts in spec order.
 func (t *SLOTracker) Evaluate() []SLOVerdict {

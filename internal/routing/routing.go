@@ -30,7 +30,6 @@ package routing
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 
 	"bgqflow/internal/torus"
@@ -207,12 +206,6 @@ func NewRouter(t *torus.Torus, zone Zone, seed int64) (*Router, error) {
 	return &Router{t: t, zone: zone, rng: rand.New(rand.NewSource(seed))}, nil
 }
 
-// Zone reports the router's zone.
-func (r *Router) Zone() Zone { return r.zone }
-
-// Torus reports the torus the router routes on.
-func (r *Router) Torus() *torus.Torus { return r.t }
-
 // Route computes the path from src to dst under the router's zone.
 // For zones 2 and 3 the result is a pure function of (src, dst); for zones
 // 0 and 1 successive calls may return different dimension orders.
@@ -312,12 +305,4 @@ func DescribeRoute(t *torus.Torus, r Route) string {
 	}
 	fmt.Fprintf(&b, " %v", t.Coord(r.Dst))
 	return b.String()
-}
-
-// SortLinks returns a sorted copy of the route's link IDs; used by tests
-// and by disjointness diagnostics.
-func SortLinks(r Route) []int {
-	out := append([]int(nil), r.Links...)
-	sort.Ints(out)
-	return out
 }

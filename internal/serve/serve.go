@@ -65,12 +65,10 @@ type Config struct {
 	// ReplayEvents bounds each session's replay ring. 0 means 256.
 	ReplayEvents int
 	// BatchWindow, when positive, enables Träff-style message combining:
-	// small same-pair transfer requests marked Batch that arrive within
-	// one window coalesce into a single combined session. 0 disables.
+	// small (at most 256 KiB) same-pair transfer requests marked Batch
+	// that arrive within one window coalesce into a single combined
+	// session. 0 disables.
 	BatchWindow time.Duration
-	// BatchMaxBytes is the per-request size ceiling for combining; larger
-	// transfers always run alone. 0 means 256 KiB.
-	BatchMaxBytes int64
 
 	// TraceEvents, when positive, enables the wall-clock trace plane: a
 	// bounded ring of that many spans/instants served by GET /v1/trace.
@@ -126,9 +124,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ReplayEvents <= 0 {
 		c.ReplayEvents = 256
-	}
-	if c.BatchMaxBytes <= 0 {
-		c.BatchMaxBytes = 256 << 10
 	}
 	if c.StatsWindow <= 0 {
 		c.StatsWindow = 30 * time.Second

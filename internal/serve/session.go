@@ -128,6 +128,10 @@ func newSessionMgr(srv *Server) *sessionMgr {
 	return m
 }
 
+// batchMaxBytes is the per-request size ceiling for combining; larger
+// transfers always run alone.
+const batchMaxBytes = 256 << 10
+
 // batchKey groups combinable requests: same geometry, endpoints, and
 // recovery knobs (the combined session must behave like each member
 // asked, just bigger).
@@ -175,7 +179,7 @@ func (m *sessionMgr) startOrAttach(req TransferRequest, trace string) (*session,
 	}
 
 	cfg := m.srv.cfg
-	if req.Batch && cfg.BatchWindow > 0 && req.Campaign == nil && req.Bytes <= cfg.BatchMaxBytes {
+	if req.Batch && cfg.BatchWindow > 0 && req.Campaign == nil && req.Bytes <= batchMaxBytes {
 		key := batchKey(req)
 		if leader, ok := m.batches[key]; ok {
 			leader.mu.Lock()

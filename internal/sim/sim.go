@@ -128,8 +128,8 @@ func (e *Engine) Reserve(n int) {
 var ErrPastEvent = errors.New("sim: event scheduled in the past")
 
 // At schedules fn to run at absolute time t. Scheduling an event in the
-// past panics: virtual time is monotone and such a bug must not pass
-// silently.
+// past, or at NaN, panics: virtual time is monotone and such a bug must
+// not pass silently.
 func (e *Engine) At(t Time, fn Handler) EventID {
 	return e.AtCall(t, handlerCall(fn), nil)
 }
@@ -138,7 +138,8 @@ func (e *Engine) At(t Time, fn Handler) EventID {
 // captures no closure: with a long-lived cb and a pointer-typed arg the
 // call allocates nothing once the engine's slab is warm.
 func (e *Engine) AtCall(t Time, cb Callback, arg any) EventID {
-	if t < e.now {
+	// Written so that NaN fails too: t < e.now is false for NaN.
+	if !(t >= e.now) {
 		panic(fmt.Sprintf("%v: at=%g now=%g", ErrPastEvent, float64(t), float64(e.now)))
 	}
 	var s int32
@@ -211,17 +212,21 @@ func (e *Engine) Cancel(id EventID) bool {
 }
 
 // RescheduleAfter moves a pending event to d seconds from now (negative d
-// clamps to zero), keeping its callback and its ID. The event takes a
-// fresh sequence number, exactly as Cancel followed by AfterCall would
-// give it, so it fires after every event already scheduled for the same
-// instant and the run's event order is unchanged. It reports false, and
-// changes nothing, when the event already fired or was cancelled.
+// clamps to zero, NaN panics as in AtCall), keeping its callback and its
+// ID. The event takes a fresh sequence number, exactly as Cancel followed
+// by AfterCall would give it, so it fires after every event already
+// scheduled for the same instant and the run's event order is unchanged.
+// It reports false, and changes nothing, when the event already fired or
+// was cancelled.
 func (e *Engine) RescheduleAfter(id EventID, d Duration) bool {
 	i := e.pending(id)
 	if i < 0 {
 		return false
 	}
-	if d < 0 {
+	if !(d > 0) { // d <= 0, or NaN
+		if math.IsNaN(float64(d)) {
+			panic(fmt.Sprintf("%v: rescheduled by NaN at now=%g", ErrPastEvent, float64(e.now)))
+		}
 		d = 0
 	}
 	e.heap[i].at = e.now + Time(d)

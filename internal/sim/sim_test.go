@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -86,6 +87,32 @@ func TestPastEventPanics(t *testing.T) {
 		e.At(5, func(*Engine) {})
 	})
 	e.Run()
+}
+
+// NaN compares false against everything, so a "t < now" check lets it
+// through; an event at NaN would then set the clock to NaN, and every
+// later past-time check would pass too.
+func TestNaNEventPanics(t *testing.T) {
+	nan := math.NaN()
+	mustPanic := func(name string, f func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s accepted NaN", name)
+			}
+		}()
+		f()
+	}
+	e := NewEngine()
+	mustPanic("At", func() { e.At(Time(nan), func(*Engine) {}) })
+	mustPanic("After", func() { e.After(Duration(nan), func(*Engine) {}) })
+	id := e.At(1, func(*Engine) {})
+	mustPanic("RescheduleAfter", func() { e.RescheduleAfter(id, Duration(nan)) })
+	if end := e.Run(); end != 1 {
+		t.Fatalf("Run ended at %v, want 1", end)
+	}
+	// The clock is still sound: the past still panics.
+	mustPanic("At(past)", func() { e.At(0.5, func(*Engine) {}) })
 }
 
 func TestCancel(t *testing.T) {
