@@ -272,6 +272,35 @@ func TestBgqbenchQuickCLI(t *testing.T) {
 	}
 }
 
+// -json records the process's peak resident set, read from VmHWM, where
+// /proc reports it.
+func TestBgqbenchJSONPeakRSS(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode")
+	}
+	if _, err := os.Stat("/proc/self/status"); err != nil {
+		t.Skip("no /proc/self/status")
+	}
+	bin := buildTool(t, "cmd/bgqbench")
+	path := filepath.Join(t.TempDir(), "report.json")
+	if out, err := exec.Command(bin, "-quick", "-run", "fig5", "-json", path).CombinedOutput(); err != nil {
+		t.Fatalf("bgqbench: %v\n%s", err, out)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rep struct {
+		PeakRSSMB *float64 `json:"peak_rss_mb"`
+	}
+	if err := json.Unmarshal(raw, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.PeakRSSMB == nil || !(*rep.PeakRSSMB > 0) {
+		t.Fatalf("report has no positive peak_rss_mb:\n%s", raw)
+	}
+}
+
 // Bad flags must be rejected up front — exit 2 with a one-line error
 // before any experiment runs — so a typo can't kill a long sweep
 // halfway through.

@@ -15,8 +15,9 @@
 // bounds the worker pool used to evaluate independent sweep points (0
 // means one per CPU; results are identical at any setting). -json writes
 // a machine-readable report — per-experiment wall time, simulated
-// seconds, allocation totals, and the rendered rows — and -compare
-// prints a one-line wall-time comparison against a previous report.
+// seconds, allocation totals, and the rendered rows, plus the process's
+// peak resident set where /proc reports it — and -compare prints a
+// one-line wall-time comparison against a previous report.
 //
 // -obs-trace records the run's simulation-time spans (proxy legs,
 // recovery waves, replans) into a Chrome trace-event JSON file loadable
@@ -45,6 +46,7 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"runtime/trace"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -74,6 +76,7 @@ type report struct {
 	Parallel    int         `json:"parallel"`
 	GoMaxProcs  int         `json:"gomaxprocs"`
 	TotalWallMS float64     `json:"total_wall_ms"`
+	PeakRSSMB   float64     `json:"peak_rss_mb,omitempty"` // VmHWM as the report is written; 0 (omitted) without /proc
 	Experiments []expReport `json:"experiments"`
 	// Metrics is the observability registry snapshot, present when
 	// -obs-trace or -metrics was given.
@@ -301,6 +304,7 @@ func main() {
 	}
 
 	if *jsonOut != "" {
+		rep.PeakRSSMB = peakRSSMB()
 		if err := writeReport(*jsonOut, rep); err != nil {
 			fatal("json: %v", err)
 		}
@@ -366,6 +370,24 @@ func writeMetrics(path string, snap obs.MetricsSnapshot) error {
 		return err
 	}
 	return f.Close()
+}
+
+// peakRSSMB reads the process's peak resident set (VmHWM) in MB, or 0
+// where /proc/self/status does not report it.
+func peakRSSMB() float64 {
+	raw, err := os.ReadFile("/proc/self/status")
+	if err != nil {
+		return 0
+	}
+	for _, line := range strings.Split(string(raw), "\n") {
+		f := strings.Fields(line)
+		if len(f) == 3 && f[0] == "VmHWM:" && f[2] == "kB" {
+			if kb, err := strconv.ParseFloat(f[1], 64); err == nil {
+				return kb / 1024
+			}
+		}
+	}
+	return 0
 }
 
 func writeReport(path string, rep report) error {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/obs"
@@ -116,12 +117,14 @@ func (c RecoveryConfig) validate() error {
 		return fmt.Errorf("core: negative MaxReplans")
 	}
 	// The negated comparisons reject NaN, which would put the detection
-	// event at a NaN virtual time.
-	if !(c.DetectFactor >= 1) {
-		return fmt.Errorf("core: DetectFactor %g must be >= 1 (detection cannot precede completion)", c.DetectFactor)
+	// event at a NaN virtual time, and the upper bounds +Inf, which would
+	// put it at +Inf: the transfer would report Complete with an infinite
+	// makespan.
+	if !(c.DetectFactor >= 1 && c.DetectFactor <= math.MaxFloat64) {
+		return fmt.Errorf("core: DetectFactor %g must be finite and >= 1 (detection cannot precede completion)", c.DetectFactor)
 	}
-	if !(c.Backoff >= 0) {
-		return fmt.Errorf("core: Backoff %g must be >= 0", float64(c.Backoff))
+	if !(c.Backoff >= 0 && c.Backoff <= math.MaxFloat64) {
+		return fmt.Errorf("core: Backoff %g must be finite and >= 0", float64(c.Backoff))
 	}
 	return nil
 }

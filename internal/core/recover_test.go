@@ -173,17 +173,26 @@ func TestMoveResilientRequiresInteractive(t *testing.T) {
 // A NaN DetectFactor or Backoff slips past "< bound" checks and would
 // put the detection event at a NaN virtual time; both must be rejected
 // up front like any other out-of-range value.
-func TestMoveResilientRejectsNaNConfig(t *testing.T) {
-	nan := math.NaN()
+func TestMoveResilientRejectsNaNConfig(t *testing.T) { requireConfigRejected(t, math.NaN()) }
+
+// An infinite DetectFactor or Backoff passes a "< bound" check that NaN
+// fails: a transfer that lost a piece would report Complete with an
+// infinite makespan and leave the clock at +Inf. Both must be rejected.
+func TestMoveResilientRejectsInfConfig(t *testing.T) { requireConfigRejected(t, math.Inf(1)) }
+
+// requireConfigRejected checks that MoveResilient refuses a config whose
+// DetectFactor, or whose Backoff, is v.
+func requireConfigRejected(t *testing.T, v float64) {
+	t.Helper()
 	for name, mut := range map[string]func(*RecoveryConfig){
-		"DetectFactor": func(rc *RecoveryConfig) { rc.DetectFactor = nan },
-		"Backoff":      func(rc *RecoveryConfig) { rc.Backoff = sim.Duration(nan) },
+		"DetectFactor": func(rc *RecoveryConfig) { rc.DetectFactor = v },
+		"Backoff":      func(rc *RecoveryConfig) { rc.Backoff = sim.Duration(v) },
 	} {
 		tor, _, e, tr := resilientRig(t)
 		rc := DefaultRecoveryConfig()
 		mut(&rc)
 		if _, err := tr.MoveResilient(e, 0, torus.NodeID(tor.Size()-1), 64<<20, rc); err == nil {
-			t.Errorf("NaN %s accepted", name)
+			t.Errorf("%s = %g accepted", name, v)
 		}
 	}
 }

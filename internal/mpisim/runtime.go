@@ -2,6 +2,7 @@ package mpisim
 
 import (
 	"fmt"
+	"math"
 	"sync"
 
 	"bgqflow/internal/netsim"
@@ -178,8 +179,8 @@ func (r *Rank) Now() sim.Time {
 
 // Compute advances the rank's virtual time by d (a compute phase).
 func (r *Rank) Compute(d sim.Duration) error {
-	if !(d >= 0) {
-		return fmt.Errorf("mpisim: compute time %g must be >= 0", float64(d))
+	if !(d >= 0 && d <= math.MaxFloat64) {
+		return fmt.Errorf("mpisim: compute time %g must be finite and >= 0", float64(d))
 	}
 	return r.rt.await(func(done func()) {
 		r.rt.e.ScheduleAfter(d, done)

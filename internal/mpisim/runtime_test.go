@@ -226,14 +226,23 @@ func TestRuntimeValidation(t *testing.T) {
 
 // Compute(NaN) must fail like a negative time: scheduled, it would set
 // the virtual clock to NaN for the rest of the run.
-func TestRuntimeComputeRejectsNaN(t *testing.T) {
+func TestRuntimeComputeRejectsNaN(t *testing.T) { requireComputeRejected(t, math.NaN()) }
+
+// Compute(+Inf) must fail too: scheduled, it would move the clock to
+// +Inf and every later event with it.
+func TestRuntimeComputeRejectsInf(t *testing.T) { requireComputeRejected(t, math.Inf(1)) }
+
+// requireComputeRejected checks that Compute(d) fails and leaves the
+// clock where a following 1 ms compute phase ends the run at 1 ms.
+func requireComputeRejected(t *testing.T, d float64) {
+	t.Helper()
 	rt, _ := newRT(t, torus.Shape{2, 2, 2, 2, 2}, 1)
 	end, err := rt.Run(func(r *Rank) error {
 		if r.ID() != 0 {
 			return nil
 		}
-		if err := r.Compute(sim.Duration(math.NaN())); err == nil {
-			return fmt.Errorf("NaN compute accepted")
+		if err := r.Compute(sim.Duration(d)); err == nil {
+			return fmt.Errorf("compute time %g accepted", d)
 		}
 		return r.Compute(1e-3)
 	})

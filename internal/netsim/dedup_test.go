@@ -11,9 +11,9 @@ import (
 // package's differential oracle (seed 9, archived under
 // internal/check/testdata/divergences/seed9-duplicate-links.json): an
 // explicit route listing a link twice put the flow into that link's
-// linkFlows list twice, which halved the flow's waterfill share,
-// double-charged the link's byte counter, and left a stale linkFlows
-// entry behind when the flow ended (removeFromLink removes one
+// active-flow list twice, which halved the flow's waterfill share,
+// double-charged the link's byte counter, and left a stale entry in
+// the list behind when the flow ended (removeFromLink removes one
 // instance). A route is a set of occupied links; duplicates must
 // collapse.
 func TestSubmitDedupsExplicitLinks(t *testing.T) {
@@ -52,7 +52,7 @@ func TestSubmitDedupsExplicitLinks(t *testing.T) {
 	}
 }
 
-// A flow over a duplicated link must not leave stale linkFlows state
+// A flow over a duplicated link must not leave stale link state
 // behind: a second flow submitted over the same link after the first
 // completes must see the full link to itself.
 func TestDedupNoStaleLinkStateAcrossFlows(t *testing.T) {

@@ -3,7 +3,6 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"bgqflow/internal/obs"
 	"bgqflow/internal/sim"
@@ -118,6 +117,17 @@ type flow struct {
 	extraDelay                            sim.Duration
 }
 
+// linkSlot is a slot's record: everything a sweep reads or writes about
+// one link, so a sweep that visits a slot touches one record.
+// TestLinkSlotLayout pins its size.
+type linkSlot struct {
+	flows []*flow // active flows on the link
+	visit uint64  // component-BFS / region epoch stamp
+	cap   float64 // link capacity, bytes/second
+	bytes float64 // cumulative bytes carried
+	index int32   // scratch: the link's local index in the current waterfill
+}
+
 // flowCold is a flow's side-table entry: the FlowSpec fields the sweeps
 // never read, and the dependency bookkeeping. Only a flow with DependsOn
 // can have unmet dependencies, and only a flow another one depends on
@@ -145,17 +155,15 @@ type Engine struct {
 
 	// Per-link state exists only for links a submitted flow uses. slotOf
 	// maps a link ID to its slot plus one (0: no flow has used the link);
-	// slots are handed out in first-use order and every array below is
-	// indexed by slot, so a plan's engine costs the links it touches, not
-	// the links the machine has.
-	slotOf    []int32
-	slotCap   []float64 // slot -> link capacity (bytes/second)
-	slotLink  []int32   // slot -> link ID
-	linkFlows [][]*flow // active flows per slot
-	linkVisit []uint64  // component-BFS epoch stamps per slot
-	linkBytes []float64 // cumulative bytes carried per slot
-	linkIndex []int32   // scratch: slot -> local index in waterfill
-	epoch     uint64
+	// slots are handed out in first-use order, so a plan's engine costs
+	// the links it touches, not the links the machine has. Submit only
+	// numbers a slot and appends its link to slotLink; the slots' records
+	// are built once, when Run or BeginInteractive starts, and an
+	// interactive Submit appends the record of each slot it makes.
+	slotOf   []int32
+	slotLink []int32    // slot -> link ID
+	rec      []linkSlot // slot -> record; nil before Run
+	epoch    uint64
 
 	// Flow structs and their slot lists are carved out of arena blocks so
 	// steady-state Submit performs no per-flow allocation (Reserve
@@ -243,8 +251,7 @@ func NewEngine(net *Network, p Params) (*Engine, error) {
 }
 
 // Arena block sizes. The first block is small, so a plan of a few flows
-// allocates a few flows; each further block doubles, up to the max. The
-// per-slot arrays start at slotArenaMin slots too.
+// allocates a few flows; each further block doubles, up to the max.
 const (
 	flowArenaMin = 8
 	flowArenaMax = 512
@@ -286,32 +293,29 @@ func (e *Engine) newSlots(n int) []int32 {
 	return e.slotArena[i : i+n : i+n]
 }
 
-// slot returns link's slot, creating it on the link's first use.
+// slot returns link's slot, creating it on the link's first use. Once
+// the records exist (Run or BeginInteractive has started), a new slot
+// gets its record here.
 func (e *Engine) slot(link int) int32 {
 	if s := e.slotOf[link]; s != 0 {
 		return s - 1
 	}
-	s := len(e.slotCap)
-	if s == cap(e.slotCap) {
-		// Grow every per-slot array at once by a quarter, at least
-		// slotArenaMin slots, at most to the link count: a run that
-		// touches most links must not pay for twice as many.
-		n := min(max(s/4, slotArenaMin), len(e.slotOf)-s)
-		e.slotCap = slices.Grow(e.slotCap, n)
-		e.slotLink = slices.Grow(e.slotLink, n)
-		e.linkFlows = slices.Grow(e.linkFlows, n)
-		e.linkVisit = slices.Grow(e.linkVisit, n)
-		e.linkBytes = slices.Grow(e.linkBytes, n)
-		e.linkIndex = slices.Grow(e.linkIndex, n)
-	}
-	e.slotOf[link] = int32(s) + 1
-	e.slotCap = append(e.slotCap, e.net.Capacity(link))
+	s := int32(len(e.slotLink))
+	e.slotOf[link] = s + 1
 	e.slotLink = append(e.slotLink, int32(link))
-	e.linkFlows = append(e.linkFlows, nil)
-	e.linkVisit = append(e.linkVisit, 0)
-	e.linkBytes = append(e.linkBytes, 0)
-	e.linkIndex = append(e.linkIndex, 0)
-	return int32(s)
+	if e.ran {
+		e.rec = append(e.rec, linkSlot{cap: e.net.Capacity(link)})
+	}
+	return s
+}
+
+// buildRecords allocates the record of every slot Submit has assigned, in
+// one array of exactly that many records.
+func (e *Engine) buildRecords() {
+	e.rec = make([]linkSlot, len(e.slotLink))
+	for s, l := range e.slotLink {
+		e.rec[s].cap = e.net.Capacity(int(l))
+	}
 }
 
 // Reserve pre-sizes the engine for n further Submit calls so that, with
@@ -401,7 +405,7 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 		// set of links: a route listing a link twice must still claim it
 		// once — a duplicate entry would double-count the flow in
 		// waterfill sharing, double-charge the link's byte counter, and
-		// leave a stale linkFlows entry behind at removal.
+		// leave a stale entry in the link's flow list at removal.
 		links = dedupLinks(spec.Links)
 		if len(links) == 0 {
 			f.cap = e.p.LocalCopyBandwidth
@@ -528,6 +532,7 @@ func (e *Engine) Run() (sim.Duration, error) {
 		panic("netsim: Run called twice")
 	}
 	e.ran = true
+	e.buildRecords()
 	// A flow holds at most one pending clock event at a time, and one
 	// batched sweep can be pending beside them: sized here, at the
 	// start of the run, the clock never grows during it.
@@ -572,21 +577,19 @@ func (e *Engine) NumFlows() int { return len(e.flows) }
 
 // LinkBytes returns the cumulative bytes carried by each link during the
 // run, indexed by link ID. It is a fresh copy the caller owns; LinkBytesOf
-// reads one link without building it.
+// reads one link without building it. Before Run every link reads zero.
 func (e *Engine) LinkBytes() []float64 {
 	out := make([]float64, len(e.slotOf))
-	for l, s := range e.slotOf {
-		if s != 0 {
-			out[l] = e.linkBytes[s-1]
-		}
+	for s, l := range e.slotLink[:len(e.rec)] {
+		out[l] = e.rec[s].bytes
 	}
 	return out
 }
 
 // LinkBytesOf returns the cumulative bytes link has carried during the run.
 func (e *Engine) LinkBytesOf(link int) float64 {
-	if s := e.slotOf[link]; s != 0 {
-		return e.linkBytes[s-1]
+	if s := int(e.slotOf[link]); s != 0 && s <= len(e.rec) {
+		return e.rec[s-1].bytes
 	}
 	return 0
 }
@@ -616,7 +619,7 @@ func (e *Engine) activate(f *flow) {
 		return
 	}
 	for _, s := range f.slots {
-		e.linkFlows[s] = append(e.linkFlows[s], f)
+		e.rec[s].flows = append(e.rec[s].flows, f)
 	}
 	e.requestRealloc(f, f.slots)
 }
@@ -630,7 +633,7 @@ func (e *Engine) transferEnd(f *flow) {
 	// Charge the final segment of progress to the link byte counters
 	// before leaving the links.
 	for _, s := range f.slots {
-		e.linkBytes[s] += f.remaining
+		e.rec[s].bytes += f.remaining
 	}
 	if e.sink != nil {
 		now := e.clock.Now()
@@ -753,7 +756,7 @@ func (e *Engine) abort(f *flow, now sim.Time) {
 			}
 			f.remaining -= moved
 			for _, s := range f.slots {
-				e.linkBytes[s] += moved
+				e.rec[s].bytes += moved
 				if e.sink != nil && moved > 0 {
 					e.sink.LinkWindow(int(e.slotLink[s]), f.lastUpdate, now, moved)
 				}
@@ -795,11 +798,11 @@ func (e *Engine) Outcomes() (done, aborted int) {
 func (e *Engine) Interactive() bool { return e.interactive }
 
 func (e *Engine) removeFromLink(s int32, f *flow) {
-	on := e.linkFlows[s]
-	for i, g := range on {
+	ls := &e.rec[s]
+	for i, g := range ls.flows {
 		if g == f {
-			on[i] = on[len(on)-1]
-			e.linkFlows[s] = on[:len(on)-1]
+			ls.flows[i] = ls.flows[len(ls.flows)-1]
+			ls.flows = ls.flows[:len(ls.flows)-1]
 			return
 		}
 	}
@@ -891,12 +894,13 @@ func (e *Engine) component(seedFlows []*flow, seedLinks []int32) ([]*flow, []int
 	flowQueue := e.compQueue[:0]
 
 	addLink := func(l int32) {
-		if e.linkVisit[l] == ep {
+		ls := &e.rec[l]
+		if ls.visit == ep {
 			return
 		}
-		e.linkVisit[l] = ep
+		ls.visit = ep
 		links = append(links, l)
-		for _, g := range e.linkFlows[l] {
+		for _, g := range ls.flows {
 			if g.visit != ep {
 				g.visit = ep
 				flows = append(flows, g)
@@ -944,7 +948,7 @@ func (e *Engine) chargeProgress(flows []*flow) {
 			}
 			f.remaining -= moved
 			for _, s := range f.slots {
-				e.linkBytes[s] += moved
+				e.rec[s].bytes += moved
 				if e.sink != nil && moved > 0 {
 					e.sink.LinkWindow(int(e.slotLink[s]), f.lastUpdate, now, moved)
 				}
@@ -961,13 +965,14 @@ func (e *Engine) chargeProgress(flows []*flow) {
 // outside the set whose rates are pinned — the restricted solve the
 // incremental sweep uses; nil means the set covers every flow on the
 // links. Results are left in e.wfNewRate (indexed like flows) and the
-// link positions in e.linkIndex; no engine state changes.
+// link positions in the records' index fields; no other engine state
+// changes.
 func (e *Engine) solveWaterfill(flows []*flow, links []int32, extLoad []float64) {
-	// Local link indices (dense scratch; only the passed links are read
-	// back, so no invalidation between sweeps is needed).
-	idx := e.linkIndex
+	// Local link indices (only the passed links are read back, so no
+	// invalidation between sweeps is needed).
+	rec := e.rec
 	for i, l := range links {
-		idx[l] = int32(i)
+		rec[l].index = int32(i)
 	}
 	// Engine-owned scratch, reused across sweeps: load starts at the
 	// pinned outside load (zero when the set is complete); the others are
@@ -976,7 +981,7 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int32, extLoad []float64)
 	unfrozen := growInts(&e.wfUnfrozen, len(links))        // unfrozen flow count per link
 	capLeft := growFloats(&e.wfCapLeft, len(links), false) // capacity per link
 	for i, l := range links {
-		capLeft[i] = e.slotCap[l]
+		capLeft[i] = rec[l].cap
 		unfrozen[i] = 0
 		if extLoad != nil {
 			load[i] = extLoad[i]
@@ -984,7 +989,7 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int32, extLoad []float64)
 	}
 	for _, f := range flows {
 		for _, l := range f.slots {
-			unfrozen[idx[l]]++
+			unfrozen[rec[l].index]++
 		}
 	}
 	aliveLinks := e.wfAliveLinks[:0]
@@ -1030,7 +1035,7 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int32, extLoad []float64)
 			bound := f.cap <= level+eps
 			if !bound {
 				for _, l := range f.slots {
-					i := idx[l]
+					i := rec[l].index
 					if unfrozen[i] > 0 && (capLeft[i]-load[i])/float64(unfrozen[i]) <= level+eps {
 						bound = true
 						break
@@ -1043,7 +1048,7 @@ func (e *Engine) solveWaterfill(flows []*flow, links []int32, extLoad []float64)
 			}
 			newRate[fi] = level
 			for _, l := range f.slots {
-				i := idx[l]
+				i := rec[l].index
 				load[i] += level
 				unfrozen[i]--
 			}
@@ -1125,7 +1130,7 @@ func (e *Engine) incrementalSweep() {
 		}
 	}
 	for _, l := range e.pendingLinks {
-		for _, g := range e.linkFlows[l] {
+		for _, g := range e.rec[l].flows {
 			if g.visit != ep {
 				g.visit = ep
 				dirty = append(dirty, g)
@@ -1165,8 +1170,8 @@ func (e *Engine) incrementalSweep() {
 		links = links[:0]
 		for _, f := range dirty {
 			for _, l := range f.slots {
-				if e.linkVisit[l] != ep {
-					e.linkVisit[l] = ep
+				if ls := &e.rec[l]; ls.visit != ep {
+					ls.visit = ep
 					links = append(links, l)
 				}
 			}
@@ -1177,7 +1182,7 @@ func (e *Engine) incrementalSweep() {
 		old := growFloats(&e.regOld, len(links), true)
 		oldMax := growFloats(&e.regOldMax, len(links), true)
 		for i, l := range links {
-			for _, g := range e.linkFlows[l] {
+			for _, g := range e.rec[l].flows {
 				old[i] += g.rate
 				if g.rate > oldMax[i] {
 					oldMax[i] = g.rate
@@ -1194,7 +1199,7 @@ func (e *Engine) incrementalSweep() {
 		for fi, f := range dirty {
 			r := e.wfNewRate[fi]
 			for _, l := range f.slots {
-				nw[e.linkIndex[l]] += r
+				nw[e.rec[l].index] += r
 			}
 		}
 		// Audit each region link; flows marked dirty mid-audit are
@@ -1203,7 +1208,8 @@ func (e *Engine) incrementalSweep() {
 		solved := len(dirty)
 		grew := false
 		for i, l := range links {
-			capL := e.slotCap[l]
+			ls := &e.rec[l]
+			capL := ls.cap
 			epsL := capL*relEps + 1e-15
 			satAfter := nw[i] >= capL-epsL
 			satBefore := old[i] >= capL-epsL
@@ -1211,7 +1217,7 @@ func (e *Engine) incrementalSweep() {
 				continue // slack before and after: l binds nobody
 			}
 			var lvl float64 // highest solved dirty rate on l
-			for _, g := range e.linkFlows[l] {
+			for _, g := range ls.flows {
 				if g.visit == ep && int(g.dIdx) < solved {
 					if r := e.wfNewRate[g.dIdx]; r > lvl {
 						lvl = r
@@ -1226,7 +1232,7 @@ func (e *Engine) incrementalSweep() {
 			}
 			squeezeCeil := lvl + lvl*relEps + 1e-15
 			riderFloor := oldMax[i] - (oldMax[i]*relEps + 1e-15)
-			for _, g := range e.linkFlows[l] {
+			for _, g := range ls.flows {
 				if g.visit == ep {
 					continue
 				}
@@ -1320,6 +1326,7 @@ func (e *Engine) BeginInteractive() {
 	}
 	e.ran = true
 	e.interactive = true
+	e.buildRecords()
 }
 
 // StepClock fires the next pending event and reports whether one fired.

@@ -33,13 +33,145 @@ func TestFlowRecordLayout(t *testing.T) {
 	}
 }
 
+// TestLinkSlotLayout pins a slot's record at 56 bytes: the active-flow
+// list, BFS stamp, capacity, byte counter and waterfill index.
+func TestLinkSlotLayout(t *testing.T) {
+	if s := unsafe.Sizeof(linkSlot{}); s > 56 {
+		t.Fatalf("link slot record is %d bytes, want at most 56", s)
+	}
+}
+
+// TestSubmitAllocatesNoSlotRecords submits a 16,384-flow set, drawn as
+// sim-mira draws one, after Reserve and with every route memoized:
+// Submit builds no slot record, and beyond the slot lists' own 4 B per
+// entry it allocates only the 4-byte slot -> link list, grown by append
+// (under 24 B per slot over all its growth steps). The six per-slot
+// arrays Submit grew before took about 240 B per slot.
+func TestSubmitAllocatesNoSlotRecords(t *testing.T) {
+	const n = 16384
+	tor := torus.MustNew(torus.Shape{4, 4, 8, 8, 2})
+	flows := drawSimFlows(1, tor, n)
+	p := DefaultParams()
+	net := NewNetwork(tor, p.LinkBandwidth)
+	warm, err := NewEngine(net, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range flows {
+		warm.Submit(f)
+	}
+	e, err := NewEngine(net, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reserve(n)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, f := range flows {
+		e.Submit(f)
+	}
+	runtime.ReadMemStats(&after)
+	if e.rec != nil {
+		t.Fatalf("Submit built %d slot records before Run", len(e.rec))
+	}
+	slots := len(e.slotLink)
+	beyond := float64(after.TotalAlloc-before.TotalAlloc) - 4*float64(e.slotsUsed)
+	if perSlot := beyond / float64(slots); perSlot > 24 {
+		t.Fatalf("Submit allocated %.1f B per slot beyond the slot lists (%d slots), want at most 24", perSlot, slots)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(e.rec) != slots || cap(e.rec) != slots {
+		t.Fatalf("Run built %d records (capacity %d), want one per slot: %d", len(e.rec), cap(e.rec), slots)
+	}
+}
+
+// TestLinkBytesZeroBeforeRun reads the byte counters of an engine whose
+// flows are submitted but not run: every link reads zero, the links the
+// flows will use included.
+func TestLinkBytesZeroBeforeRun(t *testing.T) {
+	e := newTestEngine(t, mira128(), DefaultParams())
+	id := e.Submit(FlowSpec{Src: 0, Dst: 5, Bytes: 1 << 20})
+	for l, b := range e.LinkBytes() {
+		if b != 0 {
+			t.Fatalf("LinkBytes()[%d] = %g before Run, want 0", l, b)
+		}
+	}
+	route := e.FlowRouteLinks(id)
+	if len(route) == 0 {
+		t.Fatal("flow 0->5 has no route")
+	}
+	for _, l := range route {
+		if b := e.LinkBytesOf(l); b != 0 {
+			t.Fatalf("LinkBytesOf(%d) = %g before Run, want 0", l, b)
+		}
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if b := e.LinkBytesOf(route[0]); b != 1<<20 {
+		t.Fatalf("LinkBytesOf(%d) = %g after Run, want %d", route[0], b, 1<<20)
+	}
+}
+
+// TestEngineHeapPerFlowPastMemoBound is TestEngineHeapPerFlow on a set
+// of more distinct pairs than the route memo stores: 65,536 flows drawn
+// as sim-mira draws them on 8,192 nodes (58,458 distinct pairs), each
+// of 4 KiB so that transfers barely overlap and the run is short. The
+// memo keeps 2^15 routes; a memo that kept them all, with per-slot
+// arrays grown by a quarter, held 434 B per flow here; the bounded memo
+// and the slot records hold 400 B.
+func TestEngineHeapPerFlowPastMemoBound(t *testing.T) {
+	if testing.Short() {
+		t.Skip("65,536 flows; skipped in short mode")
+	}
+	const n = 65536
+	tor := torus.MustNew(torus.Shape{8, 8, 8, 8, 2})
+	flows := drawSimFlows(1, tor, n)
+	for i := range flows {
+		flows[i].Bytes = 4 << 10
+	}
+	p := DefaultParams()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	net := NewNetwork(tor, p.LinkBandwidth)
+	e, err := NewEngine(net, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.Reserve(len(flows))
+	for _, f := range flows {
+		e.Submit(f)
+	}
+	if _, err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	perFlow := (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	runtime.KeepAlive(e)
+	runtime.KeepAlive(flows)
+	if done, _ := e.Outcomes(); done != n {
+		t.Fatalf("%d of %d flows done", done, n)
+	}
+	if hits, misses, _ := net.RouteCache().Counts(); hits+misses != n {
+		t.Fatalf("route memo counted %d hits and %d misses, want %d lookups", hits, misses, n)
+	}
+	if perFlow > 415 {
+		t.Fatalf("engine holds %.0f B per flow, want at most 415", perFlow)
+	}
+}
+
 // TestEngineHeapPerFlow pins what a flow costs the live heap: a seeded
 // set of 16,384 flows drawn the way the sim-mira benchmark draws one
 // (eight per node on 2,048 nodes), run to completion with the engine
 // kept alive. The count covers the network and its route memo, the
-// engine's per-slot arrays, the clock and the flow records. The 328-byte
+// engine's slot records, the clock and the flow records. The 328-byte
 // record that copied FlowSpec and FlowResult read 598 B per flow here;
-// the 160-byte record with no side-table entry reads 435 B.
+// the 160-byte record with no side-table entry reads 438 B.
 func TestEngineHeapPerFlow(t *testing.T) {
 	const n = 16384
 	tor := torus.MustNew(torus.Shape{4, 4, 8, 8, 2})

@@ -7,6 +7,9 @@ import (
 	"bgqflow/internal/torus"
 )
 
+// maxRoutes bounds how many routes a Cache stores per failure epoch.
+const maxRoutes = 1 << 15
+
 // cacheKey identifies one cached route by its endpoints.
 type cacheKey struct {
 	src, dst torus.NodeID
@@ -20,6 +23,13 @@ type cacheKey struct {
 // flow — across collective I/O rounds, proxy legs, and repeated engine
 // runs over one network — so memoizing them removes the route walk and
 // its allocation from the per-flow hot path.
+//
+// The memo holds at most maxRoutes (2^15) routes per failure epoch.
+// Past that a miss still walks the route, returns it and counts it, but
+// does not store it: a full-Mira flow set asks for over 126,000
+// distinct routes and reuses 3.5% of them, so memoizing them all would
+// cost more than it saves. The route sets bgqbench's experiments reuse
+// fit under the bound (DESIGN.md §8).
 //
 // Cached routes share one exactly-sized Links slice per entry: callers
 // must treat Route.Links as read-only. Appending to it is safe (the
@@ -53,7 +63,8 @@ func NewCache(route func(src, dst torus.NodeID) []int) *Cache {
 }
 
 // Route returns the oracle's route from src to dst, served from the
-// cache when possible.
+// cache when possible and stored while the cache holds fewer than
+// maxRoutes routes.
 func (c *Cache) Route(src, dst torus.NodeID) Route {
 	key := cacheKey{src, dst}
 	c.mu.RLock()
@@ -83,7 +94,9 @@ func (c *Cache) Route(src, dst torus.NodeID) Route {
 	// entry, so it always lands in the epoch whose map it populated,
 	// even when an Invalidate slid in since the read.
 	c.misses.Add(1)
-	c.routes[key] = links
+	if len(c.routes) < maxRoutes {
+		c.routes[key] = links
+	}
 	c.mu.Unlock()
 	return Route{Src: src, Dst: dst, Links: links}
 }
@@ -115,7 +128,7 @@ func (c *Cache) Epoch() uint64 {
 	return c.epoch
 }
 
-// Len reports the number of cached routes.
+// Len reports the number of cached routes, at most maxRoutes.
 func (c *Cache) Len() int {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

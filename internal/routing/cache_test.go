@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"slices"
 	"testing"
 
 	"bgqflow/internal/torus"
@@ -168,5 +169,56 @@ func TestCacheCounts(t *testing.T) {
 	c.Route(src, dst) // hit
 	if h, m, inv := c.Counts(); h != 1 || m != 1 || inv != 1 {
 		t.Fatalf("second-epoch counts = (%d,%d,%d), want (1,1,1)", h, m, inv)
+	}
+}
+
+// TestCacheBound asks a memo for more distinct routes than it stores:
+// it holds exactly maxRoutes, serves the oracle's route for every pair,
+// stored or not, counts every lookup as a hit or a miss, and refills
+// after Invalidate.
+func TestCacheBound(t *testing.T) {
+	tor := torus.MustNew(torus.Shape{4, 4, 8, 8, 2})
+	c := newTorusCache(tor)
+	n := tor.Size()
+	const extra = 1000
+	pair := func(i int) (torus.NodeID, torus.NodeID) {
+		return torus.NodeID(i / n), torus.NodeID(i % n)
+	}
+	lookups := uint64(0)
+	check := func(pass int) {
+		for i := 0; i < maxRoutes+extra; i++ {
+			src, dst := pair(i)
+			got := c.Route(src, dst)
+			lookups++
+			want := DeterministicRoute(tor, src, dst).Links
+			if !slices.Equal(got.Links, want) {
+				t.Fatalf("pass %d: route %d->%d = %v, want %v", pass, src, dst, got.Links, want)
+			}
+			if cap(got.Links) != len(got.Links) {
+				t.Fatalf("pass %d: route %d->%d has spare capacity", pass, src, dst)
+			}
+		}
+	}
+	check(1)
+	if c.Len() != maxRoutes {
+		t.Fatalf("memo holds %d routes after %d distinct lookups, want the bound %d", c.Len(), maxRoutes+extra, maxRoutes)
+	}
+	check(2)
+	// The second pass hits every stored route and misses the rest again.
+	if h, m, _ := c.Counts(); h != maxRoutes || m != maxRoutes+2*extra || h+m != lookups {
+		t.Fatalf("counts = (%d hits, %d misses) over %d lookups, want (%d, %d)", h, m, lookups, maxRoutes, maxRoutes+2*extra)
+	}
+	if c.Len() != maxRoutes {
+		t.Fatalf("memo holds %d routes after the second pass, want %d", c.Len(), maxRoutes)
+	}
+
+	c.Invalidate()
+	lookups = 0
+	check(3)
+	if c.Len() != maxRoutes {
+		t.Fatalf("memo holds %d routes after Invalidate and a refill, want %d", c.Len(), maxRoutes)
+	}
+	if h, m, _ := c.Counts(); h != 0 || m != lookups {
+		t.Fatalf("post-Invalidate counts = (%d, %d), want (0, %d)", h, m, lookups)
 	}
 }

@@ -21,9 +21,10 @@
 # Given a base revision, it then extracts that revision with git archive
 # into a temporary directory and runs `bgqbench -run scale` alternately
 # on the base and on the working tree, three times each, on this host:
-# it prints each side's median total_wall_ms and alloc_bytes and their
-# ratios, and FAILS if the working tree's median wall time is more than
-# 25% above the base's.
+# it prints each side's median total_wall_ms, alloc_bytes and
+# peak_rss_mb and their ratios, and FAILS if the working tree's median
+# wall time is more than 25% above the base's. Peak RSS is reported
+# only, never gated; a base whose reports lack it prints n/a.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,10 +39,24 @@ total_wall_ms() {
 alloc_bytes() {
     sed -n 's/.*"alloc_bytes":[[:space:]]*\([0-9.]*\).*/\1/p' "$1" | head -1
 }
+peak_rss_mb() {
+    sed -n 's/.*"peak_rss_mb":[[:space:]]*\([0-9.]*\).*/\1/p' "$1" | head -1
+}
 
-# median prints the median of the numbers given as arguments.
+# median prints the median of the numbers given as arguments, or n/a
+# when there are none.
 median() {
-    printf '%s\n' "$@" | sort -g | awk '{ v[NR] = $1 } END { print (NR % 2) ? v[(NR + 1) / 2] : (v[NR / 2] + v[NR / 2 + 1]) / 2 }'
+    printf '%s\n' "$@" | sort -g | awk '$1 != "" { v[++n] = $1 } END { if (!n) print "n/a"; else print (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 }'
+}
+
+# mb X prints "X MB", or n/a when X is empty or n/a.
+mb() {
+    case "${1:-n/a}" in n/a) echo n/a ;; *) echo "$1 MB" ;; esac
+}
+
+# ratio A B prints A / B to three places, or n/a when either is n/a.
+ratio() {
+    awk -v a="$1" -v b="$2" 'BEGIN { if (a == "n/a" || b == "n/a") print "n/a"; else printf "%.3f", a / b }'
 }
 
 # scale_pairs BASE runs `bgqbench -run scale` three times each on the base
@@ -54,7 +69,7 @@ scale_pairs() {
     git archive "$base_rev" | tar -x -C "$tmp/src"
     (cd "$tmp/src" && go build -o "$tmp/bgqbench-base" ./cmd/bgqbench)
     go build -o "$tmp/bgqbench-work" ./cmd/bgqbench
-    bw="" ba="" ww="" wa=""
+    bw="" ba="" br="" ww="" wa="" wr=""
     for i in 1 2 3; do
         # Alternate which side runs first, so a host slow spell does not
         # always land on the same side.
@@ -63,14 +78,16 @@ scale_pairs() {
             "$tmp/bgqbench-$side" -run scale -json "$tmp/$side-$i.json" > /dev/null
             wall=$(total_wall_ms "$tmp/$side-$i.json")
             alloc=$(alloc_bytes "$tmp/$side-$i.json")
-            echo "bench-scale: run $i $side: ${wall} ms, ${alloc} B allocated"
-            if [ "$side" = base ]; then bw="$bw $wall" ba="$ba $alloc"; else ww="$ww $wall" wa="$wa $alloc"; fi
+            rss=$(peak_rss_mb "$tmp/$side-$i.json")
+            echo "bench-scale: run $i $side: ${wall} ms, ${alloc} B allocated, peak RSS $(mb "$rss")"
+            if [ "$side" = base ]; then bw="$bw $wall" ba="$ba $alloc" br="$br $rss"; else ww="$ww $wall" wa="$wa $alloc" wr="$wr $rss"; fi
         done
     done
     # shellcheck disable=SC2086 # word splitting is the point
-    mbw=$(median $bw) mba=$(median $ba) mww=$(median $ww) mwa=$(median $wa)
-    echo "bench-scale: median wall ${mbw} ms (base $base_rev) vs ${mww} ms (working tree), ratio $(awk -v a="$mww" -v b="$mbw" 'BEGIN { printf "%.3f", a / b }')"
-    echo "bench-scale: median alloc ${mba} B (base) vs ${mwa} B (working tree), ratio $(awk -v a="$mwa" -v b="$mba" 'BEGIN { printf "%.3f", a / b }')"
+    mbw=$(median $bw) mba=$(median $ba) mbr=$(median $br) mww=$(median $ww) mwa=$(median $wa) mwr=$(median $wr)
+    echo "bench-scale: median wall ${mbw} ms (base $base_rev) vs ${mww} ms (working tree), ratio $(ratio "$mww" "$mbw")"
+    echo "bench-scale: median alloc ${mba} B (base) vs ${mwa} B (working tree), ratio $(ratio "$mwa" "$mba")"
+    echo "bench-scale: median peak RSS $(mb "$mbr") (base) vs $(mb "$mwr") (working tree), ratio $(ratio "$mwr" "$mbr")"
     if awk -v w="$mww" -v b="$mbw" 'BEGIN { exit !(w > 1.25 * b) }'; then
         echo "bench-scale: FAIL — the working tree's median ${mww} ms is more than 25% above the base's ${mbw} ms" >&2
         exit 1
