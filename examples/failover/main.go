@@ -50,9 +50,6 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if net.HasFailures() {
-			pl.SetFaults(net.FailedFunc())
-		}
 		e, err := netsim.NewEngine(net, params)
 		if err != nil {
 			log.Fatal(err)

@@ -49,7 +49,6 @@ func RunNetsim(sc Scenario, hook func(*netsim.Engine)) (RunOutput, error) {
 	}
 	e, err := netsim.NewEngine(net, netsim.Params{
 		LinkBandwidth:      sc.Params.LinkBandwidth,
-		IONLinkBandwidth:   sc.Params.LinkBandwidth,
 		PerFlowBandwidth:   sc.Params.PerFlowBandwidth,
 		LocalCopyBandwidth: sc.Params.LocalCopyBandwidth,
 		SenderOverhead:     sim.Duration(sc.Params.SenderOverhead),

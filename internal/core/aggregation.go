@@ -6,7 +6,6 @@ import (
 	"bgqflow/internal/ionet"
 	"bgqflow/internal/mpisim"
 	"bgqflow/internal/netsim"
-	"bgqflow/internal/routing"
 	"bgqflow/internal/sim"
 	"bgqflow/internal/torus"
 )
@@ -206,18 +205,16 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 	// (their flows could never land) and route gather legs around failed
 	// links below.
 	net := e.Network()
-	if net.HasFailures() {
-		live := aggs[:0]
-		for _, ag := range aggs {
-			if !net.NodeFailed(ag.Node) {
-				live = append(live, ag)
-			}
+	live := aggs[:0]
+	for _, ag := range aggs {
+		if !net.NodeFailed(ag.Node) {
+			live = append(live, ag)
 		}
-		if len(live) == 0 {
-			return plan, fmt.Errorf("core: every selected aggregator is on a failed node")
-		}
-		aggs = live
 	}
+	if len(live) == 0 {
+		return plan, fmt.Errorf("core: every selected aggregator is on a failed node")
+	}
+	aggs = live
 	plan.AggPerPset = perPset
 	plan.NumAggregators = len(aggs)
 	plan.Aggregators = aggs
@@ -240,11 +237,11 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		src := torus.NodeID(node)
 		gather := netsim.FlowSpec{Src: src, Dst: agg.Node, Bytes: bytes,
 			Label: fmt.Sprintf("n%d->agg%d", node, agg.Node)}
-		if net.HasFailures() && src != agg.Node {
+		if src != agg.Node {
 			// Route the gather leg around failed links. With no minimal
 			// route left the plan fails: the engine's fail-stop check
 			// would reject the default route at Submit.
-			r, rerr := routing.RouteAvoiding(a.job.Torus(), src, agg.Node, net.FailedFunc())
+			r, rerr := net.RouteAvoiding(src, agg.Node)
 			if rerr != nil {
 				return plan, fmt.Errorf("core: gather leg of node %d: %w", node, rerr)
 			}
@@ -252,7 +249,7 @@ func (a *AggPlanner) PlanWithSink(e *netsim.Engine, data []int64, sink ionet.Sin
 		}
 		l1 := e.Submit(gather)
 		fabric, conts := sink.WriteFlows(agg.Node, agg.Pset, agg.Bridge, offset[node], bytes)
-		if net.HasFailures() && anyFailed(net.FailedFunc(), fabric.Links) {
+		if anyFailed(net.LinkFailed, fabric.Links) {
 			return plan, fmt.Errorf("core: write leg of aggregator %d to its I/O node is cut by failures", agg.Node)
 		}
 		fabric.DependsOn = []netsim.FlowID{l1}

@@ -8,8 +8,9 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// Failure injection: the planner must route transfers around failed
-// links, both for the direct fallback and for proxy legs.
+// Failure injection: the planner must route transfers around the failed
+// links of the engine's network, both for the direct fallback and for
+// proxy legs.
 
 func TestDirectPlanAvoidsFailedLink(t *testing.T) {
 	tor := mira128()
@@ -24,7 +25,6 @@ func TestDirectPlanAvoidsFailedLink(t *testing.T) {
 		t.Fatal(err)
 	}
 	pl, _ := NewPairPlanner(tor, DefaultProxyConfig())
-	pl.SetFaults(net.FailedFunc())
 	plan, err := pl.PlanPair(e, src, dst, 64<<10) // below threshold: direct
 	if err != nil {
 		t.Fatal(err)
@@ -72,8 +72,15 @@ func TestProxySelectionAvoidsFailedLegs(t *testing.T) {
 	}
 	// Fail the first hop of the first proxy's leg1.
 	net.FailLink(healthy[0].Leg1.Links[0])
-	pl.SetFaults(net.FailedFunc())
-	after := pl.SelectProxies(src, dst)
+	e, err := netsim.NewEngine(net, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := pl.PlanPair(e, src, dst, 32<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	after := plan.Proxies
 	for _, pr := range after {
 		for _, leg := range [][]int{pr.Leg1.Links, pr.Leg2.Links} {
 			for _, l := range leg {
@@ -101,7 +108,6 @@ func TestProxiedTransferSurvivesFailures(t *testing.T) {
 
 	cfg := DefaultProxyConfig()
 	pl, _ := NewPairPlanner(tor, cfg)
-	pl.SetFaults(net.FailedFunc())
 	e, err := netsim.NewEngine(net, p)
 	if err != nil {
 		t.Fatal(err)
@@ -129,10 +135,11 @@ func TestProxiedTransferSurvivesFailures(t *testing.T) {
 }
 
 // TestNoRouteTraversesFailedNode is the node-failure property test: after
-// FailNode, no fault-avoiding route — direct fallback or proxy leg — may
-// touch the dead node or any failed link, across a spread of endpoint
-// pairs. (Default routes are failure-blind by design; the submit layer
-// fail-stops them, which TestUnawarePlannerTripsOnFailedLink pins.)
+// FailNode, no fault-avoiding route — direct fallback or a proxy leg
+// PlanPair picks — may touch the dead node or any failed link, across a
+// spread of endpoint pairs. (Default routes are failure-blind by design;
+// the submit layer fail-stops them, which
+// TestUnawarePlannerTripsOnFailedLink pins.)
 func TestNoRouteTraversesFailedNode(t *testing.T) {
 	tor := mira128()
 	p := netsim.DefaultParams()
@@ -154,13 +161,12 @@ func TestNoRouteTraversesFailedNode(t *testing.T) {
 	}
 
 	pl, _ := NewPairPlanner(tor, DefaultProxyConfig())
-	pl.SetFaults(net.FailedFunc())
 	for _, src := range []torus.NodeID{0, 3, 50, 101} {
 		for _, dst := range []torus.NodeID{1, 64, 90, torus.NodeID(tor.Size() - 1)} {
 			if src == dst || src == dead || dst == dead {
 				continue
 			}
-			r, err := routing.RouteAvoiding(tor, src, dst, net.FailedFunc())
+			r, err := net.RouteAvoiding(src, dst)
 			if err != nil {
 				// A minimal dimension-ordered detour may not exist for
 				// every pair; that is the planner's cue to go proxied.
@@ -169,7 +175,15 @@ func TestNoRouteTraversesFailedNode(t *testing.T) {
 			if nodeOnRoute(r.Links) {
 				t.Fatalf("avoiding route %d->%d traverses the failed node", src, dst)
 			}
-			for _, pr := range pl.SelectProxies(src, dst) {
+			e, err := netsim.NewEngine(net, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan, err := pl.PlanPair(e, src, dst, 32<<20)
+			if err != nil {
+				t.Fatalf("%d->%d: %v", src, dst, err)
+			}
+			for _, pr := range plan.Proxies {
 				if pr.Proxy == dead {
 					t.Fatalf("selection %d->%d picked the failed node as proxy", src, dst)
 				}
@@ -189,7 +203,6 @@ func TestDirectPlanErrorsWhenCut(t *testing.T) {
 	net.FailLink(tor.LinkID(0, 0, torus.Plus))
 	net.FailLink(tor.LinkID(0, 0, torus.Minus))
 	pl, _ := NewPairPlanner(tor, DefaultProxyConfig())
-	pl.SetFaults(net.FailedFunc())
 	e, _ := netsim.NewEngine(net, p)
 	if _, err := pl.PlanPair(e, 0, 1, 1<<10); err == nil {
 		t.Fatal("cut topology accepted")

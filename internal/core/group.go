@@ -121,9 +121,8 @@ func overlaps(nodes []torus.NodeID, set map[torus.NodeID]struct{}) bool {
 // GroupPlanner plans data-coupling transfers between two congruent groups
 // of compute nodes (the multiphysics scenario of the paper's Figs. 6-7).
 type GroupPlanner struct {
-	tor    *torus.Torus
-	cfg    ProxyConfig
-	faults func(int) bool
+	tor *torus.Torus
+	cfg ProxyConfig
 
 	// ForceGroups, when positive, uses exactly that many proxy groups
 	// (best effort routing, interference allowed) instead of the
@@ -139,18 +138,12 @@ func NewGroupPlanner(tor *torus.Torus, cfg ProxyConfig) (*GroupPlanner, error) {
 	return &GroupPlanner{tor: tor, cfg: cfg}, nil
 }
 
-// SetFaults gives the planner a failed-link predicate, as
-// PairPlanner.SetFaults does: direct pairs and proxy legs avoid those
-// links, and Plan fails when a pair has no minimal route left. Pass the
-// network's FailedFunc after injecting failures.
-func (g *GroupPlanner) SetFaults(failed func(int) bool) { g.faults = failed }
-
-// directFlow submits one pair's direct transfer, routed around failed
-// links when the planner has a fault predicate.
+// directFlow submits one pair's direct transfer, routed around the
+// failed links of the engine's network.
 func (g *GroupPlanner) directFlow(e *netsim.Engine, i int, src, dst torus.NodeID, bytes int64) (netsim.FlowID, error) {
 	spec := netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytes, Label: fmt.Sprintf("pair%d/direct", i)}
-	if g.faults != nil && src != dst {
-		r, err := routing.RouteAvoiding(g.tor, src, dst, g.faults)
+	if src != dst {
+		r, err := e.Network().RouteAvoiding(src, dst)
 		if err != nil {
 			return 0, fmt.Errorf("core: pair %d direct path cut by failures: %w", i, err)
 		}
@@ -162,7 +155,9 @@ func (g *GroupPlanner) directFlow(e *netsim.Engine, i int, src, dst torus.NodeID
 // Plan pairs the i-th node of sBox with the i-th node of tBox (box-local
 // row-major order, the contiguous mapping used by coupled multiphysics
 // codes) and moves bytesPerPair from every source to its destination,
-// using proxy groups when profitable.
+// using proxy groups when profitable. Direct pairs and proxy legs avoid
+// the failed links of the engine's network, and Plan fails when a
+// direct pair has no minimal route left.
 func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair int64) (GroupPlan, error) {
 	if sBox.Size() != tBox.Size() {
 		return GroupPlan{}, fmt.Errorf("core: group sizes differ: %d vs %d", sBox.Size(), tBox.Size())
@@ -173,6 +168,7 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 	sNodes := sBox.Nodes(g.tor)
 	tNodes := tBox.Nodes(g.tor)
 	plan := GroupPlan{PairCount: len(sNodes), TotalBytes: bytesPerPair * int64(len(sNodes))}
+	net := e.Network()
 
 	directAll := func() (GroupPlan, error) {
 		plan.Mode = Direct
@@ -247,20 +243,20 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 		var legs []legPair
 		for _, cd := range cands {
 			proxy := cd.proxy
-			// The default route, or with faults the first minimal one
-			// around them.
-			leg1, err := routing.RouteAvoiding(g.tor, src, proxy, g.faults)
+			// The default route, or the first minimal one around failed
+			// links.
+			leg1, err := net.RouteAvoiding(src, proxy)
 			if err != nil {
 				continue
 			}
-			leg2, ok := disjointRoute(g.tor, proxy, dst, busy, g.faults, leg1.Links)
+			leg2, ok := disjointRoute(g.tor, proxy, dst, busy, net.LinkFailed, leg1.Links)
 			if !ok {
 				if !forced {
 					continue
 				}
 				// Forced mode: take the default route (around failures)
 				// and let the interference show up in the simulation.
-				if leg2, err = routing.RouteAvoiding(g.tor, proxy, dst, g.faults); err != nil {
+				if leg2, err = net.RouteAvoiding(proxy, dst); err != nil {
 					continue
 				}
 			}

@@ -1,17 +1,18 @@
 package core
 
 import (
-	"reflect"
+	"slices"
+	"strings"
 	"testing"
 
 	"bgqflow/internal/netsim"
+	"bgqflow/internal/routing"
 	"bgqflow/internal/torus"
 )
 
 // planGroupFlows plans one group transfer on a network with the given
-// links failed and returns every submitted flow's route. withPred
-// installs the network's fault predicate on the planner.
-func planGroupFlows(t *testing.T, tor *torus.Torus, s, d torus.Box, bytes int64, force int, failed []int, withPred bool) ([][]int, error) {
+// links failed and returns every submitted flow's route and spec.
+func planGroupFlows(t *testing.T, tor *torus.Torus, s, d torus.Box, bytes int64, force int, failed []int) ([][]int, []netsim.FlowSpec, error) {
 	t.Helper()
 	p := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
@@ -27,25 +28,24 @@ func planGroupFlows(t *testing.T, tor *torus.Torus, s, d torus.Box, bytes int64,
 		t.Fatal(err)
 	}
 	gp.ForceGroups = force
-	if withPred {
-		gp.SetFaults(net.FailedFunc())
-	}
 	if _, err := gp.Plan(e, s, d, bytes); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if _, err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	routes := make([][]int, e.NumFlows())
+	specs := make([]netsim.FlowSpec, e.NumFlows())
 	for id := range routes {
 		routes[id] = e.FlowRouteLinks(netsim.FlowID(id))
+		specs[id] = e.Spec(netsim.FlowID(id))
 	}
-	return routes, nil
+	return routes, specs, nil
 }
 
-// Installing the predicate on a fault-free network changes no route:
-// RouteAvoiding and the fault-aware leg search try the default route
-// first.
+// On a fault-free network the fault-aware routing changes no route:
+// Network.RouteAvoiding returns the default route, so every direct pair
+// and every first leg takes it, and every leg stays minimal.
 func TestGroupFaultPredicateFaultFreeIdentity(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	s, _ := torus.NewBox(tor, []int{0, 0, 0, 0, 0}, []int{2, 2, 2, 1, 1})
@@ -54,23 +54,26 @@ func TestGroupFaultPredicateFaultFreeIdentity(t *testing.T) {
 		bytes int64
 		force int
 	}{{64 << 10, 0}, {2 << 20, 0}, {2 << 20, 3}} {
-		plain, err := planGroupFlows(t, tor, s, d, c.bytes, c.force, nil, false)
+		routes, specs, err := planGroupFlows(t, tor, s, d, c.bytes, c.force, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		pred, err := planGroupFlows(t, tor, s, d, c.bytes, c.force, nil, true)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(plain, pred) {
-			t.Fatalf("bytes %d force %d: predicate changed fault-free routes", c.bytes, c.force)
+		for id, r := range routes {
+			sp := specs[id]
+			if len(r) != tor.HopDistance(sp.Src, sp.Dst) {
+				t.Fatalf("bytes %d force %d: flow %s takes %d hops, want the minimal %d", c.bytes, c.force, sp.Label, len(r), tor.HopDistance(sp.Src, sp.Dst))
+			}
+			if strings.HasSuffix(sp.Label, "/direct") || strings.HasSuffix(sp.Label, "/leg1") {
+				if def := routing.DeterministicRoute(tor, sp.Src, sp.Dst).Links; !slices.Equal(r, def) {
+					t.Fatalf("bytes %d force %d: flow %s routed %v, default route %v", c.bytes, c.force, sp.Label, r, def)
+				}
+			}
 		}
 	}
 }
 
-// With the predicate every flow of a group plan avoids the failed
-// links, whether the plan goes direct or proxied; without it the
-// default route reaches Submit and the engine's fail-stop check panics.
+// Every flow of a group plan avoids the failed links of the engine's
+// network, whether the plan goes direct or proxied.
 func TestGroupPlanRoutesAroundFailedLinks(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	s, _ := torus.NewBox(tor, []int{0, 0, 0, 0, 0}, []int{2, 2, 2, 1, 1})
@@ -79,7 +82,7 @@ func TestGroupPlanRoutesAroundFailedLinks(t *testing.T) {
 		bytes int64
 		force int
 	}{{64 << 10, 0}, {2 << 20, 0}, {2 << 20, 3}} {
-		clean, err := planGroupFlows(t, tor, s, d, c.bytes, c.force, nil, true)
+		clean, _, err := planGroupFlows(t, tor, s, d, c.bytes, c.force, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -95,7 +98,7 @@ func TestGroupPlanRoutesAroundFailedLinks(t *testing.T) {
 					break
 				}
 			}
-			routes, err = planGroupFlows(t, tor, s, d, c.bytes, c.force, failed, true)
+			routes, _, err = planGroupFlows(t, tor, s, d, c.bytes, c.force, failed)
 			if err != nil {
 				t.Fatalf("bytes %d force %d failed %v: %v", c.bytes, c.force, failed, err)
 			}
@@ -121,7 +124,7 @@ func TestGroupPlanErrorsWhenDirectPathCut(t *testing.T) {
 	// The pair is one C hop apart; failing both ring directions out of
 	// the source leaves no minimal route.
 	failed := []int{tor.LinkID(0, 2, torus.Plus), tor.LinkID(0, 2, torus.Minus)}
-	if _, err := planGroupFlows(t, tor, s, d, 64<<10, 0, failed, true); err == nil {
+	if _, _, err := planGroupFlows(t, tor, s, d, 64<<10, 0, failed); err == nil {
 		t.Fatal("plan with its only minimal route cut succeeded")
 	}
 }

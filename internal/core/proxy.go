@@ -117,9 +117,8 @@ func (m TransferMode) String() string {
 // microbenchmark): it selects proxies for a (src, dst) pair and emits the
 // two-phase flow DAG.
 type PairPlanner struct {
-	tor    *torus.Torus
-	cfg    ProxyConfig
-	faults func(int) bool
+	tor *torus.Torus
+	cfg ProxyConfig
 }
 
 // NewPairPlanner validates the configuration for the torus.
@@ -130,23 +129,21 @@ func NewPairPlanner(tor *torus.Torus, cfg ProxyConfig) (*PairPlanner, error) {
 	return &PairPlanner{tor: tor, cfg: cfg}, nil
 }
 
-// SetFaults gives the planner a failed-link predicate; selected proxy
-// legs and direct fallback routes avoid those links. Pass the network's
-// FailedFunc after injecting failures.
-func (p *PairPlanner) SetFaults(failed func(int) bool) { p.faults = failed }
-
-// SelectProxies runs the Find-Proxies part of Algorithm 1 for one pair:
-// it checks the 2L candidates along the + and - of each dimension
-// (longest dimensions first, matching where the most routing freedom is)
-// and accepts a candidate only when a pair of legs can be routed disjoint
-// from every already-accepted leg. The returned set may be smaller than
-// MinProxies; the caller decides whether to fall back to direct transfer.
+// SelectProxies runs the Find-Proxies part of Algorithm 1 for one pair
+// on the healthy torus: it checks the 2L candidates along the + and - of
+// each dimension (longest dimensions first, matching where the most
+// routing freedom is) and accepts a candidate only when a pair of legs
+// can be routed disjoint from every already-accepted leg. The returned
+// set may be smaller than MinProxies; the caller decides whether to fall
+// back to direct transfer. PlanPair runs the same search around the
+// engine network's failed links.
 func (p *PairPlanner) SelectProxies(src, dst torus.NodeID) []ProxyRoute {
-	return selectProxies(p.tor, src, dst, p.cfg, p.faults)
+	return selectProxies(p.tor, src, dst, p.cfg, nil)
 }
 
 // selectProxies is the candidate search shared by the pair planner and
-// the transports.
+// the transports; legs avoid the links faults reports failed (none when
+// faults is nil).
 func selectProxies(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, faults func(int) bool) []ProxyRoute {
 	if src == dst {
 		return nil
@@ -349,15 +346,17 @@ type PairPlan struct {
 
 // PlanPair runs the decision procedure of Algorithm 1 for one message and
 // submits the flows: direct when the message is below the threshold or
-// fewer than MinProxies disjoint paths exist, multipath otherwise.
+// fewer than MinProxies disjoint paths exist, multipath otherwise. Every
+// leg avoids the failed links of the engine's network.
 func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes int64) (PairPlan, error) {
 	if bytes < 0 {
 		return PairPlan{}, fmt.Errorf("core: negative transfer size %d", bytes)
 	}
+	net := e.Network()
 	direct := func() (PairPlan, error) {
 		spec := netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytes, Label: "direct"}
-		if p.faults != nil && src != dst {
-			r, err := routing.RouteAvoiding(p.tor, src, dst, p.faults)
+		if src != dst {
+			r, err := net.RouteAvoiding(src, dst)
 			if err != nil {
 				return PairPlan{}, fmt.Errorf("core: direct path cut by failures: %w", err)
 			}
@@ -382,7 +381,7 @@ func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes in
 	if bytes < threshold || src == dst {
 		return direct()
 	}
-	proxies := p.SelectProxies(src, dst)
+	proxies := selectProxies(p.tor, src, dst, p.cfg, net.LinkFailed)
 	if len(proxies) < p.cfg.MinProxies {
 		return direct()
 	}

@@ -6,7 +6,6 @@ import (
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/obs"
-	"bgqflow/internal/routing"
 	"bgqflow/internal/sim"
 	"bgqflow/internal/torus"
 )
@@ -180,7 +179,6 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 	}
 
 	net := e.Network()
-	faults := net.FailedFunc()
 	maxK := t.cfg.maxProxies(t.tor.Dims())
 	backoff := rc.Backoff
 	remaining := bytes
@@ -225,7 +223,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 		// every lossy wave until only the direct path is left.
 		var proxies []ProxyRoute
 		if maxK >= t.cfg.MinProxies && remaining >= t.waveThreshold(src, dst, maxK) {
-			proxies = selectProxies(t.tor, src, dst, t.cfg, faults)
+			proxies = selectProxies(t.tor, src, dst, t.cfg, net.LinkFailed)
 			if len(proxies) > maxK {
 				proxies = proxies[:maxK]
 			}
@@ -259,7 +257,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 			predicted = t.model.ProxyTime(remaining, len(proxies), h1/len(proxies), h2/len(proxies))
 		} else {
 			rep.FinalMode = Direct
-			r, err := routing.RouteAvoiding(t.tor, src, dst, faults)
+			r, err := net.RouteAvoiding(src, dst)
 			if err != nil {
 				rep.Delivered = bytes - remaining
 				return rep, fmt.Errorf("core: resilient transfer cut off after %d bytes: %w", rep.Delivered, err)

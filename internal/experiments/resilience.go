@@ -95,13 +95,13 @@ func r1Campaign(tor *torus.Torus, src, dst torus.NodeID, cfg core.ProxyConfig, f
 	return faultinject.TargetedLinks(r1Seed+int64(fails), pool, fails, r1Window)
 }
 
-// deliveredOutcome tallies a batch run's finals: bytes landed and the
-// landing time of the last of them.
-func deliveredOutcome(e *netsim.Engine, finals []netsim.FlowID, pieces map[netsim.FlowID]int64) (delivered int64, last sim.Time) {
+// deliveredOutcome tallies a batch run's finals: bytes landed (a done
+// final's Bytes is its piece) and the landing time of the last of them.
+func deliveredOutcome(e *netsim.Engine, finals []netsim.FlowID) (delivered int64, last sim.Time) {
 	for _, id := range finals {
 		res := e.Result(id)
 		if res.Done {
-			delivered += pieces[id]
+			delivered += res.Bytes
 			if res.Completed > last {
 				last = res.Completed
 			}
@@ -150,7 +150,7 @@ func r1Direct(tor *torus.Torus, p netsim.Params, c *faultinject.Campaign, src, d
 	if _, err := e.Run(); err != nil {
 		return R1Mode{}, err
 	}
-	delivered, last := deliveredOutcome(e, []netsim.FlowID{id}, map[netsim.FlowID]int64{id: bytes})
+	delivered, last := deliveredOutcome(e, []netsim.FlowID{id})
 	addSimTime(sim.Duration(last))
 	return r1ModeResult(delivered, bytes, sim.Duration(last), 0), nil
 }
@@ -177,33 +177,9 @@ func r1ProxyNoRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, 
 	if _, err := e.Run(); err != nil {
 		return R1Mode{}, err
 	}
-	pieces := make(map[netsim.FlowID]int64, len(plan.Final))
-	if plan.Mode == core.Proxied {
-		split := splitEven(bytes, len(plan.Final))
-		for i, id := range plan.Final {
-			pieces[id] = split[i]
-		}
-	} else {
-		pieces[plan.Final[0]] = bytes
-	}
-	delivered, last := deliveredOutcome(e, plan.Final, pieces)
+	delivered, last := deliveredOutcome(e, plan.Final)
 	addSimTime(sim.Duration(last))
 	return r1ModeResult(delivered, bytes, sim.Duration(last), 0), nil
-}
-
-// splitEven mirrors core's piece split: near-equal with the remainder on
-// the first pieces.
-func splitEven(bytes int64, n int) []int64 {
-	out := make([]int64, n)
-	base := bytes / int64(n)
-	rem := bytes - base*int64(n)
-	for i := range out {
-		out[i] = base
-		if int64(i) < rem {
-			out[i]++
-		}
-	}
-	return out
 }
 
 // r1ProxyRecovery runs the resilient transfer loop under the campaign.

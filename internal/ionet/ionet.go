@@ -14,7 +14,6 @@ import (
 	"fmt"
 
 	"bgqflow/internal/netsim"
-	"bgqflow/internal/routing"
 	"bgqflow/internal/torus"
 )
 
@@ -147,15 +146,13 @@ func (s *System) DefaultPath(n torus.NodeID) (pi, bi int) {
 // Uplink returns the 11th-link ID of bridge index bi within pset pi.
 func (p *Pset) Uplink(bi int) int { return p.uplinks[bi] }
 
-// torusLeg routes the compute-fabric leg of a write. While the network has
-// failures it prefers a fault-avoiding route; when none exists among the
-// realizable dimension orders it falls back to the default route, and the
-// engine's fail-stop check surfaces the gap at submit.
+// torusLeg routes the compute-fabric leg of a write around failed links
+// (Network.RouteAvoiding); when no realizable dimension order avoids
+// them it falls back to the default route, and the engine's fail-stop
+// check surfaces the gap at submit.
 func (s *System) torusLeg(n, bridge torus.NodeID) []int {
-	if s.net.HasFailures() {
-		if r, err := routing.RouteAvoiding(s.tor, n, bridge, s.net.FailedFunc()); err == nil {
-			return r.Links
-		}
+	if r, err := s.net.RouteAvoiding(n, bridge); err == nil {
+		return r.Links
 	}
 	return s.net.Route(n, bridge).Links
 }

@@ -423,7 +423,7 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 			panic(fmt.Sprintf("netsim: flow %d routed over unknown link %d", id, l))
 		}
 		if e.net.LinkFailed(l) {
-			panic(fmt.Sprintf("netsim: flow %d routed over failed link %d (%s) — plan around failures with routing.RouteAvoiding",
+			panic(fmt.Sprintf("netsim: flow %d routed over failed link %d (%s) — plan around failures with Network.RouteAvoiding",
 				id, l, e.net.LinkName(l)))
 		}
 	}
@@ -441,13 +441,16 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 		c := &e.cold[f.cold-1]
 		c.links, c.dependsOn, c.label, c.onComplete = spec.Links, spec.DependsOn, spec.Label, spec.OnComplete
 	}
-	unmet := 0
+	unmet, depAborted := 0, false
 	for _, dep := range spec.DependsOn {
 		if int(dep) < 0 || int(dep) >= len(e.flows) {
 			panic(fmt.Sprintf("netsim: flow %d depends on unknown flow %d", id, dep))
 		}
-		d := e.flows[dep]
-		if d.state != stateDone {
+		switch d := e.flows[dep]; d.state {
+		case stateDone:
+		case stateAborted:
+			depAborted = true
+		default:
 			if d.cold == 0 {
 				d.cold = e.newCold()
 			}
@@ -461,7 +464,12 @@ func (e *Engine) Submit(spec FlowSpec) FlowID {
 	}
 	e.flows = append(e.flows, f)
 	e.active++
-	if e.interactive && unmet == 0 {
+	switch {
+	case depAborted:
+		// The dependency's abort cascade has run: cut the flow now, as
+		// the cascade would have had it been submitted earlier.
+		e.abort(f, e.clock.Now())
+	case e.interactive && unmet == 0:
 		e.release(f)
 	}
 	return id

@@ -325,7 +325,8 @@ func TestExtraLinkFlows(t *testing.T) {
 	p := DefaultParams()
 	p.SenderOverhead, p.ReceiverOverhead, p.HopLatency = 0, 0, 0
 	net := NewNetwork(tor, p.LinkBandwidth)
-	ion := net.AddLink("bridge0->ion0", p.IONLinkBandwidth)
+	const ionBandwidth = 1.8e9
+	ion := net.AddLink("bridge0->ion0", ionBandwidth)
 	e, err := NewEngine(net, p)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +344,7 @@ func TestExtraLinkFlows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 2 * bytes / p.IONLinkBandwidth
+	want := 2 * bytes / ionBandwidth
 	approx(t, "ION-shared makespan", float64(mk), want, 1e-9)
 }
 

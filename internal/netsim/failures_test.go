@@ -163,8 +163,7 @@ func TestFailNodeIsolatesNode(t *testing.T) {
 		t.Fatalf("NodeLinks returned %d links, want %d", n, 4*tor.Dims())
 	}
 	// No avoiding route between healthy endpoints traverses the node.
-	failed := net.FailedFunc()
-	r, err := routing.RouteAvoiding(tor, 0, torus.NodeID(tor.Size()-1), failed)
+	r, err := net.RouteAvoiding(0, torus.NodeID(tor.Size()-1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -357,5 +356,36 @@ func TestSameInstantSubmitsAndFailureOneSweep(t *testing.T) {
 				t.Fatalf("incremental engine sweeps: %d full / %d incremental, want 0 full", full, incr)
 			}
 		})
+	}
+}
+
+// A flow submitted after its dependency aborted is cut at once, at the
+// current instant, as the abort cascade would have cut it: it neither
+// waits forever with no clock event nor goes uncounted.
+func TestSubmitAfterDependencyAbortedAborts(t *testing.T) {
+	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
+	p := DefaultParams()
+	e, err := NewEngine(NewNetwork(tor, p.LinkBandwidth), p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.BeginInteractive()
+	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
+	a := e.Submit(FlowSpec{Src: src, Dst: dst, Bytes: 64 << 20})
+	e.FailLinkAt(routing.DeterministicRoute(tor, src, dst).Links[1], 5e-3)
+	for !e.Result(a).Aborted && e.StepClock() {
+	}
+	if !e.Result(a).Aborted {
+		t.Fatal("flow over the failed link did not abort")
+	}
+	now := e.Now()
+	b := e.Submit(FlowSpec{Src: 5, Dst: 9, Bytes: 1 << 20, DependsOn: []FlowID{a}})
+	if r := e.Result(b); !r.Aborted || r.AbortTime != now {
+		t.Fatalf("dependent of an aborted flow: %+v, want aborted at %v", r, now)
+	}
+	for e.StepClock() {
+	}
+	if done, aborted := e.Outcomes(); done != 0 || aborted != 2 {
+		t.Fatalf("outcomes: %d done, %d aborted of %d flows; want 0 and 2", done, aborted, e.NumFlows())
 	}
 }

@@ -2,52 +2,25 @@ package netsim
 
 import (
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 
 	"bgqflow/internal/routing"
+	"bgqflow/internal/topo"
 	"bgqflow/internal/torus"
 )
 
-// HasFailures is answered from a count kept by FailLink and FailNode;
-// failing a link twice, or failing a node one of whose links already
-// failed, must not count a link twice.
-func TestHasFailuresCountSurvivesRefail(t *testing.T) {
-	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
-	net := NewNetwork(tor, DefaultParams().LinkBandwidth)
-	if net.HasFailures() {
-		t.Fatal("fresh network reports failures")
-	}
-	l := tor.LinkID(5, 2, torus.Plus)
-	net.FailLink(l)
-	net.FailLink(l)
-	if !net.HasFailures() || net.numFailed != 1 {
-		t.Fatalf("after failing link %d twice: HasFailures %v, count %d, want true and 1", l, net.HasFailures(), net.numFailed)
-	}
-
-	// Node 5 owns l: FailNode must count only the links not yet failed.
-	net.FailNode(5)
-	want := len(net.NodeLinks(5))
-	if net.numFailed != want {
-		t.Fatalf("after FailNode over a failed link: count %d, want %d", net.numFailed, want)
-	}
-	net.FailNode(5)
-	if net.numFailed != want {
-		t.Fatalf("after failing node 5 twice: count %d, want %d", net.numFailed, want)
-	}
-	failed := 0
-	for id := 0; id < net.NumLinks(); id++ {
-		if net.LinkFailed(id) {
-			failed++
-		}
-	}
-	if failed != net.numFailed {
-		t.Fatalf("count %d disagrees with the failed table (%d)", net.numFailed, failed)
-	}
+// readLinks returns the links r recorded, in ascending order.
+func readLinks(r *FaultReads) []int {
+	var out []int
+	r.ForEachLink(func(id int) { out = append(out, id) })
+	return out
 }
 
 // A recording network marks every link whose failed flag is read —
-// through LinkFailed directly, through FailedFunc, and through the
-// engine's fail-stop check at Submit — and the HasFailures read.
+// through LinkFailed directly, through RouteAvoiding, and through the
+// engine's fail-stop check at Submit.
 func TestFaultReadsRecordEveryReadSite(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	p := DefaultParams()
@@ -56,19 +29,19 @@ func TestFaultReadsRecordEveryReadSite(t *testing.T) {
 	net.RecordFaultReads(&r)
 
 	net.LinkFailed(7)
-	pred := net.FailedFunc()
-	pred(3)
+	if _, err := net.RouteAvoiding(3, 5); err != nil {
+		t.Fatal(err)
+	}
 	e, err := NewEngine(net, p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.Submit(FlowSpec{Src: 0, Dst: 97, Bytes: 1 << 20})
-	want := map[int]bool{7: true, 3: true}
-	for _, l := range routing.DeterministicRoute(tor, 0, 97).Links {
+	want := map[int]bool{7: true}
+	for _, l := range append(routing.DeterministicRoute(tor, 0, 97).Links, routing.DeterministicRoute(tor, 3, 5).Links...) {
 		want[l] = true
 	}
-	var got []int
-	r.ForEachLink(func(id int) { got = append(got, id) })
+	got := readLinks(&r)
 	if len(got) != len(want) || r.NumLinks() != len(want) {
 		t.Fatalf("recorded %v (NumLinks %d), want the %d links %v", got, r.NumLinks(), len(want), want)
 	}
@@ -80,21 +53,77 @@ func TestFaultReadsRecordEveryReadSite(t *testing.T) {
 			t.Fatalf("ForEachLink not ascending: %v", got)
 		}
 	}
-	if r.AskedHasFailures() {
-		t.Fatal("emptiness read recorded before HasFailures was called")
-	}
-	net.HasFailures()
-	if !r.AskedHasFailures() {
-		t.Fatal("HasFailures read not recorded")
-	}
 
 	// Detached, reads leave the record alone.
 	net.RecordFaultReads(nil)
-	before := append([]int(nil), got...)
+	before := got
 	net.LinkFailed(net.NumLinks() - 1)
-	got = got[:0]
-	r.ForEachLink(func(id int) { got = append(got, id) })
+	got = readLinks(&r)
 	if !reflect.DeepEqual(got, before) {
 		t.Fatalf("detached network still records: %v -> %v", before, got)
+	}
+}
+
+// Network.RouteAvoiding checks the default route's links in order and
+// stops at the first failed one. On a clean route it returns the cached
+// default route and records exactly its links; with failed links it
+// returns the route routing.RouteAvoiding finds and records the links
+// that search reads, cut or not.
+func TestNetworkRouteAvoiding(t *testing.T) {
+	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
+	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
+	def := routing.DeterministicRoute(tor, src, dst).Links
+	net := NewNetwork(tor, DefaultParams().LinkBandwidth)
+	var r FaultReads
+	net.RecordFaultReads(&r)
+	got, err := net.RouteAvoiding(src, dst)
+	if err != nil || !slices.Equal(got.Links, def) {
+		t.Fatalf("clean route: %v, %v; want the default route %v", got.Links, err, def)
+	}
+	if &got.Links[0] != &net.Route(src, dst).Links[0] {
+		t.Fatal("clean route is not the cached default route")
+	}
+	want := slices.Clone(def)
+	sort.Ints(want)
+	if rl := readLinks(&r); !slices.Equal(rl, want) {
+		t.Fatalf("clean route read %v, want its links %v", rl, want)
+	}
+
+	var cut []int // every link out of src: no route survives
+	for d := 0; d < tor.Dims(); d++ {
+		cut = append(cut, tor.LinkID(src, d, torus.Plus), tor.LinkID(src, d, torus.Minus))
+	}
+	for _, failed := range [][]int{{def[2]}, {def[0], def[len(def)-1]}, cut} {
+		net := NewNetwork(tor, DefaultParams().LinkBandwidth)
+		for _, l := range failed {
+			net.FailLink(l)
+		}
+		var r FaultReads
+		net.RecordFaultReads(&r)
+		got, err := net.RouteAvoiding(src, dst)
+		net.RecordFaultReads(nil)
+		var oracle FaultReads
+		wantR, werr := routing.RouteAvoiding(tor, src, dst, func(l int) bool {
+			oracle.addLink(l)
+			return net.LinkFailed(l)
+		})
+		if (err == nil) != (werr == nil) || !slices.Equal(got.Links, wantR.Links) {
+			t.Fatalf("failed %v: route %v (err %v), routing.RouteAvoiding %v (err %v)", failed, got.Links, err, wantR.Links, werr)
+		}
+		if rl, ol := readLinks(&r), readLinks(&oracle); !slices.Equal(rl, ol) {
+			t.Fatalf("failed %v: read %v, routing.RouteAvoiding reads %v", failed, rl, ol)
+		}
+	}
+
+	// Off the torus a failed default route has no detour search.
+	tp, err := topo.Parse("dragonfly:4x4x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dnet := NewNetworkTopo(tp, DefaultParams().LinkBandwidth)
+	dr := dnet.Route(1, 9).Links
+	dnet.FailLink(dr[0])
+	if _, err := dnet.RouteAvoiding(1, 9); err == nil {
+		t.Fatal("dragonfly route over a failed link accepted")
 	}
 }

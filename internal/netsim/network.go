@@ -27,7 +27,6 @@ type Network struct {
 	bandwidth  float64   // one rail of a base link, bytes/second
 	extraCap   []float64 // capacity of extra link numBase+i
 	failed     []bool
-	numFailed  int // links marked in failed; HasFailures is O(1)
 	nodeFailed []bool
 	reads      *FaultReads            // nil unless a computation records its fault reads
 	names      map[int]string         // extra-link names for diagnostics
@@ -117,9 +116,32 @@ func (n *Network) Route(src, dst torus.NodeID) routing.Route {
 // never nil.
 func (n *Network) RouteCache() *routing.Cache { return n.routes }
 
+// RouteAvoiding returns a route from src to dst over no failed link:
+// the cached default route when none of its links failed, otherwise
+// routing.RouteAvoiding's first minimal route around the failures. It
+// checks the default route's links in order through LinkFailed and
+// stops at the first failed one, so a recording network records each
+// link whose state the choice read. Every planner leg is routed here;
+// off the torus there is no detour search, and a failed default route
+// is an error. Like Route, the result may share a cached Links slice.
+func (n *Network) RouteAvoiding(src, dst torus.NodeID) (routing.Route, error) {
+	r := n.Route(src, dst)
+	for _, l := range r.Links {
+		if !n.LinkFailed(l) {
+			continue
+		}
+		tor := n.Torus()
+		if tor == nil {
+			return routing.Route{}, fmt.Errorf("netsim: default route from %d to %d crosses failed link %s", src, dst, n.LinkName(l))
+		}
+		return routing.RouteAvoiding(tor, src, dst, n.LinkFailed)
+	}
+	return r, nil
+}
+
 // FailLink marks a link failed. Flows submitted over failed links are
 // rejected (fail-stop): fault handling belongs to the planning layer,
-// which routes around failures with routing.RouteAvoiding, and to the
+// which routes around failures with Network.RouteAvoiding, and to the
 // engine's abort machinery for flows already in flight (FailLinkAt). The
 // route cache absorbs one invalidation per failure event (see DESIGN.md
 // §8): every event purges the memoized routes and bumps the failure
@@ -129,18 +151,8 @@ func (n *Network) FailLink(id int) {
 	if n.failed == nil {
 		n.failed = make([]bool, n.NumLinks())
 	}
-	n.markFailed(id)
+	n.failed[id] = true
 	n.routes.Invalidate()
-}
-
-// markFailed sets one link's failed flag, counting it only the first
-// time so a link failed twice (or by FailNode after FailLink) is one
-// failure.
-func (n *Network) markFailed(id int) {
-	if !n.failed[id] {
-		n.failed[id] = true
-		n.numFailed++
-	}
 }
 
 // LinkFailed reports whether a link is marked failed. The read is
@@ -187,7 +199,7 @@ func (n *Network) FailNode(id torus.NodeID) {
 		n.failed = make([]bool, n.NumLinks())
 	}
 	for _, l := range n.NodeLinks(id) {
-		n.markFailed(l)
+		n.failed[l] = true
 	}
 	n.routes.Invalidate()
 }
@@ -197,30 +209,20 @@ func (n *Network) NodeFailed(id torus.NodeID) bool {
 	return n.nodeFailed != nil && n.nodeFailed[id]
 }
 
-// HasFailures reports whether any link is failed. The read is recorded
-// when a FaultReads is attached (RecordFaultReads).
-func (n *Network) HasFailures() bool {
-	if n.reads != nil {
-		n.reads.askedAny = true
-	}
-	return n.numFailed > 0
-}
-
 // RecordFaultReads attaches r to the network: from now on every
-// LinkFailed call marks its link in r and every HasFailures call marks
-// the emptiness read, so a caller can tell which parts of the fault
-// state a computation depended on. Nil detaches. Recording is not safe
-// for concurrent use: a recording network belongs to one goroutine.
+// LinkFailed call marks its link in r, so a caller can tell which parts
+// of the fault state a computation depended on. Nil detaches. Recording
+// is not safe for concurrent use: a recording network belongs to one
+// goroutine.
 func (n *Network) RecordFaultReads(r *FaultReads) { n.reads = r }
 
 // FaultReads is the part of a network's fault state a computation read:
-// the links whose failed flag it queried (LinkFailed, which FailedFunc
-// and the engine's fail-stop check call) and whether it asked
-// HasFailures. NodeFailed is not recorded; only FailNode changes it.
-// The zero value is empty and ready to use.
+// the links whose failed flag it queried through LinkFailed, which
+// RouteAvoiding and the engine's fail-stop check call. NodeFailed is not
+// recorded; only FailNode changes it. The zero value is empty and ready
+// to use.
 type FaultReads struct {
-	bits     []uint64 // bit l set: LinkFailed(l) was called
-	askedAny bool
+	bits []uint64 // bit l set: LinkFailed(l) was called
 }
 
 func (r *FaultReads) addLink(id int) {
@@ -230,9 +232,6 @@ func (r *FaultReads) addLink(id int) {
 	}
 	r.bits[w] |= 1 << (uint(id) & 63)
 }
-
-// AskedHasFailures reports whether the computation asked HasFailures.
-func (r *FaultReads) AskedHasFailures() bool { return r.askedAny }
 
 // NumLinks reports how many distinct links were read.
 func (r *FaultReads) NumLinks() int {
@@ -251,11 +250,6 @@ func (r *FaultReads) ForEachLink(fn func(id int)) {
 			w &= w - 1
 		}
 	}
-}
-
-// FailedFunc returns a predicate suitable for routing.RouteAvoiding.
-func (n *Network) FailedFunc() func(int) bool {
-	return n.LinkFailed
 }
 
 // LinkName renders a link for diagnostics.

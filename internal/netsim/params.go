@@ -26,10 +26,6 @@ type Params struct {
 	// 90% available for user data.
 	LinkBandwidth float64
 
-	// IONLinkBandwidth is the usable bandwidth of the 11th link from a
-	// bridge node to its I/O node, in bytes/second.
-	IONLinkBandwidth float64
-
 	// PerFlowBandwidth caps the rate of any single flow, modelling
 	// packetization/protocol overheads of a single deterministic path
 	// (a single MPI put peaks around 1.6 GB/s on the real machine even
@@ -65,7 +61,6 @@ type Params struct {
 func DefaultParams() Params {
 	return Params{
 		LinkBandwidth:        1.8e9,  // 90% of 2 GB/s
-		IONLinkBandwidth:     1.8e9,  // the 11th link is a torus-class link
 		PerFlowBandwidth:     1.65e9, // single deterministic-path peak
 		LocalCopyBandwidth:   12e9,   // node-local memcpy
 		SenderOverhead:       15e-6,
@@ -84,9 +79,6 @@ func (p Params) Validate() error {
 		return nil
 	}
 	if err := check("LinkBandwidth", p.LinkBandwidth); err != nil {
-		return err
-	}
-	if err := check("IONLinkBandwidth", p.IONLinkBandwidth); err != nil {
 		return err
 	}
 	if err := check("PerFlowBandwidth", p.PerFlowBandwidth); err != nil {

@@ -124,7 +124,7 @@ func TestFailLinkPurgesRouteCache(t *testing.T) {
 	}()
 
 	// The fault-aware planning path still works and is never cached.
-	r, err := routing.RouteAvoiding(tor, src, dst, net.FailedFunc())
+	r, err := net.RouteAvoiding(src, dst)
 	if err != nil {
 		t.Fatal(err)
 	}

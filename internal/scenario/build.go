@@ -263,10 +263,6 @@ func (b *Built) planPair() error {
 	if err != nil {
 		return err
 	}
-	// Installed even on a fault-free network, where it changes no route
-	// (RouteAvoiding tries the default route first): the plan then reads
-	// only the links it routes over, not whether the fault set is empty.
-	pl.SetFaults(e.Network().FailedFunc())
 	plan, err := pl.PlanPair(e, src, dst, t.Bytes)
 	if err != nil {
 		return err
@@ -297,8 +293,6 @@ func (b *Built) planGroup() error {
 	if t.Proxies > 0 {
 		gp.ForceGroups = t.Proxies
 	}
-	// Always installed, as for pairs: fault-free routes are unchanged.
-	gp.SetFaults(b.Engine.Network().FailedFunc())
 	plan, err := gp.Plan(b.Engine, sBox, dBox, t.Bytes)
 	if err != nil {
 		return err

@@ -17,16 +17,14 @@ import (
 //
 //   - A request loads ONE faultSnapshot and plans against it; its entry
 //     is stamped with that snapshot's epoch and keeps the read set the
-//     computation recorded (the links whose failed state it read, and
-//     whether it asked if the fault set is empty).
+//     computation recorded: the links whose failed state it read.
 //   - A fault event publishes the next snapshot in one atomic store:
 //     epoch+1, the new fault set and vector, and the changed links
 //     stamped with epoch+1 (publish; callers serialize on Server.mu).
 //   - A lookup under snapshot r serves an entry stamped s when s == r,
 //     or when the entry is complete and none of the links it read
-//     changed after min(s, r) and its emptiness read gives the same
-//     answer under r. Entries without a read set are served only when
-//     s == r, so every event invalidates them.
+//     changed after min(s, r). Entries without a read set are served
+//     only when s == r, so every event invalidates them.
 //
 // A plan's computation reads the fault state only through the reads it
 // records, so replaying it under r would read the same values, take the
@@ -79,7 +77,7 @@ func newPlanCache(shards, entriesPerShard int) *planCache {
 	for i := range c.shards {
 		c.shards[i].m = make(map[string]*cacheEntry)
 	}
-	c.state.Store(&faultSnapshot{lowNode: lowestFaulted(nil)})
+	c.state.Store(&faultSnapshot{})
 	return c
 }
 
@@ -175,14 +173,10 @@ func (c *planCache) servable(e *cacheEntry, snap *faultSnapshot) bool {
 	default:
 		return false // still computing: its read set is not known yet
 	}
-	rs := e.reads
-	if e.err != nil || rs == nil {
+	if e.err != nil || e.reads == nil {
 		return false
 	}
-	if c.current().changedSince(rs.links, min(e.epoch, snap.epoch)) {
-		return false
-	}
-	return !rs.askedAny || snap.anyApplicable(rs.size, rs.dims) == rs.anyFailed
+	return !c.current().changedSince(e.reads.links, min(e.epoch, snap.epoch))
 }
 
 // Len reports the number of resident entries across all shards

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -8,6 +10,7 @@ import (
 	"time"
 
 	"bgqflow/internal/scenario"
+	"bgqflow/internal/torus"
 )
 
 // untracked returns a computation that records no read set, so every
@@ -205,32 +208,51 @@ func TestCacheNewerEntryNotServedToOlderSnapshot(t *testing.T) {
 	}
 }
 
-// The emptiness read: a plan that asked whether its torus has any failed
-// link stays servable while the answer under the requesting snapshot is
-// unchanged, and is recomputed when it flips.
-func TestCacheEmptinessRead(t *testing.T) {
-	const size, dims = 128, 5 // a 2x2x4x4x2 torus
-	c := newPlanCache(1, 16)
-	asked := func(val string) func() ([]byte, *readSet, error) {
+// An agg plan reads only the links it routes over: computed fault-free,
+// it stays servable after a fault on a link of its torus it never read,
+// and it is then the plan a direct computation under that fault gives.
+func TestCacheKeepsAggPlanAcrossUnreadFault(t *testing.T) {
+	req := AggRequest{Shape: "2x2x4x4x2", Workload: "pattern2", Seed: 1}
+	compute := func(snap *faultSnapshot) func() ([]byte, *readSet, error) {
 		return func() ([]byte, *readSet, error) {
-			return []byte(val), &readSet{askedAny: true, anyFailed: c.current().anyApplicable(size, dims), size: size, dims: dims}, nil
+			var reads planReads
+			plan, err := computeAgg(req, snap.faults, &reads)
+			if err != nil {
+				return nil, nil, err
+			}
+			b, err := json.Marshal(plan)
+			return b, reads.readSet(), err
 		}
 	}
-	c.Do("k", c.current(), asked("empty"))
-	// A fault on a node outside the torus does not apply to it.
-	far := scenario.FailLink{Node: 500, Dim: 0, Dir: 1}
-	c.publish([]scenario.FailLink{far}, nil)
-	if v, _, out := c.Do("k", c.current(), asked("x")); out != outcomeHit || string(v) != "empty" {
-		t.Fatalf("inapplicable fault flipped the emptiness read: %q %v", v, out)
+	c := newPlanCache(1, 16)
+	first, err, _ := c.Do("agg", c.current(), compute(c.current()))
+	if err != nil {
+		t.Fatal(err)
 	}
-	// Nor does one in a dimension the torus lacks.
-	c.publish([]scenario.FailLink{far, {Node: 1, Dim: 6, Dir: 1}}, nil)
-	if _, _, out := c.Do("k", c.current(), asked("x")); out != outcomeHit {
-		t.Fatalf("fault in a missing dimension flipped the emptiness read: %v", out)
+	_, rs, _ := compute(c.current())()
+	read := make(map[uint32]bool, len(rs.links))
+	for _, k := range rs.links {
+		read[k] = true
 	}
-	c.publish([]scenario.FailLink{far, {Node: 127, Dim: 4, Dir: -1}}, nil)
-	if v, _, out := c.Do("k", c.current(), asked("nonempty")); out != outcomeComputed || string(v) != "nonempty" {
-		t.Fatalf("applicable fault left the emptiness read servable: %q %v", v, out)
+	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
+	var unread *scenario.FailLink
+	for id := 0; id < tor.NumTorusLinks() && unread == nil; id++ {
+		from, dim, dir := tor.LinkFrom(id)
+		if !read[linkKey(int(from), dim, dir == torus.Minus)] {
+			unread = &scenario.FailLink{Node: int(from), Dim: dim, Dir: int(dir)}
+		}
+	}
+	if unread == nil {
+		t.Fatal("the agg plan read every link of its torus")
+	}
+	snap := c.publish([]scenario.FailLink{*unread}, nil)
+	got, err, out := c.Do("agg", snap, compute(snap))
+	if err != nil || out != outcomeHit || !bytes.Equal(got, first) {
+		t.Fatalf("fault on unread link %+v: outcome %v, err %v, same plan %v", *unread, out, err, bytes.Equal(got, first))
+	}
+	want, _, err := compute(snap)()
+	if err != nil || !bytes.Equal(got, want) {
+		t.Fatalf("served plan differs from a direct computation under %+v (err %v)", *unread, err)
 	}
 }
 

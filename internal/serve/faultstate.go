@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"sort"
 
 	"bgqflow/internal/cluster"
@@ -30,10 +29,6 @@ type faultSnapshot struct {
 	// changed to the epoch of the latest event that changed it. Shared
 	// by snapshots until an event changes a link, then copied.
 	stamps map[uint32]uint64
-	// lowNode[d] is the lowest node with a failed link in dimension d
-	// (math.MaxInt when none): a torus of size nodes and dims dimensions
-	// has an applicable fault iff lowNode[d] < size for some d < dims.
-	lowNode [torus.MaxDims]int
 }
 
 // maxKeyedNodes bounds the node IDs a link key can name (28 bits, with
@@ -124,35 +119,7 @@ func nextSnapshot(cur *faultSnapshot, faults []scenario.FailLink, vec cluster.Ve
 			next.stamps[k] = next.epoch
 		}
 	}
-	next.lowNode = lowestFaulted(faults)
 	return next
-}
-
-// lowestFaulted builds a snapshot's lowNode table.
-func lowestFaulted(faults []scenario.FailLink) [torus.MaxDims]int {
-	var low [torus.MaxDims]int
-	for d := range low {
-		low[d] = math.MaxInt
-	}
-	for _, fl := range faults {
-		if _, ok := faultKey(fl); ok && fl.Node < low[fl.Dim] {
-			low[fl.Dim] = fl.Node
-		}
-	}
-	return low
-}
-
-// anyApplicable reports whether the snapshot fails any link of a torus
-// with the given node count and dimensionality — the answer the torus's
-// network gives to HasFailures once the snapshot's faults that name its
-// links are failed on it.
-func (s *faultSnapshot) anyApplicable(size, dims int) bool {
-	for d := 0; d < dims && d < len(s.lowNode); d++ {
-		if s.lowNode[d] < size {
-			return true
-		}
-	}
-	return false
 }
 
 // changedSince reports whether any link in keys changed after epoch lo.
@@ -167,14 +134,10 @@ func (s *faultSnapshot) changedSince(keys []uint32, lo uint64) bool {
 }
 
 // readSet is the fault state one plan computation read, in the form its
-// cache entry keeps: sorted link keys, plus the emptiness read.
+// cache entry keeps: the sorted keys of the links whose failed state it
+// read.
 type readSet struct {
 	links []uint32
-	// askedAny: the computation asked HasFailures of a torus with size
-	// nodes and dims dimensions, and was told anyFailed.
-	askedAny   bool
-	anyFailed  bool
-	size, dims int
 }
 
 // planReads collects what a plan computation reads of the fault state.
@@ -201,10 +164,9 @@ func (p *planReads) build(c scenario.Config, faults []scenario.FailLink) (*scena
 	return b, err
 }
 
-// readSet converts the recorded reads into the entry form; snap is the
-// snapshot the computation planned against. It returns nil when the
-// computation recorded nothing.
-func (p *planReads) readSet(snap *faultSnapshot) *readSet {
+// readSet converts the recorded reads into the entry form. It returns
+// nil when the computation recorded nothing.
+func (p *planReads) readSet() *readSet {
 	if !p.built || p.tor != nil && p.tor.Size() > maxKeyedNodes {
 		return nil // nothing recorded, or keys cannot name this torus's links
 	}
@@ -221,10 +183,5 @@ func (p *planReads) readSet(snap *faultSnapshot) *readSet {
 		from, dim, dir := p.tor.LinkFrom(id)
 		rs.links = append(rs.links, linkKey(int(from), dim, dir == torus.Minus))
 	})
-	if p.net.AskedHasFailures() {
-		rs.askedAny = true
-		rs.size, rs.dims = p.tor.Size(), p.tor.Dims()
-		rs.anyFailed = snap.anyApplicable(rs.size, rs.dims)
-	}
 	return rs
 }

@@ -29,8 +29,7 @@ func TestLinkKeysFollowLinkIDOrder(t *testing.T) {
 	}
 }
 
-// The recorded read set of a real plan: sorted keys of torus links only,
-// and the emptiness read with the answer of the snapshot it ran under.
+// The recorded read set of a real plan: sorted keys of torus links only.
 func TestPlanReadsOfAggPlan(t *testing.T) {
 	c := newPlanCache(1, 1)
 	snap := c.publish([]scenario.FailLink{{Node: 3, Dim: 4, Dir: 1}}, nil)
@@ -39,7 +38,7 @@ func TestPlanReadsOfAggPlan(t *testing.T) {
 	if _, err := computeAgg(req, snap.faults, &reads); err != nil {
 		t.Fatal(err)
 	}
-	rs := reads.readSet(snap)
+	rs := reads.readSet()
 	if rs == nil || len(rs.links) == 0 {
 		t.Fatalf("agg plan recorded no link reads: %+v", rs)
 	}
@@ -50,9 +49,6 @@ func TestPlanReadsOfAggPlan(t *testing.T) {
 		if i > 0 && rs.links[i-1] >= k {
 			t.Fatalf("read keys not sorted at %d", i)
 		}
-	}
-	if !rs.askedAny || !rs.anyFailed || rs.size != 128 || rs.dims != 5 {
-		t.Fatalf("emptiness read %+v, want asked on a 128-node 5-D torus with a failure", rs)
 	}
 
 	// A nil recorder, as the exported Compute functions pass, is safe.

@@ -3,7 +3,6 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
-	"sync"
 
 	"bgqflow/internal/core"
 	"bgqflow/internal/ionet"
@@ -466,16 +465,6 @@ func computeSim(cfg scenario.Config, faults []scenario.FailLink, reads *planRead
 	}, nil
 }
 
-// paramsSignature folds the machine constants into the cache key so a
-// future multi-params daemon can never serve a plan computed under
-// different hardware assumptions. DefaultParams is constant, so the hash
-// is computed once.
-var paramsSignature = sync.OnceValue(func() uint64 {
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%v", netsim.DefaultParams())
-	return h.Sum64()
-})
-
 // bytesBucket buckets a message size by power of two — the cache-key
 // granularity axis from the issue: requests in the same bucket share a
 // shard and sort near each other, while the exact size still
@@ -490,11 +479,11 @@ func bytesBucket(b int64) int {
 }
 
 // CacheKey builds the canonical cache key for a request: kind, shape,
-// machine-params hash, endpoints, bytes bucket, and the full canonical
-// request encoding. Identical requests — and only identical requests —
-// produce identical keys.
+// endpoints, bytes bucket, and the full canonical request encoding.
+// Identical requests — and only identical requests — produce identical
+// keys.
 func cacheKey(kind, shape string, src, dst int, bytes int64, canonical string) string {
-	return fmt.Sprintf("%s|%s|%x|%d|%d|b%d|%s", kind, shape, paramsSignature(), src, dst, bytesBucket(bytes), canonical)
+	return fmt.Sprintf("%s|%s|%d|%d|b%d|%s", kind, shape, src, dst, bytesBucket(bytes), canonical)
 }
 
 func (r PairRequest) cacheKey() string {

@@ -355,7 +355,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 				return
 			}
 			b, merr := json.Marshal(plan)
-			ch <- result{b, reads.readSet(snap), merr}
+			ch <- result{b, reads.readSet(), merr}
 		})
 		s.reg.Gauge("serve/queue_depth").Set(float64(s.disp.queued()))
 		if !admitted {

@@ -75,9 +75,6 @@ func directPairWire(t *testing.T, req serve.PairRequest, faults []scenario.FailL
 	if err != nil {
 		t.Fatal(err)
 	}
-	if net.HasFailures() {
-		pl.SetFaults(net.FailedFunc())
-	}
 	plan, err := pl.PlanPair(e, torus.NodeID(req.Src), torus.NodeID(req.Dst), req.Bytes)
 	if err != nil {
 		t.Fatal(err)
