@@ -48,8 +48,9 @@ verify: build lint check check-topo
 # short randomized-fuzz smoke over the differential oracle, and 10-second
 # fuzz smokes over the wire decoders: the X-Bgq-Min-Vector header, and
 # POST /v1/fault, POST /v1/gossip, the plan request bodies (pair, group,
-# agg, simulate) and POST /v1/transfer against an in-process daemon, and
-# the ndjson session frames the session client decodes.
+# agg, simulate) and POST /v1/transfer against an in-process daemon, the
+# ndjson session frames the session client decodes, and the plan
+# response envelopes the client decodes (FuzzPlanEnvelope).
 check:
 	$(GO) test ./internal/check
 	$(GO) run ./cmd/bgqbench -check -quick -run all
@@ -60,6 +61,7 @@ check:
 	$(GO) test -fuzz='FuzzPlanRequest$$' -fuzztime=10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz='FuzzTransferRequest$$' -fuzztime=10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz='FuzzSessionFrames$$' -fuzztime=10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz='FuzzPlanEnvelope$$' -fuzztime=10s -run '^$$' ./internal/serve
 
 # Topology-plane oracle: the 200-seed dragonfly/fat-tree differential
 # suite plus invariant audits and the topology round-trip/identity

@@ -1,7 +1,12 @@
 package serve_test
 
 import (
+	"bytes"
+	"context"
+	"encoding/json"
 	"math/rand"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"bgqflow/internal/serve"
@@ -48,6 +53,66 @@ func BenchmarkComputeAggCold(b *testing.B) {
 			b.Fatal(err)
 		}
 		aggSink = plan
+	}
+}
+
+// hitReq is the cached request of the hit-path benchmarks: a pair on
+// the 2x2x4x4x2 Fig. 5 partition, the kind serve-hot sends.
+var hitReq = serve.PairRequest{Shape: "2x2x4x4x2", Src: 0, Dst: 97, Bytes: 4 << 20}
+
+// BenchmarkServePlanHit measures the daemon's handler on a cache hit:
+// Handler().ServeHTTP of a warmed pair request through an httptest
+// recorder, with no socket. Body decode, validation, the cache probe
+// and the 200 envelope's write do the work.
+func BenchmarkServePlanHit(b *testing.B) {
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	body, err := json.Marshal(hitReq)
+	if err != nil {
+		b.Fatal(err)
+	}
+	serveHit := func() *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan/pair", bytes.NewReader(body)))
+		return rec
+	}
+	serveHit()
+	if rec := serveHit(); rec.Code != http.StatusOK || !bytes.Contains(rec.Body.Bytes(), []byte(`"cached":true`)) {
+		b.Fatalf("warmed request: status %d: %s", rec.Code, rec.Body)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if rec := serveHit(); rec.Code != http.StatusOK {
+			b.Fatalf("status %d: %s", rec.Code, rec.Body)
+		}
+	}
+}
+
+// BenchmarkClientPlanHit measures Client.PlanPair of a cached request
+// against an in-process daemon over loopback TCP: request encode, HTTP
+// round trip, the handler's hit path and the client's envelope decode.
+func BenchmarkClientPlanHit(b *testing.B) {
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	hs := httptest.NewServer(srv.Handler())
+	defer hs.Close()
+	c, err := serve.NewClient(hs.URL)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	if res, err := c.PlanPair(ctx, hitReq); err != nil || !res.OK() {
+		b.Fatalf("warm-up: %v (status %d)", err, res.Status)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := c.PlanPair(ctx, hitReq)
+		if err != nil || !res.Cached {
+			b.Fatalf("%v (status %d, cached %v)", err, res.Status, res.Cached)
+		}
 	}
 }
 

@@ -366,8 +366,12 @@ func (c *Client) postOnce(ctx context.Context, path string, body any, trace stri
 	}
 	defer resp.Body.Close()
 	tBody := time.Now()
-	var env planEnvelope
-	if err := json.NewDecoder(resp.Body).Decode(&env); err != nil {
+	respBody, err := readBody(resp)
+	if err != nil {
+		return PlanResult{}, fmt.Errorf("serve: read %s response (status %d): %w", path, resp.StatusCode, err)
+	}
+	env, err := decodeEnvelope(respBody)
+	if err != nil {
 		return PlanResult{}, fmt.Errorf("serve: decode %s response (status %d): %w", path, resp.StatusCode, err)
 	}
 	out := PlanResult{
@@ -393,6 +397,108 @@ func (c *Client) postOnce(ctx context.Context, path string, body any, trace stri
 	}
 	c.tracer.Span(trace, "client/plan", path, t0, time.Now())
 	return out, nil
+}
+
+// maxPresized bounds the buffer readBody allocates up front from a
+// response's Content-Length; a longer body grows as it arrives.
+const maxPresized = 1 << 20
+
+// readBody reads a response body whole, into one buffer of the
+// announced length when the server sends Content-Length.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n > 0 && n <= maxPresized {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, buf)
+		return buf, err
+	}
+	return io.ReadAll(resp.Body)
+}
+
+// decodeEnvelope decodes a plan response body. It rejects exactly the
+// bodies json.Unmarshal rejects and otherwise returns the fields
+// json.Unmarshal would, but a 200 body as writePlan frames it passes
+// through the JSON scanner once: the plan object's end is found by a
+// structural scan, json.Valid checks the plan, and only the envelope's
+// short tail is unmarshaled (FuzzPlanEnvelope). Every other body is
+// unmarshaled whole. The returned plan may alias body.
+func decodeEnvelope(body []byte) (planEnvelope, error) {
+	var env planEnvelope
+	if plan, tail, ok := splitEnvelope(body); ok && json.Valid(plan) {
+		err := json.Unmarshal(tail, &env)
+		// A tail key naming the plan again, in any letter case, wins
+		// over the first, as it would in json.Unmarshal.
+		if env.Plan == nil {
+			env.Plan = plan
+		}
+		return env, err
+	}
+	err := json.Unmarshal(body, &env)
+	return env, err
+}
+
+// splitEnvelope splits a body that opens {"plan":{ into the plan
+// object, bounded by a scan of its strings and brackets, and the
+// envelope's other members made an object of their own: "{" followed by
+// what follows the comma after the plan. Given a valid plan, body is
+// valid JSON exactly when that object is, because at least one member
+// follows the comma. ok is false for any other framing.
+func splitEnvelope(body []byte) (plan, tail []byte, ok bool) {
+	rest, found := bytes.CutPrefix(body, []byte(planOpen))
+	if !found || len(rest) == 0 || rest[0] != '{' {
+		return nil, nil, false
+	}
+	end := valueEnd(rest)
+	if end < 0 {
+		return nil, nil, false
+	}
+	plan, rest = rest[:end], bytes.TrimLeft(rest[end:], jsonSpace)
+	if len(rest) == 0 || rest[0] != ',' {
+		return nil, nil, false
+	}
+	if m := bytes.TrimLeft(rest[1:], jsonSpace); len(m) == 0 || m[0] != '"' {
+		return nil, nil, false
+	}
+	tail = append([]byte{'{'}, rest[1:]...)
+	return plan, tail, true
+}
+
+// jsonSpace is the whitespace JSON allows between tokens.
+const jsonSpace = " \t\n\r"
+
+// maxPlanDepth is the deepest plan splitEnvelope bounds. encoding/json
+// refuses values nested more than 10000 deep and the envelope adds a
+// level, so a deeper plan is left to the whole-body json.Unmarshal,
+// which applies the limit; json.Valid alone would pass it.
+const maxPlanDepth = 10000 - 1
+
+// valueEnd returns the length of the object or array that opens b,
+// found by matching brackets outside strings, or -1 when b ends first
+// or nests deeper than maxPlanDepth. It checks nothing else: on invalid
+// JSON the bound may be wrong.
+func valueEnd(b []byte) int {
+	depth, inString := 0, false
+	for i := 0; i < len(b); i++ {
+		c := b[i]
+		switch {
+		case inString:
+			if c == '\\' {
+				i++
+			} else if c == '"' {
+				inString = false
+			}
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			if depth++; depth > maxPlanDepth {
+				return -1
+			}
+		case c == '}' || c == ']':
+			if depth--; depth == 0 {
+				return i + 1
+			}
+		}
+	}
+	return -1
 }
 
 // PlanPair requests a point-to-point plan.

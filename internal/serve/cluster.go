@@ -100,7 +100,7 @@ func (s *Server) checkMinVector(w http.ResponseWriter, r *http.Request, snap *fa
 func (s *Server) handleGossip(w http.ResponseWriter, r *http.Request) {
 	var msg cluster.Message
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 4<<20))
-	if err := dec.Decode(&msg); err != nil {
+	if err := decodeOne(dec, &msg); err != nil {
 		s.reg.Counter("serve/errors").Inc()
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: fmt.Sprintf("serve: bad gossip body: %v", err)})
 		return

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"encoding/json"
 	"sort"
 
 	"bgqflow/internal/cluster"
@@ -25,6 +26,9 @@ type faultSnapshot struct {
 	faults []scenario.FailLink // cap == len: an append never writes into a shared array
 	vec    cluster.Vector
 	vecStr string // vec.String(), rendered once at publish
+	// vecJSON is vecStr as a JSON string, as encoding/json writes it;
+	// nil when vecStr is empty, which a plan envelope omits.
+	vecJSON []byte
 	// stamps maps the key (faultKey) of every link any event has
 	// changed to the epoch of the latest event that changed it. Shared
 	// by snapshots until an event changes a link, then copied.
@@ -109,6 +113,9 @@ func nextSnapshot(cur *faultSnapshot, faults []scenario.FailLink, vec cluster.Ve
 		vec:    vec,
 		vecStr: vec.String(),
 		stamps: cur.stamps,
+	}
+	if next.vecStr != "" {
+		next.vecJSON, _ = json.Marshal(next.vecStr) // a string always encodes
 	}
 	if changed := diffFaults(cur.faults, faults); len(changed) > 0 {
 		next.stamps = make(map[uint32]uint64, len(cur.stamps)+len(changed))

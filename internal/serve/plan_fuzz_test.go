@@ -12,12 +12,13 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// decodeStrict decodes a request body the way decodeBody does.
+// decodeStrict decodes a request body the way decodeBody does: unknown
+// fields and anything but whitespace after the value are errors.
 func decodeStrict[T any](body []byte) (T, error) {
 	var v T
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
-	err := dec.Decode(&v)
+	err := decodeOne(dec, &v)
 	return v, err
 }
 

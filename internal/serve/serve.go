@@ -26,7 +26,9 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"math"
 	"net/http"
 	"runtime"
@@ -303,6 +305,41 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	json.NewEncoder(w).Encode(v)
 }
 
+// planOpen opens every 200 plan body: the envelope's first key, which
+// the stored plan bytes follow.
+const planOpen = `{"plan":`
+
+// planBufs holds the buffers writePlan assembles a response in.
+var planBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// writePlan writes a 200 plan response around plan, the bytes the cache
+// stores, without scanning them again. They are json.Marshal output,
+// compact and HTML-escaped, so the body is byte for byte what writeJSON
+// writes for the planEnvelope of this plan, snapshot and outcome
+// (TestPlanEnvelopeBytes), and like writeJSON it reaches w in one Write.
+func writePlan(w http.ResponseWriter, plan []byte, snap *faultSnapshot, outcome cacheOutcome) {
+	bp := planBufs.Get().(*[]byte)
+	b := append(append((*bp)[:0], planOpen...), plan...)
+	b = strconv.AppendUint(append(b, `,"epoch":`...), snap.epoch, 10)
+	switch outcome {
+	case outcomeHit:
+		b = append(b, `,"cached":true`...)
+	case outcomeCoalesced:
+		b = append(b, `,"coalesced":true`...)
+	}
+	if snap.vecJSON != nil {
+		b = append(append(b, `,"vector":`...), snap.vecJSON...)
+	}
+	b = append(b, "}\n"...)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	// As in writeJSON, a failed write means the client is gone: there is
+	// no one left to tell.
+	w.Write(b)
+	*bp = b
+	planBufs.Put(bp)
+}
+
 // servePlan is the shared request path: admission, coalescing, caching,
 // instrumentation. The request's trace (client-stamped or generated)
 // tags the wall spans; queue and compute phase times go back to the
@@ -408,24 +445,30 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	s.reg.Histogram("serve/latency_ms/" + endpoint).Observe(latencyMS)
 	s.wLatency.Observe(latencyMS)
 	s.wall.SpanEnd(span)
-	writeJSON(w, http.StatusOK, planEnvelope{
-		Plan:      val,
-		Epoch:     epoch,
-		Cached:    outcome == outcomeHit,
-		Coalesced: outcome == outcomeCoalesced,
-		Vector:    vecStr,
-	})
+	writePlan(w, val, snap, outcome)
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, reg *obs.Registry, v any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
+	if err := decodeOne(dec, v); err != nil {
 		reg.Counter("serve/errors").Inc()
 		writeJSON(w, http.StatusBadRequest, planEnvelope{Error: fmt.Sprintf("serve: bad request body: %v", err)})
 		return false
 	}
 	return true
+}
+
+// decodeOne decodes the one JSON value a request body holds: only
+// whitespace may follow it.
+func decodeOne(dec *json.Decoder, v any) error {
+	if err := dec.Decode(v); err != nil {
+		return err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return errors.New("data after the JSON value")
+	}
+	return nil
 }
 
 func (s *Server) handlePair(w http.ResponseWriter, r *http.Request) {
