@@ -19,7 +19,8 @@ lint:
 
 # Tier-1 verification: full build + static checks + tests, plus the race
 # detector over the packages that run worker pools, one goroutine per
-# simulated rank (mpisim), or schedule failure events (see ROADMAP.md),
+# simulated rank (mpisim), schedule failure events, or promise that one
+# value serves concurrent transfers (core's PairPlanner; see ROADMAP.md),
 # plus the differential-oracle suite, plus a
 # 10-second bgqload smoke against an in-process daemon (zero 5xx,
 # coalescing observed, zero SLO breaches), plus the short-mode session
@@ -33,7 +34,7 @@ lint:
 # the hot path never pays for observability nobody asked for.
 verify: build lint check check-topo
 	$(GO) test ./...
-	$(GO) test -race ./internal/experiments ./internal/netsim ./internal/faultinject ./internal/serve ./internal/cluster ./internal/mpisim
+	$(GO) test -race ./internal/experiments ./internal/netsim ./internal/faultinject ./internal/serve ./internal/cluster ./internal/mpisim ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkWallSpan' -benchmem ./internal/obs | \
 		awk '/^BenchmarkWallSpanDisabled/ { print; if ($$5 + 0 != 0 || $$7 + 0 != 0) { print "FAIL: disabled trace plane allocates"; exit 1 } found = 1 } END { if (!found) { print "FAIL: BenchmarkWallSpanDisabled did not run"; exit 1 } }'
 	$(GO) run ./cmd/bgqload -selftest -duration 10s -rps 300 -agg-every 16 -seed 7 -require-coalesce -require-slo

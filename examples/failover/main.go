@@ -92,7 +92,11 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tr, err := core.NewTransport(tor, params, core.DefaultProxyConfig())
+	// Resilient transfers take each wave's direct/proxy threshold from
+	// the Eq. 1-5 cost model.
+	cfg := core.DefaultProxyConfig()
+	cfg.AutoThreshold = true
+	pl, err := core.NewPairPlanner(tor, cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -107,10 +111,6 @@ func main() {
 	// direct route plus the first hop of every proxy leg — so failures
 	// are guaranteed to land mid-flight rather than on idle links.
 	pool := routing.DeterministicRoute(tor, src, dst).Links
-	pl, err := core.NewPairPlanner(tor, core.DefaultProxyConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
 	for _, pr := range pl.SelectProxies(src, dst) {
 		pool = append(pool, pr.Leg1.Links[0], pr.Leg2.Links[0])
 	}
@@ -123,7 +123,7 @@ func main() {
 
 	rc := core.DefaultRecoveryConfig()
 	rc.Recorder, rc.Track = rec, "transfer"
-	rep, err := tr.MoveResilient(e, src, dst, bytes, rc)
+	rep, err := pl.MoveResilient(e, src, dst, bytes, rc)
 	if err != nil {
 		log.Fatalf("recovery failed: %v", err)
 	}

@@ -251,7 +251,8 @@ func CheckPlanModelAgreement(tor *torus.Torus, p netsim.Params, cfg core.ProxyCo
 		if k == 0 {
 			k = 2 * tor.Dims()
 		}
-		threshold = m.Threshold(k, hopsDirect, cfg.Offset, hopsDirect)
+		// Algorithm 1 places every proxy one hop from the source.
+		threshold = m.Threshold(k, hopsDirect, 1, hopsDirect)
 		if threshold == 0 {
 			threshold = 1 << 62
 		}

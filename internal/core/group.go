@@ -1,7 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
 	"bgqflow/internal/netsim"
 	"bgqflow/internal/routing"
@@ -130,10 +132,14 @@ type GroupPlanner struct {
 	ForceGroups int
 }
 
-// NewGroupPlanner validates the configuration.
+// NewGroupPlanner validates the configuration. Group plans decide on the
+// fixed Threshold, so a config asking for AutoThreshold is refused.
 func NewGroupPlanner(tor *torus.Torus, cfg ProxyConfig) (*GroupPlanner, error) {
 	if err := cfg.validate(tor.Dims()); err != nil {
 		return nil, err
+	}
+	if cfg.AutoThreshold {
+		return nil, fmt.Errorf("core: AutoThreshold is not supported by the group planner")
 	}
 	return &GroupPlanner{tor: tor, cfg: cfg}, nil
 }
@@ -192,9 +198,6 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 		want = g.ForceGroups
 	}
 	groups := SelectGroupDirections(g.tor, sBox, tBox, want)
-	if want > 0 && len(groups) > want {
-		groups = groups[:want]
-	}
 	if !forced {
 		if max := g.cfg.maxProxies(g.tor.Dims()); len(groups) > max {
 			groups = groups[:max]
@@ -229,11 +232,7 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 			}
 			cands = append(cands, cand{proxy, displacementDims(g.tor, proxy, dst)})
 		}
-		for a := 1; a < len(cands); a++ {
-			for b := a; b > 0 && cands[b].disp < cands[b-1].disp; b-- {
-				cands[b], cands[b-1] = cands[b-1], cands[b]
-			}
-		}
+		slices.SortStableFunc(cands, func(a, b cand) int { return cmp.Compare(a.disp, b.disp) })
 		// Build this pair's proxy routes; per-pair link-disjointness.
 		busy := make(map[int]struct{}, 64)
 		type legPair struct {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"bgqflow/internal/netsim"
@@ -222,7 +223,6 @@ func TestGroupPipelineBeatsPlain(t *testing.T) {
 		cfg.Threshold = 0
 		cfg.MinProxies = 1
 		cfg.Pipeline = pipeline
-		cfg.ChunkBytes = 1 << 20
 		gp, err := NewGroupPlanner(tor, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -256,5 +256,16 @@ func TestGroupPipelineBeatsPlain(t *testing.T) {
 	piped := run(true)
 	if piped <= plain*1.15 {
 		t.Fatalf("group pipelining gain too small: plain %.3g, piped %.3g", plain, piped)
+	}
+}
+
+// Group plans decide on the fixed threshold, so a config asking for the
+// model's is refused rather than silently ignored.
+func TestGroupPlannerRefusesAutoThreshold(t *testing.T) {
+	cfg := DefaultProxyConfig()
+	cfg.AutoThreshold = true
+	_, err := NewGroupPlanner(mira128(), cfg)
+	if err == nil || !strings.Contains(err.Error(), "AutoThreshold") {
+		t.Fatalf("AutoThreshold group config: err = %v, want one naming the field", err)
 	}
 }

@@ -113,31 +113,6 @@ func (m *CostModel) Threshold(k, hopsDirect, hops1, hops2 int) int64 {
 	return hi
 }
 
-// PipelinedProxyTime predicts the paper's future-work pipelined variant:
-// the piece moving to each proxy is segmented into chunks of c bytes, so
-// the second leg overlaps the first and the store-and-forward factor of
-// 2 collapses to one leg plus a single chunk's lead-in. With pipelining,
-// k=2 proxies already win for large messages.
-func (m *CostModel) PipelinedProxyTime(d int64, k int, c int64, hops1, hops2 int) sim.Duration {
-	if k < 1 || c < 1 {
-		panic(fmt.Sprintf("core: PipelinedProxyTime k=%d c=%d", k, c))
-	}
-	piece := float64(d) / float64(k)
-	chunks := math.Ceil(piece / float64(c))
-	if chunks < 1 {
-		chunks = 1
-	}
-	perChunkOverhead := float64(m.p.SenderOverhead + m.p.ReceiverOverhead)
-	// First leg streams all chunks; the last chunk then crosses the
-	// second leg after the forward overhead.
-	leg1 := chunks*perChunkOverhead + piece/m.perFlowRate() +
-		float64(hops1)*float64(m.p.HopLatency)
-	tail := float64(m.p.ProxyForwardOverhead) + perChunkOverhead +
-		math.Min(float64(c), piece)/m.perFlowRate() +
-		float64(hops2)*float64(m.p.HopLatency)
-	return sim.Duration(leg1 + tail)
-}
-
 // BestProxyCount evaluates the model for every feasible proxy count up
 // to max and returns the count with the lowest predicted time (0 means
 // direct wins). Hop counts are taken as representative constants; the

@@ -125,22 +125,6 @@ func TestModelDirectMatchesSimulator(t *testing.T) {
 	}
 }
 
-func TestPipelinedBeatsPlainInModel(t *testing.T) {
-	m := newModel(t)
-	const d = 64 << 20
-	plain := m.ProxyTime(d, 2, 1, 4)
-	piped := m.PipelinedProxyTime(d, 2, 1<<20, 1, 4)
-	if piped >= plain {
-		t.Fatalf("pipelined %.3g should beat plain %.3g for k=2", float64(piped), float64(plain))
-	}
-	// And pipelined k=2 beats direct for large messages — the paper's
-	// future-work claim that pipelining needs only 2 proxies.
-	direct := m.DirectTime(d, 5)
-	if piped >= direct {
-		t.Fatalf("pipelined k=2 (%.3g) should beat direct (%.3g)", float64(piped), float64(direct))
-	}
-}
-
 func TestBestProxyCount(t *testing.T) {
 	m := newModel(t)
 	if k := m.BestProxyCount(16<<10, 8, 5, 1, 4); k != 0 {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,26 +27,27 @@ type ProxyConfig struct {
 	// 256 KB crossover on the 128-node geometry.
 	Threshold int64
 
-	// Offset is the distance (hops) from the source at which proxies
-	// are placed along each candidate direction.
-	Offset int
-
 	// Pipeline enables the paper's future-work extension: each piece is
-	// segmented into chunks so the proxy can forward chunk c while chunk
-	// c+1 is still inbound, cutting the store-and-forward factor below 2
-	// and making even 2 proxies profitable.
+	// segmented into pipelineChunk-byte chunks so the proxy can forward
+	// chunk c while chunk c+1 is still inbound, cutting the
+	// store-and-forward factor below 2 and making even 2 proxies
+	// profitable.
 	Pipeline bool
 
-	// ChunkBytes is the pipeline segment size (used when Pipeline is
-	// true).
-	ChunkBytes int64
-
 	// AutoThreshold derives the direct/proxy threshold from the Eq. 1-5
-	// cost model (per pair, using the pair's hop counts) instead of the
-	// fixed Threshold value — the paper's future-work analytical model
-	// put to work.
+	// cost model (per pair, using the pair's hop counts and the proxy
+	// count on offer) instead of the fixed Threshold value — the paper's
+	// future-work analytical model put to work. Resilient transfers set
+	// it; one-shot plans keep the fixed threshold.
 	AutoThreshold bool
 }
+
+// proxyOffset is the distance (hops) from the source at which Algorithm
+// 1 places a proxy along each candidate direction.
+const proxyOffset = 1
+
+// pipelineChunk is the segment size of the pipelined extension.
+const pipelineChunk = 1 << 20
 
 // DefaultProxyConfig returns the paper's operating point.
 func DefaultProxyConfig() ProxyConfig {
@@ -53,9 +55,7 @@ func DefaultProxyConfig() ProxyConfig {
 		MinProxies: 3,
 		MaxProxies: 0, // 2L
 		Threshold:  256 << 10,
-		Offset:     1,
 		Pipeline:   false,
-		ChunkBytes: 1 << 20,
 	}
 }
 
@@ -66,14 +66,8 @@ func (c ProxyConfig) validate(dims int) error {
 	if c.MaxProxies < 0 || c.MaxProxies > 2*dims {
 		return fmt.Errorf("core: MaxProxies %d outside [0,%d]", c.MaxProxies, 2*dims)
 	}
-	if c.Offset < 1 {
-		return fmt.Errorf("core: Offset %d must be >= 1", c.Offset)
-	}
 	if c.Threshold < 0 {
 		return fmt.Errorf("core: negative Threshold")
-	}
-	if c.Pipeline && c.ChunkBytes < 1 {
-		return fmt.Errorf("core: Pipeline requires positive ChunkBytes")
 	}
 	return nil
 }
@@ -115,7 +109,9 @@ func (m TransferMode) String() string {
 
 // PairPlanner plans point-to-point transfers (the paper's first
 // microbenchmark): it selects proxies for a (src, dst) pair and emits the
-// two-phase flow DAG.
+// two-phase flow DAG, once with PlanPair or wave by wave with
+// MoveResilient. A PairPlanner holds only immutable configuration, so
+// one may serve concurrent transfers on separate engines.
 type PairPlanner struct {
 	tor *torus.Torus
 	cfg ProxyConfig
@@ -141,8 +137,8 @@ func (p *PairPlanner) SelectProxies(src, dst torus.NodeID) []ProxyRoute {
 	return selectProxies(p.tor, src, dst, p.cfg, nil)
 }
 
-// selectProxies is the candidate search shared by the pair planner and
-// the transports; legs avoid the links faults reports failed (none when
+// selectProxies is the candidate search behind SelectProxies and
+// proxiesFor; legs avoid the links faults reports failed (none when
 // faults is nil).
 func selectProxies(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, faults func(int) bool) []ProxyRoute {
 	if src == dst {
@@ -170,7 +166,7 @@ func selectProxies(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, fau
 	for _, dim := range tor.DimsByExtentDesc() {
 		for _, dir := range [2]torus.Direction{torus.Plus, torus.Minus} {
 			tor.CoordInto(src, c)
-			c[dim] = tor.Wrap(dim, c[dim]+int(dir)*cfg.Offset)
+			c[dim] = tor.Wrap(dim, c[dim]+int(dir)*proxyOffset)
 			proxy := tor.ID(c)
 			if _, taken := usedProxies[proxy]; taken {
 				continue
@@ -179,15 +175,7 @@ func selectProxies(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, fau
 			cands = append(cands, candidate{proxy, dim, dir, displacementDims(tor, proxy, dst)})
 		}
 	}
-	sortStableByDisp := func() {
-		// Insertion sort (tiny slice), stable on enumeration order.
-		for i := 1; i < len(cands); i++ {
-			for j := i; j > 0 && cands[j].disp < cands[j-1].disp; j-- {
-				cands[j], cands[j-1] = cands[j-1], cands[j]
-			}
-		}
-	}
-	sortStableByDisp()
+	slices.SortStableFunc(cands, func(a, b candidate) int { return cmp.Compare(a.disp, b.disp) })
 	for _, cand := range cands {
 		if len(accepted) >= max {
 			break
@@ -352,11 +340,14 @@ func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes in
 	if bytes < 0 {
 		return PairPlan{}, fmt.Errorf("core: negative transfer size %d", bytes)
 	}
-	net := e.Network()
-	direct := func() (PairPlan, error) {
+	proxies, err := p.proxiesFor(e, src, dst, bytes, p.cfg.maxProxies(p.tor.Dims()))
+	if err != nil {
+		return PairPlan{}, err
+	}
+	if proxies == nil {
 		spec := netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytes, Label: "direct"}
 		if src != dst {
-			r, err := net.RouteAvoiding(src, dst)
+			r, err := e.Network().RouteAvoiding(src, dst)
 			if err != nil {
 				return PairPlan{}, fmt.Errorf("core: direct path cut by failures: %w", err)
 			}
@@ -364,26 +355,6 @@ func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes in
 		}
 		id := e.Submit(spec)
 		return PairPlan{Mode: Direct, Bytes: bytes, Flows: []netsim.FlowID{id}, Final: []netsim.FlowID{id}}, nil
-	}
-	threshold := p.cfg.Threshold
-	if p.cfg.AutoThreshold && src != dst {
-		m, err := NewCostModel(e.Params())
-		if err != nil {
-			return PairPlan{}, err
-		}
-		hopsDirect := p.tor.HopDistance(src, dst)
-		k := p.cfg.maxProxies(p.tor.Dims())
-		threshold = m.Threshold(k, hopsDirect, p.cfg.Offset, hopsDirect)
-		if threshold == 0 {
-			threshold = 1 << 62 // the model says proxies never win here
-		}
-	}
-	if bytes < threshold || src == dst {
-		return direct()
-	}
-	proxies := selectProxies(p.tor, src, dst, p.cfg, net.LinkFailed)
-	if len(proxies) < p.cfg.MinProxies {
-		return direct()
 	}
 	plan := PairPlan{Mode: Proxied, Proxies: proxies, Bytes: bytes}
 	pieces := splitBytes(bytes, len(proxies))
@@ -395,12 +366,50 @@ func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes in
 	return plan, nil
 }
 
+// proxiesFor is Algorithm 1's decision for one message of bytes, for
+// PlanPair (k = MaxProxies) and for every wave of MoveResilient (k = the
+// degradation ladder's cap). It returns at most k proxies whose legs
+// avoid the engine network's failed links, or nil when the message goes
+// direct: src == dst, k below MinProxies, bytes below the threshold (the
+// configured one, or under AutoThreshold the Eq. 1-5 model's for k
+// proxies), or fewer than MinProxies disjoint paths.
+func (p *PairPlanner) proxiesFor(e *netsim.Engine, src, dst torus.NodeID, bytes int64, k int) ([]ProxyRoute, error) {
+	if src == dst || k < p.cfg.MinProxies {
+		return nil, nil
+	}
+	threshold := p.cfg.Threshold
+	if p.cfg.AutoThreshold {
+		m, err := NewCostModel(e.Params())
+		if err != nil {
+			return nil, err
+		}
+		hopsDirect := p.tor.HopDistance(src, dst)
+		threshold = m.Threshold(k, hopsDirect, proxyOffset, hopsDirect)
+		if threshold == 0 {
+			threshold = 1 << 62 // the model says proxies never win here
+		}
+	}
+	if bytes < threshold {
+		return nil, nil
+	}
+	// The search always runs to the configured maximum, so the failed
+	// links it reads do not depend on k.
+	proxies := selectProxies(p.tor, src, dst, p.cfg, e.Network().LinkFailed)
+	if len(proxies) > k {
+		proxies = proxies[:k]
+	}
+	if len(proxies) < p.cfg.MinProxies {
+		return nil, nil
+	}
+	return proxies, nil
+}
+
 // submitLegPair emits the flow DAG for one proxy piece, for the pair and
 // group planners: either one store-and-forward leg pair, or a pipelined
 // chain of chunk leg pairs.
 func submitLegPair(e *netsim.Engine, cfg ProxyConfig, pr ProxyRoute, bytes int64, label string) (flows, finals []netsim.FlowID) {
 	fwd := e.Params().ProxyForwardOverhead
-	if !cfg.Pipeline || bytes <= cfg.ChunkBytes {
+	if !cfg.Pipeline || bytes <= pipelineChunk {
 		l1 := e.Submit(netsim.FlowSpec{
 			Src: pr.Leg1.Src, Dst: pr.Proxy, Bytes: bytes,
 			Links: pr.Leg1.Links, Label: label + "/leg1",
@@ -418,10 +427,7 @@ func submitLegPair(e *netsim.Engine, cfg ProxyConfig, pr ProxyRoute, bytes int64
 	remaining := bytes
 	chunkIdx := 0
 	for remaining > 0 {
-		sz := cfg.ChunkBytes
-		if sz > remaining {
-			sz = remaining
-		}
+		sz := min(remaining, pipelineChunk)
 		remaining -= sz
 		var deps []netsim.FlowID
 		if prev >= 0 {

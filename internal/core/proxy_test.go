@@ -30,11 +30,9 @@ func TestDefaultProxyConfigValid(t *testing.T) {
 
 func TestProxyConfigValidation(t *testing.T) {
 	cases := []ProxyConfig{
-		{MinProxies: 0, Offset: 1},
-		{MinProxies: 1, Offset: 0},
-		{MinProxies: 1, Offset: 1, MaxProxies: 11},
-		{MinProxies: 1, Offset: 1, Threshold: -1},
-		{MinProxies: 1, Offset: 1, Pipeline: true, ChunkBytes: 0},
+		{MinProxies: 0},
+		{MinProxies: 1, MaxProxies: 11},
+		{MinProxies: 1, Threshold: -1},
 	}
 	for i, c := range cases {
 		if err := c.validate(5); err == nil {
@@ -188,7 +186,6 @@ func TestPipelineExtensionBeatsPlainProxies(t *testing.T) {
 		cfg := DefaultProxyConfig()
 		cfg.MaxProxies = 4
 		cfg.Pipeline = pipeline
-		cfg.ChunkBytes = 2 << 20
 		pl, err := NewPairPlanner(tor, cfg)
 		if err != nil {
 			t.Fatal(err)

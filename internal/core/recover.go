@@ -157,9 +157,11 @@ type TransferReport struct {
 // DetectFactor) plus doubling backoff in simulated time for every loss,
 // replans the lost bytes with fault-avoiding proxy selection, and
 // degrades k -> k-1 -> ... -> direct as the torus loses disjoint paths.
-// The engine must be in interactive mode (BeginInteractive), since
-// recovery needs to interleave planning with the virtual clock.
-func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes int64, rc RecoveryConfig) (TransferReport, error) {
+// Every wave decides direct versus multipath by PlanPair's rule, with
+// the proxy count capped by the ladder. The engine must be in interactive
+// mode (BeginInteractive), since recovery needs to interleave planning
+// with the virtual clock.
+func (p *PairPlanner) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes int64, rc RecoveryConfig) (TransferReport, error) {
 	rep := TransferReport{Bytes: bytes, FinalMode: Direct}
 	if err := rc.validate(); err != nil {
 		return rep, err
@@ -167,7 +169,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 	if bytes < 0 {
 		return rep, fmt.Errorf("core: negative transfer size %d", bytes)
 	}
-	if int(src) < 0 || int(src) >= t.tor.Size() || int(dst) < 0 || int(dst) >= t.tor.Size() {
+	if int(src) < 0 || int(src) >= p.tor.Size() || int(dst) < 0 || int(dst) >= p.tor.Size() {
 		return rep, fmt.Errorf("core: endpoints (%d,%d) outside partition", src, dst)
 	}
 	if !e.Interactive() {
@@ -178,8 +180,12 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 		return rep, nil
 	}
 
+	model, err := NewCostModel(e.Params())
+	if err != nil {
+		return rep, err
+	}
 	net := e.Network()
-	maxK := t.cfg.maxProxies(t.tor.Dims())
+	maxK := p.cfg.maxProxies(p.tor.Dims())
 	backoff := rc.Backoff
 	remaining := bytes
 	firstWaveProxies := -1
@@ -218,18 +224,14 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 			return rep, fmt.Errorf("core: transfer interrupted after %d bytes: %w", rep.Delivered, err)
 		}
 
-		// Plan this wave against the live failure state. The degradation
-		// ladder caps the proxy count at maxK, which drops by one after
-		// every lossy wave until only the direct path is left.
-		var proxies []ProxyRoute
-		if maxK >= t.cfg.MinProxies && remaining >= t.waveThreshold(src, dst, maxK) {
-			proxies = selectProxies(t.tor, src, dst, t.cfg, net.LinkFailed)
-			if len(proxies) > maxK {
-				proxies = proxies[:maxK]
-			}
-			if len(proxies) < t.cfg.MinProxies {
-				proxies = nil
-			}
+		// Plan this wave against the live failure state, deciding as
+		// PlanPair does. The degradation ladder caps the proxy count at
+		// maxK, which drops by one after every lossy wave until only the
+		// direct path is left.
+		proxies, err := p.proxiesFor(e, src, dst, remaining, maxK)
+		if err != nil {
+			rep.Delivered = bytes - remaining
+			return rep, err
 		}
 		if firstWaveProxies < 0 {
 			firstWaveProxies = len(proxies)
@@ -246,7 +248,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 			pieces := splitBytes(remaining, len(proxies))
 			h1, h2 := 0, 0
 			for i, pr := range proxies {
-				_, fin := submitLegPair(e, t.cfg, pr, pieces[i], fmt.Sprintf("resilient/wave%d/proxy%d", rep.Attempts, i))
+				_, fin := submitLegPair(e, p.cfg, pr, pieces[i], fmt.Sprintf("resilient/wave%d/proxy%d", rep.Attempts, i))
 				for _, id := range fin {
 					finals = append(finals, id)
 					finalBytes[id] = pieces[i]
@@ -254,7 +256,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 				h1 += pr.Leg1.Hops()
 				h2 += pr.Leg2.Hops()
 			}
-			predicted = t.model.ProxyTime(remaining, len(proxies), h1/len(proxies), h2/len(proxies))
+			predicted = model.ProxyTime(remaining, len(proxies), h1/len(proxies), h2/len(proxies))
 		} else {
 			rep.FinalMode = Direct
 			r, err := net.RouteAvoiding(src, dst)
@@ -268,7 +270,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 			})
 			finals = append(finals, id)
 			finalBytes[id] = remaining
-			predicted = t.model.DirectTime(remaining, len(r.Links))
+			predicted = model.DirectTime(remaining, len(r.Links))
 		}
 		rep.Attempts++
 		emit(TransferEvent{Kind: EventWave, Wave: rep.Attempts - 1, Proxies: len(proxies),
@@ -288,7 +290,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 		// Each step starts from the interject safe point: a fault pushed
 		// mid-wave aborts the flows it hits through the engine's own
 		// failure machinery, exactly like a scheduled campaign event.
-		for !t.resolved(e, finals) {
+		for !resolved(e, finals) {
 			if err := interject(); err != nil {
 				rep.Delivered = bytes - remaining
 				return rep, fmt.Errorf("core: transfer interrupted after %d bytes: %w", rep.Delivered, err)
@@ -333,7 +335,7 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 		// backoff — all in simulated time.
 		lossAt := e.Now()
 		detectAt := waveStart + sim.Time(float64(predicted)*rc.DetectFactor) + sim.Time(backoff)
-		t.waitUntil(e, detectAt)
+		waitUntil(e, detectAt)
 		backoff *= 2
 
 		rep.Replans++
@@ -366,18 +368,8 @@ func (t *Transport) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes
 	}
 }
 
-// waveThreshold is the direct/proxy crossover for one recovery wave.
-func (t *Transport) waveThreshold(src, dst torus.NodeID, k int) int64 {
-	hopsDirect := t.tor.HopDistance(src, dst)
-	th := t.model.Threshold(k, hopsDirect, t.cfg.Offset, hopsDirect)
-	if th == 0 {
-		return 1 << 62
-	}
-	return th
-}
-
 // resolved reports whether every listed flow is Done or Aborted.
-func (t *Transport) resolved(e *netsim.Engine, ids []netsim.FlowID) bool {
+func resolved(e *netsim.Engine, ids []netsim.FlowID) bool {
 	for _, id := range ids {
 		res := e.Result(id)
 		if !res.Done && !res.Aborted {
@@ -390,7 +382,7 @@ func (t *Transport) resolved(e *netsim.Engine, ids []netsim.FlowID) bool {
 // waitUntil advances the interactive clock to at least the given instant
 // by parking a no-op timer there and stepping through everything before
 // it. Failure events scheduled in the window fire on the way.
-func (t *Transport) waitUntil(e *netsim.Engine, at sim.Time) {
+func waitUntil(e *netsim.Engine, at sim.Time) {
 	if at <= e.Now() {
 		return
 	}

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"bgqflow/internal/netsim"
+	"bgqflow/internal/routing"
 	"bgqflow/internal/sim"
 	"bgqflow/internal/torus"
 )
@@ -14,7 +15,7 @@ import (
 // The resilient transfer loop: detect mid-flight aborts, replan the lost
 // bytes around the failure, degrade toward direct, and report it all.
 
-func resilientRig(t *testing.T) (*torus.Torus, *netsim.Network, *netsim.Engine, *Transport) {
+func resilientRig(t *testing.T) (*torus.Torus, *netsim.Network, *netsim.Engine, *PairPlanner) {
 	t.Helper()
 	tor := mira128()
 	p := netsim.DefaultParams()
@@ -24,7 +25,9 @@ func resilientRig(t *testing.T) (*torus.Torus, *netsim.Network, *netsim.Engine, 
 		t.Fatal(err)
 	}
 	e.BeginInteractive()
-	tr, err := NewTransport(tor, p, DefaultProxyConfig())
+	cfg := DefaultProxyConfig()
+	cfg.AutoThreshold = true
+	tr, err := NewPairPlanner(tor, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,7 +139,7 @@ func TestMoveResilientErrorsWhenCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.BeginInteractive()
-	tr, err := NewTransport(tor, p, ProxyConfig{MinProxies: 1, MaxProxies: 2, Threshold: 1 << 30, Offset: 1})
+	tr, err := NewPairPlanner(tor, ProxyConfig{MinProxies: 1, MaxProxies: 2, Threshold: 1 << 30})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +164,7 @@ func TestMoveResilientRequiresInteractive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := NewTransport(tor, p, DefaultProxyConfig())
+	tr, err := NewPairPlanner(tor, DefaultProxyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -367,5 +370,52 @@ func TestMoveResilientInterjectPushedFault(t *testing.T) {
 	a, b := direct(), pushed()
 	if a != b {
 		t.Fatalf("pushed fault diverges from scheduled campaign:\n%+v\n%+v", a, b)
+	}
+}
+
+// A planner's fixed threshold decides every resilient wave, as it decides
+// PlanPair: forced direct stays direct through a replan, and a forced
+// two-proxy config (which the cost model would reject) proxies.
+func TestMoveResilientHonoursConfigThreshold(t *testing.T) {
+	waves := func(cfg ProxyConfig, fail bool) ([]TransferEvent, TransferReport) {
+		t.Helper()
+		tor, _, e, _ := resilientRig(t)
+		pl, err := NewPairPlanner(tor, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
+		if fail {
+			e.FailLinkAt(routing.DeterministicRoute(tor, src, dst).Links[0], 5e-3)
+		}
+		var evs []TransferEvent
+		rc := DefaultRecoveryConfig()
+		rc.OnEvent = func(ev TransferEvent) {
+			if ev.Kind == EventWave {
+				evs = append(evs, ev)
+			}
+		}
+		rep, err := pl.MoveResilient(e, src, dst, 64<<20, rc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return evs, rep
+	}
+
+	direct := DefaultProxyConfig()
+	direct.Threshold = 1 << 62
+	evs, rep := waves(direct, true)
+	if rep.Attempts < 2 {
+		t.Fatalf("failing the direct route replanned nothing: %+v", rep)
+	}
+	for _, ev := range evs {
+		if ev.Mode != Direct || ev.Proxies != 0 {
+			t.Fatalf("forced direct: wave %d went %v with %d proxies", ev.Wave, ev.Mode, ev.Proxies)
+		}
+	}
+
+	evs, _ = waves(ProxyConfig{MinProxies: 1, MaxProxies: 2, Threshold: 0}, false)
+	if evs[0].Mode != Proxied || evs[0].Proxies != 2 {
+		t.Fatalf("forced k=2: first wave went %v with %d proxies", evs[0].Mode, evs[0].Proxies)
 	}
 }

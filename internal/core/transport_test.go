@@ -9,11 +9,14 @@ import (
 	"bgqflow/internal/torus"
 )
 
-func newTransport(t *testing.T, tor *torus.Torus) *Transport {
+// resilientPlanner returns the planner resilient transfers run on: at most
+// four proxies, threshold from the cost model.
+func resilientPlanner(t *testing.T, tor *torus.Torus) *PairPlanner {
 	t.Helper()
 	cfg := DefaultProxyConfig()
 	cfg.MaxProxies = 4
-	tr, err := NewTransport(tor, netsim.DefaultParams(), cfg)
+	cfg.AutoThreshold = true
+	tr, err := NewPairPlanner(tor, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +35,7 @@ func interactiveEngine(t *testing.T, net *netsim.Network) *netsim.Engine {
 }
 
 // move runs one fault-free resilient transfer on a fresh engine over net.
-func move(t *testing.T, tr *Transport, net *netsim.Network, src, dst torus.NodeID, bytes int64) (TransferReport, *netsim.Engine) {
+func move(t *testing.T, tr *PairPlanner, net *netsim.Network, src, dst torus.NodeID, bytes int64) (TransferReport, *netsim.Engine) {
 	t.Helper()
 	e := interactiveEngine(t, net)
 	rep, err := tr.MoveResilient(e, src, dst, bytes, DefaultRecoveryConfig())
@@ -47,7 +50,7 @@ func move(t *testing.T, tr *Transport, net *netsim.Network, src, dst torus.NodeI
 
 func TestTransportModeSelection(t *testing.T) {
 	tor := mira128()
-	tr := newTransport(t, tor)
+	tr := resilientPlanner(t, tor)
 	net := netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
@@ -61,7 +64,7 @@ func TestTransportModeSelection(t *testing.T) {
 
 func TestTransportMatchesPlanner(t *testing.T) {
 	tor := mira128()
-	tr := newTransport(t, tor)
+	tr := resilientPlanner(t, tor)
 	const bytes = 64 << 20
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
@@ -81,16 +84,16 @@ func TestTransportMatchesPlanner(t *testing.T) {
 	rT := netsim.Throughput(bytes, rep.Makespan)
 	rP := netsim.Throughput(bytes, mkP)
 	if rT < rP*0.95 || rT > rP*1.05 {
-		t.Fatalf("transport %.3g vs planner %.3g", rT, rP)
+		t.Fatalf("resilient %.3g vs one-shot plan %.3g", rT, rP)
 	}
 }
 
-// TestTransportFaultsInvalidateCache: a Transport remembers no selection
+// TestTransportFaultsInvalidateCache: a PairPlanner remembers no selection
 // between transfers, so a link that fails after one transfer steers the
 // next one away from the proxy leg it used.
 func TestTransportFaultsInvalidateCache(t *testing.T) {
 	tor := mira128()
-	tr := newTransport(t, tor)
+	tr := resilientPlanner(t, tor)
 	net := netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
@@ -123,7 +126,7 @@ func TestTransportFaultsInvalidateCache(t *testing.T) {
 
 func TestTransportDirectFaultAware(t *testing.T) {
 	tor := mira128()
-	tr := newTransport(t, tor)
+	tr := resilientPlanner(t, tor)
 	net := netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth)
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 	def := routing.DeterministicRoute(tor, src, dst)
@@ -136,7 +139,7 @@ func TestTransportDirectFaultAware(t *testing.T) {
 
 func TestTransportValidation(t *testing.T) {
 	tor := mira128()
-	tr := newTransport(t, tor)
+	tr := resilientPlanner(t, tor)
 	e := interactiveEngine(t, netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth))
 	rc := DefaultRecoveryConfig()
 	if _, err := tr.MoveResilient(e, 0, 1, -1, rc); err == nil {
@@ -148,10 +151,10 @@ func TestTransportValidation(t *testing.T) {
 }
 
 func TestTransportConcurrentMoves(t *testing.T) {
-	// Concurrent transfers through one transport must be safe; each
+	// Concurrent transfers through one planner must be safe; each
 	// goroutine gets its own engine.
 	tor := mira128()
-	tr := newTransport(t, tor)
+	tr := resilientPlanner(t, tor)
 	p := netsim.DefaultParams()
 	var wg sync.WaitGroup
 	errs := make([]error, 8)

@@ -35,7 +35,7 @@ type Options struct {
 	// Obs, when non-nil, collects spans, instants, and metrics from the
 	// runners that support it (currently R1): per-strategy engine sinks
 	// produce flow spans and failure instants on tracks like
-	// "r1/fail8/recovery", the recovery Transport adds wave/replan spans,
+	// "r1/fail8/recovery", the recovery loop adds wave/replan spans,
 	// and route-cache counters land in the recorder's registry. The
 	// Recorder is safe to share across parallel sweep points. nil = off.
 	Obs *obs.Recorder

@@ -266,7 +266,6 @@ func ExtPipeline(opt Options) (ExtPipelineResult, error) {
 		cfg.MinProxies = 1
 		cfg.MaxProxies = k
 		cfg.Pipeline = pipeline
-		cfg.ChunkBytes = 1 << 20
 		return cfg
 	}
 	directCfg := core.DefaultProxyConfig()

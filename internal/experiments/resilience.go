@@ -189,7 +189,8 @@ func r1ProxyRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c 
 		return R1Mode{}, err
 	}
 	defer r1Observe(rec, e, track)()
-	tr, err := core.NewTransport(tor, p, cfg)
+	cfg.AutoThreshold = true // every recovery wave decides on the cost model
+	pl, err := core.NewPairPlanner(tor, cfg)
 	if err != nil {
 		return R1Mode{}, err
 	}
@@ -201,7 +202,7 @@ func r1ProxyRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c 
 	rc.Recorder, rc.Track = rec, track
 	// A cut torus or exhausted retries still reports partial bytes; the
 	// sweep records the degraded point rather than failing.
-	rep, _ := tr.MoveResilient(e, src, dst, bytes, rc)
+	rep, _ := pl.MoveResilient(e, src, dst, bytes, rc)
 	addSimTime(rep.Makespan)
 	return r1ModeResult(rep.Delivered, bytes, rep.Makespan, rep.Replans), nil
 }

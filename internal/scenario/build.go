@@ -234,7 +234,8 @@ func (b *Built) planDirect() {
 
 // planPair runs Algorithm 1 for a pair transfer, or, under a fault
 // campaign, the resilient transfer loop (detect, replan, degrade) to
-// completion.
+// completion. Both honour a forced Proxies value; in auto mode the
+// resilient waves take their threshold from the cost model.
 func (b *Built) planPair() error {
 	t, tor, e := b.Config.Transfer, b.Torus, b.Engine
 	if t.Src < 0 || t.Src >= tor.Size() || t.Dst < 0 || t.Dst >= tor.Size() {
@@ -246,7 +247,9 @@ func (b *Built) planPair() error {
 		if err != nil {
 			return err
 		}
-		tr, err := core.NewTransport(tor, e.Params(), t.proxyConfig())
+		cfg := t.proxyConfig()
+		cfg.AutoThreshold = t.Proxies == 0
+		pl, err := core.NewPairPlanner(tor, cfg)
 		if err != nil {
 			return err
 		}
@@ -255,7 +258,7 @@ func (b *Built) planPair() error {
 			return err
 		}
 		b.campaign = camp
-		rep, rerr := tr.MoveResilient(e, src, dst, t.Bytes, core.DefaultRecoveryConfig())
+		rep, rerr := pl.MoveResilient(e, src, dst, t.Bytes, core.DefaultRecoveryConfig())
 		b.Resilient, b.recoveryErr, b.Makespan = &rep, rerr, rep.Makespan
 		return nil
 	}

@@ -351,6 +351,34 @@ func TestRunPairWithFaultCampaign(t *testing.T) {
 	}
 }
 
+// A forced proxies value decides a pair transfer the same way with or
+// without a fault campaign: a campaign whose only fault lands after the
+// transfer has ended leaves the mode and the makespan as they are.
+func TestForcedProxiesHoldUnderCampaign(t *testing.T) {
+	late := &FaultCampaignConfig{Kind: "burst", Seed: 7, Count: 1, AtMS: 1000}
+	for _, proxies := range []int{-1, 1, 2, 4} {
+		for _, bytes := range []int64{64 << 10, 1 << 20, 64 << 20} {
+			c := Config{
+				Shape:    "2x2x4x4x2",
+				Transfer: &TransferConfig{Kind: "pair", Src: 0, Dst: 127, Bytes: bytes, Proxies: proxies},
+			}
+			plain, err := Build(c, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.FaultCampaign = late
+			res, err := Build(c, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Resilient.FinalMode != plain.Pair.Mode || res.Makespan != plain.Makespan {
+				t.Errorf("proxies %d, %d B: campaign ran %v in %v s, plan alone %v in %v s",
+					proxies, bytes, res.Resilient.FinalMode, float64(res.Makespan), plain.Pair.Mode, float64(plain.Makespan))
+			}
+		}
+	}
+}
+
 func TestRunIOWithFaultCampaign(t *testing.T) {
 	res, err := Run(Config{
 		Shape: "2x2x4x4x2",

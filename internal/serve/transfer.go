@@ -274,7 +274,9 @@ func RunTransfer(req TransferRequest, faults []scenario.FailLink, hooks Transfer
 			return core.TransferReport{}, err
 		}
 	}
-	tr, err := core.NewTransport(tor, params, core.DefaultProxyConfig())
+	cfg := core.DefaultProxyConfig()
+	cfg.AutoThreshold = true
+	pl, err := core.NewPairPlanner(tor, cfg)
 	if err != nil {
 		return core.TransferReport{}, err
 	}
@@ -283,7 +285,7 @@ func RunTransfer(req TransferRequest, faults []scenario.FailLink, hooks Transfer
 	rc.Interject = hooks.Interject
 	rc.Recorder = hooks.Recorder
 	rc.Track = hooks.Track
-	return tr.MoveResilient(e, torus.NodeID(req.Src), torus.NodeID(req.Dst), req.Bytes, rc)
+	return pl.MoveResilient(e, torus.NodeID(req.Src), torus.NodeID(req.Dst), req.Bytes, rc)
 }
 
 // progressFrame converts a core progress event to its wire form.
