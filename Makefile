@@ -8,16 +8,20 @@ build:
 test:
 	$(GO) test ./...
 
-# Static checks: go vet plus a gofmt cleanliness gate (gofmt -l prints
-# offending files; any output fails the target).
+# Static checks: go vet over this module and the nested bench/ module
+# (root ./... patterns skip nested modules, so an internal change that
+# breaks the benchmark's build shows here), plus a gofmt cleanliness gate
+# (gofmt -l prints offending files; any output fails the target).
 lint:
 	$(GO) vet ./...
+	cd bench && $(GO) vet ./...
 	@fmt_out=$$(gofmt -l .); \
 	if [ -n "$$fmt_out" ]; then \
 		echo "gofmt needed on:"; echo "$$fmt_out"; exit 1; \
 	fi
 
-# Tier-1 verification: full build + static checks + tests, plus the race
+# Tier-1 verification: full build + static checks + tests (this module's
+# and the bench/ module's), plus the race
 # detector over the packages that run worker pools, one goroutine per
 # simulated rank (mpisim), schedule failure events, or promise that one
 # value serves concurrent transfers (core's PairPlanner; see ROADMAP.md),
@@ -34,6 +38,7 @@ lint:
 # the hot path never pays for observability nobody asked for.
 verify: build lint check check-topo
 	$(GO) test ./...
+	cd bench && $(GO) test ./...
 	$(GO) test -race ./internal/experiments ./internal/netsim ./internal/faultinject ./internal/serve ./internal/cluster ./internal/mpisim ./internal/core
 	$(GO) test -run '^$$' -bench 'BenchmarkWallSpan' -benchmem ./internal/obs | \
 		awk '/^BenchmarkWallSpanDisabled/ { print; if ($$5 + 0 != 0 || $$7 + 0 != 0) { print "FAIL: disabled trace plane allocates"; exit 1 } found = 1 } END { if (!found) { print "FAIL: BenchmarkWallSpanDisabled did not run"; exit 1 } }'

@@ -40,6 +40,8 @@ func TestToruscalcCLI(t *testing.T) {
 		{[]string{"-shape", "2x2x4x4x2", "proxies", "0", "127"}, "link-disjoint proxies"},
 		{[]string{"-shape", "2x2x4x4x2", "zones", "0", "127", "1048576"}, "flexibility"},
 		{[]string{"-shape", "2x2x4x4x2", "map", "TABCDE", "2"}, "mapping TABCDE"},
+		// The crossover the planner decides on (CostModel.PairThreshold).
+		{[]string{"-shape", "2x2x4x4x2", "model", "0", "127", "3"}, "model threshold: 272449 bytes"},
 	}
 	for _, c := range cases {
 		out, err := exec.Command(bin, c.args...).CombinedOutput()

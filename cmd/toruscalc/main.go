@@ -49,7 +49,7 @@ func main() {
 	case "psets":
 		p := netsim.DefaultParams()
 		net := netsim.NewNetwork(tor, p.LinkBandwidth)
-		ios, err := ionet.Build(net, ionet.DefaultConfig())
+		ios, err := ionet.Build(net)
 		if err != nil {
 			fatal(err)
 		}
@@ -149,9 +149,10 @@ func main() {
 			}
 			k = len(proxies)
 		}
-		h1 := proxies[0].Leg1.Hops()
-		h2 := proxies[0].Leg2.Hops()
-		th := m.Threshold(k, hops, h1, h2)
+		// The planner's terms (CostModel.PairThreshold): one hop to each
+		// proxy, then a second leg as long as the direct route.
+		h1, h2 := 1, hops
+		th := m.PairThreshold(k, hops)
 		fmt.Printf("pair %v -> %v: %d hops direct, k=%d proxies\n", tor.Coord(src), tor.Coord(dst), hops, k)
 		if th == 0 {
 			fmt.Println("model: proxies never win for this k (Eq. 5)")

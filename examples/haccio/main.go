@@ -28,7 +28,7 @@ func main() {
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 4, 2}) // 512 nodes = 8192 cores
 	params := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		log.Fatal(err)
 	}

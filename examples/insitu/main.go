@@ -31,7 +31,7 @@ func main() {
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 16, 2}) // 2048 nodes, 32768 cores
 	params := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, params.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -104,7 +104,7 @@ func TestCheckAggInvariantsOnRealPlan(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 16, 2})
 	p := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +117,7 @@ func TestCheckAggInvariantsOnRealPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, aggs := a.AggregatorsFor(1 << 36)
-	for _, v := range CheckAggInterleave(aggs, ios.NumPsets(), ios.Config().BridgesPerPset) {
+	for _, v := range CheckAggInterleave(aggs, ios.NumPsets(), ionet.BridgesPerPset) {
 		t.Error(v)
 	}
 

@@ -25,7 +25,7 @@ func newRig(t *testing.T, shape torus.Shape, ranksPerNode int) *rig {
 	tor := torus.MustNew(shape)
 	p := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,6 @@ func (a *AggPlanner) AggregatorsFor(totalBytes int64) (perPset int, aggs []Aggre
 			break
 		}
 	}
-	bridges := a.ios.Config().BridgesPerPset
 	npsets := a.ios.NumPsets()
 	leads := make([][]torus.NodeID, npsets)
 	for pi := range leads {
@@ -142,7 +141,7 @@ func (a *AggPlanner) AggregatorsFor(totalBytes int64) (perPset int, aggs []Aggre
 				Node:     node,
 				LeadRank: a.job.FirstRankOn(node),
 				Pset:     pi,
-				Bridge:   bi % bridges,
+				Bridge:   bi % ionet.BridgesPerPset,
 			})
 		}
 	}

@@ -24,7 +24,7 @@ func newAggRig(t *testing.T, shape torus.Shape, ranksPerNode int) *aggRig {
 	tor := torus.MustNew(shape)
 	p := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,7 +288,7 @@ func TestAggBalancesIONLoadForConcentratedBurst(t *testing.T) {
 // corner's first rank, interleaved across psets.
 func eagerAggregators(t *testing.T, r *aggRig, count int) []Aggregator {
 	t.Helper()
-	bridges := r.ios.Config().BridgesPerPset
+	bridges := ionet.BridgesPerPset
 	perPset := make([][]torus.NodeID, r.ios.NumPsets())
 	for pi := range perPset {
 		blocks, err := r.ios.Pset(pi).Box.Blocks(count)

@@ -113,6 +113,13 @@ func (m *CostModel) Threshold(k, hopsDirect, hops1, hops2 int) int64 {
 	return hi
 }
 
+// PairThreshold is Threshold on the terms Algorithm 1 decides a pair
+// transfer on: each proxy sits proxyOffset hops from the source, and its
+// second leg is taken to be as long as the direct route.
+func (m *CostModel) PairThreshold(k, hopsDirect int) int64 {
+	return m.Threshold(k, hopsDirect, proxyOffset, hopsDirect)
+}
+
 // BestProxyCount evaluates the model for every feasible proxy count up
 // to max and returns the count with the lowest predicted time (0 means
 // direct wins). Hop counts are taken as representative constants; the

@@ -383,8 +383,7 @@ func (p *PairPlanner) proxiesFor(e *netsim.Engine, src, dst torus.NodeID, bytes 
 		if err != nil {
 			return nil, err
 		}
-		hopsDirect := p.tor.HopDistance(src, dst)
-		threshold = m.Threshold(k, hopsDirect, proxyOffset, hopsDirect)
+		threshold = m.PairThreshold(k, p.tor.HopDistance(src, dst))
 		if threshold == 0 {
 			threshold = 1 << 62 // the model says proxies never win here
 		}

@@ -23,7 +23,7 @@ type AblationThresholdResult struct {
 // AblationThreshold sweeps message size for k = 2, 3, 4 fixed proxies on
 // the Fig. 5 geometry.
 func AblationThreshold(opt Options) (AblationThresholdResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -87,7 +87,7 @@ type AblationPlacementResult struct {
 // AblationPlacement quantifies how much of the multipath gain comes from
 // the placement heuristic rather than from mere path multiplicity.
 func AblationPlacement(opt Options) (AblationPlacementResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	tor, err := torus.New(torus.Shape{2, 2, 4, 4, 2})
 	if err != nil {
 		return AblationPlacementResult{}, err
@@ -173,7 +173,7 @@ type AblationAggCountResult struct {
 
 // AblationAggCount validates Algorithm 2's dynamic selection.
 func AblationAggCount(opt Options) (AblationAggCountResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	cores := 32768
 	if opt.Quick {
 		cores = 8192
@@ -260,7 +260,7 @@ type AblationRoundSyncResult struct {
 // AblationRoundSync quantifies how much of the default path's deficit
 // comes from round serialization versus aggregator placement.
 func AblationRoundSync(opt Options) (AblationRoundSyncResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	cores := 32768
 	if opt.Quick {
 		cores = 8192
@@ -345,7 +345,7 @@ type AblationZonesResult struct {
 // dynamic zones (0, 1) spread them, which is the routing freedom the
 // proxy mechanism exploits explicitly.
 func AblationZones(opt Options) (AblationZonesResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	tor, err := torus.New(torus.Shape{4, 4, 4, 4, 2})
 	if err != nil {
 		return AblationZonesResult{}, err

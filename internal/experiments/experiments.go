@@ -20,8 +20,6 @@ import (
 
 // Options configures a run.
 type Options struct {
-	// Params are the machine constants; zero value means defaults.
-	Params netsim.Params
 	// Quick trims sweeps (fewer sizes, smaller top scale) so the
 	// testing.B benchmarks finish fast; the bgqbench command runs full
 	// sweeps.
@@ -52,14 +50,7 @@ type Options struct {
 
 // DefaultOptions returns a full-fidelity configuration.
 func DefaultOptions() Options {
-	return Options{Params: netsim.DefaultParams()}
-}
-
-func (o Options) params() netsim.Params {
-	if o.Params == (netsim.Params{}) {
-		return netsim.DefaultParams()
-	}
-	return o.Params
+	return Options{}
 }
 
 // CurvePoint is one x/y sample of a throughput curve.
@@ -113,7 +104,7 @@ func newIORig(shape torus.Shape, ranksPerNode int, p netsim.Params, hook func(*n
 		return nil, err
 	}
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		return nil, err
 	}

@@ -40,7 +40,7 @@ type ExtStorageRow struct {
 
 // ExtStorage runs E1.
 func ExtStorage(opt Options) (ExtStorageResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	cores := 32768
 	rpn := 16
 	if opt.Quick {
@@ -92,9 +92,7 @@ func ExtStorage(opt Options) (ExtStorageResult, error) {
 		if sc.servers == 0 {
 			sink = ionet.DevNull{S: rig.ios, ForwardDelay: p.ProxyForwardOverhead}
 		} else {
-			cfg := storage.DefaultConfig()
-			cfg.Servers = sc.servers
-			st, err := storage.Build(rig.net, rig.ios, cfg)
+			st, err := storage.Build(rig.net, rig.ios, sc.servers)
 			if err != nil {
 				return err
 			}
@@ -182,7 +180,7 @@ type ExtMappingRow struct {
 // ExtMapping runs E2 with the HACC window burst, whose placement is the
 // most mapping-sensitive (contiguous ranks).
 func ExtMapping(opt Options) (ExtMappingResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	cores := 16384
 	if opt.Quick {
 		cores = 8192
@@ -203,7 +201,7 @@ func ExtMapping(opt Options) (ExtMappingResult, error) {
 			return err
 		}
 		net := netsim.NewNetwork(tor, p.LinkBandwidth)
-		ios, err := ionet.Build(net, ionet.DefaultConfig())
+		ios, err := ionet.Build(net)
 		if err != nil {
 			return err
 		}
@@ -246,7 +244,7 @@ type ExtPipelineResult struct {
 
 // ExtPipeline runs E3 on the Fig. 5 geometry.
 func ExtPipeline(opt Options) (ExtPipelineResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -318,8 +316,7 @@ type ExtValidationRow struct {
 
 // ExtValidation runs E4 on the Fig. 5 geometry.
 func ExtValidation(opt Options) (ExtValidationResult, error) {
-	flowP := opt.params()
-	pktP := packetsim.DefaultParams()
+	flowP := netsim.DefaultParams()
 	tor, err := torus.New(torus.Shape{2, 2, 4, 4, 2})
 	if err != nil {
 		return ExtValidationResult{}, err
@@ -367,8 +364,8 @@ func ExtValidation(opt Options) (ExtValidationResult, error) {
 			return err
 		}
 		addSimTime(fmk)
-		// Packet model.
-		s, err := packetsim.New(tor, pktP, 3)
+		// Packet model, under the same calibration.
+		s, err := packetsim.New(tor, flowP, 3)
 		if err != nil {
 			return err
 		}
@@ -379,7 +376,7 @@ func ExtValidation(opt Options) (ExtValidationResult, error) {
 			for _, pr := range proxies {
 				m1 := s.Submit(packetsim.MessageSpec{Src: src, Dst: pr.Proxy, Bytes: per, Links: pr.Leg1.Links})
 				s.Submit(packetsim.MessageSpec{Src: pr.Proxy, Dst: dst, Bytes: per, Links: pr.Leg2.Links,
-					DependsOn: []packetsim.MessageID{m1}, ExtraDelay: pktP.SenderOverhead + 10e-6})
+					DependsOn: []packetsim.MessageID{m1}, ExtraDelay: flowP.ProxyForwardOverhead})
 			}
 		}
 		pmk, err := s.Run()
@@ -387,7 +384,7 @@ func ExtValidation(opt Options) (ExtValidationResult, error) {
 			return err
 		}
 		fth := netsim.Throughput(bytes, fmk) / 1e9
-		pth := packetsim.Throughput(bytes, pmk) / 1e9
+		pth := netsim.Throughput(bytes, pmk) / 1e9
 		name := "direct"
 		if proxied {
 			name = "4 proxies"
@@ -435,7 +432,7 @@ var insituRankGrids = map[int][3]int{
 
 // ExtInsitu runs E5: organically sparse bursts from threshold analysis.
 func ExtInsitu(opt Options) (ExtInsituResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	scales := []int{2048, 8192, 32768}
 	if opt.Quick {
 		scales = []int{2048}

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bgqflow/internal/collio"
 	"bgqflow/internal/core"
+	"bgqflow/internal/netsim"
 	"bgqflow/internal/workload"
 )
 
@@ -97,7 +98,7 @@ func aggThroughput(rig *ioRig, data []int64, ours bool) (float64, error) {
 
 // Fig10 runs the weak-scaling aggregation comparison.
 func Fig10(opt Options) (Fig10Result, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	res := Fig10Result{
 		OursP1:    ScaleCurve{Name: "Our approach: Pattern 1"},
 		OursP2:    ScaleCurve{Name: "Our approach: Pattern 2"},
@@ -170,7 +171,7 @@ func fig11Scales(quick bool) []int {
 
 // Fig11 runs the HACC I/O comparison.
 func Fig11(opt Options) (Fig11Result, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	res := Fig11Result{
 		Ours:    ScaleCurve{Name: "Customized selection of aggregators"},
 		Default: ScaleCurve{Name: "Default MPI collective I/O"},

@@ -20,7 +20,7 @@ type Fig5Result struct {
 
 // Fig5 runs the first microbenchmark.
 func Fig5(opt Options) (Fig5Result, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -95,7 +95,7 @@ func fig6Boxes(tor *torus.Torus) (torus.Box, torus.Box) {
 
 // Fig6 runs the group-to-group microbenchmark.
 func Fig6(opt Options) (Fig6Result, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	shape := torus.Shape{4, 4, 4, 16, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -186,7 +186,7 @@ func fig7Boxes(tor *torus.Torus) (torus.Box, torus.Box) {
 
 // Fig7 runs the proxy-count sweep.
 func Fig7(opt Options) (Fig7Result, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	shape := torus.Shape{4, 4, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {

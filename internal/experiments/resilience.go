@@ -211,7 +211,7 @@ func r1ProxyRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c 
 // of failed links for direct / proxy-no-recovery / proxy-with-recovery,
 // all three against the same seeded campaign at every point.
 func R1(opt Options) (R1Result, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {

@@ -63,7 +63,7 @@ func ScaleSparse(opt Options) (ScaleResult, error) {
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	p := opt.params()
+	p := netsim.DefaultParams()
 	e, err := newEngine(tor, p, opt.EngineHook)
 	if err != nil {
 		return ScaleResult{}, err

@@ -39,7 +39,7 @@ type TopoCompareResult struct {
 // sweep parallelizes like the figure runners and honors EngineHook for
 // -check audits.
 func TopoCompare(opt Options) (TopoCompareResult, error) {
-	p := opt.params()
+	p := netsim.DefaultParams()
 	sizes := messageSizes(opt.Quick)
 	res := TopoCompareResult{Fabrics: make([]TopoFabric, len(topoCompareSpecs))}
 	for fi, spec := range topoCompareSpecs {

@@ -17,20 +17,15 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// Config sizes the I/O subsystem.
-type Config struct {
-	// PsetSize is the number of compute nodes per pset (BG/Q: 128).
-	PsetSize int
-	// BridgesPerPset is the number of bridge nodes per pset (BG/Q: 2).
-	BridgesPerPset int
+// The BG/Q I/O geometry.
+const (
+	// PsetSize is the number of compute nodes per pset.
+	PsetSize = 128
+	// BridgesPerPset is the number of bridge nodes per pset.
+	BridgesPerPset = 2
 	// IONLinkBandwidth is the capacity of each 11th link, bytes/second.
-	IONLinkBandwidth float64
-}
-
-// DefaultConfig returns the BG/Q values.
-func DefaultConfig() Config {
-	return Config{PsetSize: 128, BridgesPerPset: 2, IONLinkBandwidth: 1.8e9}
-}
+	IONLinkBandwidth = 1.8e9
+)
 
 // Pset is one I/O grouping: a rectangular box of compute nodes, its bridge
 // nodes, and the I/O node they uplink to.
@@ -42,58 +37,41 @@ type Pset struct {
 	uplinks []int
 }
 
-// ION identifies an I/O node; there is one per pset.
-type ION int
-
 // System is the built I/O topology for one partition.
 type System struct {
-	cfg        Config
-	tor        *torus.Torus
-	net        *netsim.Network
-	psets      []Pset
-	nodePset   []int          // node -> pset index
-	nodeBridge []torus.NodeID // node -> default bridge node
-	nodeUplink []int          // node -> default bridge's 11th-link ID
-	nodeBrIdx  []int          // node -> default bridge index within pset
+	net       *netsim.Network
+	psets     []Pset
+	nodePset  []int // node -> pset index
+	nodeBrIdx []int // node -> default bridge index within pset
 }
 
 // Build carves the partition into psets, places bridge nodes, registers
 // the 11th links on the network, and assigns every compute node its
 // default bridge. The pset count must divide the partition into equal
 // rectangular blocks (true for all BG/Q partition geometries).
-func Build(net *netsim.Network, cfg Config) (*System, error) {
+func Build(net *netsim.Network) (*System, error) {
 	tor := net.Torus()
 	if tor == nil {
 		return nil, fmt.Errorf("ionet: I/O forwarding requires a torus fabric, got %s", net.Topology().Kind())
 	}
-	if cfg.PsetSize < 1 || tor.Size()%cfg.PsetSize != 0 {
-		return nil, fmt.Errorf("ionet: pset size %d does not divide partition size %d", cfg.PsetSize, tor.Size())
+	if tor.Size()%PsetSize != 0 {
+		return nil, fmt.Errorf("ionet: pset size %d does not divide partition size %d", PsetSize, tor.Size())
 	}
-	if cfg.BridgesPerPset < 1 || cfg.PsetSize%cfg.BridgesPerPset != 0 {
-		return nil, fmt.Errorf("ionet: %d bridges per pset does not divide pset size %d", cfg.BridgesPerPset, cfg.PsetSize)
-	}
-	if cfg.IONLinkBandwidth <= 0 {
-		return nil, fmt.Errorf("ionet: ION link bandwidth %g must be positive", cfg.IONLinkBandwidth)
-	}
-	nPsets := tor.Size() / cfg.PsetSize
+	nPsets := tor.Size() / PsetSize
 	psetBoxes, err := torus.WholeBox(tor).Blocks(nPsets)
 	if err != nil {
 		return nil, fmt.Errorf("ionet: cannot carve %d psets from %v: %w", nPsets, tor.Shape(), err)
 	}
 	s := &System{
-		cfg:        cfg,
-		tor:        tor,
-		net:        net,
-		nodePset:   make([]int, tor.Size()),
-		nodeBridge: make([]torus.NodeID, tor.Size()),
-		nodeUplink: make([]int, tor.Size()),
-		nodeBrIdx:  make([]int, tor.Size()),
+		net:       net,
+		nodePset:  make([]int, tor.Size()),
+		nodeBrIdx: make([]int, tor.Size()),
 	}
 	for pi, box := range psetBoxes {
 		ps := Pset{Index: pi, Box: box}
-		bridgeBlocks, err := box.Blocks(cfg.BridgesPerPset)
+		bridgeBlocks, err := box.Blocks(BridgesPerPset)
 		if err != nil {
-			return nil, fmt.Errorf("ionet: cannot place %d bridges in pset %v: %w", cfg.BridgesPerPset, box, err)
+			return nil, fmt.Errorf("ionet: cannot place %d bridges in pset %v: %w", BridgesPerPset, box, err)
 		}
 		for bi, bb := range bridgeBlocks {
 			bridge := tor.ID(bb.Corner())
@@ -101,13 +79,11 @@ func Build(net *netsim.Network, cfg Config) (*System, error) {
 			// injection (netsim.FailNode) takes the uplink down with it.
 			uplink := net.AddLinkFrom(
 				fmt.Sprintf("pset%d/bridge%d->ion%d", pi, bi, pi),
-				bridge, cfg.IONLinkBandwidth)
+				bridge, IONLinkBandwidth)
 			ps.Bridges = append(ps.Bridges, bridge)
 			ps.uplinks = append(ps.uplinks, uplink)
 			for _, n := range bb.Nodes(tor) {
 				s.nodePset[n] = pi
-				s.nodeBridge[n] = bridge
-				s.nodeUplink[n] = uplink
 				s.nodeBrIdx[n] = bi
 			}
 		}
@@ -115,9 +91,6 @@ func Build(net *netsim.Network, cfg Config) (*System, error) {
 	}
 	return s, nil
 }
-
-// Config returns the system's configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // NumPsets returns the number of psets (equal to the number of I/O nodes).
 func (s *System) NumPsets() int { return len(s.psets) }
@@ -130,12 +103,6 @@ func (s *System) Pset(i int) *Pset { return &s.psets[i] }
 
 // PsetOf returns the pset containing node n.
 func (s *System) PsetOf(n torus.NodeID) *Pset { return &s.psets[s.nodePset[n]] }
-
-// IONOf returns the I/O node that node n's default path leads to.
-func (s *System) IONOf(n torus.NodeID) ION { return ION(s.nodePset[n]) }
-
-// DefaultBridge returns node n's statically assigned bridge node.
-func (s *System) DefaultBridge(n torus.NodeID) torus.NodeID { return s.nodeBridge[n] }
 
 // DefaultPath returns node n's default pset index and bridge index — the
 // (pi, bi) pair its unassisted writes travel through.
@@ -157,20 +124,6 @@ func (s *System) torusLeg(n, bridge torus.NodeID) []int {
 	return s.net.Route(n, bridge).Links
 }
 
-// WriteRoute returns the full link path of a default-path write from node
-// n to its I/O node: the torus route to n's default bridge (avoiding
-// failed links when possible), then the bridge's 11th link. The returned
-// destination is the bridge node (the flow's last compute-fabric
-// endpoint).
-func (s *System) WriteRoute(n torus.NodeID) (links []int, bridge torus.NodeID) {
-	bridge = s.nodeBridge[n]
-	leg := s.torusLeg(n, bridge)
-	links = make([]int, 0, len(leg)+1)
-	links = append(links, leg...)
-	links = append(links, s.nodeUplink[n])
-	return links, bridge
-}
-
 // WriteRouteVia returns the write path from node n through a specific
 // bridge of a specific pset (used by aggregators that are assigned a
 // bridge explicitly to balance the two 11th links of their pset).
@@ -187,5 +140,5 @@ func (s *System) WriteRouteVia(n torus.NodeID, pi, bi int) (links []int, bridge 
 // PsetAggregateIOBandwidth returns the maximum I/O bandwidth of one pset
 // (the sum of its 11th links), e.g. 3.6 GB/s usable on the BG/Q.
 func (s *System) PsetAggregateIOBandwidth() float64 {
-	return float64(s.cfg.BridgesPerPset) * s.cfg.IONLinkBandwidth
+	return BridgesPerPset * IONLinkBandwidth
 }

@@ -7,11 +7,11 @@ import (
 	"bgqflow/internal/torus"
 )
 
-func build(t *testing.T, shape torus.Shape, cfg Config) (*System, *netsim.Network) {
+func build(t *testing.T, shape torus.Shape) (*System, *netsim.Network) {
 	t.Helper()
 	tor := torus.MustNew(shape)
 	net := netsim.NewNetwork(tor, 1.8e9)
-	s, err := Build(net, cfg)
+	s, err := Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,7 +19,7 @@ func build(t *testing.T, shape torus.Shape, cfg Config) (*System, *netsim.Networ
 }
 
 func TestBuildMira2K(t *testing.T) {
-	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2})
 	if s.NumPsets() != 16 {
 		t.Fatalf("2048 nodes / 128 = 16 psets, got %d", s.NumPsets())
 	}
@@ -38,7 +38,7 @@ func TestBuildMira2K(t *testing.T) {
 }
 
 func TestEveryNodeAssignedToItsOwnPset(t *testing.T) {
-	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2})
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 16, 2})
 	counts := make(map[int]int)
 	for n := torus.NodeID(0); int(n) < tor.Size(); n++ {
@@ -47,8 +47,8 @@ func TestEveryNodeAssignedToItsOwnPset(t *testing.T) {
 			t.Fatalf("node %d assigned to pset %d whose box %v excludes it", n, ps.Index, ps.Box)
 		}
 		counts[ps.Index]++
-		if ION(ps.Index) != s.IONOf(n) {
-			t.Fatalf("node %d ION mismatch", n)
+		if pi, _ := s.DefaultPath(n); pi != ps.Index {
+			t.Fatalf("node %d default path leads to pset %d, not its own %d", n, pi, ps.Index)
 		}
 	}
 	for pi, c := range counts {
@@ -59,7 +59,7 @@ func TestEveryNodeAssignedToItsOwnPset(t *testing.T) {
 }
 
 func TestBridgeIsInsideItsPset(t *testing.T) {
-	s, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{2, 2, 4, 4, 2})
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	for i := 0; i < s.NumPsets(); i++ {
 		ps := s.Pset(i)
@@ -72,30 +72,31 @@ func TestBridgeIsInsideItsPset(t *testing.T) {
 }
 
 func TestDefaultBridgeIsLocal(t *testing.T) {
-	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2})
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 16, 2})
 	for n := torus.NodeID(0); int(n) < tor.Size(); n += 7 {
-		b := s.DefaultBridge(n)
+		pi, bi := s.DefaultPath(n)
+		b := s.Pset(pi).Bridges[bi]
 		if s.PsetOf(b).Index != s.PsetOf(n).Index {
 			t.Fatalf("node %d default bridge %d is in a different pset", n, b)
 		}
-		_ = tor
 	}
 }
 
 func TestWriteRouteEndsOnUplink(t *testing.T) {
-	s, net := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
+	s, net := build(t, torus.Shape{2, 2, 4, 4, 2})
 	tor := net.Torus()
 	for n := torus.NodeID(0); int(n) < tor.Size(); n += 5 {
-		links, bridge := s.WriteRoute(n)
+		pi, bi := s.DefaultPath(n)
+		links, bridge := s.WriteRouteVia(n, pi, bi)
 		if len(links) == 0 {
 			t.Fatalf("node %d write route empty", n)
 		}
 		last := links[len(links)-1]
-		if last < net.NumTorusLinks() {
-			t.Fatalf("node %d write route does not end on an 11th link", n)
+		if last < net.NumTorusLinks() || last != s.Pset(pi).Uplink(bi) {
+			t.Fatalf("node %d write route does not end on its default 11th link", n)
 		}
-		if bridge != s.DefaultBridge(n) {
+		if bridge != s.Pset(pi).Bridges[bi] {
 			t.Fatalf("node %d write route bridge mismatch", n)
 		}
 		// Torus prefix must be exactly the deterministic route to the bridge.
@@ -106,7 +107,7 @@ func TestWriteRouteEndsOnUplink(t *testing.T) {
 }
 
 func TestWriteRouteViaSelectsBridge(t *testing.T) {
-	s, net := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
+	s, net := build(t, torus.Shape{2, 2, 4, 4, 2})
 	ps := s.Pset(0)
 	n := torus.NodeID(0)
 	for bi := range ps.Bridges {
@@ -127,7 +128,7 @@ func TestWriteRouteViaSelectsBridge(t *testing.T) {
 }
 
 func TestUplinksDistinct(t *testing.T) {
-	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{4, 4, 4, 16, 2})
 	seen := map[int]bool{}
 	for i := 0; i < s.NumPsets(); i++ {
 		ps := s.Pset(i)
@@ -145,28 +146,22 @@ func TestUplinksDistinct(t *testing.T) {
 }
 
 func TestPsetAggregateIOBandwidth(t *testing.T) {
-	s, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{2, 2, 4, 4, 2})
 	if got := s.PsetAggregateIOBandwidth(); got != 2*1.8e9 {
 		t.Fatalf("pset aggregate I/O bandwidth = %g, want 3.6e9", got)
 	}
 }
 
 func TestBuildValidation(t *testing.T) {
-	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
+	tor := torus.MustNew(torus.Shape{2, 2, 4, 3, 2}) // 96 nodes
 	net := netsim.NewNetwork(tor, 1.8e9)
-	if _, err := Build(net, Config{PsetSize: 100, BridgesPerPset: 2, IONLinkBandwidth: 1}); err == nil {
+	if _, err := Build(net); err == nil {
 		t.Error("pset size not dividing partition accepted")
-	}
-	if _, err := Build(net, Config{PsetSize: 128, BridgesPerPset: 3, IONLinkBandwidth: 1}); err == nil {
-		t.Error("bridges not dividing pset accepted")
-	}
-	if _, err := Build(net, Config{PsetSize: 128, BridgesPerPset: 2, IONLinkBandwidth: 0}); err == nil {
-		t.Error("zero ION bandwidth accepted")
 	}
 }
 
 func TestSmallPartitionSinglePset(t *testing.T) {
-	s, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
+	s, _ := build(t, torus.Shape{2, 2, 4, 4, 2})
 	if s.NumPsets() != 1 {
 		t.Fatalf("128-node partition should have 1 pset, got %d", s.NumPsets())
 	}
@@ -175,7 +170,7 @@ func TestSmallPartitionSinglePset(t *testing.T) {
 // End-to-end: two compute nodes writing through the same default bridge
 // contend on the 11th link.
 func TestWritesShareUplink(t *testing.T) {
-	s, net := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
+	s, net := build(t, torus.Shape{2, 2, 4, 4, 2})
 	p := netsim.DefaultParams()
 	p.SenderOverhead, p.ReceiverOverhead, p.HopLatency = 0, 0, 0
 	p.PerFlowBandwidth = 100e9 // uplink is the constraint
@@ -189,7 +184,7 @@ func TestWritesShareUplink(t *testing.T) {
 	tor := net.Torus()
 	var writers []torus.NodeID
 	for n := torus.NodeID(0); int(n) < tor.Size() && len(writers) < 2; n++ {
-		if s.DefaultBridge(n) == bridge && tor.HopDistance(n, bridge) == 1 {
+		if pi, bi := s.DefaultPath(n); pi == 0 && bi == 0 && tor.HopDistance(n, bridge) == 1 {
 			writers = append(writers, n)
 		}
 	}
@@ -198,7 +193,7 @@ func TestWritesShareUplink(t *testing.T) {
 	}
 	const bytes = 32 << 20
 	for _, w := range writers {
-		links, br := s.WriteRoute(w)
+		links, br := s.WriteRouteVia(w, 0, 0)
 		e.Submit(netsim.FlowSpec{Src: w, Dst: br, Bytes: bytes, Links: links})
 	}
 	mk, err := e.Run()

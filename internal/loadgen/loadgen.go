@@ -28,6 +28,7 @@ import (
 	"hash/fnv"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -640,20 +641,9 @@ func (r Report) Check(c Criteria) error {
 		fails = checkSLO(r.SLO, fails)
 	}
 	if len(fails) > 0 {
-		return fmt.Errorf("loadgen: soak gates failed: %s", joinAnd(fails))
+		return fmt.Errorf("loadgen: soak gates failed: %s", strings.Join(fails, "; "))
 	}
 	return nil
-}
-
-func joinAnd(parts []string) string {
-	out := ""
-	for i, p := range parts {
-		if i > 0 {
-			out += "; "
-		}
-		out += p
-	}
-	return out
 }
 
 // WriteJSON serializes the report, indented, with a trailing newline.

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -442,7 +443,7 @@ func (r SessionReport) Check(c SessionCriteria) error {
 		fails = checkSLO(r.SLO, fails)
 	}
 	if len(fails) > 0 {
-		return fmt.Errorf("loadgen: session soak gates failed: %s", joinAnd(fails))
+		return fmt.Errorf("loadgen: session soak gates failed: %s", strings.Join(fails, "; "))
 	}
 	return nil
 }
@@ -453,11 +454,4 @@ func (r SessionReport) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
-}
-
-// ReadSessionReport parses a previously written session report.
-func ReadSessionReport(rd io.Reader) (SessionReport, error) {
-	var r SessionReport
-	err := json.NewDecoder(rd).Decode(&r)
-	return r, err
 }

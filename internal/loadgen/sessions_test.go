@@ -3,6 +3,7 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -73,8 +74,8 @@ func TestRunSessionsVerifiedChaos(t *testing.T) {
 	if err := rep.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadSessionReport(&buf)
-	if err != nil {
+	var back SessionReport
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Completed != rep.Completed || back.Seed != rep.Seed {

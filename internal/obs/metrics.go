@@ -6,7 +6,6 @@ import (
 	"io"
 	"math"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -379,18 +378,6 @@ func (r *Registry) Snapshot() MetricsSnapshot {
 		}
 	}
 	return snap
-}
-
-// Names reports every registered metric name, sorted, for diagnostics.
-func (r *Registry) Names() []string {
-	r.mu.Lock()
-	names := make([]string, 0, len(r.kinds))
-	for k := range r.kinds {
-		names = append(names, k)
-	}
-	r.mu.Unlock()
-	sort.Strings(names)
-	return names
 }
 
 // WriteJSON serializes the snapshot, indented, with a trailing newline.

@@ -31,16 +31,6 @@ func TestRegistryGetOrCreate(t *testing.T) {
 	if r.Histogram("h") != h {
 		t.Fatal("Histogram(name) must return the same instance")
 	}
-	want := []string{"a", "g", "h"}
-	got := r.Names()
-	if len(got) != len(want) {
-		t.Fatalf("Names() = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("Names() = %v, want %v", got, want)
-		}
-	}
 }
 
 func TestHistogramSummary(t *testing.T) {

@@ -23,61 +23,19 @@ package packetsim
 import (
 	"fmt"
 
+	"bgqflow/internal/netsim"
 	"bgqflow/internal/routing"
 	"bgqflow/internal/sim"
 	"bgqflow/internal/torus"
 )
 
-// Params holds the packet-level machine constants.
-type Params struct {
-	// PayloadBytes is the user data per packet (BG/Q: up to 512).
-	PayloadBytes int
-	// HeaderBytes is the per-packet header (BG/Q: 32).
-	HeaderBytes int
-	// WireBandwidth is the raw per-direction link rate in bytes/second
-	// applied to payload+header (BG/Q: 1.8e9 usable of 2e9 raw).
-	WireBandwidth float64
-	// HopLatency is the per-hop router+wire latency.
-	HopLatency sim.Duration
-	// SenderOverhead and ReceiverOverhead are the per-message software
-	// costs, as in netsim.
-	SenderOverhead   sim.Duration
-	ReceiverOverhead sim.Duration
-	// MaxPackets guards against accidentally enormous simulations.
-	MaxPackets int
-}
-
-// DefaultParams mirrors netsim.DefaultParams at packet granularity. With
-// 512-byte payloads and 32-byte headers the payload throughput of one
-// link is 1.8e9 * 512/544 ≈ 1.69 GB/s — the same single-path peak the
-// flow model expresses with its per-flow cap.
-func DefaultParams() Params {
-	return Params{
-		PayloadBytes:     512,
-		HeaderBytes:      32,
-		WireBandwidth:    1.8e9,
-		HopLatency:       40e-9,
-		SenderOverhead:   15e-6,
-		ReceiverOverhead: 15e-6,
-		MaxPackets:       8 << 20,
-	}
-}
-
-// Validate checks the parameters.
-func (p Params) Validate() error {
-	if p.PayloadBytes < 1 || p.HeaderBytes < 0 || p.WireBandwidth <= 0 || p.MaxPackets < 1 {
-		return fmt.Errorf("packetsim: invalid params %+v", p)
-	}
-	if p.HopLatency < 0 || p.SenderOverhead < 0 || p.ReceiverOverhead < 0 {
-		return fmt.Errorf("packetsim: negative latencies")
-	}
-	return nil
-}
-
-// packetTime is the wire occupancy of one full packet.
-func (p Params) packetTime(payload int) sim.Duration {
-	return sim.Duration(float64(payload+p.HeaderBytes) / p.WireBandwidth)
-}
+// The BG/Q Messaging Unit's packet format, and a guard against
+// accidentally enormous simulations.
+const (
+	payloadBytes = 512 // user data per packet
+	headerBytes  = 32  // per-packet header
+	maxPackets   = 8 << 20
+)
 
 // MessageID identifies a submitted message.
 type MessageID int
@@ -136,7 +94,7 @@ type link struct {
 // zones are torus hardware constructs.
 type Sim struct {
 	tor    *torus.Torus
-	p      Params
+	p      netsim.Params
 	clock  *sim.Engine
 	msgs   []*message
 	links  []link
@@ -147,8 +105,14 @@ type Sim struct {
 	packetsBudget int
 }
 
-// New creates a packet simulation over tor. seed feeds the zone router.
-func New(tor *torus.Torus, p Params, zoneSeed int64) (*Sim, error) {
+// New creates a packet simulation over tor under the flow model's
+// calibration p: LinkBandwidth is the wire rate of payload plus header
+// (so one link carries 1.8e9 * 512/544 ≈ 1.69 GB/s of payload under
+// netsim.DefaultParams, the single-path peak the flow model expresses
+// with its per-flow cap), and HopLatency, SenderOverhead and
+// ReceiverOverhead are charged as netsim charges them. zoneSeed feeds
+// the zone router.
+func New(tor *torus.Torus, p netsim.Params, zoneSeed int64) (*Sim, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
@@ -158,7 +122,7 @@ func New(tor *torus.Torus, p Params, zoneSeed int64) (*Sim, error) {
 		clock:         sim.NewEngine(),
 		links:         make([]link, tor.NumTorusLinks()),
 		seed:          zoneSeed,
-		packetsBudget: p.MaxPackets,
+		packetsBudget: maxPackets,
 	}, nil
 }
 
@@ -223,10 +187,10 @@ func (s *Sim) inject(m *message) {
 		s.deliver(m)
 		return
 	}
-	nPackets := int((m.spec.Bytes + int64(s.p.PayloadBytes) - 1) / int64(s.p.PayloadBytes))
+	nPackets := int((m.spec.Bytes + payloadBytes - 1) / payloadBytes)
 	s.packetsBudget -= nPackets
 	if s.packetsBudget < 0 {
-		panic(fmt.Sprintf("packetsim: packet budget exhausted (MaxPackets=%d)", s.p.MaxPackets))
+		panic("packetsim: packet budget exhausted")
 	}
 	var router *routing.Router
 	if m.spec.Links == nil {
@@ -273,7 +237,7 @@ func (s *Sim) serve(l int) {
 	lk.queue = lk.queue[1:]
 	payload := s.payloadOf(pk)
 	lk.bytes += float64(payload)
-	s.clock.After(s.p.packetTime(payload), func(*sim.Engine) {
+	s.clock.After(s.packetTime(payload), func(*sim.Engine) {
 		// Head-of-line done: the link can start the next packet while
 		// this one finishes its hop latency.
 		s.clock.After(s.p.HopLatency, func(*sim.Engine) { s.arrive(pk) })
@@ -281,15 +245,20 @@ func (s *Sim) serve(l int) {
 	})
 }
 
+// packetTime is the wire occupancy of one packet carrying payload bytes.
+func (s *Sim) packetTime(payload int) sim.Duration {
+	return sim.Duration(float64(payload+headerBytes) / s.p.LinkBandwidth)
+}
+
 // payloadOf sizes a packet: all packets are full except possibly the
 // message's last.
 func (s *Sim) payloadOf(pk packet) int {
 	if !pk.last {
-		return s.p.PayloadBytes
+		return payloadBytes
 	}
-	rem := int(pk.msg.spec.Bytes % int64(s.p.PayloadBytes))
+	rem := int(pk.msg.spec.Bytes % payloadBytes)
 	if rem == 0 {
-		return s.p.PayloadBytes
+		return payloadBytes
 	}
 	return rem
 }
@@ -329,12 +298,4 @@ func (s *Sim) deliver(m *message) {
 			s.release(d)
 		}
 	}
-}
-
-// Throughput converts a message's bytes and duration to bytes/second.
-func Throughput(bytes int64, d sim.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) / float64(d)
 }

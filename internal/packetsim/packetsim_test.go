@@ -12,28 +12,17 @@ import (
 
 func mira128() *torus.Torus { return torus.MustNew(torus.Shape{2, 2, 4, 4, 2}) }
 
-func TestParamsValidate(t *testing.T) {
-	bad := DefaultParams()
-	bad.PayloadBytes = 0
-	if bad.Validate() == nil {
-		t.Error("zero payload accepted")
-	}
-	bad = DefaultParams()
-	bad.WireBandwidth = 0
-	if bad.Validate() == nil {
-		t.Error("zero wire bandwidth accepted")
-	}
-	bad = DefaultParams()
-	bad.SenderOverhead = -1
-	if bad.Validate() == nil {
-		t.Error("negative overhead accepted")
-	}
+// noOverheads is the flow model's calibration without the per-message
+// software costs, so timings read the wire alone.
+func noOverheads() netsim.Params {
+	p := netsim.DefaultParams()
+	p.SenderOverhead, p.ReceiverOverhead = 0, 0
+	return p
 }
 
 func TestSingleMessageThroughputMatchesWireRate(t *testing.T) {
 	tor := mira128()
-	p := DefaultParams()
-	p.SenderOverhead, p.ReceiverOverhead = 0, 0
+	p := noOverheads()
 	s, err := New(tor, p, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -47,8 +36,8 @@ func TestSingleMessageThroughputMatchesWireRate(t *testing.T) {
 	if !s.Result(id).Done {
 		t.Fatal("message not delivered")
 	}
-	got := Throughput(bytes, mk)
-	want := p.WireBandwidth * 512 / 544 // payload share of the wire
+	got := netsim.Throughput(bytes, mk)
+	want := p.LinkBandwidth * payloadBytes / (payloadBytes + headerBytes) // payload share of the wire
 	if math.Abs(got-want)/want > 0.02 {
 		t.Fatalf("single-path throughput %.3g, want ~%.3g", got, want)
 	}
@@ -56,8 +45,7 @@ func TestSingleMessageThroughputMatchesWireRate(t *testing.T) {
 
 func TestTwoMessagesShareALink(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{8})
-	p := DefaultParams()
-	p.SenderOverhead, p.ReceiverOverhead = 0, 0
+	p := noOverheads()
 	s, _ := New(tor, p, 1)
 	const bytes = 4 << 20
 	// Both cross link 0->1.
@@ -68,7 +56,7 @@ func TestTwoMessagesShareALink(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The shared link carries 2*bytes of payload: lower bound on time.
-	minTime := 2 * bytes * 544 / 512 / p.WireBandwidth
+	minTime := 2 * bytes * (payloadBytes + headerBytes) / payloadBytes / p.LinkBandwidth
 	if float64(mk) < minTime*0.99 {
 		t.Fatalf("makespan %.3g below shared-link bound %.3g", float64(mk), minTime)
 	}
@@ -76,8 +64,7 @@ func TestTwoMessagesShareALink(t *testing.T) {
 
 func TestDependentMessageWaits(t *testing.T) {
 	tor := mira128()
-	p := DefaultParams()
-	s, _ := New(tor, p, 1)
+	s, _ := New(tor, netsim.DefaultParams(), 1)
 	first := s.Submit(MessageSpec{Src: 0, Dst: 8, Bytes: 1 << 20, Zone: routing.ZoneDeterministic})
 	second := s.Submit(MessageSpec{Src: 8, Dst: 16, Bytes: 1 << 20, Zone: routing.ZoneDeterministic,
 		DependsOn: []MessageID{first}, ExtraDelay: 25e-6})
@@ -95,7 +82,7 @@ func TestDependentMessageWaits(t *testing.T) {
 
 func TestZeroByteMessage(t *testing.T) {
 	tor := mira128()
-	s, _ := New(tor, DefaultParams(), 1)
+	s, _ := New(tor, netsim.DefaultParams(), 1)
 	id := s.Submit(MessageSpec{Src: 0, Dst: 5, Bytes: 0})
 	if _, err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -107,8 +94,7 @@ func TestZeroByteMessage(t *testing.T) {
 
 func TestExplicitRouteUsed(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{8})
-	p := DefaultParams()
-	s, _ := New(tor, p, 1)
+	s, _ := New(tor, netsim.DefaultParams(), 1)
 	// Force the long way around: 0 -> 7 going + (7 hops instead of 1).
 	var links []int
 	for i := 0; i < 7; i++ {
@@ -127,9 +113,8 @@ func TestExplicitRouteUsed(t *testing.T) {
 
 func TestPacketBudgetGuard(t *testing.T) {
 	tor := mira128()
-	p := DefaultParams()
-	p.MaxPackets = 10
-	s, _ := New(tor, p, 1)
+	s, _ := New(tor, netsim.DefaultParams(), 1)
+	s.packetsBudget = 10
 	s.Submit(MessageSpec{Src: 0, Dst: 1, Bytes: 1 << 20, Zone: routing.ZoneDeterministic})
 	defer func() {
 		if recover() == nil {
@@ -141,8 +126,7 @@ func TestPacketBudgetGuard(t *testing.T) {
 
 func TestLinkPayloadConservation(t *testing.T) {
 	tor := mira128()
-	p := DefaultParams()
-	s, _ := New(tor, p, 1)
+	s, _ := New(tor, netsim.DefaultParams(), 1)
 	src, dst := torus.NodeID(0), torus.NodeID(9)
 	const bytes = 3<<20 + 123 // non-multiple of packet size
 	s.Submit(MessageSpec{Src: src, Dst: dst, Bytes: bytes, Zone: routing.ZoneDeterministic})
@@ -165,8 +149,7 @@ func TestLinkPayloadConservation(t *testing.T) {
 // counterpart of the paper's user-space multipath.
 func TestZoneRoutingSpreadsPackets(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 4, 2})
-	p := DefaultParams()
-	p.SenderOverhead, p.ReceiverOverhead = 0, 0
+	p := noOverheads()
 	run := func(zone routing.Zone) float64 {
 		s, _ := New(tor, p, 99)
 		const bytes = 4 << 20
@@ -177,7 +160,7 @@ func TestZoneRoutingSpreadsPackets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Throughput(bytes, mk)
+		return netsim.Throughput(bytes, mk)
 	}
 	det := run(routing.ZoneDeterministic)
 	unr := run(routing.ZoneUnrestricted)
@@ -231,10 +214,9 @@ func TestCrossValidationAgainstFlowModel(t *testing.T) {
 		return netsim.Throughput(bytes, mk)
 	}
 
-	// Packet model.
-	pktP := DefaultParams()
+	// Packet model, under the same calibration.
 	runPacket := func(proxied bool) float64 {
-		s, err := New(tor, pktP, 5)
+		s, err := New(tor, flowP, 5)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -245,14 +227,14 @@ func TestCrossValidationAgainstFlowModel(t *testing.T) {
 			for _, pr := range proxies {
 				l1 := s.Submit(MessageSpec{Src: src, Dst: pr.Proxy, Bytes: per, Links: pr.Leg1.Links})
 				s.Submit(MessageSpec{Src: pr.Proxy, Dst: dst, Bytes: per, Links: pr.Leg2.Links,
-					DependsOn: []MessageID{l1}, ExtraDelay: pktP.SenderOverhead + 10e-6})
+					DependsOn: []MessageID{l1}, ExtraDelay: flowP.ProxyForwardOverhead})
 			}
 		}
 		mk, err := s.Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return Throughput(bytes, mk)
+		return netsim.Throughput(bytes, mk)
 	}
 
 	for _, proxied := range []bool{false, true} {
@@ -267,7 +249,7 @@ func TestCrossValidationAgainstFlowModel(t *testing.T) {
 
 func BenchmarkPacketSim8MB(b *testing.B) {
 	tor := mira128()
-	p := DefaultParams()
+	p := netsim.DefaultParams()
 	for i := 0; i < b.N; i++ {
 		s, _ := New(tor, p, 1)
 		s.Submit(MessageSpec{Src: 0, Dst: torus.NodeID(tor.Size() - 1), Bytes: 8 << 20, Zone: routing.ZoneDeterministic})

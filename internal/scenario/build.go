@@ -120,7 +120,7 @@ func Build(c Config, faults []FailLink, reads *netsim.FaultReads) (*Built, error
 	if c.IO != nil {
 		// Before the faults: the failed-link table is sized by the first
 		// failure, and a node failure marks its bridge's 11th link in it.
-		if b.IO, err = ionet.Build(net, ionet.DefaultConfig()); err != nil {
+		if b.IO, err = ionet.Build(net); err != nil {
 			return nil, err
 		}
 	}

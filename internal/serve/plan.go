@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"strconv"
 
 	"bgqflow/internal/core"
 	"bgqflow/internal/ionet"
@@ -465,27 +466,10 @@ func computeSim(cfg scenario.Config, faults []scenario.FailLink, reads *planRead
 	}, nil
 }
 
-// bytesBucket buckets a message size by power of two — the cache-key
-// granularity axis from the issue: requests in the same bucket share a
-// shard and sort near each other, while the exact size still
-// distinguishes entries (plans must be byte-exact).
-func bytesBucket(b int64) int {
-	bucket := 0
-	for b > 0 {
-		b >>= 1
-		bucket++
-	}
-	return bucket
-}
-
-// CacheKey builds the canonical cache key for a request: kind, shape,
-// endpoints, bytes bucket, and the full canonical request encoding.
-// Identical requests — and only identical requests — produce identical
-// keys.
-func cacheKey(kind, shape string, src, dst int, bytes int64, canonical string) string {
-	return fmt.Sprintf("%s|%s|%d|%d|b%d|%s", kind, shape, src, dst, bytesBucket(bytes), canonical)
-}
-
+// cacheKey is the request's plan cache key: its kind, geometry and
+// canonical encoding, as for every kind below. Identical requests — and
+// only identical requests — produce identical keys. A pair key is on
+// every cache hit's path, so it is built in one pass.
 func (r PairRequest) cacheKey() string {
 	// A topology spec takes the geometry slot; it always contains ':', so
 	// it can never collide with a torus shape string.
@@ -493,22 +477,28 @@ func (r PairRequest) cacheKey() string {
 	if r.Topology != "" {
 		geom = r.Topology
 	}
-	return cacheKey("pair", geom, r.Src, r.Dst, r.Bytes,
-		fmt.Sprintf("%d|%d", r.Bytes, r.Proxies))
+	b := make([]byte, 0, 64)
+	b = append(b, "pair|"...)
+	b = append(b, geom...)
+	for _, v := range [...]int64{int64(r.Src), int64(r.Dst), r.Bytes, int64(r.Proxies)} {
+		b = append(b, '|')
+		b = strconv.AppendInt(b, v, 10)
+	}
+	return string(b)
 }
 
 func (r GroupRequest) cacheKey() string {
-	return cacheKey("group", r.Shape, -1, -1, r.Bytes,
-		fmt.Sprintf("%v|%v|%v|%v|%d|%d", r.SrcOrigin, r.SrcExtent, r.DstOrigin, r.DstExtent, r.Bytes, r.Proxies))
+	return fmt.Sprintf("group|%s|%v|%v|%v|%v|%d|%d",
+		r.Shape, r.SrcOrigin, r.SrcExtent, r.DstOrigin, r.DstExtent, r.Bytes, r.Proxies)
 }
 
 func (r AggRequest) cacheKey() string {
-	return cacheKey("agg", r.Shape, -1, -1, r.MaxBytes,
-		fmt.Sprintf("%d|%s|%s|%d|%d", r.RanksPerNode, r.Mapping, r.Workload, r.MaxBytes, r.Seed))
+	return fmt.Sprintf("agg|%s|%d|%s|%s|%d|%d",
+		r.Shape, r.RanksPerNode, r.Mapping, r.Workload, r.MaxBytes, r.Seed)
 }
 
 func simCacheKey(cfg scenario.Config, canonical []byte) string {
 	h := fnv.New64a()
 	h.Write(canonical)
-	return cacheKey("sim", cfg.Shape, -1, -1, 0, fmt.Sprintf("%x", h.Sum64()))
+	return fmt.Sprintf("sim|%s|%x", cfg.Shape, h.Sum64())
 }

@@ -10,8 +10,8 @@
 //     and runs a private simulation engine, so admission control caps
 //     both CPU and memory. When the queue is full the request is shed
 //     with 429 + Retry-After instead of queueing without bound.
-//   - A sharded plan cache keyed on (kind, shape, params-hash,
-//     endpoints, bytes-bucket, canonical request) with singleflight
+//   - A sharded plan cache keyed on the request's kind, geometry and
+//     canonical encoding, with singleflight
 //     coalescing: N concurrent identical requests compute once. Sparse
 //     request streams — a few hot (src, dst) couples dominating, the
 //     Pattern-2 shape — hit the cache almost always.

@@ -20,67 +20,37 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// Config sizes the storage tier.
-type Config struct {
-	// Servers is the number of GPFS file servers.
-	Servers int
-	// IONIBBandwidth is each I/O node's InfiniBand uplink rate
-	// (QDR 4x: ~4 GB/s).
-	IONIBBandwidth float64
-	// ServerBandwidth is one file server's ingest rate.
-	ServerBandwidth float64
-	// StripeBytes is the GPFS block size writes are striped with.
-	StripeBytes int64
-	// ForwardDelay is the ION's I/O-forwarding turnaround per request.
-	ForwardDelay sim.Duration
-}
+// The Mira-era storage tier.
+const (
+	ionIBBandwidth  = 4e9     // each I/O node's QDR 4x InfiniBand uplink
+	serverBandwidth = 2.5e9   // one file server's ingest rate
+	stripeBytes     = 8 << 20 // the GPFS block size writes are striped with
 
-// DefaultConfig returns a Mira-era configuration scaled to the partition
-// (the experiments override Servers to match the machine fraction).
-func DefaultConfig() Config {
-	return Config{
-		Servers:         16,
-		IONIBBandwidth:  4e9,
-		ServerBandwidth: 2.5e9,
-		StripeBytes:     8 << 20,
-		ForwardDelay:    30e-6,
-	}
-}
+	forwardDelay sim.Duration = 30e-6 // the ION's I/O-forwarding turnaround per request
+)
 
 // System is the built storage tier over an ionet.System.
 type System struct {
-	cfg     Config
 	ios     *ionet.System
 	ionIB   []int // per-ION IB link
 	servers []int // per-server ingest link
 }
 
-// Build registers the IB and server links on the network.
-func Build(net *netsim.Network, ios *ionet.System, cfg Config) (*System, error) {
-	if cfg.Servers < 1 {
-		return nil, fmt.Errorf("storage: %d servers", cfg.Servers)
+// Build registers the IB links of ios's I/O nodes and the ingest links of
+// servers GPFS file servers on the network.
+func Build(net *netsim.Network, ios *ionet.System, servers int) (*System, error) {
+	if servers < 1 {
+		return nil, fmt.Errorf("storage: %d servers", servers)
 	}
-	if cfg.IONIBBandwidth <= 0 || cfg.ServerBandwidth <= 0 {
-		return nil, fmt.Errorf("storage: non-positive bandwidth")
-	}
-	if cfg.StripeBytes < 1 {
-		return nil, fmt.Errorf("storage: stripe %d", cfg.StripeBytes)
-	}
-	if cfg.ForwardDelay < 0 {
-		return nil, fmt.Errorf("storage: negative forward delay")
-	}
-	s := &System{cfg: cfg, ios: ios}
+	s := &System{ios: ios}
 	for pi := 0; pi < ios.NumIONodes(); pi++ {
-		s.ionIB = append(s.ionIB, net.AddLink(fmt.Sprintf("ion%d->ib", pi), cfg.IONIBBandwidth))
+		s.ionIB = append(s.ionIB, net.AddLink(fmt.Sprintf("ion%d->ib", pi), ionIBBandwidth))
 	}
-	for sv := 0; sv < cfg.Servers; sv++ {
-		s.servers = append(s.servers, net.AddLink(fmt.Sprintf("ib->fs%d", sv), cfg.ServerBandwidth))
+	for sv := 0; sv < servers; sv++ {
+		s.servers = append(s.servers, net.AddLink(fmt.Sprintf("ib->fs%d", sv), serverBandwidth))
 	}
 	return s, nil
 }
-
-// Config returns the tier's configuration.
-func (s *System) Config() Config { return s.cfg }
 
 // NumServers returns the file-server count.
 func (s *System) NumServers() int { return len(s.servers) }
@@ -90,7 +60,7 @@ func (s *System) ServerFor(off int64) int {
 	if off < 0 {
 		panic(fmt.Sprintf("storage: negative offset %d", off))
 	}
-	return int((off / s.cfg.StripeBytes) % int64(len(s.servers)))
+	return int((off / stripeBytes) % int64(len(s.servers)))
 }
 
 // ServerLink returns the ingest link of server sv.
@@ -106,14 +76,14 @@ func (s *System) WriteFlows(n torus.NodeID, pi, bi int, off, bytes int64) (netsi
 	links, bridge := s.ios.WriteRouteVia(n, pi, bi)
 	fabric := netsim.FlowSpec{
 		Src: n, Dst: bridge, Bytes: bytes, Links: links,
-		ExtraDelay: s.cfg.ForwardDelay,
+		ExtraDelay: forwardDelay,
 	}
 	var conts []netsim.FlowSpec
-	for _, seg := range splitStripes(off, bytes, s.cfg.StripeBytes) {
+	for _, seg := range splitStripes(off, bytes, stripeBytes) {
 		conts = append(conts, netsim.FlowSpec{
 			Src: bridge, Dst: bridge, Bytes: seg.bytes,
 			Links:      []int{s.ionIB[pi], s.servers[s.ServerFor(seg.off)]},
-			ExtraDelay: s.cfg.ForwardDelay,
+			ExtraDelay: forwardDelay,
 		})
 	}
 	return fabric, conts

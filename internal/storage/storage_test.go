@@ -11,15 +11,15 @@ import (
 	"bgqflow/internal/workload"
 )
 
-func build(t *testing.T, shape torus.Shape, cfg Config) (*System, *netsim.Network, *ionet.System) {
+func build(t *testing.T, shape torus.Shape, servers int) (*System, *netsim.Network, *ionet.System) {
 	t.Helper()
 	tor := torus.MustNew(shape)
 	net := netsim.NewNetwork(tor, 1.8e9)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := Build(net, ios, cfg)
+	s, err := Build(net, ios, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func build(t *testing.T, shape torus.Shape, cfg Config) (*System, *netsim.Networ
 }
 
 func TestBuildRegistersLinks(t *testing.T) {
-	s, net, ios := build(t, torus.Shape{4, 4, 4, 16, 2}, DefaultConfig())
+	s, net, ios := build(t, torus.Shape{4, 4, 4, 16, 2}, 16)
 	if s.NumServers() != 16 {
 		t.Fatalf("NumServers = %d", s.NumServers())
 	}
@@ -47,32 +47,15 @@ func TestBuildRegistersLinks(t *testing.T) {
 func TestBuildValidation(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	net := netsim.NewNetwork(tor, 1.8e9)
-	ios, _ := ionet.Build(net, ionet.DefaultConfig())
-	bad := DefaultConfig()
-	bad.Servers = 0
-	if _, err := Build(net, ios, bad); err == nil {
+	ios, _ := ionet.Build(net)
+	if _, err := Build(net, ios, 0); err == nil {
 		t.Error("zero servers accepted")
-	}
-	bad = DefaultConfig()
-	bad.StripeBytes = 0
-	if _, err := Build(net, ios, bad); err == nil {
-		t.Error("zero stripe accepted")
-	}
-	bad = DefaultConfig()
-	bad.ServerBandwidth = -1
-	if _, err := Build(net, ios, bad); err == nil {
-		t.Error("negative bandwidth accepted")
-	}
-	bad = DefaultConfig()
-	bad.ForwardDelay = -1
-	if _, err := Build(net, ios, bad); err == nil {
-		t.Error("negative delay accepted")
 	}
 }
 
 func TestServerForStripes(t *testing.T) {
-	s, _, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
-	stripe := s.Config().StripeBytes
+	s, _, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, 16)
+	const stripe = stripeBytes
 	if s.ServerFor(0) != 0 {
 		t.Fatal("offset 0 should map to server 0")
 	}
@@ -104,8 +87,8 @@ func TestSplitStripes(t *testing.T) {
 }
 
 func TestWriteFlowsShape(t *testing.T) {
-	s, _, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, DefaultConfig())
-	stripe := s.Config().StripeBytes
+	s, _, _ := build(t, torus.Shape{2, 2, 4, 4, 2}, 16)
+	const stripe = stripeBytes
 	fabric, conts := s.WriteFlows(0, 0, 0, stripe/2, stripe) // crosses one boundary
 	if fabric.Bytes != stripe {
 		t.Fatalf("fabric leg carries %d", fabric.Bytes)
@@ -139,13 +122,12 @@ func TestAggregationThroughStorage(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{4, 4, 4, 4, 2})
 	p := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := DefaultConfig()
-	cfg.Servers = 2 // few servers: the tier becomes the bottleneck
-	st, err := Build(net, ios, cfg)
+	const servers = 2 // few servers: the tier becomes the bottleneck
+	st, err := Build(net, ios, servers)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +167,7 @@ func TestAggregationThroughStorage(t *testing.T) {
 		t.Fatalf("storage-limited run (%.3g) should be slower than /dev/null (%.3g)", gpfs, devnull)
 	}
 	// The server tier caps at Servers * ServerBandwidth = 20 GB/s.
-	cap := float64(cfg.Servers) * cfg.ServerBandwidth
+	cap := servers * serverBandwidth
 	if gpfs > cap*1.01 {
 		t.Fatalf("throughput %.3g exceeds server capacity %.3g", gpfs, cap)
 	}

@@ -67,16 +67,6 @@ func (b Box) Contains(c Coord) bool {
 // Corner returns the box's origin corner coordinate (a copy).
 func (b Box) Corner() Coord { return b.Origin.Clone() }
 
-// OppositeCorner returns the coordinate of the corner diagonally opposite
-// the origin.
-func (b Box) OppositeCorner() Coord {
-	c := make(Coord, len(b.Origin))
-	for i := range c {
-		c[i] = b.Origin[i] + b.Extent[i] - 1
-	}
-	return c
-}
-
 // Nodes returns the IDs of every node in the box, in row-major order of
 // the box-local coordinates. The result is freshly allocated.
 func (b Box) Nodes(t *Torus) []NodeID {

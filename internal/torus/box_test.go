@@ -59,9 +59,6 @@ func TestBoxCorners(t *testing.T) {
 	if got := b.Corner(); !got.Equal(Coord{0, 1, 1, 0, 0}) {
 		t.Errorf("Corner() = %v", got)
 	}
-	if got := b.OppositeCorner(); !got.Equal(Coord{1, 1, 3, 3, 1}) {
-		t.Errorf("OppositeCorner() = %v", got)
-	}
 }
 
 func TestSplitFactorsBasics(t *testing.T) {

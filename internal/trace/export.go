@@ -13,7 +13,7 @@ import (
 // ExportSchema is the schema version written by BuildExport. History:
 // v1 (implicit, no "schema" field) had flow timelines and total link
 // loads only; v2 adds the "schema" field, abort records, and optional
-// time-bucketed link utilization timelines. ReadExport accepts v1 files.
+// time-bucketed link utilization timelines.
 const ExportSchema = 2
 
 // FlowRecord is one flow's timeline in an exported trace.
@@ -134,21 +134,4 @@ func (ex *Export) AttachTimeline(e *netsim.Engine, tl *obs.LinkTimeline) {
 		})
 	}
 	ex.Timeline = t
-}
-
-// ReadExport parses a previously written export. Files from schema 1
-// (which predate the "schema" field) are accepted and normalized to
-// Schema == 1; files newer than ExportSchema are rejected.
-func ReadExport(r io.Reader) (Export, error) {
-	var ex Export
-	if err := json.NewDecoder(r).Decode(&ex); err != nil {
-		return ex, fmt.Errorf("trace: parse export: %w", err)
-	}
-	if ex.Schema == 0 {
-		ex.Schema = 1
-	}
-	if ex.Schema > ExportSchema {
-		return ex, fmt.Errorf("trace: export schema %d is newer than supported schema %d", ex.Schema, ExportSchema)
-	}
-	return ex, nil
 }

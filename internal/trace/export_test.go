@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"bgqflow/internal/netsim"
@@ -51,8 +52,8 @@ func TestBuildExportAndRoundTrip(t *testing.T) {
 	if err := ex.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadExport(&buf)
-	if err != nil {
+	var back Export
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.MakespanS != ex.MakespanS || len(back.Flows) != len(ex.Flows) || len(back.Links) != len(ex.Links) {
@@ -82,16 +83,9 @@ func TestBuildExportSpecMismatch(t *testing.T) {
 	}
 }
 
-func TestReadExportBadJSON(t *testing.T) {
-	if _, err := ReadExport(bytes.NewBufferString("{")); err == nil {
-		t.Fatal("bad JSON accepted")
-	}
-}
-
 // TestExportSchema2RoundTrip covers the schema-2 export end to end: an
-// aborted flow's record survives the round trip, an attached timeline is
-// preserved, v1 files (no "schema" field) are accepted and normalized,
-// and files newer than ExportSchema are rejected.
+// aborted flow's record survives the round trip and an attached timeline
+// is preserved.
 func TestExportSchema2RoundTrip(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	p := netsim.DefaultParams()
@@ -126,8 +120,8 @@ func TestExportSchema2RoundTrip(t *testing.T) {
 	if err := ex.WriteJSON(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadExport(&buf)
-	if err != nil {
+	var back Export
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
 		t.Fatal(err)
 	}
 	if back.Schema != ExportSchema {
@@ -168,22 +162,5 @@ func TestExportSchema2RoundTrip(t *testing.T) {
 	}
 	if !sinkAbort {
 		t.Fatal("EngineSink dropped the aborted flow's span")
-	}
-}
-
-func TestReadExportSchemaVersions(t *testing.T) {
-	// v1 file: no "schema" field at all.
-	v1 := `{"makespan": 0.5, "flows": [], "links": []}`
-	ex, err := ReadExport(bytes.NewBufferString(v1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Schema != 1 {
-		t.Fatalf("v1 file normalized to schema %d, want 1", ex.Schema)
-	}
-	// Future schema: reject.
-	future := `{"schema": 3, "makespan": 0.5}`
-	if _, err := ReadExport(bytes.NewBufferString(future)); err == nil {
-		t.Fatal("schema 3 file accepted")
 	}
 }

@@ -73,7 +73,7 @@ func LinkUtilization(e *netsim.Engine, makespan sim.Duration, link int) float64 
 // bridge order.
 func UplinkLoads(e *netsim.Engine, ios *ionet.System) []float64 {
 	lb := e.LinkBytes()
-	out := make([]float64, 0, ios.NumPsets()*ios.Config().BridgesPerPset)
+	out := make([]float64, 0, ios.NumPsets()*ionet.BridgesPerPset)
 	for pi := 0; pi < ios.NumPsets(); pi++ {
 		ps := ios.Pset(pi)
 		for bi := range ps.Bridges {

@@ -15,7 +15,7 @@ func runSmall(t *testing.T) (*netsim.Engine, *ionet.System, sim.Duration) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	p := netsim.DefaultParams()
 	net := netsim.NewNetwork(tor, p.LinkBandwidth)
-	ios, err := ionet.Build(net, ionet.DefaultConfig())
+	ios, err := ionet.Build(net)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,8 @@ func runSmall(t *testing.T) (*netsim.Engine, *ionet.System, sim.Duration) {
 	}
 	// One torus flow and one write.
 	e.Submit(netsim.FlowSpec{Src: 0, Dst: 9, Bytes: 4 << 20})
-	links, bridge := ios.WriteRoute(5)
+	pi, bi := ios.DefaultPath(5)
+	links, bridge := ios.WriteRouteVia(5, pi, bi)
 	e.Submit(netsim.FlowSpec{Src: 5, Dst: bridge, Bytes: 2 << 20, Links: links})
 	mk, err := e.Run()
 	if err != nil {

@@ -31,28 +31,6 @@ func Uniform(n int, max int64, seed int64) []int64 {
 	return out
 }
 
-// Pareto draws n per-rank sizes from a Lomax (Pareto type II) law with
-// shape alpha and scale lambda, truncated to [0, max]; draws above max
-// clip to max, producing the paper's "few ranks with 8 MB or close".
-// With alpha=1.5 and lambda=max/10 the expected total is roughly 20% of
-// dense, matching Pattern 2.
-func Pareto(n int, max int64, alpha, lambda float64, seed int64) []int64 {
-	if alpha <= 0 || lambda <= 0 {
-		panic(fmt.Sprintf("workload: invalid Pareto parameters alpha=%g lambda=%g", alpha, lambda))
-	}
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]int64, n)
-	for i := range out {
-		u := rng.Float64()
-		x := lambda * (math.Pow(1-u, -1/alpha) - 1) // inverse CDF of Lomax
-		if x > float64(max) {
-			x = float64(max)
-		}
-		out[i] = int64(x)
-	}
-	return out
-}
-
 // Pattern 2 operating point: a zero-inflated Lomax. The paper's Fig. 9
 // shows many ranks with exactly 0 bytes, a declining body, and a few
 // ranks at or near 8 MB; with these constants the burst totals ~20% of

@@ -79,19 +79,6 @@ func TestPattern2Shape(t *testing.T) {
 	}
 }
 
-func TestParetoValidation(t *testing.T) {
-	for _, bad := range [][2]float64{{0, 1}, {1, 0}, {-1, 1}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Pareto(alpha=%g, lambda=%g) accepted", bad[0], bad[1])
-				}
-			}()
-			Pareto(10, eightMB, bad[0], bad[1], 1)
-		}()
-	}
-}
-
 func TestDense(t *testing.T) {
 	data := Dense(100, 1<<20)
 	if Total(data) != 100<<20 {
