@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-scale quick check check-topo soak soak-sessions soak-cluster
+.PHONY: build test lint verify bench bench-scale quick check check-topo same-outputs soak soak-sessions soak-cluster
 
 build:
 	$(GO) build ./...
@@ -77,6 +77,15 @@ check-topo:
 	$(GO) test -run 'Topo' -count=1 ./internal/check ./internal/netsim ./internal/scenario ./internal/serve
 	$(GO) run ./cmd/bgqbench -check -quick -run topo
 	$(GO) test -fuzz=FuzzDifferentialTopo -fuzztime=15s -run '^$$' ./internal/check
+
+# Same outputs (ROADMAP.md): `bgqbench -run all` matches the tracked
+# bgqbench_full.txt, the quick rows are identical at -parallel 1 and 4,
+# and the example, example-scenario and served-plan goldens, the corpus
+# digests and the differential suites pass. Fails on any difference.
+# Under a minute; not part of `make verify` (it re-runs the full sweep),
+# run it before merging a change that claims to keep every result.
+same-outputs:
+	GO=$(GO) ./scripts/same_outputs.sh
 
 # Fast smoke run of every figure.
 quick:

@@ -18,9 +18,7 @@ import (
 )
 
 func quickOpts() experiments.Options {
-	o := experiments.DefaultOptions()
-	o.Quick = true
-	return o
+	return experiments.Options{Quick: true}
 }
 
 // BenchmarkFig5PointToPoint regenerates Fig. 5: point-to-point PUT

@@ -189,9 +189,7 @@ func main() {
 		os.Exit(2)
 	}
 
-	opt := experiments.DefaultOptions()
-	opt.Quick = *quick
-	opt.Parallel = *parallel
+	opt := experiments.Options{Quick: *quick, Parallel: *parallel}
 	if *obsTrace != "" || *metricsOut != "" {
 		opt.Obs = obs.NewRecorder()
 	}

@@ -54,7 +54,7 @@ func main() {
 			fatal(err)
 		}
 		fmt.Printf("%d nodes, %d psets, %d I/O nodes, %.1f GB/s I/O per pset\n",
-			tor.Size(), ios.NumPsets(), ios.NumIONodes(), ios.PsetAggregateIOBandwidth()/1e9)
+			tor.Size(), ios.NumPsets(), ios.NumPsets(), ios.PsetAggregateIOBandwidth()/1e9)
 		for i := 0; i < ios.NumPsets(); i++ {
 			ps := ios.Pset(i)
 			fmt.Printf("  pset %d: box %v, bridges", i, ps.Box)

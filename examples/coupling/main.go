@@ -30,13 +30,8 @@ func main() {
 	fmt.Printf("coupling %d node pairs, %d MB per pair, on a %v torus\n\n",
 		atmosphere.Size(), fieldBytes>>20, tor.Shape())
 
-	run := func(name string, threshold int64) {
-		cfg := core.DefaultProxyConfig()
-		cfg.Threshold = threshold
-		gp, err := core.NewGroupPlanner(tor, cfg)
-		if err != nil {
-			log.Fatal(err)
-		}
+	run := func(name string, proxies int) {
+		gp := core.NewGroupPlanner(tor, core.ProxyConfig{Proxies: proxies})
 		e, err := netsim.NewEngine(netsim.NewNetwork(tor, params.LinkBandwidth), params)
 		if err != nil {
 			log.Fatal(err)
@@ -59,6 +54,6 @@ func main() {
 		fmt.Println()
 	}
 
-	run("direct (default routing)", 1<<62) // threshold never reached -> direct
-	run("multipath (Algorithm 1)", core.DefaultProxyConfig().Threshold)
+	run("direct (default routing)", -1)
+	run("multipath (Algorithm 1)", 0)
 }

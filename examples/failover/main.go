@@ -92,11 +92,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	// Resilient transfers take each wave's direct/proxy threshold from
-	// the Eq. 1-5 cost model.
-	cfg := core.DefaultProxyConfig()
-	cfg.AutoThreshold = true
-	pl, err := core.NewPairPlanner(tor, cfg)
+	// At the operating point, resilient transfers take each wave's
+	// direct/proxy threshold from the Eq. 1-5 cost model.
+	pl, err := core.NewPairPlanner(tor, core.DefaultProxyConfig())
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -44,9 +44,7 @@ func main() {
 	fmt.Printf("  route: %s\n\n", routing.DescribeRoute(tor, r))
 
 	// --- Proxied: Algorithm 1 with up to 4 proxies. ---
-	cfg := core.DefaultProxyConfig()
-	cfg.MaxProxies = 4
-	planner, err := core.NewPairPlanner(tor, cfg)
+	planner, err := core.NewPairPlanner(tor, core.ProxyConfig{Proxies: 4})
 	if err != nil {
 		log.Fatal(err)
 	}

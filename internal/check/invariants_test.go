@@ -182,23 +182,21 @@ func TestCheckCostModelClean(t *testing.T) {
 }
 
 // TestCheckPlanModelAgreementOnRealPlans plans real transfers — below
-// and above the threshold, fixed and model-derived — and asserts the
-// planner never contradicts the decision inputs.
+// and above the threshold, one-shot under each proxies mode and wave by
+// wave on the model — and asserts the planner never contradicts the
+// decision inputs.
 func TestCheckPlanModelAgreementOnRealPlans(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	p := netsim.DefaultParams()
 	src := tor.ID(torus.Coord{0, 0, 0, 0, 0})
 	dst := tor.ID(torus.Coord{1, 1, 3, 3, 1})
-	for _, auto := range []bool{false, true} {
-		cfg := core.DefaultProxyConfig()
-		cfg.AutoThreshold = auto
+	for _, cfg := range []core.ProxyConfig{{Proxies: -1}, {}, {Proxies: 4}} {
 		pl, err := core.NewPairPlanner(tor, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, bytes := range []int64{1 << 10, 256 << 10, 8 << 20} {
-			net := netsim.NewNetwork(tor, p.LinkBandwidth)
-			e, err := netsim.NewEngine(net, p)
+			e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -206,9 +204,34 @@ func TestCheckPlanModelAgreementOnRealPlans(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, v := range CheckPlanModelAgreement(tor, p, cfg, plan, src, dst, bytes) {
-				t.Errorf("auto=%v bytes=%d: %s", auto, bytes, v)
+			for _, v := range CheckPlanModelAgreement(tor, cfg, plan, src, dst, bytes) {
+				t.Errorf("proxies=%d bytes=%d: %s", cfg.Proxies, bytes, v)
 			}
+		}
+	}
+
+	// The operating point's resilient waves decide on the model.
+	pl, err := core.NewPairPlanner(tor, core.DefaultProxyConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bytes := range []int64{1 << 10, 256 << 10, 8 << 20} {
+		e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.BeginInteractive()
+		var events []core.TransferEvent
+		rc := core.DefaultRecoveryConfig()
+		rc.OnEvent = func(ev core.TransferEvent) { events = append(events, ev) }
+		if _, err := pl.MoveResilient(e, src, dst, bytes, rc); err != nil {
+			t.Fatal(err)
+		}
+		if len(events) == 0 {
+			t.Fatalf("bytes=%d: no events", bytes)
+		}
+		for _, v := range CheckWaveModelAgreement(tor, p, core.DefaultProxyConfig(), src, dst, events) {
+			t.Errorf("resilient bytes=%d: %s", bytes, v)
 		}
 	}
 }

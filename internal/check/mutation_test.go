@@ -181,7 +181,9 @@ func TestMutationRouteCacheFires(t *testing.T) {
 }
 
 // Plan/model class: a fabricated plan that proxies below the threshold
-// with too few proxies — every clause of the agreement check must bite.
+// with too few proxies — every clause of the agreement check must bite —
+// and a fabricated resilient wave that proxies 1 KB, far below the
+// model's threshold.
 func TestMutationPlanModelFires(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	p := netsim.DefaultParams()
@@ -194,18 +196,21 @@ func TestMutationPlanModelFires(t *testing.T) {
 	}
 	proxies := pl.SelectProxies(src, dst)
 	lie := core.PairPlan{Mode: core.Proxied, Proxies: proxies[:1], Bytes: 1 << 10}
-	viols := CheckPlanModelAgreement(tor, p, cfg, lie, src, dst, 1<<10)
+	viols := CheckPlanModelAgreement(tor, cfg, lie, src, dst, 1<<10)
 	wantViolation(t, viols, "plan-model")
 	var below, few bool
 	for _, v := range viols {
 		if strings.Contains(v.Detail, "threshold") {
 			below = true
 		}
-		if strings.Contains(v.Detail, "MinProxies") {
+		if strings.Contains(v.Detail, "outside [3,") {
 			few = true
 		}
 	}
 	if !below || !few {
-		t.Fatalf("expected both threshold and MinProxies violations, got %v", viols)
+		t.Fatalf("expected both threshold and proxy-count violations, got %v", viols)
 	}
+
+	wave := []core.TransferEvent{{Kind: core.EventWave, Mode: core.Proxied, Proxies: len(proxies), Bytes: 1 << 10}}
+	wantViolation(t, CheckWaveModelAgreement(tor, p, cfg, src, dst, wave), "plan-model")
 }

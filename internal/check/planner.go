@@ -230,46 +230,93 @@ func CheckCostModel(m *core.CostModel, k, hopsDirect, hops1, hops2 int) []Violat
 	return viols
 }
 
-// CheckPlanModelAgreement verifies Eq. 1-5 monotonicity at the planning
-// layer: a proxied plan is only ever chosen when the configured
-// threshold logic says proxies win — never when the model says direct
-// wins (ISSUE: "proxy plan never chosen when the model says direct
-// wins"). It recomputes the decision inputs exactly as PlanPair does.
-func CheckPlanModelAgreement(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, plan core.PairPlan, src, dst torus.NodeID, bytes int64) []Violation {
+// The operating point's terms, restated from the paper rather than read
+// from core, so that the oracle stays independent of the planner.
+const (
+	opLeastProxies = 3         // Eq. 5's gain is k/2: fewer than 3 cannot win
+	opThreshold    = 256 << 10 // the paper's measured one-shot crossover
+)
+
+// proxyCap is the most proxies a decision under cfg may take: a forced
+// k, else the 2L candidate directions.
+func proxyCap(tor *torus.Torus, cfg core.ProxyConfig) int {
+	if cfg.Proxies > 0 {
+		return cfg.Proxies
+	}
+	return 2 * tor.Dims()
+}
+
+// checkDecision restates Algorithm 1's rule for one proxied decision of
+// n proxies for bytes from src to dst, under cfg with the proxy count
+// capped at k: a negative Proxies never proxies, the operating point (0)
+// needs threshold bytes and at least opLeastProxies proxies, and a forced
+// count needs at least one proxy. No decision exceeds its cap.
+func checkDecision(what string, cfg core.ProxyConfig, src, dst torus.NodeID, bytes int64, n, k int, threshold int64) []Violation {
+	var viols []Violation
+	fail := func(format string, args ...any) {
+		viols = append(viols, Violation{Invariant: "plan-model", Detail: what + ": " + fmt.Sprintf(format, args...)})
+	}
+	least := 1
+	switch {
+	case src == dst:
+		fail("proxied a node-local copy %d->%d", src, dst)
+	case cfg.Proxies < 0:
+		fail("proxied under forced direct (proxies %d)", cfg.Proxies)
+	case cfg.Proxies == 0:
+		least = opLeastProxies
+		if bytes < threshold {
+			fail("proxied %d bytes %d->%d, but threshold %d says direct", bytes, src, dst, threshold)
+		}
+	}
+	if n < least || n > k {
+		fail("proxied over %d proxies, outside [%d,%d]", n, least, k)
+	}
+	return viols
+}
+
+// CheckPlanModelAgreement verifies a one-shot PlanPair decision under
+// cfg: a proxied plan is only ever chosen where Algorithm 1's rule, with
+// the operating point's fixed threshold, allows it, and its proxies are
+// link-disjoint.
+func CheckPlanModelAgreement(tor *torus.Torus, cfg core.ProxyConfig, plan core.PairPlan, src, dst torus.NodeID, bytes int64) []Violation {
 	if plan.Mode != core.Proxied {
 		return nil
 	}
+	viols := checkDecision("plan", cfg, src, dst, bytes, len(plan.Proxies), proxyCap(tor, cfg), opThreshold)
+	return append(viols, CheckProxyDisjoint(plan.Proxies)...)
+}
+
+// CheckWaveModelAgreement verifies every wave decision of one
+// MoveResilient transfer from src to dst under cfg, read from the
+// transfer's events in order. The first wave's cap is cfg's; each
+// EventReplan carries the next wave's. At the operating point a wave
+// decides on the Eq. 1-5 model: it proxies only when the model's
+// threshold at the wave's cap, Threshold(k, hopsDirect, 1, hopsDirect)
+// (every proxy sits one hop from the source), exists and the wave's
+// payload reaches it, never where the model says proxies never win.
+func CheckWaveModelAgreement(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, src, dst torus.NodeID, events []core.TransferEvent) []Violation {
+	m, err := core.NewCostModel(p)
+	if err != nil {
+		return []Violation{{Invariant: "plan-model", Detail: err.Error()}}
+	}
+	hopsDirect := tor.HopDistance(src, dst)
+	k := proxyCap(tor, cfg)
 	var viols []Violation
-	threshold := cfg.Threshold
-	if cfg.AutoThreshold && src != dst {
-		m, err := core.NewCostModel(p)
-		if err != nil {
-			return []Violation{{Invariant: "plan-model", Detail: err.Error()}}
-		}
-		hopsDirect := tor.HopDistance(src, dst)
-		k := cfg.MaxProxies
-		if k == 0 {
-			k = 2 * tor.Dims()
-		}
-		// Algorithm 1 places every proxy one hop from the source.
-		threshold = m.Threshold(k, hopsDirect, 1, hopsDirect)
-		if threshold == 0 {
-			threshold = 1 << 62
+	for _, ev := range events {
+		switch {
+		case ev.Kind == core.EventReplan:
+			k = ev.Proxies
+		case ev.Kind == core.EventWave && ev.Mode == core.Proxied:
+			what := fmt.Sprintf("wave %d", ev.Wave)
+			th := m.Threshold(k, hopsDirect, 1, hopsDirect)
+			if cfg.Proxies == 0 && th == 0 {
+				viols = append(viols, Violation{Invariant: "plan-model",
+					Detail: fmt.Sprintf("%s: proxied %d bytes, but the model says %d proxies never win", what, ev.Bytes, k)})
+				continue
+			}
+			viols = append(viols, checkDecision(what, cfg, src, dst, ev.Bytes, ev.Proxies, k, th)...)
 		}
 	}
-	if src == dst || bytes < threshold {
-		viols = append(viols, Violation{
-			Invariant: "plan-model",
-			Detail:    fmt.Sprintf("proxied plan for %d bytes %d->%d, but threshold %d says direct", bytes, src, dst, threshold),
-		})
-	}
-	if len(plan.Proxies) < cfg.MinProxies {
-		viols = append(viols, Violation{
-			Invariant: "plan-model",
-			Detail:    fmt.Sprintf("proxied plan with %d proxies, below MinProxies %d", len(plan.Proxies), cfg.MinProxies),
-		})
-	}
-	viols = append(viols, CheckProxyDisjoint(plan.Proxies)...)
 	return viols
 }
 

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 
 	"bgqflow/internal/routing"
 	"bgqflow/internal/topo"
@@ -100,8 +101,7 @@ var genShapes = [][]int{
 // a seed. The axes follow the paper's evaluation: torus shape, sparse
 // communication pattern (which pairs talk, with what routes), message
 // size (zero-byte synchronization points up to multi-MB bursts), and a
-// fault campaign (ISSUE: torus shape / sparse pattern / message-size /
-// fault-campaign axes).
+// fault campaign.
 func Generate(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed))
 	sc := Scenario{Seed: seed}
@@ -110,10 +110,20 @@ func Generate(seed int64) Scenario {
 	if err != nil {
 		panic(fmt.Sprintf("check: generator shape %v: %v", sc.Shape, err))
 	}
-	size := tor.Size()
+	sc.Params = drawParams(rng)
+	// Explicit routes are dimension-ordered (the zone-routing idiom).
+	links := drawFlowMix(rng, &sc, tor.Size(), tor.NumTorusLinks(), func(src, dst int) []int {
+		r := routing.RouteWithOrder(tor, torus.NodeID(src), torus.NodeID(dst), rng.Perm(tor.Dims()))
+		return append([]int{}, r.Links...)
+	})
+	drawFailures(rng, &sc, links, tor.Size(), 4, drawHorizon(rng))
+	return sc
+}
 
+// drawParams draws a scenario's machine constants.
+func drawParams(rng *rand.Rand) RefParams {
 	lb := 1e9 + rng.Float64()*1e9
-	sc.Params = RefParams{
+	return RefParams{
 		LinkBandwidth:      lb,
 		PerFlowBandwidth:   (0.5 + rng.Float64()) * lb,
 		LocalCopyBandwidth: (4 + 8*rng.Float64()) * 1e9,
@@ -121,21 +131,30 @@ func Generate(seed int64) Scenario {
 		ReceiverOverhead:   1e-6 + rng.Float64()*29e-6,
 		HopLatency:         1e-9 + rng.Float64()*99e-9,
 	}
+}
 
+// drawFlowMix draws up to two extra links and the flow mix of a small
+// scenario on a fabric of size nodes and fabricLinks links, and returns
+// the link count, extras included. Flows take default routes, make
+// node-local copies, follow an explicit route (route(src, dst); src ==
+// dst yields an explicit empty route), sometimes extended over an extra
+// link the way ionet extends bridge routes, or occupy an arbitrary link
+// multiset.
+func drawFlowMix(rng *rand.Rand, sc *Scenario, size, fabricLinks int, route func(src, dst int) []int) int {
 	for i, n := 0, rng.Intn(3); i < n; i++ {
 		sc.Extra = append(sc.Extra, ExtraLink{
 			From:     rng.Intn(size),
-			Capacity: (0.5 + rng.Float64()) * lb,
+			Capacity: (0.5 + rng.Float64()) * sc.Params.LinkBandwidth,
 		})
 	}
-	totalLinks := tor.NumTorusLinks() + len(sc.Extra)
+	totalLinks := fabricLinks + len(sc.Extra)
 
 	nFlows := 1 + rng.Intn(32)
 	for i := 0; i < nFlows; i++ {
 		f := ScenarioFlow{Src: rng.Intn(size), Dst: rng.Intn(size)}
 		switch k := rng.Intn(10); {
 		case k < 5:
-			// Default deterministic route between distinct endpoints.
+			// Default route between distinct endpoints.
 			if f.Src == f.Dst {
 				f.Dst = (f.Dst + 1) % size
 			}
@@ -143,14 +162,10 @@ func Generate(seed int64) Scenario {
 			// Node-local copy.
 			f.Dst = f.Src
 		case k < 8:
-			// Explicit dimension-ordered route (the zone-routing idiom);
-			// src == dst yields an explicit empty route. Sometimes extended
-			// over an extra link, the way ionet extends bridge routes.
-			r := routing.RouteWithOrder(tor, torus.NodeID(f.Src), torus.NodeID(f.Dst), rng.Perm(tor.Dims()))
-			f.Links = append([]int{}, r.Links...)
+			f.Links = route(f.Src, f.Dst)
 			f.HasLinks = true
 			if len(sc.Extra) > 0 && rng.Intn(2) == 0 {
-				f.Links = append(f.Links, tor.NumTorusLinks()+rng.Intn(len(sc.Extra)))
+				f.Links = append(f.Links, fabricLinks+rng.Intn(len(sc.Extra)))
 			}
 		default:
 			// Arbitrary link multiset, sampled with replacement: the engine
@@ -171,14 +186,7 @@ func Generate(seed int64) Scenario {
 		}
 		if i > 0 && rng.Intn(10) < 3 {
 			for d, nd := 0, 1+rng.Intn(2); d < nd; d++ {
-				dep := rng.Intn(i)
-				dup := false
-				for _, have := range f.Deps {
-					if have == dep {
-						dup = true
-					}
-				}
-				if !dup {
+				if dep := rng.Intn(i); !slices.Contains(f.Deps, dep) {
 					f.Deps = append(f.Deps, dep)
 				}
 			}
@@ -188,24 +196,32 @@ func Generate(seed int64) Scenario {
 		}
 		sc.Flows = append(sc.Flows, f)
 	}
+	return totalLinks
+}
 
-	// Fault campaign: failure instants are continuous draws, so they
-	// almost surely never tie with flow events; the horizon is log-uniform
-	// from "before anything activates" to "well past most makespans".
-	horizon := math.Exp(math.Log(2e-4) + rng.Float64()*math.Log(50e-3/2e-4))
-	for i, n := 0, rng.Intn(4); i < n; i++ {
+// drawHorizon draws a small scenario's fault horizon: failure instants
+// are continuous draws, so they almost surely never tie with flow
+// events, and the horizon is log-uniform from "before anything
+// activates" to "well past most makespans".
+func drawHorizon(rng *rand.Rand) float64 {
+	return math.Exp(math.Log(2e-4) + rng.Float64()*math.Log(50e-3/2e-4))
+}
+
+// drawFailures draws a fault campaign before horizon: fewer than
+// maxLinks failures over links links, and one node failure in three.
+func drawFailures(rng *rand.Rand, sc *Scenario, links, nodes, maxLinks int, horizon float64) {
+	for i, n := 0, rng.Intn(maxLinks); i < n; i++ {
 		sc.LinkFailures = append(sc.LinkFailures, LinkFailure{
-			Link: rng.Intn(totalLinks),
+			Link: rng.Intn(links),
 			At:   rng.Float64() * horizon,
 		})
 	}
 	if rng.Intn(3) == 0 {
 		sc.NodeFailures = append(sc.NodeFailures, NodeFailure{
-			Node: rng.Intn(size),
+			Node: rng.Intn(nodes),
 			At:   rng.Float64() * horizon,
 		})
 	}
-	return sc
 }
 
 // sparseShapes are the larger geometries GenerateSparse draws from: big
@@ -234,17 +250,7 @@ func GenerateSparse(seed int64) Scenario {
 		panic(fmt.Sprintf("check: generator shape %v: %v", sc.Shape, err))
 	}
 	size := tor.Size()
-
-	lb := 1e9 + rng.Float64()*1e9
-	sc.Params = RefParams{
-		LinkBandwidth:      lb,
-		PerFlowBandwidth:   (0.5 + rng.Float64()) * lb,
-		LocalCopyBandwidth: (4 + 8*rng.Float64()) * 1e9,
-		SenderOverhead:     1e-6 + rng.Float64()*29e-6,
-		ReceiverOverhead:   1e-6 + rng.Float64()*29e-6,
-		HopLatency:         1e-9 + rng.Float64()*99e-9,
-	}
-	totalLinks := tor.NumTorusLinks()
+	sc.Params = drawParams(rng)
 
 	nFlows := 150 + rng.Intn(250)
 	for i := 0; i < nFlows; i++ {
@@ -277,20 +283,7 @@ func GenerateSparse(seed int64) Scenario {
 		f.ExtraDelay = rng.Float64() * 2e-3
 		sc.Flows = append(sc.Flows, f)
 	}
-
-	horizon := 3e-3
-	for i, n := 0, rng.Intn(6); i < n; i++ {
-		sc.LinkFailures = append(sc.LinkFailures, LinkFailure{
-			Link: rng.Intn(totalLinks),
-			At:   rng.Float64() * horizon,
-		})
-	}
-	if rng.Intn(3) == 0 {
-		sc.NodeFailures = append(sc.NodeFailures, NodeFailure{
-			Node: rng.Intn(size),
-			At:   rng.Float64() * horizon,
-		})
-	}
+	drawFailures(rng, &sc, tor.NumTorusLinks(), size, 6, 3e-3)
 	return sc
 }
 
@@ -308,9 +301,8 @@ var genTopoSpecs = []string{
 
 // GenerateTopo builds the scenario for one seed on a non-torus topology
 // (the topology axis of the differential suite). Flow kinds mirror
-// Generate: default oracle routes, local copies, explicit routes (the
-// topology's own oracle path, sometimes extended over an extra link), and
-// arbitrary link multisets. Determinism contract as Generate.
+// Generate; an explicit route is the topology's own oracle path.
+// Determinism contract as Generate.
 func GenerateTopo(seed int64) Scenario {
 	rng := rand.New(rand.NewSource(seed ^ 0x70705eed))
 	sc := Scenario{Seed: seed}
@@ -319,98 +311,15 @@ func GenerateTopo(seed int64) Scenario {
 	if err != nil {
 		panic(fmt.Sprintf("check: generator topology %q: %v", sc.Topology, err))
 	}
-	size := tp.NumNodes()
-
-	lb := 1e9 + rng.Float64()*1e9
-	sc.Params = RefParams{
-		LinkBandwidth:      lb,
-		PerFlowBandwidth:   (0.5 + rng.Float64()) * lb,
-		LocalCopyBandwidth: (4 + 8*rng.Float64()) * 1e9,
-		SenderOverhead:     1e-6 + rng.Float64()*29e-6,
-		ReceiverOverhead:   1e-6 + rng.Float64()*29e-6,
-		HopLatency:         1e-9 + rng.Float64()*99e-9,
-	}
+	sc.Params = drawParams(rng)
 	// The retired cost-model axis's draws: every seed keeps its scenario.
 	if rng.Intn(3) == 0 {
 		rng.Intn(4)
 	}
-
-	for i, n := 0, rng.Intn(3); i < n; i++ {
-		sc.Extra = append(sc.Extra, ExtraLink{
-			From:     rng.Intn(size),
-			Capacity: (0.5 + rng.Float64()) * lb,
-		})
-	}
-	totalLinks := tp.NumLinks() + len(sc.Extra)
-
-	nFlows := 1 + rng.Intn(32)
-	for i := 0; i < nFlows; i++ {
-		f := ScenarioFlow{Src: rng.Intn(size), Dst: rng.Intn(size)}
-		switch k := rng.Intn(10); {
-		case k < 5:
-			// Default oracle route between distinct endpoints.
-			if f.Src == f.Dst {
-				f.Dst = (f.Dst + 1) % size
-			}
-		case k < 6:
-			// Node-local copy.
-			f.Dst = f.Src
-		case k < 8:
-			// Explicit route: the oracle path submitted as literal links
-			// (src == dst yields an explicit empty route), sometimes
-			// extended over an extra link.
-			f.Links = append([]int{}, tp.Route(torus.NodeID(f.Src), torus.NodeID(f.Dst))...)
-			f.HasLinks = true
-			if len(sc.Extra) > 0 && rng.Intn(2) == 0 {
-				f.Links = append(f.Links, tp.NumLinks()+rng.Intn(len(sc.Extra)))
-			}
-		default:
-			// Arbitrary link multiset, sampled with replacement.
-			m := 1 + rng.Intn(6)
-			f.Links = make([]int, 0, m)
-			for j := 0; j < m; j++ {
-				f.Links = append(f.Links, rng.Intn(totalLinks))
-			}
-			f.HasLinks = true
-		}
-		if rng.Intn(10) == 0 {
-			f.Bytes = 0
-		} else {
-			f.Bytes = 1 + int64(math.Exp(rng.Float64()*math.Log(8<<20)))
-		}
-		if i > 0 && rng.Intn(10) < 3 {
-			for d, nd := 0, 1+rng.Intn(2); d < nd; d++ {
-				dep := rng.Intn(i)
-				dup := false
-				for _, have := range f.Deps {
-					if have == dep {
-						dup = true
-					}
-				}
-				if !dup {
-					f.Deps = append(f.Deps, dep)
-				}
-			}
-		}
-		if rng.Intn(10) < 3 {
-			f.ExtraDelay = rng.Float64() * 50e-6
-		}
-		sc.Flows = append(sc.Flows, f)
-	}
-
-	horizon := math.Exp(math.Log(2e-4) + rng.Float64()*math.Log(50e-3/2e-4))
-	for i, n := 0, rng.Intn(4); i < n; i++ {
-		sc.LinkFailures = append(sc.LinkFailures, LinkFailure{
-			Link: rng.Intn(totalLinks),
-			At:   rng.Float64() * horizon,
-		})
-	}
-	if rng.Intn(3) == 0 {
-		sc.NodeFailures = append(sc.NodeFailures, NodeFailure{
-			Node: rng.Intn(size),
-			At:   rng.Float64() * horizon,
-		})
-	}
+	links := drawFlowMix(rng, &sc, tp.NumNodes(), tp.NumLinks(), func(src, dst int) []int {
+		return append([]int{}, tp.Route(torus.NodeID(src), torus.NodeID(dst))...)
+	})
+	drawFailures(rng, &sc, links, tp.NumNodes(), 4, drawHorizon(rng))
 	return sc
 }
 

@@ -108,7 +108,7 @@ func (a *AggPlanner) FeasibleCounts() []int {
 // feasible count, every pset contributing that many block-lead nodes,
 // alternating across the pset's bridge nodes.
 func (a *AggPlanner) AggregatorsFor(totalBytes int64) (perPset int, aggs []Aggregator) {
-	nio := int64(a.ios.NumIONodes())
+	nio := int64(a.ios.NumPsets())
 	S := a.cfg.MinBytesPerAggregator
 	need := (totalBytes + S*nio - 1) / (S * nio) // ceil(T / S / n_io)
 	if need < 1 {

@@ -318,7 +318,7 @@ func TestAggregatorsForMatchesEagerInit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		S, nio := a.cfg.MinBytesPerAggregator, int64(r.ios.NumIONodes())
+		S, nio := a.cfg.MinBytesPerAggregator, int64(r.ios.NumPsets())
 		for _, count := range a.FeasibleCounts() {
 			perPset, got := a.AggregatorsFor(int64(count) * S * nio)
 			if perPset != count {

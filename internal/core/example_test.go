@@ -13,10 +13,7 @@ import (
 func ExamplePairPlanner_PlanPair() {
 	tor := torus.MustNew(torus.Shape{2, 2, 4, 4, 2})
 	params := netsim.DefaultParams()
-	cfg := core.DefaultProxyConfig()
-	cfg.MaxProxies = 4
-
-	planner, _ := core.NewPairPlanner(tor, cfg)
+	planner, _ := core.NewPairPlanner(tor, core.ProxyConfig{Proxies: 4})
 	engine, _ := netsim.NewEngine(netsim.NewNetwork(tor, params.LinkBandwidth), params)
 
 	plan, _ := planner.PlanPair(engine, 0, torus.NodeID(tor.Size()-1), 64<<20)

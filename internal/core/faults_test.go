@@ -208,3 +208,43 @@ func TestDirectPlanErrorsWhenCut(t *testing.T) {
 		t.Fatal("cut topology accepted")
 	}
 }
+
+// With fewer than minProxies disjoint paths left, the operating point
+// goes direct, while a forced count proxies over the paths it finds.
+func TestPlanPairNeedsThreeDisjointPaths(t *testing.T) {
+	tor := mira128()
+	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
+	healthy := selectProxies(tor, src, dst, DefaultProxyConfig(), nil)
+	if len(healthy) < minProxies {
+		t.Fatalf("only %d proxies on a healthy torus", len(healthy))
+	}
+	plan := func(cfg ProxyConfig) PairPlan {
+		t.Helper()
+		p := netsim.DefaultParams()
+		net := netsim.NewNetwork(tor, p.LinkBandwidth)
+		// Every candidate's first leg is one hop out of the source:
+		// failing it leaves minProxies-1 candidates.
+		for _, pr := range healthy[minProxies-1:] {
+			net.FailLink(pr.Leg1.Links[0])
+		}
+		e, err := netsim.NewEngine(net, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl, err := NewPairPlanner(tor, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := pl.PlanPair(e, src, dst, 64<<20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return plan
+	}
+	if got := plan(DefaultProxyConfig()); got.Mode != Direct {
+		t.Fatalf("operating point with %d paths planned %v over %d proxies", minProxies-1, got.Mode, len(got.Proxies))
+	}
+	if got := plan(ProxyConfig{Proxies: 4}); got.Mode != Proxied || len(got.Proxies) != minProxies-1 {
+		t.Fatalf("forced 4 with %d paths planned %v over %d proxies", minProxies-1, got.Mode, len(got.Proxies))
+	}
+}

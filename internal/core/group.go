@@ -122,26 +122,18 @@ func overlaps(nodes []torus.NodeID, set map[torus.NodeID]struct{}) bool {
 
 // GroupPlanner plans data-coupling transfers between two congruent groups
 // of compute nodes (the multiphysics scenario of the paper's Figs. 6-7).
+// A forced count (cfg.Proxies > 0) uses exactly that many proxy groups,
+// with best effort routing and interference allowed, instead of the
+// automatic disjoint selection — the Fig. 7 sweep.
 type GroupPlanner struct {
 	tor *torus.Torus
 	cfg ProxyConfig
-
-	// ForceGroups, when positive, uses exactly that many proxy groups
-	// (best effort routing, interference allowed) instead of the
-	// automatic disjoint selection — the Fig. 7 sweep.
-	ForceGroups int
 }
 
-// NewGroupPlanner validates the configuration. Group plans decide on the
-// fixed Threshold, so a config asking for AutoThreshold is refused.
-func NewGroupPlanner(tor *torus.Torus, cfg ProxyConfig) (*GroupPlanner, error) {
-	if err := cfg.validate(tor.Dims()); err != nil {
-		return nil, err
-	}
-	if cfg.AutoThreshold {
-		return nil, fmt.Errorf("core: AutoThreshold is not supported by the group planner")
-	}
-	return &GroupPlanner{tor: tor, cfg: cfg}, nil
+// NewGroupPlanner returns a group planner; every configuration is valid,
+// since SelectGroupDirections finds as many forced groups as fit.
+func NewGroupPlanner(tor *torus.Torus, cfg ProxyConfig) *GroupPlanner {
+	return &GroupPlanner{tor: tor, cfg: cfg}
 }
 
 // directFlow submits one pair's direct transfer, routed around the
@@ -189,24 +181,12 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 		return plan, nil
 	}
 
-	forced := g.ForceGroups > 0
-	if !forced && bytesPerPair < g.cfg.Threshold {
+	forced := g.cfg.Proxies > 0
+	if g.cfg.Proxies < 0 || !forced && bytesPerPair < pairThreshold {
 		return directAll()
 	}
-	want := 0
-	if forced {
-		want = g.ForceGroups
-	}
-	groups := SelectGroupDirections(g.tor, sBox, tBox, want)
-	if !forced {
-		if max := g.cfg.maxProxies(g.tor.Dims()); len(groups) > max {
-			groups = groups[:max]
-		}
-		if len(groups) < g.cfg.MinProxies {
-			return directAll()
-		}
-	}
-	if len(groups) == 0 {
+	groups := SelectGroupDirections(g.tor, sBox, tBox, g.cfg.Proxies)
+	if len(groups) == 0 || !forced && len(groups) < minProxies {
 		return directAll()
 	}
 	plan.Mode = Proxied
@@ -263,7 +243,7 @@ func (g *GroupPlanner) Plan(e *netsim.Engine, sBox, tBox torus.Box, bytesPerPair
 			markBusy(busy, leg2.Links)
 			legs = append(legs, legPair{proxy, leg1, leg2})
 		}
-		if len(legs) == 0 || !forced && len(legs) < g.cfg.MinProxies {
+		if len(legs) == 0 || !forced && len(legs) < minProxies {
 			plan.DirectPairs++
 			id, err := g.directFlow(e, i, src, dst, bytesPerPair)
 			if err != nil {

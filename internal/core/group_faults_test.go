@@ -23,11 +23,7 @@ func planGroupFlows(t *testing.T, tor *torus.Torus, s, d torus.Box, bytes int64,
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := NewGroupPlanner(tor, DefaultProxyConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp.ForceGroups = force
+	gp := NewGroupPlanner(tor, ProxyConfig{Proxies: force})
 	if _, err := gp.Plan(e, s, d, bytes); err != nil {
 		return nil, nil, err
 	}

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"strings"
 	"testing"
 
 	"bgqflow/internal/netsim"
@@ -94,13 +93,7 @@ func TestGroupRegionsDisjoint(t *testing.T) {
 
 func runGroupTransfer(t *testing.T, tor *torus.Torus, s, d torus.Box, bytesPerPair int64, force int) (float64, GroupPlan) {
 	t.Helper()
-	cfg := DefaultProxyConfig()
-	cfg.Threshold = 512 << 10 // the paper's group threshold
-	gp, err := NewGroupPlanner(tor, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gp.ForceGroups = force
+	gp := NewGroupPlanner(tor, ProxyConfig{Proxies: force})
 	p := netsim.DefaultParams()
 	e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
 	if err != nil {
@@ -135,23 +128,7 @@ func TestGroupTransferLargeUsesProxies(t *testing.T) {
 	if plan.Mode != Proxied {
 		t.Fatalf("16MB pairs planned as %v", plan.Mode)
 	}
-	direct, _ := runGroupTransfer(t, tor, s, d, 16<<20, -0) // placeholder; direct below
-	_ = direct
-	// Compare against all-direct via a tiny config trick: force 0 means
-	// auto; emulate direct with a huge threshold.
-	cfg := DefaultProxyConfig()
-	cfg.Threshold = 1 << 62
-	gp, _ := NewGroupPlanner(tor, cfg)
-	p := netsim.DefaultParams()
-	e, _ := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
-	if _, err := gp.Plan(e, s, d, 16<<20); err != nil {
-		t.Fatal(err)
-	}
-	mk, err := e.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	directTh := netsim.Throughput(16<<20, mk)
+	directTh, _ := runGroupTransfer(t, tor, s, d, 16<<20, -1)
 	gain := th / directTh
 	// 3 proxy groups -> the paper reports ~1.5x.
 	if gain < 1.25 || gain > 1.8 {
@@ -182,7 +159,7 @@ func TestFig7ProxyCountOrdering(t *testing.T) {
 func TestGroupPlannerSizeMismatch(t *testing.T) {
 	tor, s, _ := fig7Geometry(t)
 	small := torus.MustNewBox(tor, torus.Coord{3, 3, 0, 0, 0}, torus.Shape{1, 1, 1, 1, 1})
-	gp, _ := NewGroupPlanner(tor, DefaultProxyConfig())
+	gp := NewGroupPlanner(tor, DefaultProxyConfig())
 	p := netsim.DefaultParams()
 	e, _ := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
 	if _, err := gp.Plan(e, s, small, 1<<20); err == nil {
@@ -192,8 +169,7 @@ func TestGroupPlannerSizeMismatch(t *testing.T) {
 
 func TestGroupTransferDeliversAllBytes(t *testing.T) {
 	tor, s, d := fig7Geometry(t)
-	cfg := DefaultProxyConfig()
-	gp, _ := NewGroupPlanner(tor, cfg)
+	gp := NewGroupPlanner(tor, DefaultProxyConfig())
 	p := netsim.DefaultParams()
 	e, _ := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
 	const per = 4 << 20
@@ -219,14 +195,7 @@ func TestGroupPipelineBeatsPlain(t *testing.T) {
 	tor, s, d := fig6Geometry(t)
 	const per = 32 << 20
 	run := func(pipeline bool) float64 {
-		cfg := DefaultProxyConfig()
-		cfg.Threshold = 0
-		cfg.MinProxies = 1
-		cfg.Pipeline = pipeline
-		gp, err := NewGroupPlanner(tor, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
+		gp := NewGroupPlanner(tor, ProxyConfig{Proxies: 3, Pipeline: pipeline})
 		p := netsim.DefaultParams()
 		e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
 		if err != nil {
@@ -256,16 +225,5 @@ func TestGroupPipelineBeatsPlain(t *testing.T) {
 	piped := run(true)
 	if piped <= plain*1.15 {
 		t.Fatalf("group pipelining gain too small: plain %.3g, piped %.3g", plain, piped)
-	}
-}
-
-// Group plans decide on the fixed threshold, so a config asking for the
-// model's is refused rather than silently ignored.
-func TestGroupPlannerRefusesAutoThreshold(t *testing.T) {
-	cfg := DefaultProxyConfig()
-	cfg.AutoThreshold = true
-	_, err := NewGroupPlanner(mira128(), cfg)
-	if err == nil || !strings.Contains(err.Error(), "AutoThreshold") {
-		t.Fatalf("AutoThreshold group config: err = %v, want one naming the field", err)
 	}
 }

@@ -79,11 +79,7 @@ func TestThresholdZeroForK2(t *testing.T) {
 func TestModelMatchesSimulator(t *testing.T) {
 	m := newModel(t)
 	tor := mira128()
-	cfg := DefaultProxyConfig()
-	cfg.Threshold = 0
-	cfg.MinProxies = 1
-	cfg.MaxProxies = 4
-	pl, _ := NewPairPlanner(tor, cfg)
+	pl, _ := NewPairPlanner(tor, ProxyConfig{Proxies: 4})
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
 	for _, d := range []int64{1 << 20, 16 << 20, 128 << 20} {
@@ -151,51 +147,40 @@ func TestPropertyGainMonotone(t *testing.T) {
 	}
 }
 
+// At the operating point every resilient wave decides on the Eq. 1-5
+// model: on a quiet engine the first wave moves 64 KB direct and 4 MB
+// proxied.
 func TestAutoThresholdPlansLikeThePaper(t *testing.T) {
 	tor := mira128()
-	cfg := DefaultProxyConfig()
-	cfg.AutoThreshold = true
-	cfg.Threshold = 0 // ignored when auto
-	cfg.MaxProxies = 4
-	cfg.MinProxies = 1
-	pl, err := NewPairPlanner(tor, cfg)
+	pl, err := NewPairPlanner(tor, DefaultProxyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-	// Below the paper's 256KB crossover: the auto planner goes direct.
-	e := newEngine(t, tor)
-	plan, err := pl.PlanPair(e, src, dst, 64<<10)
-	if err != nil {
-		t.Fatal(err)
+	firstWave := func(bytes int64) TransferMode {
+		t.Helper()
+		e := newEngine(t, tor)
+		e.BeginInteractive()
+		var waves []TransferEvent
+		rc := DefaultRecoveryConfig()
+		rc.OnEvent = func(ev TransferEvent) {
+			if ev.Kind == EventWave {
+				waves = append(waves, ev)
+			}
+		}
+		if _, err := pl.MoveResilient(e, 0, torus.NodeID(tor.Size()-1), bytes, rc); err != nil {
+			t.Fatal(err)
+		}
+		if len(waves) == 0 {
+			t.Fatalf("%d bytes: no wave released", bytes)
+		}
+		return waves[0].Mode
 	}
-	if plan.Mode != Direct {
-		t.Fatalf("64KB planned %v under auto threshold", plan.Mode)
+	// Below the paper's 256KB crossover: the model says direct.
+	if m := firstWave(64 << 10); m != Direct {
+		t.Fatalf("64KB first wave went %v at the operating point", m)
 	}
 	// Well above: proxied.
-	e2 := newEngine(t, tor)
-	plan2, err := pl.PlanPair(e2, src, dst, 4<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan2.Mode != Proxied {
-		t.Fatalf("4MB planned %v under auto threshold", plan2.Mode)
-	}
-}
-
-func TestAutoThresholdNeverProxiesWhenModelSaysNo(t *testing.T) {
-	tor := mira128()
-	cfg := DefaultProxyConfig()
-	cfg.AutoThreshold = true
-	cfg.MaxProxies = 2 // Eq. 5: k=2 cannot win without pipelining
-	cfg.MinProxies = 1
-	pl, _ := NewPairPlanner(tor, cfg)
-	e := newEngine(t, tor)
-	plan, err := pl.PlanPair(e, 0, torus.NodeID(tor.Size()-1), 128<<20)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if plan.Mode != Direct {
-		t.Fatalf("k=2 auto planner chose %v", plan.Mode)
+	if m := firstWave(4 << 20); m != Proxied {
+		t.Fatalf("4MB first wave went %v at the operating point", m)
 	}
 }

@@ -12,20 +12,16 @@ import (
 
 // ProxyConfig tunes Algorithm 1.
 type ProxyConfig struct {
-	// MinProxies is the smallest number of link-disjoint proxy paths
-	// worth using; below it the transfer goes direct. The paper's cost
-	// model (Eq. 5) shows the gain is k/2, so the default is 3.
-	MinProxies int
-
-	// MaxProxies caps the number of proxies; at most 2L directions exist
-	// on an L-dimensional torus. Zero means 2L.
-	MaxProxies int
-
-	// Threshold is the message size (bytes) below which direct transfer
-	// wins: splitting small messages multiplies the fixed per-message
-	// injection and reception costs. Calibrated to the paper's measured
-	// 256 KB crossover on the 128-node geometry.
-	Threshold int64
+	// Proxies chooses between Algorithm 1's three outcomes, in the
+	// values bgqsim's and bgqd's proxies field carries. Negative forces
+	// the direct path. 0 is the paper's operating point: proxies only
+	// when at least minProxies link-disjoint paths exist and the message
+	// reaches the threshold, which is pairThreshold for PlanPair and
+	// GroupPlanner.Plan and the Eq. 1-5 model's PairThreshold at the
+	// wave's cap for every MoveResilient wave. k > 0 forces proxies at
+	// any size: a pair takes up to k disjoint proxies (at least one), a
+	// group exactly k proxy groups.
+	Proxies int
 
 	// Pipeline enables the paper's future-work extension: each piece is
 	// segmented into pipelineChunk-byte chunks so the proxy can forward
@@ -33,50 +29,49 @@ type ProxyConfig struct {
 	// store-and-forward factor below 2 and making even 2 proxies
 	// profitable.
 	Pipeline bool
-
-	// AutoThreshold derives the direct/proxy threshold from the Eq. 1-5
-	// cost model (per pair, using the pair's hop counts and the proxy
-	// count on offer) instead of the fixed Threshold value — the paper's
-	// future-work analytical model put to work. Resilient transfers set
-	// it; one-shot plans keep the fixed threshold.
-	AutoThreshold bool
 }
 
-// proxyOffset is the distance (hops) from the source at which Algorithm
-// 1 places a proxy along each candidate direction.
-const proxyOffset = 1
+const (
+	// proxyOffset is the distance (hops) from the source at which
+	// Algorithm 1 places a proxy along each candidate direction.
+	proxyOffset = 1
 
-// pipelineChunk is the segment size of the pipelined extension.
-const pipelineChunk = 1 << 20
+	// pipelineChunk is the segment size of the pipelined extension.
+	pipelineChunk = 1 << 20
+
+	// minProxies is the fewest link-disjoint paths the operating point
+	// proxies over: Eq. 5's gain is k/2, so fewer than 3 cannot win.
+	minProxies = 3
+
+	// pairThreshold is the operating point's one-shot threshold, the
+	// message size below which direct transfer wins: splitting small
+	// messages multiplies the fixed per-message injection and reception
+	// costs. Calibrated to the paper's measured 256 KB crossover on the
+	// 128-node geometry.
+	pairThreshold = 256 << 10
+)
 
 // DefaultProxyConfig returns the paper's operating point.
 func DefaultProxyConfig() ProxyConfig {
-	return ProxyConfig{
-		MinProxies: 3,
-		MaxProxies: 0, // 2L
-		Threshold:  256 << 10,
-		Pipeline:   false,
-	}
+	return ProxyConfig{}
 }
 
+// validate refuses a forced count above the 2L candidate directions the
+// pair planner searches.
 func (c ProxyConfig) validate(dims int) error {
-	if c.MinProxies < 1 {
-		return fmt.Errorf("core: MinProxies %d must be >= 1", c.MinProxies)
-	}
-	if c.MaxProxies < 0 || c.MaxProxies > 2*dims {
-		return fmt.Errorf("core: MaxProxies %d outside [0,%d]", c.MaxProxies, 2*dims)
-	}
-	if c.Threshold < 0 {
-		return fmt.Errorf("core: negative Threshold")
+	if c.Proxies > 2*dims {
+		return fmt.Errorf("core: Proxies %d above the %d candidate directions", c.Proxies, 2*dims)
 	}
 	return nil
 }
 
-func (c ProxyConfig) maxProxies(dims int) int {
-	if c.MaxProxies == 0 {
-		return 2 * dims
+// limit is the most proxies the configuration takes: a forced k, else
+// the 2L candidate directions of an L-dimensional torus.
+func (c ProxyConfig) limit(dims int) int {
+	if c.Proxies > 0 {
+		return c.Proxies
 	}
-	return c.MaxProxies
+	return 2 * dims
 }
 
 // ProxyRoute is one accepted proxy: the intermediate node plus the two
@@ -130,8 +125,8 @@ func NewPairPlanner(tor *torus.Torus, cfg ProxyConfig) (*PairPlanner, error) {
 // each dimension (longest dimensions first, matching where the most
 // routing freedom is) and accepts a candidate only when a pair of legs
 // can be routed disjoint from every already-accepted leg. The returned
-// set may be smaller than MinProxies; the caller decides whether to fall
-// back to direct transfer. PlanPair runs the same search around the
+// set may be smaller than the planner needs; the caller decides whether
+// to fall back to direct transfer. PlanPair runs the same search around the
 // engine network's failed links.
 func (p *PairPlanner) SelectProxies(src, dst torus.NodeID) []ProxyRoute {
 	return selectProxies(p.tor, src, dst, p.cfg, nil)
@@ -147,7 +142,7 @@ func selectProxies(tor *torus.Torus, src, dst torus.NodeID, cfg ProxyConfig, fau
 	busy := make(map[int]struct{}, 64)
 	var accepted []ProxyRoute
 	usedProxies := map[torus.NodeID]struct{}{src: {}, dst: {}}
-	max := cfg.maxProxies(tor.Dims())
+	max := cfg.limit(tor.Dims())
 
 	// Enumerate the 2L candidates, then process the most constrained
 	// first: a proxy whose route to the destination moves in few
@@ -333,14 +328,15 @@ type PairPlan struct {
 }
 
 // PlanPair runs the decision procedure of Algorithm 1 for one message and
-// submits the flows: direct when the message is below the threshold or
-// fewer than MinProxies disjoint paths exist, multipath otherwise. Every
-// leg avoids the failed links of the engine's network.
+// submits the flows: direct when the configuration forces it, when the
+// message is below the threshold or when too few disjoint paths exist,
+// multipath otherwise. Every leg avoids the failed links of the engine's
+// network.
 func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes int64) (PairPlan, error) {
 	if bytes < 0 {
 		return PairPlan{}, fmt.Errorf("core: negative transfer size %d", bytes)
 	}
-	proxies, err := p.proxiesFor(e, src, dst, bytes, p.cfg.maxProxies(p.tor.Dims()))
+	proxies, err := p.proxiesFor(e, src, dst, bytes, p.cfg.limit(p.tor.Dims()), false)
 	if err != nil {
 		return PairPlan{}, err
 	}
@@ -367,37 +363,44 @@ func (p *PairPlanner) PlanPair(e *netsim.Engine, src, dst torus.NodeID, bytes in
 }
 
 // proxiesFor is Algorithm 1's decision for one message of bytes, for
-// PlanPair (k = MaxProxies) and for every wave of MoveResilient (k = the
-// degradation ladder's cap). It returns at most k proxies whose legs
-// avoid the engine network's failed links, or nil when the message goes
-// direct: src == dst, k below MinProxies, bytes below the threshold (the
-// configured one, or under AutoThreshold the Eq. 1-5 model's for k
-// proxies), or fewer than MinProxies disjoint paths.
-func (p *PairPlanner) proxiesFor(e *netsim.Engine, src, dst torus.NodeID, bytes int64, k int) ([]ProxyRoute, error) {
-	if src == dst || k < p.cfg.MinProxies {
+// PlanPair (k = the configuration's limit) and for every wave of
+// MoveResilient (resilient, k = the degradation ladder's cap). It
+// returns at most k proxies whose legs avoid the engine network's failed
+// links, or nil when the message goes direct: src == dst, Proxies < 0,
+// k below the minimum (minProxies at the operating point, one when
+// forced), bytes below the operating point's threshold (pairThreshold,
+// or for a resilient wave the Eq. 1-5 model's for k proxies), or fewer
+// disjoint paths than the minimum.
+func (p *PairPlanner) proxiesFor(e *netsim.Engine, src, dst torus.NodeID, bytes int64, k int, resilient bool) ([]ProxyRoute, error) {
+	if src == dst || p.cfg.Proxies < 0 {
 		return nil, nil
 	}
-	threshold := p.cfg.Threshold
-	if p.cfg.AutoThreshold {
+	atLeast, threshold := 1, int64(0)
+	if p.cfg.Proxies == 0 {
+		atLeast, threshold = minProxies, pairThreshold
+	}
+	if k < atLeast {
+		return nil, nil
+	}
+	if p.cfg.Proxies == 0 && resilient {
 		m, err := NewCostModel(e.Params())
 		if err != nil {
 			return nil, err
 		}
-		threshold = m.PairThreshold(k, p.tor.HopDistance(src, dst))
-		if threshold == 0 {
-			threshold = 1 << 62 // the model says proxies never win here
+		if threshold = m.PairThreshold(k, p.tor.HopDistance(src, dst)); threshold == 0 {
+			return nil, nil // the model says proxies never win here
 		}
 	}
 	if bytes < threshold {
 		return nil, nil
 	}
-	// The search always runs to the configured maximum, so the failed
+	// The search always runs to the configured limit, so the failed
 	// links it reads do not depend on k.
 	proxies := selectProxies(p.tor, src, dst, p.cfg, e.Network().LinkFailed)
 	if len(proxies) > k {
 		proxies = proxies[:k]
 	}
-	if len(proxies) < p.cfg.MinProxies {
+	if len(proxies) < atLeast {
 		return nil, nil
 	}
 	return proxies, nil

@@ -30,9 +30,7 @@ func TestDefaultProxyConfigValid(t *testing.T) {
 
 func TestProxyConfigValidation(t *testing.T) {
 	cases := []ProxyConfig{
-		{MinProxies: 0},
-		{MinProxies: 1, MaxProxies: 11},
-		{MinProxies: 1, Threshold: -1},
+		{Proxies: 11},
 	}
 	for i, c := range cases {
 		if err := c.validate(5); err == nil {
@@ -87,12 +85,10 @@ func TestSelectProxiesSelfPair(t *testing.T) {
 
 func TestSelectProxiesRespectsMaxProxies(t *testing.T) {
 	tor := mira128()
-	cfg := DefaultProxyConfig()
-	cfg.MaxProxies = 2
-	pl, _ := NewPairPlanner(tor, cfg)
+	pl, _ := NewPairPlanner(tor, ProxyConfig{Proxies: 2})
 	got := pl.SelectProxies(0, torus.NodeID(tor.Size()-1))
 	if len(got) > 2 {
-		t.Fatalf("MaxProxies=2 but got %d", len(got))
+		t.Fatalf("Proxies=2 but got %d", len(got))
 	}
 }
 
@@ -147,16 +143,15 @@ func TestPlanPairLargeMessageUsesProxies(t *testing.T) {
 // below the threshold, on the paper's exact 128-node geometry.
 func TestFig5Crossover(t *testing.T) {
 	tor := mira128()
-	cfg := DefaultProxyConfig()
-	cfg.MaxProxies = 4 // the paper uses 4 proxies in Fig. 5
-
-	run := func(bytes int64, forceDirect bool) float64 {
+	// run moves bytes corner to corner, planned under cfg, or on the
+	// direct path when cfg is nil.
+	run := func(bytes int64, cfg *ProxyConfig) float64 {
 		e := newEngine(t, tor)
 		src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-		if forceDirect {
+		if cfg == nil {
 			e.Submit(netsim.FlowSpec{Src: src, Dst: dst, Bytes: bytes})
 		} else {
-			pl, _ := NewPairPlanner(tor, cfg)
+			pl, _ := NewPairPlanner(tor, *cfg)
 			if _, err := pl.PlanPair(e, src, dst, bytes); err != nil {
 				t.Fatal(err)
 			}
@@ -169,12 +164,12 @@ func TestFig5Crossover(t *testing.T) {
 	}
 
 	const big = 128 << 20
-	gain := run(big, false) / run(big, true)
+	gain := run(big, &ProxyConfig{Proxies: 4}) / run(big, nil) // the paper uses 4 proxies in Fig. 5
 	if gain < 1.6 || gain > 2.4 {
 		t.Fatalf("128MB proxy gain = %.2fx, want ~2x", gain)
 	}
 	const small = 32 << 10
-	if run(small, false) < run(small, true)*0.99 {
+	if run(small, &ProxyConfig{}) < run(small, nil)*0.99 {
 		t.Fatal("below threshold the planner must not lose to direct (it should choose direct itself)")
 	}
 }
@@ -183,10 +178,7 @@ func TestPipelineExtensionBeatsPlainProxies(t *testing.T) {
 	tor := mira128()
 	const bytes = 64 << 20
 	run := func(pipeline bool) float64 {
-		cfg := DefaultProxyConfig()
-		cfg.MaxProxies = 4
-		cfg.Pipeline = pipeline
-		pl, err := NewPairPlanner(tor, cfg)
+		pl, err := NewPairPlanner(tor, ProxyConfig{Proxies: 4, Pipeline: pipeline})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -248,9 +240,7 @@ func TestProxySelectionDeterministic(t *testing.T) {
 func TestPairPlanFootprintFullMira(t *testing.T) {
 	tor := torus.MustNew(torus.Shape{8, 12, 16, 16, 2})
 	p := netsim.DefaultParams()
-	cfg := DefaultProxyConfig()
-	cfg.MinProxies, cfg.MaxProxies, cfg.Threshold = 1, 1, 0
-	pl, err := NewPairPlanner(tor, cfg)
+	pl, err := NewPairPlanner(tor, ProxyConfig{Proxies: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -158,9 +158,10 @@ type TransferReport struct {
 // replans the lost bytes with fault-avoiding proxy selection, and
 // degrades k -> k-1 -> ... -> direct as the torus loses disjoint paths.
 // Every wave decides direct versus multipath by PlanPair's rule, with
-// the proxy count capped by the ladder. The engine must be in interactive
-// mode (BeginInteractive), since recovery needs to interleave planning
-// with the virtual clock.
+// the proxy count capped by the ladder, except that at the operating
+// point the threshold is the Eq. 1-5 model's at the wave's cap. The
+// engine must be in interactive mode (BeginInteractive), since recovery
+// needs to interleave planning with the virtual clock.
 func (p *PairPlanner) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, bytes int64, rc RecoveryConfig) (TransferReport, error) {
 	rep := TransferReport{Bytes: bytes, FinalMode: Direct}
 	if err := rc.validate(); err != nil {
@@ -185,7 +186,7 @@ func (p *PairPlanner) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, byt
 		return rep, err
 	}
 	net := e.Network()
-	maxK := p.cfg.maxProxies(p.tor.Dims())
+	maxK := p.cfg.limit(p.tor.Dims())
 	backoff := rc.Backoff
 	remaining := bytes
 	firstWaveProxies := -1
@@ -224,11 +225,10 @@ func (p *PairPlanner) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, byt
 			return rep, fmt.Errorf("core: transfer interrupted after %d bytes: %w", rep.Delivered, err)
 		}
 
-		// Plan this wave against the live failure state, deciding as
-		// PlanPair does. The degradation ladder caps the proxy count at
-		// maxK, which drops by one after every lossy wave until only the
-		// direct path is left.
-		proxies, err := p.proxiesFor(e, src, dst, remaining, maxK)
+		// Plan this wave against the live failure state. The degradation
+		// ladder caps the proxy count at maxK, which drops by one after
+		// every lossy wave until only the direct path is left.
+		proxies, err := p.proxiesFor(e, src, dst, remaining, maxK, true)
 		if err != nil {
 			rep.Delivered = bytes - remaining
 			return rep, err
@@ -341,7 +341,7 @@ func (p *PairPlanner) MoveResilient(e *netsim.Engine, src, dst torus.NodeID, byt
 		rep.Replans++
 		rep.BytesRerouted += lost
 		// Descend the ladder: the next wave gets one fewer proxy than this
-		// one used (direct once below MinProxies).
+		// one used (direct once below the minimum).
 		degraded := maxK
 		if len(proxies) > 0 {
 			maxK = len(proxies) - 1

@@ -25,9 +25,7 @@ func resilientRig(t *testing.T) (*torus.Torus, *netsim.Network, *netsim.Engine, 
 		t.Fatal(err)
 	}
 	e.BeginInteractive()
-	cfg := DefaultProxyConfig()
-	cfg.AutoThreshold = true
-	tr, err := NewPairPlanner(tor, cfg)
+	tr, err := NewPairPlanner(tor, DefaultProxyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +103,7 @@ func TestMoveResilientDegradesToDirect(t *testing.T) {
 	// proxy leg1, staggered so each wave loses a piece until the ladder
 	// reaches direct (whose avoiding route skips the dead first hops).
 	proxies := selectProxies(tor, src, dst, tr.cfg, nil)
-	if len(proxies) < tr.cfg.MinProxies {
+	if len(proxies) < minProxies {
 		t.Fatalf("only %d proxies on a healthy torus", len(proxies))
 	}
 	for i, pr := range proxies {
@@ -139,7 +137,7 @@ func TestMoveResilientErrorsWhenCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.BeginInteractive()
-	tr, err := NewPairPlanner(tor, ProxyConfig{MinProxies: 1, MaxProxies: 2, Threshold: 1 << 30})
+	tr, err := NewPairPlanner(tor, ProxyConfig{Proxies: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +371,7 @@ func TestMoveResilientInterjectPushedFault(t *testing.T) {
 	}
 }
 
-// A planner's fixed threshold decides every resilient wave, as it decides
+// A forced Proxies value decides every resilient wave, as it decides
 // PlanPair: forced direct stays direct through a replan, and a forced
 // two-proxy config (which the cost model would reject) proxies.
 func TestMoveResilientHonoursConfigThreshold(t *testing.T) {
@@ -402,9 +400,7 @@ func TestMoveResilientHonoursConfigThreshold(t *testing.T) {
 		return evs, rep
 	}
 
-	direct := DefaultProxyConfig()
-	direct.Threshold = 1 << 62
-	evs, rep := waves(direct, true)
+	evs, rep := waves(ProxyConfig{Proxies: -1}, true)
 	if rep.Attempts < 2 {
 		t.Fatalf("failing the direct route replanned nothing: %+v", rep)
 	}
@@ -414,7 +410,7 @@ func TestMoveResilientHonoursConfigThreshold(t *testing.T) {
 		}
 	}
 
-	evs, _ = waves(ProxyConfig{MinProxies: 1, MaxProxies: 2, Threshold: 0}, false)
+	evs, _ = waves(ProxyConfig{Proxies: 2}, false)
 	if evs[0].Mode != Proxied || evs[0].Proxies != 2 {
 		t.Fatalf("forced k=2: first wave went %v with %d proxies", evs[0].Mode, evs[0].Proxies)
 	}

@@ -9,14 +9,11 @@ import (
 	"bgqflow/internal/torus"
 )
 
-// resilientPlanner returns the planner resilient transfers run on: at most
-// four proxies, threshold from the cost model.
+// resilientPlanner returns the planner resilient transfers run on: the
+// operating point, whose waves take their threshold from the cost model.
 func resilientPlanner(t *testing.T, tor *torus.Torus) *PairPlanner {
 	t.Helper()
-	cfg := DefaultProxyConfig()
-	cfg.MaxProxies = 4
-	cfg.AutoThreshold = true
-	tr, err := NewPairPlanner(tor, cfg)
+	tr, err := NewPairPlanner(tor, DefaultProxyConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,9 +67,7 @@ func TestTransportMatchesPlanner(t *testing.T) {
 
 	rep, _ := move(t, tr, netsim.NewNetwork(tor, netsim.DefaultParams().LinkBandwidth), src, dst, bytes)
 
-	cfg := DefaultProxyConfig()
-	cfg.MaxProxies = 4
-	pl, _ := NewPairPlanner(tor, cfg)
+	pl, _ := NewPairPlanner(tor, DefaultProxyConfig())
 	eP := newEngine(t, tor)
 	if _, err := pl.PlanPair(eP, src, dst, bytes); err != nil {
 		t.Fatal(err)

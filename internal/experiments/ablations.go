@@ -23,7 +23,6 @@ type AblationThresholdResult struct {
 // AblationThreshold sweeps message size for k = 2, 3, 4 fixed proxies on
 // the Fig. 5 geometry.
 func AblationThreshold(opt Options) (AblationThresholdResult, error) {
-	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -32,8 +31,7 @@ func AblationThreshold(opt Options) (AblationThresholdResult, error) {
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 	res := AblationThresholdResult{Shape: shape}
 
-	directCfg := core.DefaultProxyConfig()
-	directCfg.Threshold = 1 << 62
+	directCfg := core.ProxyConfig{Proxies: -1}
 
 	ks := []int{2, 3, 4}
 	sizes := messageSizes(opt.Quick)
@@ -41,15 +39,11 @@ func AblationThreshold(opt Options) (AblationThresholdResult, error) {
 	err = forEachPoint(opt, len(vals), func(i int) error {
 		k := ks[i/len(sizes)]
 		size := sizes[i%len(sizes)]
-		cfg := core.DefaultProxyConfig()
-		cfg.Threshold = 0
-		cfg.MinProxies = k
-		cfg.MaxProxies = k
-		d, _, err := runPair(tor, p, directCfg, src, dst, size, opt.EngineHook)
+		d, _, err := runPair(tor, directCfg, src, dst, size, opt.EngineHook)
 		if err != nil {
 			return err
 		}
-		pr, _, err := runPair(tor, p, cfg, src, dst, size, opt.EngineHook)
+		pr, _, err := runPair(tor, core.ProxyConfig{Proxies: k}, src, dst, size, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -96,13 +90,8 @@ func AblationPlacement(opt Options) (AblationPlacementResult, error) {
 	const bytes = 64 << 20
 	res := AblationPlacementResult{Bytes: bytes}
 
-	directCfg := core.DefaultProxyConfig()
-	directCfg.Threshold = 1 << 62
-
-	cfg := core.DefaultProxyConfig()
-	cfg.Threshold = 0
-	cfg.MaxProxies = 4
-	cfg.MinProxies = 1
+	directCfg := core.ProxyConfig{Proxies: -1}
+	cfg := core.ProxyConfig{Proxies: 4}
 	pl, err := core.NewPairPlanner(tor, cfg)
 	if err != nil {
 		return res, err
@@ -114,13 +103,13 @@ func AblationPlacement(opt Options) (AblationPlacementResult, error) {
 	err = forEachPoint(opt, 3, func(i int) error {
 		switch i {
 		case 0:
-			d, _, err := runPair(tor, p, directCfg, src, dst, bytes, opt.EngineHook)
+			d, _, err := runPair(tor, directCfg, src, dst, bytes, opt.EngineHook)
 			if err != nil {
 				return err
 			}
 			res.DirectGBps = d / 1e9
 		case 1:
-			dj, _, err := runPair(tor, p, cfg, src, dst, bytes, opt.EngineHook)
+			dj, _, err := runPair(tor, cfg, src, dst, bytes, opt.EngineHook)
 			if err != nil {
 				return err
 			}
@@ -128,7 +117,7 @@ func AblationPlacement(opt Options) (AblationPlacementResult, error) {
 		case 2:
 			// Naive: 4 random intermediate nodes, default deterministic
 			// routes for both legs, no disjointness checks.
-			e, err := newEngine(tor, p, opt.EngineHook)
+			e, err := newEngine(tor, opt.EngineHook)
 			if err != nil {
 				return err
 			}
@@ -173,7 +162,6 @@ type AblationAggCountResult struct {
 
 // AblationAggCount validates Algorithm 2's dynamic selection.
 func AblationAggCount(opt Options) (AblationAggCountResult, error) {
-	p := netsim.DefaultParams()
 	cores := 32768
 	if opt.Quick {
 		cores = 8192
@@ -182,7 +170,7 @@ func AblationAggCount(opt Options) (AblationAggCountResult, error) {
 	if err != nil {
 		return AblationAggCountResult{}, err
 	}
-	probe, err := newIORig(shape, 16, p, opt.EngineHook)
+	probe, err := newIORig(shape, 16, opt.EngineHook)
 	if err != nil {
 		return AblationAggCountResult{}, err
 	}
@@ -193,7 +181,7 @@ func AblationAggCount(opt Options) (AblationAggCountResult, error) {
 	// (sinks and planners register links on the network) and regenerates
 	// the same seeded burst.
 	run := func(cfg core.AggConfig) (float64, int, error) {
-		rig, err := newIORig(shape, 16, p, opt.EngineHook)
+		rig, err := newIORig(shape, 16, opt.EngineHook)
 		if err != nil {
 			return 0, 0, err
 		}
@@ -260,7 +248,6 @@ type AblationRoundSyncResult struct {
 // AblationRoundSync quantifies how much of the default path's deficit
 // comes from round serialization versus aggregator placement.
 func AblationRoundSync(opt Options) (AblationRoundSyncResult, error) {
-	p := netsim.DefaultParams()
 	cores := 32768
 	if opt.Quick {
 		cores = 8192
@@ -274,7 +261,7 @@ func AblationRoundSync(opt Options) (AblationRoundSyncResult, error) {
 	// Each point builds its own rig and regenerates the seeded burst, so
 	// the three measurements are independent.
 	runCollio := func(sync bool) (float64, error) {
-		rig, err := newIORig(shape, 16, p, opt.EngineHook)
+		rig, err := newIORig(shape, 16, opt.EngineHook)
 		if err != nil {
 			return 0, err
 		}
@@ -314,11 +301,11 @@ func AblationRoundSync(opt Options) (AblationRoundSyncResult, error) {
 			}
 			res.UnsyncedGBps = v
 		case 2:
-			rig, err := newIORig(shape, 16, p, opt.EngineHook)
+			rig, err := newIORig(shape, 16, opt.EngineHook)
 			if err != nil {
 				return err
 			}
-			v, err := aggThroughput(rig, workload.Uniform(rig.job.NumRanks(), eightMB, 31), true)
+			v, err := aggThroughput(rig, workload.Uniform(rig.job.NumRanks(), eightMB, 31), true, nil)
 			if err != nil {
 				return err
 			}
@@ -345,7 +332,6 @@ type AblationZonesResult struct {
 // dynamic zones (0, 1) spread them, which is the routing freedom the
 // proxy mechanism exploits explicitly.
 func AblationZones(opt Options) (AblationZonesResult, error) {
-	p := netsim.DefaultParams()
 	tor, err := torus.New(torus.Shape{4, 4, 4, 4, 2})
 	if err != nil {
 		return AblationZonesResult{}, err
@@ -365,7 +351,7 @@ func AblationZones(opt Options) (AblationZonesResult, error) {
 		if err != nil {
 			return err
 		}
-		e, err := newEngine(tor, p, opt.EngineHook)
+		e, err := newEngine(tor, opt.EngineHook)
 		if err != nil {
 			return err
 		}

@@ -48,11 +48,6 @@ type Options struct {
 	EngineHook func(*netsim.Engine)
 }
 
-// DefaultOptions returns a full-fidelity configuration.
-func DefaultOptions() Options {
-	return Options{}
-}
-
 // CurvePoint is one x/y sample of a throughput curve.
 type CurvePoint struct {
 	Bytes int64
@@ -80,7 +75,8 @@ func messageSizes(quick bool) []int64 {
 
 // newEngine builds a fresh engine over a fresh network for one run and
 // applies the hook (usually Options.EngineHook; nil = none).
-func newEngine(tor *torus.Torus, p netsim.Params, hook func(*netsim.Engine)) (*netsim.Engine, error) {
+func newEngine(tor *torus.Torus, hook func(*netsim.Engine)) (*netsim.Engine, error) {
+	p := netsim.DefaultParams()
 	e, err := netsim.NewEngine(netsim.NewNetwork(tor, p.LinkBandwidth), p)
 	if err == nil && hook != nil {
 		hook(e)
@@ -98,7 +94,8 @@ type ioRig struct {
 	hook func(*netsim.Engine)
 }
 
-func newIORig(shape torus.Shape, ranksPerNode int, p netsim.Params, hook func(*netsim.Engine)) (*ioRig, error) {
+func newIORig(shape torus.Shape, ranksPerNode int, hook func(*netsim.Engine)) (*ioRig, error) {
+	p := netsim.DefaultParams()
 	tor, err := torus.New(shape)
 	if err != nil {
 		return nil, err
@@ -152,11 +149,10 @@ func ShapeForCores(cores int) (torus.Shape, error) {
 	return nil, fmt.Errorf("experiments: no geometry for %d cores", cores)
 }
 
-// runPair executes a point-to-point transfer and returns throughput in
-// bytes/second. forceThreshold overrides the planner threshold (0 forces
-// proxies for any size; a huge value forces direct).
-func runPair(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, src, dst torus.NodeID, bytes int64, hook func(*netsim.Engine)) (float64, core.TransferMode, error) {
-	e, err := newEngine(tor, p, hook)
+// runPair executes a point-to-point transfer planned under cfg and
+// returns throughput in bytes/second.
+func runPair(tor *torus.Torus, cfg core.ProxyConfig, src, dst torus.NodeID, bytes int64, hook func(*netsim.Engine)) (float64, core.TransferMode, error) {
+	e, err := newEngine(tor, hook)
 	if err != nil {
 		return 0, 0, err
 	}

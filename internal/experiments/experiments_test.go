@@ -7,9 +7,7 @@ import (
 )
 
 func quickOpts() Options {
-	o := DefaultOptions()
-	o.Quick = true
-	return o
+	return Options{Quick: true}
 }
 
 func TestFig5Shape(t *testing.T) {
@@ -40,7 +38,7 @@ func TestFig5Shape(t *testing.T) {
 }
 
 func TestFig5CrossoverNearPaper(t *testing.T) {
-	res, err := Fig5(DefaultOptions()) // full sweep for crossover accuracy
+	res, err := Fig5(Options{}) // full sweep for crossover accuracy
 	if err != nil {
 		t.Fatal(err)
 	}

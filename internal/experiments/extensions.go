@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"bgqflow/internal/collio"
 	"bgqflow/internal/core"
 	"bgqflow/internal/field"
 	"bgqflow/internal/ionet"
@@ -40,7 +39,6 @@ type ExtStorageRow struct {
 
 // ExtStorage runs E1.
 func ExtStorage(opt Options) (ExtStorageResult, error) {
-	p := netsim.DefaultParams()
 	cores := 32768
 	rpn := 16
 	if opt.Quick {
@@ -64,18 +62,18 @@ func ExtStorage(opt Options) (ExtStorageResult, error) {
 	}
 	nio := 0
 	{
-		probe, err := newIORig(shape, rpn, p, opt.EngineHook)
+		probe, err := newIORig(shape, rpn, opt.EngineHook)
 		if err != nil {
 			return res, err
 		}
-		nio = probe.ios.NumIONodes()
+		nio = probe.ios.NumPsets()
 		data := workload.Uniform(probe.job.NumRanks(), eightMB, int64(cores))
 		res.BurstGB = float64(workload.Total(data)) / 1e9
 	}
 	cases := []sinkCase{
 		{"devnull (paper)", 0},
 		{"GPFS, ample servers", nio * 2},
-		{"GPFS, scarce servers", maxInt(1, nio/4)},
+		{"GPFS, scarce servers", max(1, nio/4)},
 	}
 	// Six self-contained points: (sink case) x (ours, default). Each
 	// builds its own rig — sinks register extra links on the network —
@@ -83,22 +81,20 @@ func ExtStorage(opt Options) (ExtStorageResult, error) {
 	vals := make([]float64, len(cases)*2)
 	err = forEachPoint(opt, len(vals), func(i int) error {
 		sc := cases[i/2]
-		rig, err := newIORig(shape, rpn, p, opt.EngineHook)
+		rig, err := newIORig(shape, rpn, opt.EngineHook)
 		if err != nil {
 			return err
 		}
 		data := workload.Uniform(rig.job.NumRanks(), eightMB, int64(cores))
-		var sink ionet.Sink
-		if sc.servers == 0 {
-			sink = ionet.DevNull{S: rig.ios, ForwardDelay: p.ProxyForwardOverhead}
-		} else {
+		var sink ionet.Sink // nil: devnull
+		if sc.servers > 0 {
 			st, err := storage.Build(rig.net, rig.ios, sc.servers)
 			if err != nil {
 				return err
 			}
 			sink = st
 		}
-		gbps, err := aggThroughputSink(rig, data, i%2 == 0, sink)
+		gbps, err := aggThroughput(rig, data, i%2 == 0, sink)
 		if err != nil {
 			return err
 		}
@@ -116,50 +112,6 @@ func ExtStorage(opt Options) (ExtStorageResult, error) {
 		})
 	}
 	return res, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// aggThroughputSink is aggThroughput with an explicit sink.
-func aggThroughputSink(rig *ioRig, data []int64, ours bool, sink ionet.Sink) (float64, error) {
-	e, err := rig.engine()
-	if err != nil {
-		return 0, err
-	}
-	var total int64
-	var meta float64
-	if ours {
-		pl, err := core.NewAggPlanner(rig.ios, rig.job, rig.p, core.DefaultAggConfig())
-		if err != nil {
-			return 0, err
-		}
-		plan, err := pl.PlanWithSink(e, data, sink)
-		if err != nil {
-			return 0, err
-		}
-		total, meta = plan.TotalBytes, float64(plan.Metadata)
-	} else {
-		pl, err := collio.NewPlanner(rig.ios, rig.job, rig.p, collio.DefaultConfig())
-		if err != nil {
-			return 0, err
-		}
-		plan, err := pl.PlanWithSink(e, data, sink)
-		if err != nil {
-			return 0, err
-		}
-		total, meta = plan.TotalBytes, float64(plan.Metadata)
-	}
-	mk, err := e.Run()
-	if err != nil {
-		return 0, err
-	}
-	addSimTime(mk)
-	return float64(total) / (float64(mk) + meta) / 1e9, nil
 }
 
 // ExtMappingResult compares rank mappings: the same rank-indexed burst
@@ -211,7 +163,7 @@ func ExtMapping(opt Options) (ExtMappingResult, error) {
 		}
 		rig := &ioRig{tor: tor, net: net, ios: ios, job: job, p: p}
 		data := workload.HACC(job.NumRanks(), haccParticlesPerWriter)
-		gbps, err := aggThroughput(rig, data, i%2 == 0)
+		gbps, err := aggThroughput(rig, data, i%2 == 0, nil)
 		if err != nil {
 			return err
 		}
@@ -244,7 +196,6 @@ type ExtPipelineResult struct {
 
 // ExtPipeline runs E3 on the Fig. 5 geometry.
 func ExtPipeline(opt Options) (ExtPipelineResult, error) {
-	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -258,16 +209,6 @@ func ExtPipeline(opt Options) (ExtPipelineResult, error) {
 		PipedK2: Curve{Name: "k=2 pipelined"},
 		PipedK4: Curve{Name: "k=4 pipelined"},
 	}
-	mk := func(k int, pipeline bool) core.ProxyConfig {
-		cfg := core.DefaultProxyConfig()
-		cfg.Threshold = 0
-		cfg.MinProxies = 1
-		cfg.MaxProxies = k
-		cfg.Pipeline = pipeline
-		return cfg
-	}
-	directCfg := core.DefaultProxyConfig()
-	directCfg.Threshold = 1 << 62
 	sizes := messageSizes(opt.Quick)
 	if opt.Quick {
 		// The 64 MB point dominates the quick sweep (pipelined k=4 at 1 MB
@@ -276,11 +217,11 @@ func ExtPipeline(opt Options) (ExtPipelineResult, error) {
 		sizes = []int64{16 << 10, 256 << 10, 4 << 20}
 	}
 	// Four configurations per size, flattened into independent points.
-	cfgs := []core.ProxyConfig{directCfg, mk(2, false), mk(2, true), mk(4, true)}
+	cfgs := []core.ProxyConfig{{Proxies: -1}, {Proxies: 2}, {Proxies: 2, Pipeline: true}, {Proxies: 4, Pipeline: true}}
 	vals := make([]float64, len(sizes)*len(cfgs))
 	err = forEachPoint(opt, len(vals), func(i int) error {
 		size := sizes[i/len(cfgs)]
-		th, _, err := runPair(tor, p, cfgs[i%len(cfgs)], src, dst, size, opt.EngineHook)
+		th, _, err := runPair(tor, cfgs[i%len(cfgs)], src, dst, size, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -322,11 +263,7 @@ func ExtValidation(opt Options) (ExtValidationResult, error) {
 		return ExtValidationResult{}, err
 	}
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
-	cfg := core.DefaultProxyConfig()
-	cfg.Threshold = 0
-	cfg.MinProxies = 1
-	cfg.MaxProxies = 4
-	pl, err := core.NewPairPlanner(tor, cfg)
+	pl, err := core.NewPairPlanner(tor, core.ProxyConfig{Proxies: 4})
 	if err != nil {
 		return ExtValidationResult{}, err
 	}
@@ -345,7 +282,7 @@ func ExtValidation(opt Options) (ExtValidationResult, error) {
 		proxied := i/len(sizes) == 1
 		bytes := sizes[i%len(sizes)]
 		// Flow model.
-		e, err := newEngine(tor, flowP, opt.EngineHook)
+		e, err := newEngine(tor, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -432,7 +369,6 @@ var insituRankGrids = map[int][3]int{
 
 // ExtInsitu runs E5: organically sparse bursts from threshold analysis.
 func ExtInsitu(opt Options) (ExtInsituResult, error) {
-	p := netsim.DefaultParams()
 	scales := []int{2048, 8192, 32768}
 	if opt.Quick {
 		scales = []int{2048}
@@ -449,7 +385,7 @@ func ExtInsitu(opt Options) (ExtInsituResult, error) {
 		if err != nil {
 			return err
 		}
-		rig, err := newIORig(shape, 16, p, opt.EngineHook)
+		rig, err := newIORig(shape, 16, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -479,7 +415,7 @@ func ExtInsitu(opt Options) (ExtInsituResult, error) {
 			BurstGB:       float64(workload.Total(data)) / 1e9,
 			RanksWithData: withData,
 		}
-		gbps, err := aggThroughput(rig, data, i%2 == 0)
+		gbps, err := aggThroughput(rig, data, i%2 == 0, nil)
 		if err != nil {
 			return err
 		}

@@ -22,8 +22,7 @@ func TestEngineHookFiresAcrossRunners(t *testing.T) {
 	}
 	for _, r := range runs {
 		var engines atomic.Int64
-		opt := DefaultOptions()
-		opt.Quick = true
+		opt := Options{Quick: true}
 		opt.EngineHook = func(e *netsim.Engine) {
 			if e == nil {
 				t.Error("hook received nil engine")

@@ -3,7 +3,7 @@ package experiments
 import (
 	"bgqflow/internal/collio"
 	"bgqflow/internal/core"
-	"bgqflow/internal/netsim"
+	"bgqflow/internal/ionet"
 	"bgqflow/internal/workload"
 )
 
@@ -58,9 +58,13 @@ func fig10Scales(quick bool) []int {
 	return out
 }
 
-// aggThroughput runs one aggregation burst and returns GB/s including
-// metadata costs.
-func aggThroughput(rig *ioRig, data []int64, ours bool) (float64, error) {
+// aggThroughput runs one aggregation burst into sink and returns GB/s
+// including metadata costs. A nil sink is /dev/null on the I/O nodes,
+// the paper's setup.
+func aggThroughput(rig *ioRig, data []int64, ours bool, sink ionet.Sink) (float64, error) {
+	if sink == nil {
+		sink = ionet.DevNull{S: rig.ios, ForwardDelay: rig.p.ProxyForwardOverhead}
+	}
 	e, err := rig.engine()
 	if err != nil {
 		return 0, err
@@ -72,7 +76,7 @@ func aggThroughput(rig *ioRig, data []int64, ours bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		plan, err := pl.Plan(e, data)
+		plan, err := pl.PlanWithSink(e, data, sink)
 		if err != nil {
 			return 0, err
 		}
@@ -82,7 +86,7 @@ func aggThroughput(rig *ioRig, data []int64, ours bool) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		plan, err := pl.Plan(e, data)
+		plan, err := pl.PlanWithSink(e, data, sink)
 		if err != nil {
 			return 0, err
 		}
@@ -98,7 +102,6 @@ func aggThroughput(rig *ioRig, data []int64, ours bool) (float64, error) {
 
 // Fig10 runs the weak-scaling aggregation comparison.
 func Fig10(opt Options) (Fig10Result, error) {
-	p := netsim.DefaultParams()
 	res := Fig10Result{
 		OursP1:    ScaleCurve{Name: "Our approach: Pattern 1"},
 		OursP2:    ScaleCurve{Name: "Our approach: Pattern 2"},
@@ -118,7 +121,7 @@ func Fig10(opt Options) (Fig10Result, error) {
 		if err != nil {
 			return err
 		}
-		rig, err := newIORig(shape, 16, p, opt.EngineHook)
+		rig, err := newIORig(shape, 16, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -129,7 +132,7 @@ func Fig10(opt Options) (Fig10Result, error) {
 		} else {
 			data = workload.Pattern2(n, eightMB, int64(cores)+1)
 		}
-		gbps, err := aggThroughput(rig, data, run < 2)
+		gbps, err := aggThroughput(rig, data, run < 2, nil)
 		if err != nil {
 			return err
 		}
@@ -171,7 +174,6 @@ func fig11Scales(quick bool) []int {
 
 // Fig11 runs the HACC I/O comparison.
 func Fig11(opt Options) (Fig11Result, error) {
-	p := netsim.DefaultParams()
 	res := Fig11Result{
 		Ours:    ScaleCurve{Name: "Customized selection of aggregators"},
 		Default: ScaleCurve{Name: "Default MPI collective I/O"},
@@ -185,12 +187,12 @@ func Fig11(opt Options) (Fig11Result, error) {
 		if err != nil {
 			return err
 		}
-		rig, err := newIORig(shape, 16, p, opt.EngineHook)
+		rig, err := newIORig(shape, 16, opt.EngineHook)
 		if err != nil {
 			return err
 		}
 		data := workload.HACC(rig.job.NumRanks(), haccParticlesPerWriter)
-		gbps, err := aggThroughput(rig, data, i%2 == 0)
+		gbps, err := aggThroughput(rig, data, i%2 == 0, nil)
 		if err != nil {
 			return err
 		}

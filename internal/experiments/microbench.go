@@ -20,7 +20,6 @@ type Fig5Result struct {
 
 // Fig5 runs the first microbenchmark.
 func Fig5(opt Options) (Fig5Result, error) {
-	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -34,23 +33,21 @@ func Fig5(opt Options) (Fig5Result, error) {
 		Direct:  Curve{Name: "direct"},
 		Proxied: Curve{Name: "4 proxies (+B,+C,+D,+E)"},
 	}
-	directCfg := core.DefaultProxyConfig()
-	directCfg.Threshold = 1 << 62 // always direct
-	proxyCfg := core.DefaultProxyConfig()
-	proxyCfg.Threshold = 0 // always proxied (the paper plots both curves)
-	proxyCfg.MaxProxies = 4
-	proxyCfg.MinProxies = 1
+	// The paper plots both curves at every size: always direct, and
+	// always over 4 proxies.
+	directCfg := core.ProxyConfig{Proxies: -1}
+	proxyCfg := core.ProxyConfig{Proxies: 4}
 
 	sizes := messageSizes(opt.Quick)
 	type point struct{ d, pr float64 }
 	pts := make([]point, len(sizes))
 	err = forEachPoint(opt, len(sizes), func(i int) error {
 		size := sizes[i]
-		d, _, err := runPair(tor, p, directCfg, src, dst, size, opt.EngineHook)
+		d, _, err := runPair(tor, directCfg, src, dst, size, opt.EngineHook)
 		if err != nil {
 			return err
 		}
-		pr, mode, err := runPair(tor, p, proxyCfg, src, dst, size, opt.EngineHook)
+		pr, mode, err := runPair(tor, proxyCfg, src, dst, size, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -95,7 +92,6 @@ func fig6Boxes(tor *torus.Torus) (torus.Box, torus.Box) {
 
 // Fig6 runs the group-to-group microbenchmark.
 func Fig6(opt Options) (Fig6Result, error) {
-	p := netsim.DefaultParams()
 	shape := torus.Shape{4, 4, 4, 16, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -113,11 +109,11 @@ func Fig6(opt Options) (Fig6Result, error) {
 	pts := make([]point, len(sizes))
 	err = forEachPoint(opt, len(sizes), func(i int) error {
 		size := sizes[i]
-		d, err := runGroup(tor, p, sBox, tBox, size, -1, opt.EngineHook)
+		d, err := runGroup(tor, sBox, tBox, size, -1, opt.EngineHook)
 		if err != nil {
 			return err
 		}
-		pr, err := runGroup(tor, p, sBox, tBox, size, 0, opt.EngineHook)
+		pr, err := runGroup(tor, sBox, tBox, size, 3, opt.EngineHook)
 		if err != nil {
 			return err
 		}
@@ -138,27 +134,15 @@ func Fig6(opt Options) (Fig6Result, error) {
 }
 
 // runGroup executes a group transfer and returns per-pair average
-// throughput in bytes/second. groups: -1 forces direct, 0 auto-selects,
-// >0 forces that many proxy groups.
-func runGroup(tor *torus.Torus, p netsim.Params, sBox, tBox torus.Box, bytesPerPair int64, groups int, hook func(*netsim.Engine)) (float64, error) {
-	e, err := newEngine(tor, p, hook)
+// throughput in bytes/second. groups is core.ProxyConfig.Proxies: -1
+// forces direct, 0 is the operating point, >0 forces that many proxy
+// groups.
+func runGroup(tor *torus.Torus, sBox, tBox torus.Box, bytesPerPair int64, groups int, hook func(*netsim.Engine)) (float64, error) {
+	e, err := newEngine(tor, hook)
 	if err != nil {
 		return 0, err
 	}
-	cfg := core.DefaultProxyConfig()
-	if groups < 0 {
-		cfg.Threshold = 1 << 62 // always direct
-	} else {
-		cfg.Threshold = 0
-		cfg.MinProxies = 1
-	}
-	gp, err := core.NewGroupPlanner(tor, cfg)
-	if err != nil {
-		return 0, err
-	}
-	if groups > 0 {
-		gp.ForceGroups = groups
-	}
+	gp := core.NewGroupPlanner(tor, core.ProxyConfig{Proxies: groups})
 	if _, err := gp.Plan(e, sBox, tBox, bytesPerPair); err != nil {
 		return 0, err
 	}
@@ -186,7 +170,6 @@ func fig7Boxes(tor *torus.Torus) (torus.Box, torus.Box) {
 
 // Fig7 runs the proxy-count sweep.
 func Fig7(opt Options) (Fig7Result, error) {
-	p := netsim.DefaultParams()
 	shape := torus.Shape{4, 4, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -208,7 +191,7 @@ func Fig7(opt Options) (Fig7Result, error) {
 	vals := make([]float64, len(sweeps)*len(sizes))
 	err = forEachPoint(opt, len(vals), func(i int) error {
 		sw := sweeps[i/len(sizes)]
-		th, err := runGroup(tor, p, sBox, tBox, sizes[i%len(sizes)], sw.groups, opt.EngineHook)
+		th, err := runGroup(tor, sBox, tBox, sizes[i%len(sizes)], sw.groups, opt.EngineHook)
 		if err != nil {
 			return err
 		}

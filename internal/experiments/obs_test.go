@@ -12,10 +12,7 @@ import (
 // worker count, returning a canonical rendering of everything recorded.
 func r1Trace(t *testing.T, parallel int) (spans, instants []string, snap obs.MetricsSnapshot) {
 	t.Helper()
-	opt := DefaultOptions()
-	opt.Quick = true
-	opt.Parallel = parallel
-	opt.Obs = obs.NewRecorder()
+	opt := Options{Quick: true, Parallel: parallel, Obs: obs.NewRecorder()}
 	if _, err := R1(opt); err != nil {
 		t.Fatal(err)
 	}

@@ -137,8 +137,8 @@ func r1Observe(rec *obs.Recorder, e *netsim.Engine, track string) (flush func())
 }
 
 // r1Direct runs the default single-path transfer under the campaign.
-func r1Direct(tor *torus.Torus, p netsim.Params, c *faultinject.Campaign, src, dst torus.NodeID, bytes int64, rec *obs.Recorder, track string, hook func(*netsim.Engine)) (R1Mode, error) {
-	e, err := newEngine(tor, p, hook)
+func r1Direct(tor *torus.Torus, c *faultinject.Campaign, src, dst torus.NodeID, bytes int64, rec *obs.Recorder, track string, hook func(*netsim.Engine)) (R1Mode, error) {
+	e, err := newEngine(tor, hook)
 	if err != nil {
 		return R1Mode{}, err
 	}
@@ -157,8 +157,8 @@ func r1Direct(tor *torus.Torus, p netsim.Params, c *faultinject.Campaign, src, d
 
 // r1ProxyNoRecovery runs the paper's proxied transfer with no recovery:
 // pieces whose legs cross a failed link abort and stay lost.
-func r1ProxyNoRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c *faultinject.Campaign, src, dst torus.NodeID, bytes int64, rec *obs.Recorder, track string, hook func(*netsim.Engine)) (R1Mode, error) {
-	e, err := newEngine(tor, p, hook)
+func r1ProxyNoRecovery(tor *torus.Torus, cfg core.ProxyConfig, c *faultinject.Campaign, src, dst torus.NodeID, bytes int64, rec *obs.Recorder, track string, hook func(*netsim.Engine)) (R1Mode, error) {
+	e, err := newEngine(tor, hook)
 	if err != nil {
 		return R1Mode{}, err
 	}
@@ -183,13 +183,12 @@ func r1ProxyNoRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, 
 }
 
 // r1ProxyRecovery runs the resilient transfer loop under the campaign.
-func r1ProxyRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c *faultinject.Campaign, src, dst torus.NodeID, bytes int64, rec *obs.Recorder, track string, hook func(*netsim.Engine)) (R1Mode, error) {
-	e, err := newEngine(tor, p, hook)
+func r1ProxyRecovery(tor *torus.Torus, cfg core.ProxyConfig, c *faultinject.Campaign, src, dst torus.NodeID, bytes int64, rec *obs.Recorder, track string, hook func(*netsim.Engine)) (R1Mode, error) {
+	e, err := newEngine(tor, hook)
 	if err != nil {
 		return R1Mode{}, err
 	}
 	defer r1Observe(rec, e, track)()
-	cfg.AutoThreshold = true // every recovery wave decides on the cost model
 	pl, err := core.NewPairPlanner(tor, cfg)
 	if err != nil {
 		return R1Mode{}, err
@@ -211,7 +210,6 @@ func r1ProxyRecovery(tor *torus.Torus, p netsim.Params, cfg core.ProxyConfig, c 
 // of failed links for direct / proxy-no-recovery / proxy-with-recovery,
 // all three against the same seeded campaign at every point.
 func R1(opt Options) (R1Result, error) {
-	p := netsim.DefaultParams()
 	shape := torus.Shape{2, 2, 4, 4, 2}
 	tor, err := torus.New(shape)
 	if err != nil {
@@ -231,13 +229,13 @@ func R1(opt Options) (R1Result, error) {
 		track := func(strategy string) string { return fmt.Sprintf("r1/fail%d/%s", n, strategy) }
 		// Each strategy gets its own fresh network and an identical
 		// campaign (campaigns are pure values; Apply re-schedules them).
-		if pt.Direct, err = r1Direct(tor, p, r1Campaign(tor, src, dst, cfg, n), src, dst, bytes, opt.Obs, track("direct"), opt.EngineHook); err != nil {
+		if pt.Direct, err = r1Direct(tor, r1Campaign(tor, src, dst, cfg, n), src, dst, bytes, opt.Obs, track("direct"), opt.EngineHook); err != nil {
 			return err
 		}
-		if pt.ProxyNoRec, err = r1ProxyNoRecovery(tor, p, cfg, r1Campaign(tor, src, dst, cfg, n), src, dst, bytes, opt.Obs, track("norec"), opt.EngineHook); err != nil {
+		if pt.ProxyNoRec, err = r1ProxyNoRecovery(tor, cfg, r1Campaign(tor, src, dst, cfg, n), src, dst, bytes, opt.Obs, track("norec"), opt.EngineHook); err != nil {
 			return err
 		}
-		if pt.ProxyRec, err = r1ProxyRecovery(tor, p, cfg, r1Campaign(tor, src, dst, cfg, n), src, dst, bytes, opt.Obs, track("recovery"), opt.EngineHook); err != nil {
+		if pt.ProxyRec, err = r1ProxyRecovery(tor, cfg, r1Campaign(tor, src, dst, cfg, n), src, dst, bytes, opt.Obs, track("recovery"), opt.EngineHook); err != nil {
 			return err
 		}
 		res.Points[i] = pt

@@ -63,8 +63,7 @@ func ScaleSparse(opt Options) (ScaleResult, error) {
 	if err != nil {
 		return ScaleResult{}, err
 	}
-	p := netsim.DefaultParams()
-	e, err := newEngine(tor, p, opt.EngineHook)
+	e, err := newEngine(tor, opt.EngineHook)
 	if err != nil {
 		return ScaleResult{}, err
 	}

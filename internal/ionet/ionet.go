@@ -92,11 +92,9 @@ func Build(net *netsim.Network) (*System, error) {
 	return s, nil
 }
 
-// NumPsets returns the number of psets (equal to the number of I/O nodes).
+// NumPsets returns the number of psets, which is also the number of I/O
+// nodes available to the partition: each pset has one.
 func (s *System) NumPsets() int { return len(s.psets) }
-
-// NumIONodes returns the number of I/O nodes available to the partition.
-func (s *System) NumIONodes() int { return len(s.psets) }
 
 // Pset returns pset i.
 func (s *System) Pset(i int) *Pset { return &s.psets[i] }

@@ -23,9 +23,6 @@ func TestBuildMira2K(t *testing.T) {
 	if s.NumPsets() != 16 {
 		t.Fatalf("2048 nodes / 128 = 16 psets, got %d", s.NumPsets())
 	}
-	if s.NumIONodes() != 16 {
-		t.Fatalf("NumIONodes = %d, want 16", s.NumIONodes())
-	}
 	for i := 0; i < s.NumPsets(); i++ {
 		ps := s.Pset(i)
 		if ps.Box.Size() != 128 {

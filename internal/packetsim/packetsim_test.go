@@ -177,11 +177,7 @@ func TestCrossValidationAgainstFlowModel(t *testing.T) {
 	const bytes = 8 << 20
 	src, dst := torus.NodeID(0), torus.NodeID(tor.Size()-1)
 
-	cfg := core.DefaultProxyConfig()
-	cfg.Threshold = 0
-	cfg.MinProxies = 1
-	cfg.MaxProxies = 4
-	pl, err := core.NewPairPlanner(tor, cfg)
+	pl, err := core.NewPairPlanner(tor, core.ProxyConfig{Proxies: 4})
 	if err != nil {
 		t.Fatal(err)
 	}

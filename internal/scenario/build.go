@@ -64,21 +64,6 @@ func (fl FailLink) LinkID(tor *torus.Torus) (id int, ok bool) {
 	return 0, false
 }
 
-// proxyConfig maps a pair transfer's Proxies knob onto Algorithm 1's
-// configuration: -1 forces direct, 0 keeps the paper's operating point,
-// and k > 0 forces up to k proxies (at least one, threshold 0).
-func (t TransferConfig) proxyConfig() core.ProxyConfig {
-	cfg := core.DefaultProxyConfig()
-	if t.Proxies < 0 {
-		cfg.Threshold = 1 << 62
-	} else if t.Proxies > 0 {
-		cfg.MaxProxies = t.Proxies
-		cfg.MinProxies = 1
-		cfg.Threshold = 0
-	}
-	return cfg
-}
-
 // Run executes the scenario.
 func Run(c Config) (Result, error) {
 	if err := c.Validate(); err != nil {
@@ -234,22 +219,19 @@ func (b *Built) planDirect() {
 
 // planPair runs Algorithm 1 for a pair transfer, or, under a fault
 // campaign, the resilient transfer loop (detect, replan, degrade) to
-// completion. Both honour a forced Proxies value; in auto mode the
-// resilient waves take their threshold from the cost model.
+// completion. Both decide on t.Proxies as core.ProxyConfig.Proxies.
 func (b *Built) planPair() error {
 	t, tor, e := b.Config.Transfer, b.Torus, b.Engine
 	if t.Src < 0 || t.Src >= tor.Size() || t.Dst < 0 || t.Dst >= tor.Size() {
 		return fmt.Errorf("scenario: pair endpoints outside torus of %d nodes", tor.Size())
 	}
 	src, dst := torus.NodeID(t.Src), torus.NodeID(t.Dst)
+	pl, err := core.NewPairPlanner(tor, core.ProxyConfig{Proxies: t.Proxies})
+	if err != nil {
+		return err
+	}
 	if fc := b.Config.FaultCampaign; fc != nil {
 		camp, err := fc.Build(tor)
-		if err != nil {
-			return err
-		}
-		cfg := t.proxyConfig()
-		cfg.AutoThreshold = t.Proxies == 0
-		pl, err := core.NewPairPlanner(tor, cfg)
 		if err != nil {
 			return err
 		}
@@ -261,10 +243,6 @@ func (b *Built) planPair() error {
 		rep, rerr := pl.MoveResilient(e, src, dst, t.Bytes, core.DefaultRecoveryConfig())
 		b.Resilient, b.recoveryErr, b.Makespan = &rep, rerr, rep.Makespan
 		return nil
-	}
-	pl, err := core.NewPairPlanner(tor, t.proxyConfig())
-	if err != nil {
-		return err
 	}
 	plan, err := pl.PlanPair(e, src, dst, t.Bytes)
 	if err != nil {
@@ -285,17 +263,7 @@ func (b *Built) planGroup() error {
 	if err != nil {
 		return fmt.Errorf("scenario: dstBox: %w", err)
 	}
-	cfg := core.DefaultProxyConfig()
-	if t.Proxies < 0 {
-		cfg.Threshold = 1 << 62
-	}
-	gp, err := core.NewGroupPlanner(b.Torus, cfg)
-	if err != nil {
-		return err
-	}
-	if t.Proxies > 0 {
-		gp.ForceGroups = t.Proxies
-	}
+	gp := core.NewGroupPlanner(b.Torus, core.ProxyConfig{Proxies: t.Proxies})
 	plan, err := gp.Plan(b.Engine, sBox, dBox, t.Bytes)
 	if err != nil {
 		return err

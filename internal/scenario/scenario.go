@@ -180,9 +180,10 @@ type TransferConfig struct {
 	SrcExtent []int `json:"srcExtent"`
 	DstOrigin []int `json:"dstOrigin"`
 	DstExtent []int `json:"dstExtent"`
-	// Proxies: -1 direct, 0 auto, >0 forced: for a pair the maximum
-	// proxy count, for a group the group count. A forced value holds
-	// with or without a fault campaign.
+	// Proxies is core.ProxyConfig.Proxies: -1 direct, 0 the paper's
+	// operating point, >0 forced (for a pair the maximum proxy count,
+	// for a group the group count). A forced value holds with or
+	// without a fault campaign.
 	Proxies int `json:"proxies"`
 }
 

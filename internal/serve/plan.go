@@ -43,10 +43,10 @@ type PairRequest struct {
 	Dst int `json:"dst"`
 	// Bytes is the message size.
 	Bytes int64 `json:"bytes"`
-	// Proxies selects the mode: -1 forces direct, 0 uses the default
-	// config (the paper's operating point), >0 forces up to that many
-	// proxies (MinProxies 1, threshold 0) — the same convention as the
-	// bgqsim scenario schema.
+	// Proxies selects the mode as core.ProxyConfig.Proxies does: -1
+	// forces direct, 0 is the paper's operating point, >0 forces up to
+	// that many proxies at any size — the same convention as the bgqsim
+	// scenario schema.
 	Proxies int `json:"proxies"`
 }
 
@@ -122,7 +122,8 @@ type GroupRequest struct {
 	DstExtent []int  `json:"dstExtent"`
 	// Bytes is the per-pair message size.
 	Bytes int64 `json:"bytes"`
-	// Proxies: -1 direct, 0 auto-disjoint, >0 forced group count.
+	// Proxies is core.ProxyConfig.Proxies: -1 direct, 0 the paper's
+	// operating point (auto-disjoint groups), >0 forced group count.
 	Proxies int `json:"proxies"`
 }
 

@@ -62,16 +62,7 @@ func directPairWire(t *testing.T, req serve.PairRequest, faults []scenario.FailL
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := core.DefaultProxyConfig()
-	switch {
-	case req.Proxies < 0:
-		cfg.Threshold = 1 << 62
-	case req.Proxies > 0:
-		cfg.MaxProxies = req.Proxies
-		cfg.MinProxies = 1
-		cfg.Threshold = 0
-	}
-	pl, err := core.NewPairPlanner(tor, cfg)
+	pl, err := core.NewPairPlanner(tor, core.ProxyConfig{Proxies: req.Proxies})
 	if err != nil {
 		t.Fatal(err)
 	}

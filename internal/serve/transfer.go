@@ -274,9 +274,7 @@ func RunTransfer(req TransferRequest, faults []scenario.FailLink, hooks Transfer
 			return core.TransferReport{}, err
 		}
 	}
-	cfg := core.DefaultProxyConfig()
-	cfg.AutoThreshold = true
-	pl, err := core.NewPairPlanner(tor, cfg)
+	pl, err := core.NewPairPlanner(tor, core.DefaultProxyConfig())
 	if err != nil {
 		return core.TransferReport{}, err
 	}

@@ -43,7 +43,7 @@ func Build(net *netsim.Network, ios *ionet.System, servers int) (*System, error)
 		return nil, fmt.Errorf("storage: %d servers", servers)
 	}
 	s := &System{ios: ios}
-	for pi := 0; pi < ios.NumIONodes(); pi++ {
+	for pi := 0; pi < ios.NumPsets(); pi++ {
 		s.ionIB = append(s.ionIB, net.AddLink(fmt.Sprintf("ion%d->ib", pi), ionIBBandwidth))
 	}
 	for sv := 0; sv < servers; sv++ {

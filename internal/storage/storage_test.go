@@ -31,7 +31,7 @@ func TestBuildRegistersLinks(t *testing.T) {
 	if s.NumServers() != 16 {
 		t.Fatalf("NumServers = %d", s.NumServers())
 	}
-	for pi := 0; pi < ios.NumIONodes(); pi++ {
+	for pi := 0; pi < ios.NumPsets(); pi++ {
 		l := s.IONIBLink(pi)
 		if net.Capacity(l) != 4e9 {
 			t.Fatalf("IB link %d capacity %g", l, net.Capacity(l))
