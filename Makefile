@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test lint verify bench bench-scale quick check check-topo same-outputs soak soak-sessions soak-cluster
+.PHONY: build test lint verify bench bench-scale bench-layers quick check check-topo same-outputs soak soak-sessions soak-cluster
 
 build:
 	$(GO) build ./...
@@ -55,8 +55,9 @@ verify: build lint check check-topo
 # fuzz smokes over the wire decoders: the X-Bgq-Min-Vector header, and
 # POST /v1/fault, POST /v1/gossip, the plan request bodies (pair, group,
 # agg, simulate) and POST /v1/transfer against an in-process daemon, the
-# ndjson session frames the session client decodes, and the plan
-# response envelopes the client decodes (FuzzPlanEnvelope).
+# ndjson session frames the session client decodes, the plan
+# response envelopes the client decodes (FuzzPlanEnvelope), and the
+# one-pass scan that bounds and checks their plans (FuzzValueEnd).
 check:
 	$(GO) test ./internal/check
 	$(GO) run ./cmd/bgqbench -check -quick -run all
@@ -68,6 +69,7 @@ check:
 	$(GO) test -fuzz='FuzzTransferRequest$$' -fuzztime=10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz='FuzzSessionFrames$$' -fuzztime=10s -run '^$$' ./internal/serve
 	$(GO) test -fuzz='FuzzPlanEnvelope$$' -fuzztime=10s -run '^$$' ./internal/serve
+	$(GO) test -fuzz='FuzzValueEnd$$' -fuzztime=10s -run '^$$' ./internal/serve
 
 # Topology-plane oracle: the 200-seed dragonfly/fat-tree differential
 # suite plus invariant audits and the topology round-trip/identity
@@ -109,6 +111,16 @@ bench:
 # engine-touching changes.
 bench-scale:
 	./scripts/bench.sh scale $(BASE)
+
+# Paired layer benchmarks (ROADMAP.md item 3): builds the test binaries
+# of BASE=<rev> (from git archive) beside the working tree's and runs a
+# fixed list of layer benchmarks (plan compute, the cache hit's handler,
+# client round trip and envelope decode, gossip log apply, engine
+# submit/release) alternately, 8 rounds; per benchmark it prints both
+# sides' medians, the ratio, the rounds the working tree won and the
+# base's spread. Reports only, never gates.
+bench-layers:
+	./scripts/bench.sh layers $(BASE)
 
 # Load/soak gate: spawn a real bgqd on a Unix socket, drive it with
 # bgqload for 30s at a fixed request rate, fail on any 5xx, on a shed

@@ -132,7 +132,6 @@ type ExtMappingRow struct {
 // ExtMapping runs E2 with the HACC window burst, whose placement is the
 // most mapping-sensitive (contiguous ranks).
 func ExtMapping(opt Options) (ExtMappingResult, error) {
-	p := netsim.DefaultParams()
 	cores := 16384
 	if opt.Quick {
 		cores = 8192
@@ -147,22 +146,14 @@ func ExtMapping(opt Options) (ExtMappingResult, error) {
 	// its own mapped rig.
 	vals := make([]float64, len(mappings)*2)
 	err = forEachPoint(opt, len(vals), func(i int) error {
-		mapping := mappings[i/2]
-		tor, err := torus.New(shape)
+		rig, err := newIORig(shape, 16, opt.EngineHook)
 		if err != nil {
 			return err
 		}
-		net := netsim.NewNetwork(tor, p.LinkBandwidth)
-		ios, err := ionet.Build(net)
-		if err != nil {
+		if rig.job, err = mpisim.NewJobWithMapping(rig.tor, 16, mappings[i/2]); err != nil {
 			return err
 		}
-		job, err := mpisim.NewJobWithMapping(tor, 16, mapping)
-		if err != nil {
-			return err
-		}
-		rig := &ioRig{tor: tor, net: net, ios: ios, job: job, p: p}
-		data := workload.HACC(job.NumRanks(), haccParticlesPerWriter)
+		data := workload.HACC(rig.job.NumRanks(), haccParticlesPerWriter)
 		gbps, err := aggThroughput(rig, data, i%2 == 0, nil)
 		if err != nil {
 			return err

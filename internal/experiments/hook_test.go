@@ -19,6 +19,7 @@ func TestEngineHookFiresAcrossRunners(t *testing.T) {
 		{"r1", func(opt Options) error { _, err := R1(opt); return err }},
 		{"ablations/zones", func(opt Options) error { _, err := AblationZones(opt); return err }},
 		{"extensions/validation", func(opt Options) error { _, err := ExtValidation(opt); return err }},
+		{"extensions/mapping", func(opt Options) error { _, err := ExtMapping(opt); return err }},
 	}
 	for _, r := range runs {
 		var engines atomic.Int64

@@ -90,6 +90,37 @@ func BenchmarkServePlanHit(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeEnvelope measures the client's decode of a cache hit's
+// 200 body, as serve-hot receives it, with no socket: the plan's bound
+// and check and the envelope's tail.
+func BenchmarkDecodeEnvelope(b *testing.B) {
+	srv := serve.New(serve.Config{})
+	defer srv.Close()
+	h := srv.Handler()
+	body, err := json.Marshal(hitReq)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var rec *httptest.ResponseRecorder
+	for range 2 {
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/plan/pair", bytes.NewReader(body)))
+	}
+	hit := rec.Body.Bytes()
+	if env, err := serve.DecodeEnvelope(hit); err != nil || !env.Cached {
+		b.Fatalf("warmed request: %v: %s", err, hit)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		env, err := serve.DecodeEnvelope(hit)
+		if err != nil {
+			b.Fatal(err)
+		}
+		envelopeSink = env.Plan
+	}
+}
+
 // BenchmarkClientPlanHit measures Client.PlanPair of a cached request
 // against an in-process daemon over loopback TCP: request encode, HTTP
 // round trip, the handler's hit path and the client's envelope decode.
@@ -117,6 +148,7 @@ func BenchmarkClientPlanHit(b *testing.B) {
 }
 
 var (
-	pairSink serve.PairPlan
-	aggSink  serve.AggPlan
+	pairSink     serve.PairPlan
+	aggSink      serve.AggPlan
+	envelopeSink []byte
 )

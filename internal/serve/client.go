@@ -416,32 +416,46 @@ func readBody(resp *http.Response) ([]byte, error) {
 
 // decodeEnvelope decodes a plan response body. It rejects exactly the
 // bodies json.Unmarshal rejects and otherwise returns the fields
-// json.Unmarshal would, but a 200 body as writePlan frames it passes
-// through the JSON scanner once: the plan object's end is found by a
-// structural scan, json.Valid checks the plan, and only the envelope's
-// short tail is unmarshaled (FuzzPlanEnvelope). Every other body is
-// unmarshaled whole. The returned plan may alias body.
+// json.Unmarshal would, but a 200 body as writePlan frames it is read in
+// one pass: one validating scan bounds and checks the plan object
+// (splitEnvelope), and readTail reads the members writePlan writes after
+// it (FuzzPlanEnvelope). A tail in any other form is unmarshaled as an
+// object of its own, and every other body is unmarshaled whole. The
+// returned plan may alias body.
 func decodeEnvelope(body []byte) (planEnvelope, error) {
-	var env planEnvelope
-	if plan, tail, ok := splitEnvelope(body); ok && json.Valid(plan) {
-		err := json.Unmarshal(tail, &env)
-		// A tail key naming the plan again, in any letter case, wins
-		// over the first, as it would in json.Unmarshal.
-		if env.Plan == nil {
-			env.Plan = plan
-		}
-		return env, err
+	plan, tail, ok := splitEnvelope(body)
+	if !ok {
+		return unmarshalEnvelope(body)
 	}
-	err := json.Unmarshal(body, &env)
+	if env, ok := readTail(tail); ok {
+		env.Plan = plan
+		return env, nil
+	}
+	members, ok := tailObject(tail)
+	if !ok {
+		return unmarshalEnvelope(body)
+	}
+	env, err := unmarshalEnvelope(members)
+	// A tail key naming the plan again, in any letter case, wins over
+	// the first, as it would in json.Unmarshal.
+	if env.Plan == nil {
+		env.Plan = plan
+	}
+	return env, err
+}
+
+// unmarshalEnvelope is json.Unmarshal of b into a planEnvelope. Kept
+// apart so that only the bodies it decodes put an envelope on the heap.
+func unmarshalEnvelope(b []byte) (planEnvelope, error) {
+	var env planEnvelope
+	err := json.Unmarshal(b, &env)
 	return env, err
 }
 
 // splitEnvelope splits a body that opens {"plan":{ into the plan
-// object, bounded by a scan of its strings and brackets, and the
-// envelope's other members made an object of their own: "{" followed by
-// what follows the comma after the plan. Given a valid plan, body is
-// valid JSON exactly when that object is, because at least one member
-// follows the comma. ok is false for any other framing.
+// object, bounded and checked by valueEnd, and the bytes after it. ok
+// is false for any other framing, for a plan json.Valid refuses and for
+// one nested deeper than maxPlanDepth.
 func splitEnvelope(body []byte) (plan, tail []byte, ok bool) {
 	rest, found := bytes.CutPrefix(body, []byte(planOpen))
 	if !found || len(rest) == 0 || rest[0] != '{' {
@@ -451,54 +465,292 @@ func splitEnvelope(body []byte) (plan, tail []byte, ok bool) {
 	if end < 0 {
 		return nil, nil, false
 	}
-	plan, rest = rest[:end], bytes.TrimLeft(rest[end:], jsonSpace)
+	return rest[:end], rest[end:], true
+}
+
+// tailObject makes the envelope members that follow a valid plan an
+// object of their own: "{" followed by what follows the comma after the
+// plan. Given a valid plan, the body is valid JSON exactly when that
+// object is, because at least one member follows the comma. ok is false
+// for any other framing.
+func tailObject(tail []byte) ([]byte, bool) {
+	rest := bytes.TrimLeft(tail, jsonSpace)
 	if len(rest) == 0 || rest[0] != ',' {
-		return nil, nil, false
+		return nil, false
 	}
 	if m := bytes.TrimLeft(rest[1:], jsonSpace); len(m) == 0 || m[0] != '"' {
-		return nil, nil, false
+		return nil, false
 	}
-	tail = append([]byte{'{'}, rest[1:]...)
-	return plan, tail, true
+	return append([]byte{'{'}, rest[1:]...), true
+}
+
+// readTail reads the envelope members writePlan writes after the plan:
+// ,"epoch":N, then ,"cached":true or ,"coalesced":true when set, then
+// ,"vector":"…" when the vector is non-empty, then } and an optional
+// newline. The epoch must be a canonical decimal that fits a uint64 and
+// the vector printable ASCII without escapes, so the fields are the
+// ones json.Unmarshal finds. ok is false for any other bytes.
+func readTail(b []byte) (env planEnvelope, ok bool) {
+	b, ok = bytes.CutPrefix(b, []byte(`,"epoch":`))
+	if !ok {
+		return env, false
+	}
+	epoch, n := readUint(b)
+	if n == 0 {
+		return env, false
+	}
+	env.Epoch, b = epoch, b[n:]
+	if rest, ok := bytes.CutPrefix(b, []byte(`,"cached":true`)); ok {
+		env.Cached, b = true, rest
+	} else if rest, ok := bytes.CutPrefix(b, []byte(`,"coalesced":true`)); ok {
+		env.Coalesced, b = true, rest
+	}
+	if rest, ok := bytes.CutPrefix(b, []byte(`,"vector":"`)); ok {
+		n := plainString(rest)
+		if n == len(rest) || rest[n] != '"' {
+			return env, false
+		}
+		env.Vector, b = string(rest[:n]), rest[n+1:]
+	}
+	if string(b) != "}" && string(b) != "}\n" {
+		return env, false
+	}
+	return env, true
+}
+
+// readUint reads the canonical decimal, 0 or a digit 1-9 followed by
+// digits, that opens b and fits a uint64. It returns the value and the
+// digits taken, 0 when there is no such number.
+func readUint(b []byte) (uint64, int) {
+	var v uint64
+	n := 0
+	for ; n < len(b) && '0' <= b[n] && b[n] <= '9'; n++ {
+		d := uint64(b[n] - '0')
+		if v > (math.MaxUint64-d)/10 {
+			return 0, 0
+		}
+		v = v*10 + d
+	}
+	if n == 0 || (n > 1 && b[0] == '0') {
+		return 0, 0
+	}
+	return v, n
+}
+
+// plainString returns the length of the printable ASCII other than '"'
+// and '\\' that opens b: the bytes a JSON string holds as they are.
+func plainString(b []byte) int {
+	for i, c := range b {
+		if c < 0x20 || c > 0x7e || c == '"' || c == '\\' {
+			return i
+		}
+	}
+	return len(b)
 }
 
 // jsonSpace is the whitespace JSON allows between tokens.
 const jsonSpace = " \t\n\r"
 
-// maxPlanDepth is the deepest plan splitEnvelope bounds. encoding/json
+// maxPlanDepth is the deepest plan valueEnd bounds. encoding/json
 // refuses values nested more than 10000 deep and the envelope adds a
 // level, so a deeper plan is left to the whole-body json.Unmarshal,
 // which applies the limit; json.Valid alone would pass it.
 const maxPlanDepth = 10000 - 1
 
-// valueEnd returns the length of the object or array that opens b,
-// found by matching brackets outside strings, or -1 when b ends first
-// or nests deeper than maxPlanDepth. It checks nothing else: on invalid
-// JSON the bound may be wrong.
+// valueEnd returns the length of the JSON value that opens b at its
+// first byte, found in one pass that both bounds and checks it: b[:n]
+// is a value json.Valid accepts. It returns -1 when b opens with
+// anything else or the value nests deeper than maxPlanDepth
+// (FuzzValueEnd).
 func valueEnd(b []byte) int {
-	depth, inString := 0, false
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		switch {
-		case inString:
-			if c == '\\' {
-				i++
-			} else if c == '"' {
-				inString = false
-			}
-		case c == '"':
-			inString = true
-		case c == '{' || c == '[':
-			if depth++; depth > maxPlanDepth {
+	// inArray holds a bit per open container: set for an array, clear
+	// for an object.
+	var inArray [maxPlanDepth/64 + 1]uint64
+	depth, i := 0, 0
+value:
+	for {
+		// b[i] opens a value.
+		if i == len(b) {
+			return -1
+		}
+		switch c := b[i]; c {
+		case '{', '[':
+			if depth == maxPlanDepth {
 				return -1
 			}
-		case c == '}' || c == ']':
-			if depth--; depth == 0 {
-				return i + 1
+			bit := uint64(1) << (depth % 64)
+			if c == '[' {
+				inArray[depth/64] |= bit
+			} else {
+				inArray[depth/64] &^= bit
 			}
+			depth++
+			i = skipSpace(b, i+1)
+			if i < len(b) && (b[i] == ']' && c == '[' || b[i] == '}' && c == '{') {
+				depth--
+				i++
+				break
+			}
+			if c == '{' {
+				if i = memberValue(b, i); i < 0 {
+					return -1
+				}
+			}
+			continue value
+		case '"':
+			i = stringEnd(b, i+1)
+		case 't':
+			i = literalEnd(b, i, "true")
+		case 'f':
+			i = literalEnd(b, i, "false")
+		case 'n':
+			i = literalEnd(b, i, "null")
+		default:
+			i = numberEnd(b, i)
+		}
+		if i < 0 {
+			return -1
+		}
+		// A value ended at i: close the containers it ends, or move to
+		// the next element or member.
+		for depth > 0 {
+			if i = skipSpace(b, i); i == len(b) {
+				return -1
+			}
+			d := depth - 1
+			array := inArray[d/64]>>(d%64)&1 == 1
+			switch c := b[i]; {
+			case c == ',':
+				i = skipSpace(b, i+1)
+				if !array {
+					if i = memberValue(b, i); i < 0 {
+						return -1
+					}
+				}
+				continue value
+			case c == ']' && array, c == '}' && !array:
+				depth--
+				i++
+			default:
+				return -1
+			}
+		}
+		return i
+	}
+}
+
+// skipSpace returns the index of the first byte at or after i that is
+// not JSON whitespace.
+func skipSpace(b []byte, i int) int {
+	for i < len(b) && (b[i] == ' ' || b[i] == '\t' || b[i] == '\n' || b[i] == '\r') {
+		i++
+	}
+	return i
+}
+
+// memberValue reads an object member's key and colon from b[i:] and
+// returns the index where its value opens, or -1.
+func memberValue(b []byte, i int) int {
+	if i == len(b) || b[i] != '"' {
+		return -1
+	}
+	if i = stringEnd(b, i+1); i < 0 {
+		return -1
+	}
+	if i = skipSpace(b, i); i == len(b) || b[i] != ':' {
+		return -1
+	}
+	return skipSpace(b, i+1)
+}
+
+// stringEnd returns the index after the closing quote of the JSON
+// string whose contents start at b[i], or -1. Like encoding/json, it
+// refuses control characters and bad escapes and passes any other byte,
+// invalid UTF-8 included.
+func stringEnd(b []byte, i int) int {
+	for i < len(b) {
+		switch c := b[i]; {
+		case c == '"':
+			return i + 1
+		case c < 0x20:
+			return -1
+		case c != '\\':
+			i++
+		case i+1 == len(b):
+			return -1
+		case b[i+1] == 'u':
+			if i+6 > len(b) {
+				return -1
+			}
+			for _, h := range b[i+2 : i+6] {
+				if !('0' <= h && h <= '9' || 'a' <= h && h <= 'f' || 'A' <= h && h <= 'F') {
+					return -1
+				}
+			}
+			i += 6
+		case bytes.IndexByte([]byte(`"\/bfnrt`), b[i+1]) >= 0:
+			i += 2
+		default:
+			return -1
 		}
 	}
 	return -1
+}
+
+// literalEnd returns the index after lit when b[i:] opens with it, or
+// -1.
+func literalEnd(b []byte, i int, lit string) int {
+	if !bytes.HasPrefix(b[i:], []byte(lit)) {
+		return -1
+	}
+	return i + len(lit)
+}
+
+// numberEnd returns the index after the JSON number that opens b[i:],
+// or -1: an optional minus, 0 or a digit 1-9 followed by digits, an
+// optional fraction and an optional exponent.
+func numberEnd(b []byte, i int) int {
+	if i < len(b) && b[i] == '-' {
+		i++
+	}
+	switch {
+	case i == len(b):
+		return -1
+	case b[i] == '0':
+		i++
+	case '1' <= b[i] && b[i] <= '9':
+		i = digitsEnd(b, i+1)
+	default:
+		return -1
+	}
+	if i < len(b) && b[i] == '.' {
+		j := digitsEnd(b, i+1)
+		if j == i+1 {
+			return -1
+		}
+		i = j
+	}
+	if i < len(b) && (b[i] == 'e' || b[i] == 'E') {
+		i++
+		if i < len(b) && (b[i] == '+' || b[i] == '-') {
+			i++
+		}
+		j := digitsEnd(b, i)
+		if j == i {
+			return -1
+		}
+		i = j
+	}
+	return i
+}
+
+// digitsEnd returns the index of the first byte at or after i that is
+// not a decimal digit.
+func digitsEnd(b []byte, i int) int {
+	for i < len(b) && '0' <= b[i] && b[i] <= '9' {
+		i++
+	}
+	return i
 }
 
 // PlanPair requests a point-to-point plan.

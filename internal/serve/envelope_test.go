@@ -200,6 +200,40 @@ func FuzzPlanEnvelope(f *testing.F) {
 	} {
 		f.Add([]byte(b))
 	}
+	// The cache hit cut after its plan, with near-canonical tails:
+	// readTail's form, and the ones it must leave to json.Unmarshal.
+	plan := hit[:strings.LastIndex(hit, `,"epoch":`)]
+	for _, tail := range []string{
+		`,"epoch":7,"cached":true,"vector":"bgqd:3,r1:9"}` + "\n",
+		`,"epoch":7,"coalesced":true,"vector":"a<b>&c"}`,
+		`,"epoch":18446744073709551615}`,
+		`,"epoch":18446744073709551616}`,
+		`,"epoch":9223372036854775808,"vector":""}`,
+		`,"epoch":-0}`,
+		`,"epoch":1e3}`,
+		`,"epoch":1.0}`,
+		`,"epoch":07}`,
+		`,"epoch":null,"cached":true}`,
+		`,"Epoch":7,"Cached":true}`,
+		`,"epoch":7,"cached":true,"cached":false}`,
+		`,"epoch":7,"cached":true,"coalesced":true}`,
+		`,"epoch":7,"cached":false}`,
+		`,"cached":true,"epoch":7}`,
+		`,"epoch":7,"vector":"v","cached":true}`,
+		`,"epoch":7,"vector":"\u003cb\u003e"}`,
+		`,"epoch":7,"vector":"bgqd:3\/"}`,
+		`,"epoch":7,"vector":"é:3"}`,
+		"" + `,"epoch":7,"vector":"a` + "\t" + `b"}`,
+		`,"epoch":7,"vector":"unterminated}`,
+		`,"epoch":7}` + "\r\n",
+		`,"epoch":7}` + "\n\n",
+		`,"epoch":7} `,
+		`,"epoch":7}}`,
+		`, "epoch":7}`,
+		`,"epoch": 7}`,
+	} {
+		f.Add([]byte(plan + tail))
+	}
 	f.Fuzz(func(t *testing.T, body []byte) {
 		orig := bytes.Clone(body)
 		got, err := decodeEnvelope(body)
@@ -220,6 +254,70 @@ func FuzzPlanEnvelope(f *testing.F) {
 		got.Plan, want.Plan = nil, nil
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("body %q: fields %+v, json.Unmarshal fields %+v", body, got, want)
+		}
+	})
+}
+
+// planDepth returns the deepest nesting of brackets outside strings in
+// a valid JSON value.
+func planDepth(v []byte) int {
+	depth, deepest, inString := 0, 0, false
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; {
+		case inString && c == '\\':
+			i++
+		case inString:
+			inString = c != '"'
+		case c == '"':
+			inString = true
+		case c == '{' || c == '[':
+			depth++
+			deepest = max(deepest, depth)
+		case c == '}' || c == ']':
+			depth--
+		}
+	}
+	return deepest
+}
+
+// FuzzValueEnd checks valueEnd against encoding/json: it bounds a value
+// exactly when a json.Decoder reads a json.RawMessage that opens at b's
+// first byte and nests at most maxPlanDepth deep, it ends that value
+// where the Decoder does, and json.Valid accepts what it bounds.
+func FuzzValueEnd(f *testing.F) {
+	for _, plan := range envelopePlans(f) {
+		f.Add(plan)
+		f.Add(plan[:len(plan)/2])
+	}
+	for _, body := range servedBodies(f) {
+		f.Add(body[len(planOpen):])
+	}
+	for _, b := range []string{
+		`{}`, `[]`, `{"a":[1,2,{"b":null}],"c":{}} ,`, `[1,]`, `{"a":1,}`, `{"a" 1}`, `{1:2}`,
+		`"\u00e9\"\\\/\b\f\n\r\t"x`, `"\u00g0"`, `"\x"`, "\"a\x01\"", "\"\xff\xfe\"",
+		`0`, `-0.5e+10]`, `01`, `-`, `1.`, `1e`, `.5`, `+1`, `-01`, `1E-0`,
+		`true`, `fals`, `nulll`, `truex`,
+		` {}`, `{"a":{"b":[[]]}}}`, `}`, ``,
+		strings.Repeat("[", maxPlanDepth) + strings.Repeat("]", maxPlanDepth),
+		strings.Repeat("[", maxPlanDepth+1) + strings.Repeat("]", maxPlanDepth+1),
+	} {
+		f.Add([]byte(b))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		want := -1
+		if len(b) > 0 && !strings.ContainsRune(jsonSpace, rune(b[0])) {
+			dec := json.NewDecoder(bytes.NewReader(b))
+			var raw json.RawMessage
+			if dec.Decode(&raw) == nil && planDepth(raw) <= maxPlanDepth {
+				want = int(dec.InputOffset())
+			}
+		}
+		got := valueEnd(b)
+		if got != want {
+			t.Fatalf("value %q: valueEnd %d, json.Decoder ends it at %d", b, got, want)
+		}
+		if got >= 0 && !json.Valid(b[:got]) {
+			t.Fatalf("value %q: valueEnd bounds %q, which json.Valid refuses", b, b[:got])
 		}
 	})
 }

@@ -138,6 +138,9 @@ func FuzzPlanRequest(f *testing.F) {
 	} {
 		f.Add(seed.endpoint, []byte(seed.body))
 	}
+	for _, body := range nearCanonicalPairs {
+		f.Add(uint8(0), []byte(body))
+	}
 	f.Fuzz(func(t *testing.T, endpoint uint8, body []byte) {
 		if namedNodes(body) > fuzzMaxNodes {
 			t.Skip("fabric too large for a cheap input")

@@ -25,6 +25,7 @@
 package serve
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -34,6 +35,7 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"bgqflow/internal/cluster"
@@ -171,6 +173,11 @@ type Server struct {
 	wResumeHit   *obs.WindowCounter
 	wResumeTotal *obs.WindowCounter
 	wLatency     *obs.WindowHistogram
+	// The plan path's series, taken from the registry on first use
+	// (lazyMetric): the totals, and one planMetrics per endpoint, filled
+	// in by New and only read after.
+	requests, cacheHits lazyMetric[obs.Counter]
+	endpoints           map[string]*planMetrics
 
 	// Cluster plane (cluster.go): the gossip node over this replica's
 	// fault-event log, and the anti-entropy loop's stop/done channels.
@@ -199,6 +206,13 @@ func New(cfg Config) *Server {
 
 		gossipStop: make(chan struct{}),
 		gossipDone: make(chan struct{}),
+	}
+	s.requests.name, s.cacheHits.name = "serve/requests", "serve/cache_hits"
+	s.endpoints = make(map[string]*planMetrics)
+	for _, ep := range []string{"pair", "group", "agg", "sim"} {
+		m := &planMetrics{}
+		m.requests.name, m.latency.name = "serve/requests/"+ep, "serve/latency_ms/"+ep
+		s.endpoints[ep] = m
 	}
 	s.wRequests = s.reg.WindowCounter("serve/window/requests", cfg.StatsWindow)
 	s.wShed = s.reg.WindowCounter("serve/window/shed", cfg.StatsWindow)
@@ -253,6 +267,31 @@ func (s *Server) Close() {
 	}
 	s.sessions.shutdown()
 	s.disp.close()
+}
+
+// lazyMetric is a registry series taken by name on first use and kept
+// after: /metrics lists it only once it is used, as when the registry
+// is asked on every use, but later uses skip the registry's lock. Two
+// first uses may both take it; the registry hands both the same metric.
+type lazyMetric[T any] struct {
+	name string
+	m    atomic.Pointer[T]
+}
+
+// get returns the metric, taking it with take on first use.
+func (l *lazyMetric[T]) get(take func(name string) *T) *T {
+	if m := l.m.Load(); m != nil {
+		return m
+	}
+	m := take(l.name)
+	l.m.Store(m)
+	return m
+}
+
+// planMetrics are one plan endpoint's series.
+type planMetrics struct {
+	requests lazyMetric[obs.Counter]   // serve/requests/<endpoint>
+	latency  lazyMetric[obs.Histogram] // serve/latency_ms/<endpoint>
 }
 
 // snapshot returns the current epoch and fault set, taken from one
@@ -354,8 +393,9 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	t0 := time.Now()
 	trace := s.traceID(r)
 	span := s.wall.SpanBegin(trace, "bgqd/plan", endpoint)
-	s.reg.Counter("serve/requests").Inc()
-	s.reg.Counter("serve/requests/" + endpoint).Inc()
+	metrics := s.endpoints[endpoint]
+	s.requests.get(s.reg.Counter).Inc()
+	metrics.requests.get(s.reg.Counter).Inc()
 	s.wRequests.Inc()
 	snap := s.cache.current()
 	epoch, vecStr := snap.epoch, snap.vecStr
@@ -415,7 +455,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	}
 	switch outcome {
 	case outcomeHit:
-		s.reg.Counter("serve/cache_hits").Inc()
+		s.cacheHits.get(s.reg.Counter).Inc()
 	case outcomeCoalesced:
 		s.reg.Counter("serve/coalesced").Inc()
 	case outcomeComputed:
@@ -442,14 +482,43 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 		return
 	}
 	latencyMS := float64(time.Since(t0)) / 1e6
-	s.reg.Histogram("serve/latency_ms/" + endpoint).Observe(latencyMS)
+	metrics.latency.get(s.reg.Histogram).Observe(latencyMS)
 	s.wLatency.Observe(latencyMS)
 	s.wall.SpanEnd(span)
 	writePlan(w, val, snap, outcome)
 }
 
+// maxBodyBytes bounds a request body; past it the read fails with
+// http.MaxBytesReader's error.
+const maxBodyBytes = 1 << 20
+
+// bodyBufs holds the buffers decodeBody reads request bodies into.
+var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads a request body whole, under maxBodyBytes, and decodes
+// its one JSON value into v, answering 400 when it cannot. A pair body
+// in the form json.Marshal gives a PairRequest is read by decodePair.
+// Every other body goes to a json.Decoder that refuses unknown fields,
+// fed the bytes read and then the read's error, so the values accepted
+// and the error text are those of a Decoder reading the body itself.
 func decodeBody(w http.ResponseWriter, r *http.Request, reg *obs.Registry, v any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
+	buf := bodyBufs.Get().(*bytes.Buffer)
+	defer func() {
+		// A buffer grown by a large body is left to the collector.
+		if buf.Cap() <= 64<<10 {
+			bodyBufs.Put(buf)
+		}
+	}()
+	buf.Reset()
+	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if req, ok := v.(*PairRequest); ok && rerr == nil && decodePair(buf.Bytes(), req) {
+		return true
+	}
+	var body io.Reader = bytes.NewReader(buf.Bytes())
+	if rerr != nil {
+		body = io.MultiReader(body, errReader{rerr})
+	}
+	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()
 	if err := decodeOne(dec, v); err != nil {
 		reg.Counter("serve/errors").Inc()
@@ -457,6 +526,95 @@ func decodeBody(w http.ResponseWriter, r *http.Request, reg *obs.Registry, v any
 		return false
 	}
 	return true
+}
+
+// errReader fails every read with err.
+type errReader struct{ err error }
+
+func (r errReader) Read([]byte) (int, error) { return 0, r.err }
+
+// pairInts are the integer members of a pair body as json.Marshal
+// writes them, in order, with the width of their fields.
+var pairInts = [...]struct {
+	key  string
+	bits int
+}{{`"src":`, strconv.IntSize}, {`,"dst":`, strconv.IntSize}, {`,"bytes":`, 64}, {`,"proxies":`, strconv.IntSize}}
+
+// decodePair decodes body into req without reflection when it has the
+// exact form json.Marshal gives a PairRequest: the lower-case keys in
+// field order, shape and topology only when non-empty, strings of
+// printable ASCII with no escapes, canonical decimal integers in range,
+// and only whitespace after the closing brace. A json.Decoder sets the
+// same fields from such a body. For any other body it reports false and
+// leaves req as it was (FuzzPlanRequest).
+func decodePair(body []byte, req *PairRequest) bool {
+	out := *req
+	b, ok := bytes.CutPrefix(body, []byte("{"))
+	if !ok {
+		return false
+	}
+	if b, ok = readPairString(b, `"shape":"`, &out.Shape); !ok {
+		return false
+	}
+	if b, ok = readPairString(b, `"topology":"`, &out.Topology); !ok {
+		return false
+	}
+	var ints [len(pairInts)]int64
+	for i, m := range pairInts {
+		if b, ok = bytes.CutPrefix(b, []byte(m.key)); !ok {
+			return false
+		}
+		n := 0
+		if ints[i], n = readInt(b, m.bits); n == 0 {
+			return false
+		}
+		b = b[n:]
+	}
+	if b, ok = bytes.CutPrefix(b, []byte("}")); !ok || len(bytes.TrimLeft(b, jsonSpace)) != 0 {
+		return false
+	}
+	out.Src, out.Dst, out.Bytes, out.Proxies = int(ints[0]), int(ints[1]), ints[2], int(ints[3])
+	*req = out
+	return true
+}
+
+// readPairString reads the member that opens b when it is key, a
+// non-empty string of plain printable ASCII, and a comma, storing the
+// string in *v. b passes through when it opens with another member; ok
+// is false when it opens with key and anything else follows.
+func readPairString(b []byte, key string, v *string) (rest []byte, ok bool) {
+	s, found := bytes.CutPrefix(b, []byte(key))
+	if !found {
+		return b, true
+	}
+	n := plainString(s)
+	if n == 0 || !bytes.HasPrefix(s[n:], []byte(`",`)) {
+		return b, false
+	}
+	*v = string(s[:n])
+	return s[n+2:], true
+}
+
+// readInt reads the canonical decimal integer that opens b, an optional
+// minus then what readUint reads but never -0, when it fits a signed
+// integer of the given bits. It returns the value and the bytes taken,
+// 0 when there is no such integer.
+func readInt(b []byte, bits int) (int64, int) {
+	neg := len(b) > 0 && b[0] == '-'
+	if neg {
+		b = b[1:]
+	}
+	u, n := readUint(b)
+	limit := uint64(1)<<(bits-1) - 1
+	switch {
+	case n == 0:
+		return 0, 0
+	case !neg && u <= limit:
+		return int64(u), n
+	case neg && u != 0 && u-1 <= limit:
+		return -int64(u-1) - 1, n + 1
+	}
+	return 0, 0
 }
 
 // decodeOne decodes the one JSON value a request body holds: only

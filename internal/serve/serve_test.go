@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -538,6 +540,60 @@ func TestE2EMetricsAndHealth(t *testing.T) {
 	if _, ok := snap.Gauges["serve/uptime_seconds"]; !ok {
 		t.Error("missing uptime gauge")
 	}
+}
+
+// TestPlanMetricSeries pins the plan path's series by name, and that
+// each appears on /metrics only once used: a fresh daemon lists none, a
+// computed pair plan adds the totals and the pair endpoint's counter and
+// latency histogram, its cache hit adds serve/cache_hits, a refused
+// group body adds nothing, and an agg plan adds the agg series.
+func TestPlanMetricSeries(t *testing.T) {
+	_, client := newTestDaemon(t, serve.Config{})
+	ctx := context.Background()
+	series := func() map[string]int64 {
+		snap, err := client.Metrics(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]int64{}
+		for name, v := range snap.Counters {
+			if strings.HasPrefix(name, "serve/requests") || name == "serve/cache_hits" {
+				got[name] = v
+			}
+		}
+		for name, h := range snap.Histograms {
+			if strings.HasPrefix(name, "serve/latency_ms/") {
+				got[name] = int64(h.N)
+			}
+		}
+		return got
+	}
+	check := func(step string, want map[string]int64) {
+		t.Helper()
+		if got := series(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: series %v, want %v", step, got, want)
+		}
+	}
+	check("fresh daemon", map[string]int64{})
+	pair := serve.PairRequest{Shape: testShape, Src: 0, Dst: 5, Bytes: 1 << 20}
+	for i, want := range []map[string]int64{
+		{"serve/requests": 1, "serve/requests/pair": 1, "serve/latency_ms/pair": 1},
+		{"serve/requests": 2, "serve/requests/pair": 2, "serve/latency_ms/pair": 2, "serve/cache_hits": 1},
+	} {
+		if res, err := client.PlanPair(ctx, pair); err != nil || !res.OK() {
+			t.Fatalf("pair %d: %v status %d", i, err, res.Status)
+		}
+		check(fmt.Sprintf("pair %d", i), want)
+	}
+	if res, err := client.PlanGroup(ctx, serve.GroupRequest{Shape: testShape}); err != nil || res.Status != http.StatusBadRequest {
+		t.Fatalf("bad group: %v status %d", err, res.Status)
+	}
+	check("refused group", map[string]int64{"serve/requests": 2, "serve/requests/pair": 2, "serve/latency_ms/pair": 2, "serve/cache_hits": 1})
+	if res, err := client.PlanAgg(ctx, serve.AggRequest{Shape: testShape, Workload: "pattern2", Seed: 7}); err != nil || !res.OK() {
+		t.Fatalf("agg: %v status %d", err, res.Status)
+	}
+	check("agg", map[string]int64{"serve/requests": 3, "serve/requests/pair": 2, "serve/latency_ms/pair": 2, "serve/cache_hits": 1,
+		"serve/requests/agg": 1, "serve/latency_ms/agg": 1})
 }
 
 // TestE2EUnixSocket exercises the unix:// client path end to end.

@@ -25,6 +25,17 @@
 # peak_rss_mb and their ratios, and FAILS if the working tree's median
 # wall time is more than 25% above the base's. Peak RSS is reported
 # only, never gated; a base whose reports lack it prints n/a.
+#
+# `scripts/bench.sh layers BASE` (`make bench-layers BASE=rev`): builds
+# the test binaries of the packages holding the layer benchmarks, for the
+# base revision (from git archive, in a temporary directory) and for the
+# working tree, then runs the fixed list of layer benchmarks below on the
+# two alternately, 8 rounds, the side that goes first alternating. Per
+# benchmark it prints each side's median ns/op, B/op and allocs/op, the
+# ns/op ratio (working tree / base), in how many rounds the working tree
+# was faster, and the base's spread (the distance between its ns/op
+# quartiles over its median). A benchmark one side lacks prints n/a. It
+# only reports; it never fails on a number.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -94,6 +105,101 @@ scale_pairs() {
     fi
 }
 
+# layer_benches lists the layer benchmarks `layers` runs, one
+# "package benchmark" line each.
+layer_benches='internal/serve BenchmarkComputePairCold
+internal/serve BenchmarkComputeAggCold
+internal/serve BenchmarkServePlanHit
+internal/serve BenchmarkClientPlanHit
+internal/serve BenchmarkDecodeEnvelope
+internal/cluster BenchmarkLogApply
+internal/netsim BenchmarkEngineSubmitRelease'
+layer_rounds=8
+
+# layer_pairs BASE runs the layer benchmarks alternately on the base
+# revision and on the working tree and prints their comparison.
+layer_pairs() {
+    base_rev=$1
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    mkdir "$tmp/base"
+    git archive "$base_rev" | tar -x -C "$tmp/base"
+    work=$(pwd)
+    pkgs=$(echo "$layer_benches" | awk '{ print $1 }' | sort -u)
+    for pkg in $pkgs; do
+        bin=$(echo "$pkg" | tr / _).test
+        (cd "$tmp/base" && go test -c -o "$tmp/base-$bin" "./$pkg")
+        go test -c -o "$tmp/work-$bin" "./$pkg"
+    done
+    : > "$tmp/results"
+    i=1
+    while [ "$i" -le "$layer_rounds" ]; do
+        # Alternate which side runs first, as scale_pairs does.
+        if [ $((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi
+        for side in $order; do
+            if [ "$side" = base ]; then dir=$tmp/base; else dir=$work; fi
+            for pkg in $pkgs; do
+                bin=$(echo "$pkg" | tr / _).test
+                names=$(echo "$layer_benches" | awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }')
+                # Run from the package directory, as go test does.
+                (cd "$dir/$pkg" && "$tmp/$side-$bin" -test.run '^$' -test.bench "^($names)\$" \
+                    -test.benchmem -test.timeout 10m) |
+                    awk -v side="$side" -v round="$i" '/^Benchmark/ {
+                        name = $1; sub(/-[0-9]+$/, "", name)
+                        ns = b = a = "n/a"
+                        for (f = 3; f <= NF; f++) {
+                            if ($f == "ns/op") ns = $(f - 1)
+                            if ($f == "B/op") b = $(f - 1)
+                            if ($f == "allocs/op") a = $(f - 1)
+                        }
+                        print side, round, name, ns, b, a
+                    }' >> "$tmp/results"
+            done
+        done
+        echo "bench-layers: round $i of $layer_rounds done" >&2
+        i=$((i + 1))
+    done
+    echo "bench-layers: base $base_rev against the working tree, $layer_rounds alternating rounds, medians"
+    printf '%-29s %11s %11s %6s %6s %7s %10s %10s %7s %7s\n' benchmark "base ns/op" "work ns/op" ratio better spread "base B/op" "work B/op" "base al" "work al"
+    echo "$layer_benches" | while read -r _ name; do
+        awk -v name="$name" -v rounds="$layer_rounds" '
+            # sortv sorts v[1..n] in place.
+            function sortv(v, n,   i, j, t) {
+                for (i = 2; i <= n; i++) {
+                    t = v[i]
+                    for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]
+                    v[j + 1] = t
+                }
+            }
+            # q is the p-quantile of the sorted v[1..n], as Python
+            # statistics.quantiles(n=4) gives the quartiles.
+            function q(v, n, p,   h, lo) {
+                h = (n + 1) * p; lo = int(h)
+                if (lo < 1) return v[1]
+                if (lo >= n) return v[n]
+                return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+            }
+            function med(v, n) { if (!n) return "n/a"; sortv(v, n); return q(v, n, 0.5) }
+            function f(x) { return x == "n/a" ? x : sprintf("%.0f", x) }
+            $3 == name && $4 != "n/a" {
+                if ($1 == "base") { bn[++nb] = $4 + 0; bb[nb] = $5 + 0; ba[nb] = $6 + 0; bround[$2] = $4 + 0 }
+                else { wn[++nw] = $4 + 0; wb[nw] = $5 + 0; wa[nw] = $6 + 0; wround[$2] = $4 + 0 }
+            }
+            END {
+                mbn = med(bn, nb); mwn = med(wn, nw)
+                ratio = better = spread = "n/a"
+                if (nb && nw) {
+                    ratio = sprintf("%.3f", mwn / mbn)
+                    k = n = 0
+                    for (r = 1; r <= rounds; r++) if ((r in bround) && (r in wround)) { n++; if (wround[r] < bround[r]) k++ }
+                    better = k "/" n
+                }
+                if (nb >= 2) spread = sprintf("%.1f%%", 100 * (q(bn, nb, 0.75) - q(bn, nb, 0.25)) / mbn)
+                printf "%-29s %11s %11s %6s %6s %7s %10s %10s %7s %7s\n", name, f(mbn), f(mwn), ratio, better, spread, f(med(bb, nb)), f(med(wb, nw)), f(med(ba, nb)), f(med(wa, nw))
+            }' "$tmp/results"
+    done
+}
+
 case "$mode" in
 quick)
     out="BENCH_$(date +%Y%m%d).json"
@@ -146,8 +252,15 @@ scale)
         scale_pairs "$2"
     fi
     ;;
+layers)
+    if [ -z "${2:-}" ]; then
+        echo "usage: scripts/bench.sh layers BASE" >&2
+        exit 2
+    fi
+    layer_pairs "$2"
+    ;;
 *)
-    echo "usage: scripts/bench.sh [quick|topo|scale [BASE]]" >&2
+    echo "usage: scripts/bench.sh [quick|topo|scale [BASE]|layers BASE]" >&2
     exit 2
     ;;
 esac
