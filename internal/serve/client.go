@@ -419,36 +419,19 @@ func readBody(resp *http.Response) ([]byte, error) {
 // json.Unmarshal would, but a 200 body as writePlan frames it is read in
 // one pass: one validating scan bounds and checks the plan object
 // (splitEnvelope), and readTail reads the members writePlan writes after
-// it (FuzzPlanEnvelope). A tail in any other form is unmarshaled as an
-// object of its own, and every other body is unmarshaled whole. The
+// it (FuzzPlanEnvelope). Every other body is unmarshaled whole. The
 // returned plan may alias body.
 func decodeEnvelope(body []byte) (planEnvelope, error) {
-	plan, tail, ok := splitEnvelope(body)
-	if !ok {
-		return unmarshalEnvelope(body)
+	if plan, tail, ok := splitEnvelope(body); ok {
+		if env, ok := readTail(tail); ok {
+			env.Plan = plan
+			return env, nil
+		}
 	}
-	if env, ok := readTail(tail); ok {
-		env.Plan = plan
-		return env, nil
-	}
-	members, ok := tailObject(tail)
-	if !ok {
-		return unmarshalEnvelope(body)
-	}
-	env, err := unmarshalEnvelope(members)
-	// A tail key naming the plan again, in any letter case, wins over
-	// the first, as it would in json.Unmarshal.
-	if env.Plan == nil {
-		env.Plan = plan
-	}
-	return env, err
-}
-
-// unmarshalEnvelope is json.Unmarshal of b into a planEnvelope. Kept
-// apart so that only the bodies it decodes put an envelope on the heap.
-func unmarshalEnvelope(b []byte) (planEnvelope, error) {
+	// Declared here, so that only the bodies unmarshaled put an
+	// envelope on the heap.
 	var env planEnvelope
-	err := json.Unmarshal(b, &env)
+	err := json.Unmarshal(body, &env)
 	return env, err
 }
 
@@ -466,22 +449,6 @@ func splitEnvelope(body []byte) (plan, tail []byte, ok bool) {
 		return nil, nil, false
 	}
 	return rest[:end], rest[end:], true
-}
-
-// tailObject makes the envelope members that follow a valid plan an
-// object of their own: "{" followed by what follows the comma after the
-// plan. Given a valid plan, the body is valid JSON exactly when that
-// object is, because at least one member follows the comma. ok is false
-// for any other framing.
-func tailObject(tail []byte) ([]byte, bool) {
-	rest := bytes.TrimLeft(tail, jsonSpace)
-	if len(rest) == 0 || rest[0] != ',' {
-		return nil, false
-	}
-	if m := bytes.TrimLeft(rest[1:], jsonSpace); len(m) == 0 || m[0] != '"' {
-		return nil, false
-	}
-	return append([]byte{'{'}, rest[1:]...), true
 }
 
 // readTail reads the envelope members writePlan writes after the plan:

@@ -35,7 +35,6 @@ import (
 	"runtime"
 	"strconv"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"bgqflow/internal/cluster"
@@ -173,11 +172,6 @@ type Server struct {
 	wResumeHit   *obs.WindowCounter
 	wResumeTotal *obs.WindowCounter
 	wLatency     *obs.WindowHistogram
-	// The plan path's series, taken from the registry on first use
-	// (lazyMetric): the totals, and one planMetrics per endpoint, filled
-	// in by New and only read after.
-	requests, cacheHits lazyMetric[obs.Counter]
-	endpoints           map[string]*planMetrics
 
 	// Cluster plane (cluster.go): the gossip node over this replica's
 	// fault-event log, and the anti-entropy loop's stop/done channels.
@@ -206,13 +200,6 @@ func New(cfg Config) *Server {
 
 		gossipStop: make(chan struct{}),
 		gossipDone: make(chan struct{}),
-	}
-	s.requests.name, s.cacheHits.name = "serve/requests", "serve/cache_hits"
-	s.endpoints = make(map[string]*planMetrics)
-	for _, ep := range []string{"pair", "group", "agg", "sim"} {
-		m := &planMetrics{}
-		m.requests.name, m.latency.name = "serve/requests/"+ep, "serve/latency_ms/"+ep
-		s.endpoints[ep] = m
 	}
 	s.wRequests = s.reg.WindowCounter("serve/window/requests", cfg.StatsWindow)
 	s.wShed = s.reg.WindowCounter("serve/window/shed", cfg.StatsWindow)
@@ -267,31 +254,6 @@ func (s *Server) Close() {
 	}
 	s.sessions.shutdown()
 	s.disp.close()
-}
-
-// lazyMetric is a registry series taken by name on first use and kept
-// after: /metrics lists it only once it is used, as when the registry
-// is asked on every use, but later uses skip the registry's lock. Two
-// first uses may both take it; the registry hands both the same metric.
-type lazyMetric[T any] struct {
-	name string
-	m    atomic.Pointer[T]
-}
-
-// get returns the metric, taking it with take on first use.
-func (l *lazyMetric[T]) get(take func(name string) *T) *T {
-	if m := l.m.Load(); m != nil {
-		return m
-	}
-	m := take(l.name)
-	l.m.Store(m)
-	return m
-}
-
-// planMetrics are one plan endpoint's series.
-type planMetrics struct {
-	requests lazyMetric[obs.Counter]   // serve/requests/<endpoint>
-	latency  lazyMetric[obs.Histogram] // serve/latency_ms/<endpoint>
 }
 
 // snapshot returns the current epoch and fault set, taken from one
@@ -393,9 +355,8 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	t0 := time.Now()
 	trace := s.traceID(r)
 	span := s.wall.SpanBegin(trace, "bgqd/plan", endpoint)
-	metrics := s.endpoints[endpoint]
-	s.requests.get(s.reg.Counter).Inc()
-	metrics.requests.get(s.reg.Counter).Inc()
+	s.reg.Counter("serve/requests").Inc()
+	s.reg.Counter("serve/requests/" + endpoint).Inc()
 	s.wRequests.Inc()
 	snap := s.cache.current()
 	epoch, vecStr := snap.epoch, snap.vecStr
@@ -455,7 +416,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	}
 	switch outcome {
 	case outcomeHit:
-		s.cacheHits.get(s.reg.Counter).Inc()
+		s.reg.Counter("serve/cache_hits").Inc()
 	case outcomeCoalesced:
 		s.reg.Counter("serve/coalesced").Inc()
 	case outcomeComputed:
@@ -482,7 +443,7 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 		return
 	}
 	latencyMS := float64(time.Since(t0)) / 1e6
-	metrics.latency.get(s.reg.Histogram).Observe(latencyMS)
+	s.reg.Histogram("serve/latency_ms/" + endpoint).Observe(latencyMS)
 	s.wLatency.Observe(latencyMS)
 	s.wall.SpanEnd(span)
 	writePlan(w, val, snap, outcome)
@@ -492,31 +453,25 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 // http.MaxBytesReader's error.
 const maxBodyBytes = 1 << 20
 
-// bodyBufs holds the buffers decodeBody reads request bodies into.
-var bodyBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
-
-// decodeBody reads a request body whole, under maxBodyBytes, and decodes
-// its one JSON value into v, answering 400 when it cannot. A pair body
-// in the form json.Marshal gives a PairRequest is read by decodePair.
-// Every other body goes to a json.Decoder that refuses unknown fields,
-// fed the bytes read and then the read's error, so the values accepted
-// and the error text are those of a Decoder reading the body itself.
+// decodeBody decodes the one JSON value a request body holds into v,
+// reading at most maxBodyBytes, and answers 400 when it cannot. A pair
+// body is read whole first, and decodePair reads it when it has the
+// form json.Marshal gives a PairRequest. Every other body goes to a
+// json.Decoder that refuses unknown fields; a pair body decodePair
+// refuses reaches it as the bytes read followed by the read's error, so
+// the values accepted and the error text are those of the Decoder
+// reading the body itself.
 func decodeBody(w http.ResponseWriter, r *http.Request, reg *obs.Registry, v any) bool {
-	buf := bodyBufs.Get().(*bytes.Buffer)
-	defer func() {
-		// A buffer grown by a large body is left to the collector.
-		if buf.Cap() <= 64<<10 {
-			bodyBufs.Put(buf)
+	var body io.Reader = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+	if req, ok := v.(*PairRequest); ok {
+		b, rerr := io.ReadAll(body)
+		if rerr == nil && decodePair(b, req) {
+			return true
 		}
-	}()
-	buf.Reset()
-	_, rerr := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if req, ok := v.(*PairRequest); ok && rerr == nil && decodePair(buf.Bytes(), req) {
-		return true
-	}
-	var body io.Reader = bytes.NewReader(buf.Bytes())
-	if rerr != nil {
-		body = io.MultiReader(body, errReader{rerr})
+		body = bytes.NewReader(b)
+		if rerr != nil {
+			body = io.MultiReader(body, errReader{rerr})
+		}
 	}
 	dec := json.NewDecoder(body)
 	dec.DisallowUnknownFields()

@@ -54,10 +54,27 @@ peak_rss_mb() {
     sed -n 's/.*"peak_rss_mb":[[:space:]]*\([0-9.]*\).*/\1/p' "$1" | head -1
 }
 
+# quartiles prints the lower quartile, the median and the upper quartile
+# of the numbers given as arguments, as Python's statistics.quantiles(n=4)
+# gives the quartiles, or n/a three times when there are none.
+quartiles() {
+    printf '%s\n' "$@" | sort -g | awk -v OFMT=%.15g '
+        function q(p,   h, lo) {
+            h = (n + 1) * p; lo = int(h)
+            if (lo < 1) return v[1]
+            if (lo >= n) return v[n]
+            return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+        }
+        $1 != "" { v[++n] = $1 }
+        END { if (!n) print "n/a n/a n/a"; else print q(0.25), q(0.5), q(0.75) }'
+}
+
 # median prints the median of the numbers given as arguments, or n/a
 # when there are none.
 median() {
-    printf '%s\n' "$@" | sort -g | awk '$1 != "" { v[++n] = $1 } END { if (!n) print "n/a"; else print (n % 2) ? v[(n + 1) / 2] : (v[n / 2] + v[n / 2 + 1]) / 2 }'
+    # shellcheck disable=SC2046 # word splitting is the point
+    set -- $(quartiles "$@")
+    echo "$2"
 }
 
 # mb X prints "X MB", or n/a when X is empty or n/a.
@@ -70,30 +87,47 @@ ratio() {
     awk -v a="$1" -v b="$2" 'BEGIN { if (a == "n/a" || b == "n/a") print "n/a"; else printf "%.3f", a / b }'
 }
 
+# base_tree REV extracts revision REV with git archive into $tmp/base,
+# $tmp being a temporary directory removed on exit.
+base_tree() {
+    tmp=$(mktemp -d)
+    trap 'rm -rf "$tmp"' EXIT
+    mkdir "$tmp/base"
+    git archive "$1" | tar -x -C "$tmp/base"
+}
+
+# alternate ROUNDS FN calls FN SIDE ROUND for the sides base and work in
+# each of ROUNDS rounds. Which side goes first alternates, so a slow
+# spell of the host does not always land on the same side.
+alternate() {
+    i=1
+    while [ "$i" -le "$1" ]; do
+        if [ $((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi
+        for side in $order; do "$2" "$side" "$i"; done
+        i=$((i + 1))
+    done
+}
+
+# scale_run SIDE ROUND runs `bgqbench -run scale` on one side and adds
+# its wall time, allocation and peak RSS to that side's lists.
+scale_run() {
+    "$tmp/bgqbench-$1" -run scale -json "$tmp/$1-$2.json" > /dev/null
+    wall=$(total_wall_ms "$tmp/$1-$2.json")
+    alloc=$(alloc_bytes "$tmp/$1-$2.json")
+    rss=$(peak_rss_mb "$tmp/$1-$2.json")
+    echo "bench-scale: run $2 $1: ${wall} ms, ${alloc} B allocated, peak RSS $(mb "$rss")"
+    if [ "$1" = base ]; then bw="$bw $wall" ba="$ba $alloc" br="$br $rss"; else ww="$ww $wall" wa="$wa $alloc" wr="$wr $rss"; fi
+}
+
 # scale_pairs BASE runs `bgqbench -run scale` three times each on the base
 # revision and on the working tree, alternating, and gates their medians.
 scale_pairs() {
     base_rev=$1
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT
-    mkdir "$tmp/src"
-    git archive "$base_rev" | tar -x -C "$tmp/src"
-    (cd "$tmp/src" && go build -o "$tmp/bgqbench-base" ./cmd/bgqbench)
+    base_tree "$base_rev"
+    (cd "$tmp/base" && go build -o "$tmp/bgqbench-base" ./cmd/bgqbench)
     go build -o "$tmp/bgqbench-work" ./cmd/bgqbench
     bw="" ba="" br="" ww="" wa="" wr=""
-    for i in 1 2 3; do
-        # Alternate which side runs first, so a host slow spell does not
-        # always land on the same side.
-        if [ $((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi
-        for side in $order; do
-            "$tmp/bgqbench-$side" -run scale -json "$tmp/$side-$i.json" > /dev/null
-            wall=$(total_wall_ms "$tmp/$side-$i.json")
-            alloc=$(alloc_bytes "$tmp/$side-$i.json")
-            rss=$(peak_rss_mb "$tmp/$side-$i.json")
-            echo "bench-scale: run $i $side: ${wall} ms, ${alloc} B allocated, peak RSS $(mb "$rss")"
-            if [ "$side" = base ]; then bw="$bw $wall" ba="$ba $alloc" br="$br $rss"; else ww="$ww $wall" wa="$wa $alloc" wr="$wr $rss"; fi
-        done
-    done
+    alternate 3 scale_run
     # shellcheck disable=SC2086 # word splitting is the point
     mbw=$(median $bw) mba=$(median $ba) mbr=$(median $br) mww=$(median $ww) mwa=$(median $wa) mwr=$(median $wr)
     echo "bench-scale: median wall ${mbw} ms (base $base_rev) vs ${mww} ms (working tree), ratio $(ratio "$mww" "$mbw")"
@@ -115,88 +149,74 @@ internal/serve BenchmarkDecodeEnvelope
 internal/cluster BenchmarkLogApply
 internal/netsim BenchmarkEngineSubmitRelease'
 layer_rounds=8
+layer_pkgs=$(echo "$layer_benches" | awk '{ print $1 }' | sort -u)
+
+# layer_run SIDE ROUND runs the layer benchmarks once on one side and
+# appends a "side round benchmark ns/op B/op allocs/op" line for each to
+# $tmp/results.
+layer_run() {
+    if [ "$1" = base ]; then dir=$tmp/base; else dir=$(pwd); fi
+    for pkg in $layer_pkgs; do
+        names=$(echo "$layer_benches" | awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }')
+        # Run from the package directory, as go test does.
+        (cd "$dir/$pkg" && "$tmp/$1-$(echo "$pkg" | tr / _).test" -test.run '^$' \
+            -test.bench "^($names)\$" -test.benchmem -test.timeout 10m) |
+            awk -v side="$1" -v round="$2" '/^Benchmark/ {
+                name = $1; sub(/-[0-9]+$/, "", name)
+                ns = b = a = "n/a"
+                for (f = 3; f <= NF; f++) {
+                    if ($f == "ns/op") ns = $(f - 1)
+                    if ($f == "B/op") b = $(f - 1)
+                    if ($f == "allocs/op") a = $(f - 1)
+                }
+                print side, round, name, ns, b, a
+            }' >> "$tmp/results"
+    done
+    echo "bench-layers: round $2 of $layer_rounds, $1 done" >&2
+}
+
+# layer_col SIDE BENCHMARK FIELD prints one field of a benchmark's
+# results on one side, a line per round: 4 for ns/op, 5 for B/op, 6 for
+# allocs/op.
+layer_col() {
+    awk -v s="$1" -v b="$2" -v f="$3" '$1 == s && $3 == b && $f != "n/a" { print $f }' "$tmp/results"
+}
+
+# layer_better BENCHMARK prints in how many of the rounds in which both
+# sides ran it the working tree was faster, as k/N, or n/a.
+layer_better() {
+    awk -v b="$1" '$3 == b && $4 != "n/a" { ns[$1, $2] = $4 + 0; r[$2] = 1 }
+        END {
+            for (i in r) if ((("base", i) in ns) && (("work", i) in ns)) { n++; k += ns["work", i] < ns["base", i] }
+            print n ? k "/" n : "n/a"
+        }' "$tmp/results"
+}
 
 # layer_pairs BASE runs the layer benchmarks alternately on the base
 # revision and on the working tree and prints their comparison.
 layer_pairs() {
     base_rev=$1
-    tmp=$(mktemp -d)
-    trap 'rm -rf "$tmp"' EXIT
-    mkdir "$tmp/base"
-    git archive "$base_rev" | tar -x -C "$tmp/base"
-    work=$(pwd)
-    pkgs=$(echo "$layer_benches" | awk '{ print $1 }' | sort -u)
-    for pkg in $pkgs; do
+    base_tree "$base_rev"
+    for pkg in $layer_pkgs; do
         bin=$(echo "$pkg" | tr / _).test
         (cd "$tmp/base" && go test -c -o "$tmp/base-$bin" "./$pkg")
         go test -c -o "$tmp/work-$bin" "./$pkg"
     done
     : > "$tmp/results"
-    i=1
-    while [ "$i" -le "$layer_rounds" ]; do
-        # Alternate which side runs first, as scale_pairs does.
-        if [ $((i % 2)) -eq 1 ]; then order="base work"; else order="work base"; fi
-        for side in $order; do
-            if [ "$side" = base ]; then dir=$tmp/base; else dir=$work; fi
-            for pkg in $pkgs; do
-                bin=$(echo "$pkg" | tr / _).test
-                names=$(echo "$layer_benches" | awk -v p="$pkg" '$1 == p { printf "%s%s", sep, $2; sep = "|" }')
-                # Run from the package directory, as go test does.
-                (cd "$dir/$pkg" && "$tmp/$side-$bin" -test.run '^$' -test.bench "^($names)\$" \
-                    -test.benchmem -test.timeout 10m) |
-                    awk -v side="$side" -v round="$i" '/^Benchmark/ {
-                        name = $1; sub(/-[0-9]+$/, "", name)
-                        ns = b = a = "n/a"
-                        for (f = 3; f <= NF; f++) {
-                            if ($f == "ns/op") ns = $(f - 1)
-                            if ($f == "B/op") b = $(f - 1)
-                            if ($f == "allocs/op") a = $(f - 1)
-                        }
-                        print side, round, name, ns, b, a
-                    }' >> "$tmp/results"
-            done
-        done
-        echo "bench-layers: round $i of $layer_rounds done" >&2
-        i=$((i + 1))
-    done
+    alternate "$layer_rounds" layer_run
     echo "bench-layers: base $base_rev against the working tree, $layer_rounds alternating rounds, medians"
-    printf '%-29s %11s %11s %6s %6s %7s %10s %10s %7s %7s\n' benchmark "base ns/op" "work ns/op" ratio better spread "base B/op" "work B/op" "base al" "work al"
+    row='%-29s %11s %11s %6s %6s %7s %10s %10s %7s %7s\n'
+    # shellcheck disable=SC2059 # the format is the row
+    printf "$row" benchmark "base ns/op" "work ns/op" ratio better spread "base B/op" "work B/op" "base al" "work al"
     echo "$layer_benches" | while read -r _ name; do
-        awk -v name="$name" -v rounds="$layer_rounds" '
-            # sortv sorts v[1..n] in place.
-            function sortv(v, n,   i, j, t) {
-                for (i = 2; i <= n; i++) {
-                    t = v[i]
-                    for (j = i - 1; j >= 1 && v[j] > t; j--) v[j + 1] = v[j]
-                    v[j + 1] = t
-                }
-            }
-            # q is the p-quantile of the sorted v[1..n], as Python
-            # statistics.quantiles(n=4) gives the quartiles.
-            function q(v, n, p,   h, lo) {
-                h = (n + 1) * p; lo = int(h)
-                if (lo < 1) return v[1]
-                if (lo >= n) return v[n]
-                return v[lo] + (h - lo) * (v[lo + 1] - v[lo])
-            }
-            function med(v, n) { if (!n) return "n/a"; sortv(v, n); return q(v, n, 0.5) }
-            function f(x) { return x == "n/a" ? x : sprintf("%.0f", x) }
-            $3 == name && $4 != "n/a" {
-                if ($1 == "base") { bn[++nb] = $4 + 0; bb[nb] = $5 + 0; ba[nb] = $6 + 0; bround[$2] = $4 + 0 }
-                else { wn[++nw] = $4 + 0; wb[nw] = $5 + 0; wa[nw] = $6 + 0; wround[$2] = $4 + 0 }
-            }
-            END {
-                mbn = med(bn, nb); mwn = med(wn, nw)
-                ratio = better = spread = "n/a"
-                if (nb && nw) {
-                    ratio = sprintf("%.3f", mwn / mbn)
-                    k = n = 0
-                    for (r = 1; r <= rounds; r++) if ((r in bround) && (r in wround)) { n++; if (wround[r] < bround[r]) k++ }
-                    better = k "/" n
-                }
-                if (nb >= 2) spread = sprintf("%.1f%%", 100 * (q(bn, nb, 0.75) - q(bn, nb, 0.25)) / mbn)
-                printf "%-29s %11s %11s %6s %6s %7s %10s %10s %7s %7s\n", name, f(mbn), f(mwn), ratio, better, spread, f(med(bb, nb)), f(med(wb, nw)), f(med(ba, nb)), f(med(wa, nw))
-            }' "$tmp/results"
+        # shellcheck disable=SC2046 # word splitting is the point
+        set -- $(quartiles $(layer_col base "$name" 4))
+        spread=$(awk -v q1="$1" -v m="$2" -v q3="$3" 'BEGIN { if (m == "n/a") print m; else printf "%.1f%%", 100 * (q3 - q1) / m }')
+        wns=$(median $(layer_col work "$name" 4))
+        # shellcheck disable=SC2046,SC2059
+        printf "$row" "$name" "$2" "$wns" "$(ratio "$wns" "$2")" "$(layer_better "$name")" "$spread" \
+            "$(median $(layer_col base "$name" 5))" "$(median $(layer_col work "$name" 5))" \
+            "$(median $(layer_col base "$name" 6))" "$(median $(layer_col work "$name" 6))"
     done
 }
 
