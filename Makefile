@@ -115,10 +115,11 @@ bench-scale:
 # Paired layer benchmarks (ROADMAP.md item 3): builds the test binaries
 # of BASE=<rev> (from git archive) beside the working tree's and runs a
 # fixed list of layer benchmarks (plan compute, the cache hit's handler,
-# client round trip and envelope decode, gossip log apply, engine
-# submit/release) alternately, 8 rounds; per benchmark it prints both
-# sides' medians, the ratio, the rounds the working tree won and the
-# base's spread. Reports only, never gates.
+# client round trip and envelope decode, the metric registry's lookup,
+# gossip log apply, the event queue's reschedule, engine submit/release)
+# alternately, 8 rounds; per benchmark it prints both sides' medians, the
+# ratio, the rounds the working tree won and the base's spread. Reports
+# only, never gates.
 bench-layers:
 	./scripts/bench.sh layers $(BASE)
 

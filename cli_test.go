@@ -140,11 +140,9 @@ func TestBgqdFlagValidation(t *testing.T) {
 		{"bad listen", []string{"-listen", "nonsense"}, "-listen"},
 		{"negative workers", []string{"-workers", "-1"}, "-workers"},
 		{"negative queue", []string{"-queue", "-5"}, "-queue"},
-		{"negative shards", []string{"-shards", "-2"}, "-shards"},
 		{"negative retry-after", []string{"-retry-after", "-1s"}, "-retry-after"},
 		{"negative max-sessions", []string{"-max-sessions", "-1"}, "-max-sessions"},
 		{"negative session-idle", []string{"-session-idle", "-1s"}, "-session-idle"},
-		{"negative replay-events", []string{"-replay-events", "-3"}, "-replay-events"},
 		{"negative batch-window", []string{"-batch-window", "-1ms"}, "-batch-window"},
 		{"zero drain-timeout", []string{"-drain-timeout", "0s"}, "-drain-timeout"},
 		{"extra args", []string{"surprise"}, "unexpected arguments"},

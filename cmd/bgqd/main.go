@@ -5,8 +5,8 @@
 // Usage:
 //
 //	bgqd [-listen host:port | -socket /path/bgqd.sock]
-//	     [-workers N] [-queue N] [-shards N] [-retry-after dur]
-//	     [-max-sessions N] [-session-idle dur] [-replay-events N]
+//	     [-workers N] [-queue N] [-retry-after dur]
+//	     [-max-sessions N] [-session-idle dur]
 //	     [-batch-window dur] [-drain-timeout dur]
 //	     [-trace-events N] [-stats-window dur]
 //	     [-slo-plan-p99 dur] [-slo-shed-ratio f] [-slo-resume-success f]
@@ -22,9 +22,8 @@
 //
 // POST /v1/transfer runs long-lived resilient transfer sessions that
 // stream progress frames and survive client disconnects; -max-sessions
-// caps them, -session-idle reaps abandoned ones, -replay-events bounds
-// each session's reconnect replay ring, and -batch-window enables
-// Träff-style combining of small same-pair transfers.
+// caps them, -session-idle reaps abandoned ones, and -batch-window
+// enables Träff-style combining of small same-pair transfers.
 //
 // Telemetry plane: -trace-events keeps a bounded ring of wall-clock
 // request/session spans served as a Perfetto trace on GET /v1/trace
@@ -79,11 +78,9 @@ func main() {
 	socket := flag.String("socket", "", "Unix socket path to serve on instead of TCP")
 	workers := flag.Int("workers", 0, "plan-computation workers; 0 = one per CPU")
 	queue := flag.Int("queue", 0, "admission queue depth; 0 = 4x workers")
-	shards := flag.Int("shards", 0, "plan-cache shards; 0 = 16")
 	retryAfter := flag.Duration("retry-after", time.Second, "Retry-After hint on shed (429) responses")
 	maxSessions := flag.Int("max-sessions", 0, "concurrent transfer-session cap; 0 = 4096")
 	sessionIdle := flag.Duration("session-idle", 0, "reap sessions with no subscriber or heartbeat for this long; 0 = 60s")
-	replayEvents := flag.Int("replay-events", 0, "per-session reconnect replay ring size; 0 = 256")
 	batchWindow := flag.Duration("batch-window", 0, "combine small same-pair Batch transfers arriving within this window; 0 disables")
 	drainTimeout := flag.Duration("drain-timeout", 10*time.Second, "graceful-shutdown budget for in-flight sessions before they are aborted")
 	traceEvents := flag.Int("trace-events", 65536, "wall-clock trace ring size served on /v1/trace; 0 disables tracing")
@@ -97,8 +94,8 @@ func main() {
 	gossipSeed := flag.Int64("gossip-seed", 0, "gossip peer-selection seed (for reproducible soaks)")
 	flag.Parse()
 
-	if err := validate(*listen, *socket, *workers, *queue, *shards, *retryAfter,
-		*maxSessions, *sessionIdle, *replayEvents, *batchWindow, *drainTimeout, flag.Args()); err != nil {
+	if err := validate(*listen, *socket, *workers, *queue, *retryAfter,
+		*maxSessions, *sessionIdle, *batchWindow, *drainTimeout, flag.Args()); err != nil {
 		fmt.Fprintf(os.Stderr, "bgqd: %v\n", err)
 		os.Exit(2)
 	}
@@ -116,11 +113,9 @@ func main() {
 	srv := serve.New(serve.Config{
 		Workers:        *workers,
 		QueueDepth:     *queue,
-		CacheShards:    *shards,
 		RetryAfter:     *retryAfter,
 		MaxSessions:    *maxSessions,
 		SessionIdle:    *sessionIdle,
-		ReplayEvents:   *replayEvents,
 		BatchWindow:    *batchWindow,
 		TraceEvents:    *traceEvents,
 		StatsWindow:    *statsWindow,
@@ -213,8 +208,8 @@ func main() {
 
 // validate rejects bad flags before the daemon binds anything; errors
 // print as one line and exit 2, matching bgqbench and bgqsim.
-func validate(listen, socket string, workers, queue, shards int, retryAfter time.Duration,
-	maxSessions int, sessionIdle time.Duration, replayEvents int, batchWindow, drainTimeout time.Duration, extra []string) error {
+func validate(listen, socket string, workers, queue int, retryAfter time.Duration,
+	maxSessions int, sessionIdle, batchWindow, drainTimeout time.Duration, extra []string) error {
 	if len(extra) > 0 {
 		return fmt.Errorf("unexpected arguments: %v", extra)
 	}
@@ -232,9 +227,6 @@ func validate(listen, socket string, workers, queue, shards int, retryAfter time
 	if queue < 0 {
 		return fmt.Errorf("-queue must be >= 0, got %d", queue)
 	}
-	if shards < 0 {
-		return fmt.Errorf("-shards must be >= 0, got %d", shards)
-	}
 	if retryAfter < 0 {
 		return fmt.Errorf("-retry-after must be >= 0, got %v", retryAfter)
 	}
@@ -243,9 +235,6 @@ func validate(listen, socket string, workers, queue, shards int, retryAfter time
 	}
 	if sessionIdle < 0 {
 		return fmt.Errorf("-session-idle must be >= 0, got %v", sessionIdle)
-	}
-	if replayEvents < 0 {
-		return fmt.Errorf("-replay-events must be >= 0, got %d", replayEvents)
 	}
 	if batchWindow < 0 {
 		return fmt.Errorf("-batch-window must be >= 0, got %v", batchWindow)

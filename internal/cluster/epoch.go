@@ -70,7 +70,7 @@ func (v Vector) Clone() Vector {
 
 // String renders the vector in its canonical wire form:
 // "origin:seq,origin:seq" sorted by origin, "" for the empty vector.
-// The form rides in X-Bgq-Vector / X-Bgq-Min-Vector headers.
+// The form rides in response envelopes and the X-Bgq-Min-Vector header.
 func (v Vector) String() string {
 	if len(v) == 0 {
 		return ""

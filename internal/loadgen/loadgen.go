@@ -246,10 +246,11 @@ type Report struct {
 	// Phases breaks successful-request latency into connect / queue /
 	// compute / stream. Connect is the client's TCP dial (0 on pooled
 	// connections); queue and compute come from the daemon's
-	// X-Bgq-Queue-Ms / X-Bgq-Compute-Ms headers (0 on cache hits and
-	// coalesced requests — the interesting split is how much of a
-	// *computed* plan's latency was queue wait); stream is response
-	// decode. The residual vs. total latency is network + HTTP overhead.
+	// X-Bgq-Queue-Ms / X-Bgq-Compute-Ms headers, sent only for a computed
+	// plan (0 on cache hits and coalesced requests — the interesting
+	// split is how much of a *computed* plan's latency was queue wait);
+	// stream is response decode. The residual vs. total latency is
+	// network + HTTP overhead.
 	Phases map[string]LatencySummary `json:"phases,omitempty"`
 
 	// ByPattern counts requests per mix pattern.

@@ -169,12 +169,6 @@ func (e *MetricKindError) Error() string {
 		e.Name, e.Kind, e.Site, e.NewKind, e.NewSite)
 }
 
-// metricReg remembers how (and where) a name was first registered.
-type metricReg struct {
-	kind string
-	site string
-}
-
 // callerSite formats the instrumentation call site for kind-collision
 // diagnostics. skip counts frames above the exported Registry method.
 func callerSite(skip int) string {
@@ -184,6 +178,32 @@ func callerSite(skip int) string {
 	return "unknown"
 }
 
+// metricKind is a kind of metric: its name, as a MetricKindError gives
+// it, and how to build an empty metric of it (window sizes a window
+// metric).
+type metricKind struct {
+	name string
+	new  func(window time.Duration) any
+}
+
+// The metric kinds. A lookup checks a name's kind by comparing these
+// pointers, not the names.
+var (
+	kindCounter         = &metricKind{"counter", func(time.Duration) any { return &Counter{} }}
+	kindGauge           = &metricKind{"gauge", func(time.Duration) any { return &Gauge{} }}
+	kindHistogram       = &metricKind{"histogram", func(time.Duration) any { return &Histogram{} }}
+	kindWindowCounter   = &metricKind{"window_counter", func(w time.Duration) any { return NewWindowCounter(w) }}
+	kindWindowHistogram = &metricKind{"window_histogram", func(w time.Duration) any { return NewWindowHistogram(w) }}
+)
+
+// entry is one registered metric: the metric, its kind and the call
+// site that first registered it.
+type entry struct {
+	metric any
+	kind   *metricKind
+	site   string
+}
+
 // Registry names and owns metrics. Components register (or re-find) a
 // metric by name on first use; the registry hands back the same instance
 // for the same name, so instrumentation sites need no shared setup. A
@@ -191,125 +211,77 @@ func callerSite(skip int) string {
 // panics with a *MetricKindError naming both call sites. Safe for
 // concurrent use.
 type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-	wcounts  map[string]*WindowCounter
-	whists   map[string]*WindowHistogram
-	kinds    map[string]metricReg
+	mu      sync.Mutex
+	metrics map[string]*entry
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Histogram),
-		wcounts:  make(map[string]*WindowCounter),
-		whists:   make(map[string]*WindowHistogram),
-		kinds:    make(map[string]metricReg),
-	}
+	return &Registry{metrics: make(map[string]*entry)}
 }
 
-// bindKindLocked registers (or re-checks) a name's kind; a cross-kind
-// reuse panics with a *MetricKindError. Caller holds r.mu.
-func (r *Registry) bindKindLocked(name, kind string) {
-	prev, ok := r.kinds[name]
+// metric returns the named metric, creating one of kind on first use;
+// window sizes a window metric, and the first registration's window
+// wins. A name registered under another kind panics with a
+// *MetricKindError. The lock is released before the caller's type
+// assertion, and without defer: every instrumented request looks its
+// metrics up here.
+func (r *Registry) metric(name string, kind *metricKind, window time.Duration) any {
+	r.mu.Lock()
+	e, ok := r.metrics[name]
 	if !ok {
-		r.kinds[name] = metricReg{kind: kind, site: callerSite(3)}
-		return
+		e = &entry{metric: kind.new(window), kind: kind, site: callerSite(3)}
+		r.metrics[name] = e
 	}
-	if prev.kind != kind {
-		panic(&MetricKindError{Name: name, Kind: prev.kind, Site: prev.site,
-			NewKind: kind, NewSite: callerSite(3)})
+	r.mu.Unlock()
+	if e.kind != kind {
+		panic(&MetricKindError{Name: name, Kind: e.kind.name, Site: e.site,
+			NewKind: kind.name, NewSite: callerSite(3)})
 	}
+	return e.metric
+}
+
+// find returns the named metric when it is registered as a T, without
+// creating it: SLO evaluation must not invent metrics for misspelled
+// spec names.
+func find[T any](r *Registry, name string) (T, bool) {
+	r.mu.Lock()
+	e, ok := r.metrics[name]
+	r.mu.Unlock()
+	var m T
+	if ok {
+		m, ok = e.metric.(T)
+	}
+	return m, ok
 }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.counters[name]
-	if !ok {
-		r.bindKindLocked(name, "counter")
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return r.metric(name, kindCounter, 0).(*Counter)
 }
 
 // Gauge returns the named gauge, creating it on first use.
 func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	g, ok := r.gauges[name]
-	if !ok {
-		r.bindKindLocked(name, "gauge")
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return r.metric(name, kindGauge, 0).(*Gauge)
 }
 
 // Histogram returns the named histogram, creating it on first use.
 func (r *Registry) Histogram(name string) *Histogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.hists[name]
-	if !ok {
-		r.bindKindLocked(name, "histogram")
-		h = &Histogram{}
-		r.hists[name] = h
-	}
-	return h
+	return r.metric(name, kindHistogram, 0).(*Histogram)
 }
 
 // WindowCounter returns the named rolling-window counter, creating it
 // with the given window on first use (the first registration's window
 // wins; later callers get the existing instance).
 func (r *Registry) WindowCounter(name string, window time.Duration) *WindowCounter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.wcounts[name]
-	if !ok {
-		r.bindKindLocked(name, "window_counter")
-		c = NewWindowCounter(window)
-		r.wcounts[name] = c
-	}
-	return c
+	return r.metric(name, kindWindowCounter, window).(*WindowCounter)
 }
 
 // WindowHistogram returns the named rolling-window histogram, creating
 // it with the given window on first use (first registration's window
 // wins).
 func (r *Registry) WindowHistogram(name string, window time.Duration) *WindowHistogram {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.whists[name]
-	if !ok {
-		r.bindKindLocked(name, "window_histogram")
-		h = NewWindowHistogram(window)
-		r.whists[name] = h
-	}
-	return h
-}
-
-// findWindowCounter looks a window counter up without creating it (SLO
-// evaluation must not invent metrics for misspelled spec names).
-func (r *Registry) findWindowCounter(name string) (*WindowCounter, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	c, ok := r.wcounts[name]
-	return c, ok
-}
-
-// findWindowHistogram looks a window histogram up without creating it.
-func (r *Registry) findWindowHistogram(name string) (*WindowHistogram, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h, ok := r.whists[name]
-	return h, ok
+	return r.metric(name, kindWindowHistogram, window).(*WindowHistogram)
 }
 
 // MetricsSnapshot is a registry's flat point-in-time export.
@@ -321,63 +293,40 @@ type MetricsSnapshot struct {
 	WindowHistograms map[string]WindowHistSummary    `json:"windowHistograms,omitempty"`
 }
 
-// Snapshot captures every metric's current value.
+// Snapshot captures every metric's current value. A kind with no
+// metrics stays nil, so its key is left out of the JSON.
 func (r *Registry) Snapshot() MetricsSnapshot {
 	r.mu.Lock()
-	counters := make(map[string]*Counter, len(r.counters))
-	for k, v := range r.counters {
-		counters[k] = v
-	}
-	gauges := make(map[string]*Gauge, len(r.gauges))
-	for k, v := range r.gauges {
-		gauges[k] = v
-	}
-	hists := make(map[string]*Histogram, len(r.hists))
-	for k, v := range r.hists {
-		hists[k] = v
-	}
-	wcounts := make(map[string]*WindowCounter, len(r.wcounts))
-	for k, v := range r.wcounts {
-		wcounts[k] = v
-	}
-	whists := make(map[string]*WindowHistogram, len(r.whists))
-	for k, v := range r.whists {
-		whists[k] = v
+	metrics := make(map[string]any, len(r.metrics))
+	for name, e := range r.metrics {
+		metrics[name] = e.metric
 	}
 	r.mu.Unlock()
 
-	snap := MetricsSnapshot{}
-	if len(counters) > 0 {
-		snap.Counters = make(map[string]int64, len(counters))
-		for k, v := range counters {
-			snap.Counters[k] = v.Value()
-		}
-	}
-	if len(gauges) > 0 {
-		snap.Gauges = make(map[string]float64, len(gauges))
-		for k, v := range gauges {
-			snap.Gauges[k] = v.Value()
-		}
-	}
-	if len(hists) > 0 {
-		snap.Histograms = make(map[string]HistSummary, len(hists))
-		for k, v := range hists {
-			snap.Histograms[k] = v.Summary()
-		}
-	}
-	if len(wcounts) > 0 {
-		snap.WindowCounters = make(map[string]WindowCounterSummary, len(wcounts))
-		for k, v := range wcounts {
-			snap.WindowCounters[k] = v.Summary()
-		}
-	}
-	if len(whists) > 0 {
-		snap.WindowHistograms = make(map[string]WindowHistSummary, len(whists))
-		for k, v := range whists {
-			snap.WindowHistograms[k] = v.Summary()
+	var snap MetricsSnapshot
+	for name, m := range metrics {
+		switch m := m.(type) {
+		case *Counter:
+			put(&snap.Counters, name, m.Value())
+		case *Gauge:
+			put(&snap.Gauges, name, m.Value())
+		case *Histogram:
+			put(&snap.Histograms, name, m.Summary())
+		case *WindowCounter:
+			put(&snap.WindowCounters, name, m.Summary())
+		case *WindowHistogram:
+			put(&snap.WindowHistograms, name, m.Summary())
 		}
 	}
 	return snap
+}
+
+// put sets (*m)[name] to v, making the map on first use.
+func put[V any](m *map[string]V, name string, v V) {
+	if *m == nil {
+		*m = make(map[string]V)
+	}
+	(*m)[name] = v
 }
 
 // WriteJSON serializes the snapshot, indented, with a trailing newline.

@@ -126,7 +126,7 @@ func (t *SLOTracker) Evaluate() []SLOVerdict {
 		v := SLOVerdict{Name: spec.Name, Kind: spec.Kind, Metric: spec.Metric, Threshold: spec.Threshold}
 		switch spec.Kind {
 		case SLOLatencyP99:
-			h, ok := t.reg.findWindowHistogram(spec.Metric)
+			h, ok := find[*WindowHistogram](t.reg, spec.Metric)
 			if !ok {
 				v.Vacuous = true
 				break
@@ -139,8 +139,8 @@ func (t *SLOTracker) Evaluate() []SLOVerdict {
 			v.Value = sum.P99
 			v.Breached = v.Value > spec.Threshold
 		case SLORatioMax, SLORatioMin:
-			num, okN := t.reg.findWindowCounter(spec.Metric)
-			den, okD := t.reg.findWindowCounter(spec.Denominator)
+			num, okN := find[*WindowCounter](t.reg, spec.Metric)
+			den, okD := find[*WindowCounter](t.reg, spec.Denominator)
 			if !okN || !okD {
 				v.Vacuous = true
 				break

@@ -126,42 +126,59 @@ func TestRegistryWindowMetricsAndSnapshot(t *testing.T) {
 
 // A name registered under two kinds used to be silent (two metrics, one
 // name, ambiguous exports); now it panics with a typed error naming both
-// call sites.
+// kinds and both call sites, for every ordered pair of kinds. Reusing a
+// name with its own kind returns the same instance.
 func TestRegistryKindCollisionPanics(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("serve/requests")
-	defer func() {
-		v := recover()
-		if v == nil {
-			t.Fatal("cross-kind reuse must panic")
-		}
-		ke, ok := v.(*MetricKindError)
-		if !ok {
-			t.Fatalf("panic value %T, want *MetricKindError", v)
-		}
-		if ke.Name != "serve/requests" || ke.Kind != "counter" || ke.NewKind != "gauge" {
-			t.Fatalf("error = %+v", ke)
-		}
-		msg := ke.Error()
-		if !strings.Contains(msg, "window_test.go") {
-			t.Fatalf("error must name both call sites, got %q", msg)
-		}
-		if !strings.Contains(msg, "counter") || !strings.Contains(msg, "gauge") {
-			t.Fatalf("error must name both kinds, got %q", msg)
-		}
-	}()
-	r.Gauge("serve/requests")
-}
-
-// Same-kind re-registration stays the get-or-create fast path.
-func TestRegistrySameKindNoPanic(t *testing.T) {
-	r := NewRegistry()
-	a := r.Counter("x")
-	if r.Counter("x") != a {
-		t.Fatal("same-kind reuse must return the same instance")
+	kinds := []struct {
+		name     string
+		register func(r *Registry, name string) any
+	}{
+		{"counter", func(r *Registry, n string) any { return r.Counter(n) }},
+		{"gauge", func(r *Registry, n string) any { return r.Gauge(n) }},
+		{"histogram", func(r *Registry, n string) any { return r.Histogram(n) }},
+		{"window_counter", func(r *Registry, n string) any { return r.WindowCounter(n, time.Second) }},
+		{"window_histogram", func(r *Registry, n string) any { return r.WindowHistogram(n, time.Second) }},
 	}
-	r.WindowHistogram("y", time.Second)
-	r.WindowHistogram("y", time.Second)
+	for _, first := range kinds {
+		for _, second := range kinds {
+			t.Run(first.name+"/"+second.name, func(t *testing.T) {
+				r := NewRegistry()
+				m := first.register(r, "serve/requests")
+				if first.name == second.name {
+					if second.register(r, "serve/requests") != m {
+						t.Fatal("same-kind reuse must return the same instance")
+					}
+					return
+				}
+				defer func() {
+					v := recover()
+					if v == nil {
+						t.Fatal("cross-kind reuse must panic")
+					}
+					ke, ok := v.(*MetricKindError)
+					if !ok {
+						t.Fatalf("panic value %T, want *MetricKindError", v)
+					}
+					if ke.Name != "serve/requests" || ke.Kind != first.name || ke.NewKind != second.name {
+						t.Fatalf("error = %+v", ke)
+					}
+					msg := ke.Error()
+					for _, site := range []string{ke.Site, ke.NewSite} {
+						if !strings.Contains(site, "window_test.go") || !strings.Contains(msg, site) {
+							t.Fatalf("error must name both call sites, got %q", msg)
+						}
+					}
+					if ke.Site == ke.NewSite {
+						t.Fatalf("both registrations report one site %q", ke.Site)
+					}
+					if !strings.Contains(msg, first.name) || !strings.Contains(msg, second.name) {
+						t.Fatalf("error must name both kinds, got %q", msg)
+					}
+				}()
+				second.register(r, "serve/requests")
+			})
+		}
+	}
 }
 
 func TestPrometheusRoundTrip(t *testing.T) {
@@ -355,7 +372,7 @@ func TestSLOUnknownMetricVacuous(t *testing.T) {
 	if !v.Vacuous || v.Breached {
 		t.Fatalf("verdict = %+v, want vacuous", v)
 	}
-	if _, ok := reg.findWindowHistogram("no/such"); ok {
+	if _, ok := find[any](reg, "no/such"); ok {
 		t.Fatal("evaluation must not create the metric")
 	}
 }

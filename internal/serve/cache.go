@@ -66,6 +66,9 @@ const (
 	outcomeCoalesced
 )
 
+// cacheShards is the daemon's plan-cache shard count.
+const cacheShards = 16
+
 func newPlanCache(shards, entriesPerShard int) *planCache {
 	if shards < 1 {
 		shards = 1

@@ -141,19 +141,19 @@ func (p RetryPolicy) Await(ctx context.Context, window time.Duration, fetch func
 	}
 }
 
-// dialTarget resolves a daemon address — TCP ("host:port",
-// "http://...") or unix socket ("unix:///path") — into a base URL and
-// an http.Client that dials it. Shared by NewClient and the gossip
-// transport so every layer speaks the same address forms.
-func dialTarget(addr string) (string, *http.Client, error) {
+// NewClient builds a client for the given address — TCP ("host:port",
+// "http://...") or unix socket ("unix:///path") — with the default
+// retry policy.
+func NewClient(addr string) (*Client, error) {
 	if addr == "" {
-		return "", nil, fmt.Errorf("serve: empty address")
+		return nil, fmt.Errorf("serve: empty address")
 	}
+	c := &Client{hc: &http.Client{}, retry: DefaultRetryPolicy()}
 	if path, ok := strings.CutPrefix(addr, "unix://"); ok {
 		if path == "" {
-			return "", nil, fmt.Errorf("serve: empty unix socket path")
+			return nil, fmt.Errorf("serve: empty unix socket path")
 		}
-		tr := &http.Transport{
+		c.hc.Transport = &http.Transport{
 			DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
 				var d net.Dialer
 				return d.DialContext(ctx, "unix", path)
@@ -161,22 +161,14 @@ func dialTarget(addr string) (string, *http.Client, error) {
 		}
 		// The host is a placeholder; the transport always dials the
 		// socket.
-		return "http://bgqd", &http.Client{Transport: tr}, nil
+		c.base = "http://bgqd"
+		return c, nil
 	}
 	if !strings.HasPrefix(addr, "http://") && !strings.HasPrefix(addr, "https://") {
 		addr = "http://" + addr
 	}
-	return strings.TrimRight(addr, "/"), &http.Client{}, nil
-}
-
-// NewClient builds a client for the given address with the default
-// retry policy.
-func NewClient(addr string) (*Client, error) {
-	base, hc, err := dialTarget(addr)
-	if err != nil {
-		return nil, err
-	}
-	return &Client{base: base, hc: hc, retry: DefaultRetryPolicy()}, nil
+	c.base = strings.TrimRight(addr, "/")
+	return c, nil
 }
 
 // SetRetryPolicy replaces the client's retry policy. Not safe to call
@@ -756,74 +748,76 @@ func (c *Client) Fault(ctx context.Context, ev FaultEvent) (uint64, error) {
 	return res.Epoch, nil
 }
 
-// Metrics fetches the /metrics registry snapshot.
-func (c *Client) Metrics(ctx context.Context) (obs.MetricsSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/metrics", nil)
+// call makes one request that is not a plan request: it sends body,
+// when non-nil, as JSON and returns the body of a 200 response. Any
+// other status is an error naming the method, the path, the status and
+// the first 512 bytes of the body. It never retries.
+func (c *Client) call(ctx context.Context, method, path string, body any) ([]byte, error) {
+	var rd io.Reader
+	if body != nil {
+		raw, err := json.Marshal(body)
+		if err != nil {
+			return nil, err
+		}
+		rd = bytes.NewReader(raw)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
-		return obs.MetricsSnapshot{}, err
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
 	}
 	resp, err := c.hc.Do(req)
 	if err != nil {
-		return obs.MetricsSnapshot{}, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return obs.MetricsSnapshot{}, fmt.Errorf("serve: /metrics status %d: %s", resp.StatusCode, b)
+		return nil, fmt.Errorf("serve: %s %s: status %d: %s", method, path, resp.StatusCode, b)
 	}
-	return obs.ReadMetricsSnapshot(resp.Body)
+	b, err := readBody(resp)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s %s: read body: %w", method, path, err)
+	}
+	return b, nil
+}
+
+// callJSON makes the call and decodes the 200 body into v.
+func (c *Client) callJSON(ctx context.Context, method, path string, body, v any) error {
+	b, err := c.call(ctx, method, path, body)
+	if err != nil {
+		return err
+	}
+	if err := json.Unmarshal(b, v); err != nil {
+		return fmt.Errorf("serve: %s %s: decode body: %w", method, path, err)
+	}
+	return nil
+}
+
+// Metrics fetches the /metrics registry snapshot.
+func (c *Client) Metrics(ctx context.Context) (obs.MetricsSnapshot, error) {
+	var snap obs.MetricsSnapshot
+	err := c.callJSON(ctx, http.MethodGet, "/metrics", nil, &snap)
+	return snap, err
 }
 
 // SLO fetches the daemon's current SLO verdicts (GET /v1/slo).
 func (c *Client) SLO(ctx context.Context) (obs.SLOSnapshot, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/slo", nil)
-	if err != nil {
-		return obs.SLOSnapshot{}, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return obs.SLOSnapshot{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return obs.SLOSnapshot{}, fmt.Errorf("serve: /v1/slo status %d: %s", resp.StatusCode, b)
-	}
-	return obs.ReadSLOSnapshot(resp.Body)
+	var snap obs.SLOSnapshot
+	err := c.callJSON(ctx, http.MethodGet, "/v1/slo", nil, &snap)
+	return snap, err
 }
 
 // TraceJSON fetches the daemon's Perfetto trace snapshot (GET
 // /v1/trace) as raw bytes, ready for obs.MergeChromeTraces or a file.
 func (c *Client) TraceJSON(ctx context.Context) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/trace", nil)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return nil, fmt.Errorf("serve: /v1/trace status %d: %s", resp.StatusCode, b)
-	}
-	return io.ReadAll(resp.Body)
+	return c.call(ctx, http.MethodGet, "/v1/trace", nil)
 }
 
 // Health checks the daemon's /healthz endpoint.
 func (c *Client) Health(ctx context.Context) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: /healthz status %d", resp.StatusCode)
-	}
-	return nil
+	_, err := c.call(ctx, http.MethodGet, "/healthz", nil)
+	return err
 }

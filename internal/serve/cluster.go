@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -142,66 +141,40 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// httpGossipTransport carries gossip exchanges over POST /v1/gossip,
-// reusing the client layer's address forms (TCP and unix sockets).
-// Clients are built once per peer address and cached.
+// httpGossipTransport carries gossip exchanges over POST /v1/gossip
+// through one Client per peer address, built on first use and cached.
 type httpGossipTransport struct {
 	mu    sync.Mutex
-	peers map[string]httpPeer
-}
-
-type httpPeer struct {
-	base string
-	hc   *http.Client
+	peers map[string]*Client
 }
 
 func newHTTPGossipTransport() *httpGossipTransport {
-	return &httpGossipTransport{peers: make(map[string]httpPeer)}
+	return &httpGossipTransport{peers: make(map[string]*Client)}
 }
 
-func (t *httpGossipTransport) peer(addr string) (httpPeer, error) {
+func (t *httpGossipTransport) peer(addr string) (*Client, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if p, ok := t.peers[addr]; ok {
-		return p, nil
+	if c, ok := t.peers[addr]; ok {
+		return c, nil
 	}
-	base, hc, err := dialTarget(addr)
+	c, err := NewClient(addr)
 	if err != nil {
-		return httpPeer{}, err
+		return nil, err
 	}
 	// A bounded per-exchange timeout so one dead peer cannot stall a
 	// broadcast behind TCP timeouts.
-	hc.Timeout = 2 * time.Second
-	p := httpPeer{base: base, hc: hc}
-	t.peers[addr] = p
-	return p, nil
+	c.hc.Timeout = 2 * time.Second
+	t.peers[addr] = c
+	return c, nil
 }
 
 func (t *httpGossipTransport) Exchange(ctx context.Context, peerAddr string, msg cluster.Message) (cluster.Message, error) {
-	p, err := t.peer(peerAddr)
+	c, err := t.peer(peerAddr)
 	if err != nil {
 		return cluster.Message{}, err
-	}
-	raw, err := json.Marshal(msg)
-	if err != nil {
-		return cluster.Message{}, err
-	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, p.base+"/v1/gossip", bytes.NewReader(raw))
-	if err != nil {
-		return cluster.Message{}, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := p.hc.Do(req)
-	if err != nil {
-		return cluster.Message{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return cluster.Message{}, fmt.Errorf("serve: gossip peer %s status %d", peerAddr, resp.StatusCode)
 	}
 	var out cluster.Message
-	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		return cluster.Message{}, err
-	}
-	return out, nil
+	err = c.callJSON(ctx, http.MethodPost, "/v1/gossip", msg, &out)
+	return out, err
 }

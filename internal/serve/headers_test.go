@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -94,6 +95,58 @@ func TestMsHeaderOnWire(t *testing.T) {
 	if n := reg.Counter("serve/client/bad_ms_header").Value(); n != 2 {
 		t.Errorf("bad_ms_header counter = %d, want 2", n)
 	}
+}
+
+// TestPhaseHeadersOnlyOnComputedPlans: a plan response carries the queue
+// and compute phase headers only when its request computed the plan,
+// and neither a plan response nor a fault ack repeats the envelope's
+// vector in an X-Bgq-Vector header. The client reads the phase headers'
+// absence on a cache hit as 0.
+func TestPhaseHeadersOnlyOnComputedPlans(t *testing.T) {
+	s := New(Config{})
+	t.Cleanup(s.Close)
+	hs := httptest.NewServer(s.Handler())
+	t.Cleanup(hs.Close)
+	post := func(path, body string) http.Header {
+		t.Helper()
+		resp, err := http.Post(hs.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d", path, resp.StatusCode)
+		}
+		if v := resp.Header.Values("X-Bgq-Vector"); len(v) > 0 {
+			t.Errorf("%s: response repeats the vector in a header: %q", path, v)
+		}
+		return resp.Header
+	}
+	req := PairRequest{Shape: "2x2x4x4x2", Src: 0, Dst: 97, Bytes: 1 << 20}
+	body, err := json.Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, computed := range []bool{true, false} {
+		h := post("/v1/plan/pair", string(body))
+		for _, key := range []string{HeaderQueueMS, HeaderComputeMS} {
+			if got := h.Get(key); (got != "") != computed {
+				t.Errorf("computed=%v: %s = %q", computed, key, got)
+			}
+		}
+	}
+	client, err := NewClient(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := client.PlanPair(context.Background(), req)
+	if err != nil || !res.Cached {
+		t.Fatalf("third request: %v, cached %v", err, res.Cached)
+	}
+	if res.QueueMS != 0 || res.ComputeMS != 0 {
+		t.Errorf("cache hit reads queue %g and compute %g ms, want 0", res.QueueMS, res.ComputeMS)
+	}
+	post("/v1/fault", `{"links":[{"node":0,"dim":0,"dir":1}]}`)
 }
 
 // TestRetryAfterHint pins the shared parser both call sites use.

@@ -369,25 +369,9 @@ func (rc *RingClient) ClusterStatusAll(ctx context.Context) map[string]ClusterSt
 	out := make(map[string]ClusterStatus)
 	for _, m := range rc.ring.Members() {
 		var st ClusterStatus
-		if err := rc.getJSON(ctx, rc.clients[m.ID], "/v1/cluster", &st); err == nil {
+		if err := rc.clients[m.ID].callJSON(ctx, http.MethodGet, "/v1/cluster", nil, &st); err == nil {
 			out[m.ID] = st
 		}
 	}
 	return out
-}
-
-func (rc *RingClient) getJSON(ctx context.Context, c *Client, path string, v any) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.hc.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: GET %s status %d", path, resp.StatusCode)
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
 }

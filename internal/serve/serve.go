@@ -50,8 +50,6 @@ type Config struct {
 	// with 429. 0 means 4x workers; the minimum is 1 (a zero-length
 	// queue would make admission depend on worker scheduling).
 	QueueDepth int
-	// CacheShards is the plan-cache shard count; 0 means 16.
-	CacheShards int
 	// CacheEntriesPerShard bounds each shard; 0 means 4096.
 	CacheEntriesPerShard int
 	// RetryAfter is the backoff hint attached to shed responses; 0 means
@@ -65,8 +63,6 @@ type Config struct {
 	// and no heartbeat for this long is canceled (running) or reaped
 	// (done). 0 means 60s.
 	SessionIdle time.Duration
-	// ReplayEvents bounds each session's replay ring. 0 means 256.
-	ReplayEvents int
 	// BatchWindow, when positive, enables Träff-style message combining:
 	// small (at most 256 KiB) same-pair transfer requests marked Batch
 	// that arrive within one window coalesce into a single combined
@@ -88,10 +84,10 @@ type Config struct {
 	// ReplicaID names this daemon as a replica of a bgqd cluster
 	// (DESIGN.md §17); a daemon without peers is a cluster of one. Fault
 	// events are stamped into a gossiped epoch log under this origin,
-	// responses carry X-Bgq-Replica / X-Bgq-Vector, and requests stamped
-	// with X-Bgq-Min-Vector are rejected with 503 until this replica has
-	// applied at least that vector. The ID must be unique per replica.
-	// Empty means "bgqd".
+	// responses carry X-Bgq-Replica (their envelope carries the vector),
+	// and requests stamped with X-Bgq-Min-Vector are rejected with 503
+	// until this replica has applied at least that vector. The ID must be
+	// unique per replica. Empty means "bgqd".
 	ReplicaID string
 	// Peers are the other replicas' base addresses (same forms NewClient
 	// accepts: "host:port", "http://...", "unix:///path").
@@ -110,9 +106,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 4 * c.Workers
 	}
-	if c.CacheShards <= 0 {
-		c.CacheShards = 16
-	}
 	if c.CacheEntriesPerShard <= 0 {
 		c.CacheEntriesPerShard = 4096
 	}
@@ -124,9 +117,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.SessionIdle <= 0 {
 		c.SessionIdle = 60 * time.Second
-	}
-	if c.ReplayEvents <= 0 {
-		c.ReplayEvents = 256
 	}
 	if c.StatsWindow <= 0 {
 		c.StatsWindow = 30 * time.Second
@@ -194,7 +184,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		reg:   obs.NewRegistry(),
-		cache: newPlanCache(cfg.CacheShards, cfg.CacheEntriesPerShard),
+		cache: newPlanCache(cacheShards, cfg.CacheEntriesPerShard),
 		disp:  newDispatcher(cfg.Workers, cfg.QueueDepth),
 		start: time.Now(),
 
@@ -343,9 +333,9 @@ func writePlan(w http.ResponseWriter, plan []byte, snap *faultSnapshot, outcome 
 
 // servePlan is the shared request path: admission, coalescing, caching,
 // instrumentation. The request's trace (client-stamped or generated)
-// tags the wall spans; queue and compute phase times go back to the
-// client as X-Bgq-Queue-Ms / X-Bgq-Compute-Ms headers (0 unless this
-// request computed the plan).
+// tags the wall spans; when this request computed the plan, its queue
+// and compute phase times go back to the client as X-Bgq-Queue-Ms /
+// X-Bgq-Compute-Ms headers.
 //
 // The request plans against one fault snapshot: its fault set, epoch and
 // vector all come from the same publish. compute records what it reads
@@ -361,7 +351,6 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 	snap := s.cache.current()
 	epoch, vecStr := snap.epoch, snap.vecStr
 	w.Header().Set(HeaderReplica, s.cfg.ReplicaID)
-	w.Header().Set(HeaderVector, vecStr)
 	// Cross-replica staleness check: a client that saw a fault event
 	// acknowledged at vector V demands we have applied V. If gossip has
 	// not delivered those events yet, serving would hand out a pre-fault
@@ -402,15 +391,12 @@ func (s *Server) servePlan(w http.ResponseWriter, r *http.Request, endpoint, key
 		r := <-ch
 		return r.b, r.rs, r.e
 	})
-	var queueMS, computeMS float64
 	if outcome == outcomeComputed && !tQueueDone.IsZero() {
-		queueMS = float64(tQueueDone.Sub(t0)) / 1e6
-		computeMS = float64(tComputeDone.Sub(tQueueDone)) / 1e6
+		setMSHeader(w.Header(), HeaderQueueMS, tQueueDone.Sub(t0))
+		setMSHeader(w.Header(), HeaderComputeMS, tComputeDone.Sub(tQueueDone))
 		s.wall.Span(trace, "bgqd/queue", endpoint+" queue", t0, tQueueDone)
 		s.wall.Span(trace, "bgqd/compute", endpoint+" compute", tQueueDone, tComputeDone)
 	}
-	setMSHeader(w.Header(), HeaderQueueMS, queueMS)
-	setMSHeader(w.Header(), HeaderComputeMS, computeMS)
 	if trace != "" {
 		w.Header().Set(HeaderTraceID, trace)
 	}
@@ -689,7 +675,6 @@ func (s *Server) handleFault(w http.ResponseWriter, r *http.Request) {
 	// there; the min-vector check covers the window where it is not. A
 	// peer's reply re-enters onApply, which takes s.mu.
 	s.node.Broadcast(r.Context(), []cluster.Event{cev})
-	w.Header().Set(HeaderVector, snap.vecStr)
 	writeJSON(w, http.StatusOK, planEnvelope{Epoch: snap.epoch, Vector: snap.vecStr})
 }
 

@@ -132,6 +132,9 @@ func newSessionMgr(srv *Server) *sessionMgr {
 // transfers always run alone.
 const batchMaxBytes = 256 << 10
 
+// replayEvents bounds each session's replay ring.
+const replayEvents = 256
+
 // batchKey groups combinable requests: same geometry, endpoints, and
 // recovery knobs (the combined session must behave like each member
 // asked, just bigger).
@@ -456,8 +459,8 @@ func (s *session) emit(f SessionFrame) {
 	s.nextSeq++
 	b, _ := json.Marshal(f)
 	s.events = append(s.events, b)
-	if limit := s.mgr.srv.cfg.ReplayEvents; len(s.events) > limit {
-		drop := len(s.events) - limit
+	if len(s.events) > replayEvents {
+		drop := len(s.events) - replayEvents
 		s.events = append([][]byte(nil), s.events[drop:]...)
 		s.firstSeq += uint64(drop)
 	}

@@ -297,56 +297,22 @@ func (c *Client) consumeStream(resp *http.Response, opts TransferOpts, out *Tran
 	return false, false, sc.Err()
 }
 
-// ackSession acknowledges frames up to seq (best effort).
+// ackSession acknowledges frames up to seq. It is best effort, so its
+// error is dropped: an ack that is lost leaves the frames in the
+// server's replay ring until the next one.
 func (c *Client) ackSession(ctx context.Context, id string, seq uint64) {
-	b, _ := json.Marshal(ackBody{Seq: seq})
-	r, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/transfer/"+id+"/ack", bytes.NewReader(b))
-	if err != nil {
-		return
-	}
-	r.Header.Set("Content-Type", "application/json")
-	if resp, err := c.hc.Do(r); err == nil {
-		resp.Body.Close()
-	}
+	_, _ = c.call(ctx, http.MethodPost, "/v1/transfer/"+id+"/ack", ackBody{Seq: seq})
 }
 
 // Heartbeat keeps an unwatched session alive past the idle deadline.
 func (c *Client) Heartbeat(ctx context.Context, id string) error {
-	r, err := http.NewRequestWithContext(ctx, http.MethodPost,
-		c.base+"/v1/transfer/"+id+"/heartbeat", bytes.NewReader([]byte("{}")))
-	if err != nil {
-		return err
-	}
-	r.Header.Set("Content-Type", "application/json")
-	resp, err := c.hc.Do(r)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("serve: heartbeat %s: status %d", id, resp.StatusCode)
-	}
-	return nil
+	_, err := c.call(ctx, http.MethodPost, "/v1/transfer/"+id+"/heartbeat", struct{}{})
+	return err
 }
 
 // TransferStatus fetches GET /v1/transfer/{id}.
 func (c *Client) TransferStatus(ctx context.Context, id string) (SessionStatus, error) {
-	r, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/v1/transfer/"+id, nil)
-	if err != nil {
-		return SessionStatus{}, err
-	}
-	resp, err := c.hc.Do(r)
-	if err != nil {
-		return SessionStatus{}, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return SessionStatus{}, fmt.Errorf("serve: session %s: status %d", id, resp.StatusCode)
-	}
 	var st SessionStatus
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		return SessionStatus{}, err
-	}
-	return st, nil
+	err := c.callJSON(ctx, http.MethodGet, "/v1/transfer/"+id, nil, &st)
+	return st, err
 }

@@ -25,9 +25,9 @@ import (
 //   - SLOs: named objectives evaluated on a timer; GET /v1/slo returns
 //     verdicts with cumulative burn counters for soak gating.
 
-// Trace and phase-timing headers. Requests carry the first two; plan
-// responses carry all four (queue and compute are 0 unless this request
-// computed the plan).
+// Trace and phase-timing headers. Requests carry the first two; a plan
+// response echoes the trace and carries queue and compute only when this
+// request computed the plan (the client reads an absent header as 0).
 const (
 	HeaderTraceID   = "X-Bgq-Trace-Id"
 	HeaderSpanID    = "X-Bgq-Span-Id"
@@ -35,15 +35,14 @@ const (
 	HeaderComputeMS = "X-Bgq-Compute-Ms"
 )
 
-// Cluster headers (DESIGN.md §17). Responses carry the replica ID that
-// served the request and the fault-epoch vector the response was
-// computed under; requests may carry a minimum vector
-// the serving replica must have applied — a replica that is behind
-// rejects with 503 so the client's backoff rides out gossip
+// Cluster headers (DESIGN.md §17). Plan responses and fault acks carry
+// the replica ID that served the request (the envelope carries the
+// fault-epoch vector it was served under); requests may carry a minimum
+// vector the serving replica must have applied — a replica that is
+// behind rejects with 503 so the client's backoff rides out gossip
 // propagation instead of reading a stale plan.
 const (
 	HeaderReplica   = "X-Bgq-Replica"
-	HeaderVector    = "X-Bgq-Vector"
 	HeaderMinVector = "X-Bgq-Min-Vector"
 )
 
@@ -60,9 +59,9 @@ func (s *Server) traceID(r *http.Request) string {
 	return obs.NewTraceID()
 }
 
-// setMSHeader formats a phase duration as a millisecond header value.
-func setMSHeader(h http.Header, key string, ms float64) {
-	h.Set(key, strconv.FormatFloat(ms, 'f', 3, 64))
+// setMSHeader writes a phase duration as a millisecond header value.
+func setMSHeader(h http.Header, key string, d time.Duration) {
+	h.Set(key, strconv.FormatFloat(float64(d)/1e6, 'f', 3, 64))
 }
 
 // handleTrace serves the recent span rings as a Chrome/Perfetto trace

@@ -146,7 +146,9 @@ internal/serve BenchmarkComputeAggCold
 internal/serve BenchmarkServePlanHit
 internal/serve BenchmarkClientPlanHit
 internal/serve BenchmarkDecodeEnvelope
+internal/obs BenchmarkRegistryCounter
 internal/cluster BenchmarkLogApply
+internal/sim BenchmarkEngineReschedule
 internal/netsim BenchmarkEngineSubmitRelease'
 layer_rounds=8
 layer_pkgs=$(echo "$layer_benches" | awk '{ print $1 }' | sort -u)
