@@ -3,7 +3,9 @@ package obs
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 )
@@ -177,6 +179,34 @@ func TestRegistryKindCollisionPanics(t *testing.T) {
 				}()
 				second.register(r, "serve/requests")
 			})
+		}
+	}
+}
+
+// Concurrent first uses of a name hand every caller the one instance
+// the first of them registered.
+func TestRegistryConcurrentGetOrCreate(t *testing.T) {
+	r := NewRegistry()
+	got := make([][]*Counter, 8)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for j := 0; j < 64; j++ {
+				got[i] = append(got[i], r.Counter(strconv.Itoa(j)))
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	for i := range got {
+		for j := range got[i] {
+			if got[i][j] != got[0][j] {
+				t.Fatalf("callers %d and 0 got different counters named %d", i, j)
+			}
 		}
 	}
 }
